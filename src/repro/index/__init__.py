@@ -1,7 +1,8 @@
 """Index-based influence estimation (Sec. 6 of the paper).
 
 * :mod:`repro.index.rr_graph` -- the RR-Graph sample structure (Definition 2)
-  and tag-aware reachability (Definition 3).
+  and tag-aware reachability (Definition 3), batched over many RR-Graphs by
+  the :class:`~repro.index.rr_graph.RRBlock` kernel.
 * :mod:`repro.index.rr_index` -- the offline RR-Graph index and the online
   matching estimator (Algorithm 3, ``IndexEst``).
 * :mod:`repro.index.pruning` -- edge-cut construction, inverted lists and the

@@ -20,7 +20,7 @@ Algorithm 3 guarantee while the stored index shrinks to one counter per user.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -28,8 +28,8 @@ from repro.exceptions import IndexNotBuiltError
 from repro.graph.algorithms import live_edge_world
 from repro.graph.csr import csr_order, slice_positions
 from repro.graph.digraph import TopicSocialGraph
-from repro.index.pruning import choose_edge_cut
-from repro.index.rr_graph import RRGraph, generate_rr_graph, tag_aware_reachable
+from repro.index.pruning import _UserFilterStructures, build_filter_structures
+from repro.index.rr_graph import RRBlock, RRGraph, generate_rr_graph
 from repro.sampling.base import InfluenceEstimate, InfluenceEstimator, SampleBudget
 from repro.topics.model import TagTopicModel
 from repro.utils.freeze import guard_check
@@ -208,37 +208,14 @@ class DelayedMaterializationIndex:
         return [self.recover_rr_graph(user, rng) for _ in range(count)]
 
 
-def build_recovery_filters(
-    graphs: List[RRGraph], user: int, max_probabilities: np.ndarray
-) -> Tuple[Dict[int, List[Tuple[float, int]]], Set[int]]:
-    """Build the cut-pruning filter over already-recovered ``graphs``.
-
-    Pure function of the recovered graphs (no RNG draws), shared between the
-    lazy per-estimator path and the freeze-time table build
-    (:mod:`repro.index.tables`).
-    """
-    inverted: Dict[int, List[Tuple[float, int]]] = {}
-    always: Set[int] = set()
-    for position, rr_graph in enumerate(graphs):
-        cut = choose_edge_cut(rr_graph, user, position, max_probabilities)
-        if cut.always_live:
-            always.add(position)
-            continue
-        if not cut.entries:
-            continue
-        for edge_id, threshold in cut.entries:
-            inverted.setdefault(edge_id, []).append((threshold, position))
-    for postings in inverted.values():
-        postings.sort()
-    return inverted, always
-
-
 class DelayedIndexEstimator(InfluenceEstimator):
     """The ``DelayMat`` estimator: recover-then-match with optional cut pruning.
 
-    The recovered graphs are cached per user so the many tag-set evaluations of
+    The recovered graphs are cached per user, as one
+    :class:`~repro.index.rr_graph.RRBlock`, so the many tag-set evaluations of
     one PITEX exploration pay the recovery cost only once -- mirroring the
-    paper's query-phase behaviour where recovery happens once per query user.
+    paper's query-phase behaviour where recovery happens once per query user
+    -- and every evaluation matches all candidates in one batched BFS.
 
     ``shared_graphs`` / ``shared_filters`` (when given) are read-only per-user
     tables owned by a frozen engine (:mod:`repro.index.tables`): users found
@@ -257,10 +234,8 @@ class DelayedIndexEstimator(InfluenceEstimator):
         budget: Optional[SampleBudget] = None,
         use_pruning: bool = True,
         seed: SeedLike = None,
-        shared_graphs: Optional[Dict[int, List[RRGraph]]] = None,
-        shared_filters: Optional[
-            Dict[int, Tuple[Dict[int, List[Tuple[float, int]]], Set[int]]]
-        ] = None,
+        shared_graphs: Optional[Dict[int, RRBlock]] = None,
+        shared_filters: Optional[Dict[int, _UserFilterStructures]] = None,
     ) -> None:
         super().__init__(graph, model, budget)
         if index.graph is not graph:
@@ -270,23 +245,23 @@ class DelayedIndexEstimator(InfluenceEstimator):
         self._rng = spawn_rng(seed)
         self._shared_graphs = shared_graphs
         self._shared_filters = shared_filters
-        self._recovered: Dict[int, List[RRGraph]] = {}
-        self._filters: Dict[int, Tuple[Dict[int, List[Tuple[float, int]]], Set[int]]] = {}
+        self._recovered: Dict[int, RRBlock] = {}
+        self._filters: Dict[int, _UserFilterStructures] = {}
 
     # ---------------------------------------------------------------- recover
-    def _graphs_for(self, user: int) -> List[RRGraph]:
+    def _recovered_block(self, user: int) -> RRBlock:
         if self._shared_graphs is not None:
             shared = self._shared_graphs.get(user)
             if shared is not None:
                 return shared
-        graphs = self._recovered.get(user)
-        if graphs is None:
+        block = self._recovered.get(user)
+        if block is None:
             guard_check(self, "recover RR-Graphs into a frozen estimator's shared cache")
-            graphs = self.index.recover_for_user(user, self._rng)
-            self._recovered[user] = graphs
-        return graphs
+            block = RRBlock.from_graphs(self.index.recover_for_user(user, self._rng))
+            self._recovered[user] = block
+        return block
 
-    def _filter_for(self, user: int):
+    def _filter_for(self, user: int) -> _UserFilterStructures:
         if self._shared_filters is not None:
             shared = self._shared_filters.get(user)
             if shared is not None:
@@ -295,8 +270,9 @@ class DelayedIndexEstimator(InfluenceEstimator):
         if cached is not None:
             return cached
         guard_check(self, "build filter structures in a frozen estimator's shared cache")
-        filters = build_recovery_filters(
-            self._graphs_for(user), user, self.graph.max_edge_probabilities()
+        block = self._recovered_block(user)
+        filters = build_filter_structures(
+            block, user, range(block.num_graphs), self.graph.max_edge_probabilities()
         )
         self._filters[user] = filters
         return filters
@@ -309,45 +285,34 @@ class DelayedIndexEstimator(InfluenceEstimator):
         num_samples: Optional[int] = None,
     ) -> InfluenceEstimate:
         """Recover (cached) RR-Graphs for the user and count live matches."""
-        graphs = self._graphs_for(user)
-        probabilities = np.asarray(edge_probabilities, dtype=float)
-        checked_edges = 0
-        if not graphs:
+        block = self._recovered_block(user)
+        if not block.num_graphs:
             return InfluenceEstimate(
                 value=0.0, num_samples=0, edges_visited=0, reachable_size=0, method=self.name
             )
+        probabilities = np.asarray(edge_probabilities, dtype=float)
         if self.use_pruning:
-            inverted, always = self._filter_for(user)
-            candidates: Set[int] = set(always)
-            for edge_id, postings in inverted.items():
-                probability = probabilities[edge_id]
-                if probability <= 0.0:
-                    continue
-                for threshold, position in postings:
-                    checked_edges += 1
-                    if threshold > probability:
-                        break
-                    candidates.add(position)
+            candidates, checked_edges = self._filter_for(user).candidates(probabilities)
         else:
-            candidates = set(range(len(graphs)))
-        # Self-normalized importance estimate of the conditional reach probability.
-        total_weight = float(sum(rr.recovery_weight for rr in graphs))
+            candidates, checked_edges = set(range(block.num_graphs)), 0
+        order = list(candidates)
+        hits, checked = block.reach_many(user, order, probabilities)
+        # Self-normalized importance estimate of the conditional reach
+        # probability; hit weights add up in candidate-iteration order.
+        weights = block.weights
+        total_weight = float(sum(weights))
         hit_weight = 0.0
-        hits = 0
-        for position in candidates:
-            reachable, checked = tag_aware_reachable(graphs[position], user, probabilities)
-            checked_edges += checked
-            if reachable:
-                hits += 1
-                hit_weight += graphs[position].recovery_weight
+        for position, hit in zip(order, hits.tolist()):
+            if hit:
+                hit_weight += weights[position]
         reach_fraction = hit_weight / total_weight if total_weight > 0 else 0.0
-        containment_fraction = len(graphs) / float(self.index.num_samples)
+        containment_fraction = block.num_graphs / float(self.index.num_samples)
         value = containment_fraction * reach_fraction * self.graph.num_vertices
         return InfluenceEstimate(
             value=value,
             num_samples=len(candidates),
-            edges_visited=checked_edges,
-            reachable_size=len(graphs),
+            edges_visited=checked_edges + checked,
+            reachable_size=block.num_graphs,
             method=self.name,
         )
 

@@ -2,19 +2,24 @@
 
 Verifying tag-aware reachability in every RR-Graph containing the query user
 requires one BFS per RR-Graph per candidate tag set.  The filter step avoids
-most of those BFS traversals:
+most of that verification work:
 
 1.  For every RR-Graph containing the user, an *edge cut* is selected -- a set
     of stored edges such that the user can only reach the root if at least one
     cut edge is live.  Two candidate cuts are compared (the user's out-edges
     inside the RR-Graph vs. the root's in-edges from vertices the user can
     structurally reach) and the one with the higher estimated pruning
-    probability wins, following Example 7 of the paper.
-2.  An inverted index maps each edge id to the RR-Graphs whose chosen cut
-    contains it, sorted by the stored ``c(e)`` ascending.  Given a tag set, the
-    scan of each posting list stops as soon as ``c(e) > p(e|W)``; RR-Graphs
-    never reached by any scan are pruned without being traversed.
-3.  Only the surviving candidates are verified with the Definition 3 BFS.
+    probability wins, following Example 7 of the paper.  The cuts of all of a
+    user's RR-Graphs come from one multi-graph BFS over the index's
+    :class:`~repro.index.rr_graph.RRBlock`.
+2.  Flat inverted lists hold one posting ``(edge id, c(e), RR-Graph)`` per cut
+    entry, grouped by edge and sorted by ``c(e)`` within each edge.  Given a
+    tag set, an RR-Graph survives iff one of its postings has
+    ``c(e) <= p(e|W)`` on a live edge; the rest are pruned without being
+    traversed.  The scan cost is counted as a per-edge scan that stops at the
+    first posting above ``p(e|W)``.
+3.  Only the surviving candidates are verified, in one batched BFS
+    (:meth:`~repro.index.rr_graph.RRBlock.reach_many`).
 
 The per-user cut/inverted-list structures are built lazily on the first query
 of a user and cached, since the same user typically evaluates many tag sets
@@ -23,6 +28,7 @@ during one PITEX exploration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -30,11 +36,24 @@ import numpy as np
 
 from repro.exceptions import IndexNotBuiltError
 from repro.graph.digraph import TopicSocialGraph
-from repro.index.rr_graph import RRGraph, structurally_reachable, tag_aware_reachable
+from repro.index.rr_graph import RRBlock, RRGraph
 from repro.index.rr_index import RRGraphIndex
 from repro.sampling.base import InfluenceEstimate, InfluenceEstimator, SampleBudget
 from repro.topics.model import TagTopicModel
 from repro.utils.freeze import guard_check
+from repro.utils.heap import concat_ranges
+
+
+def _dead_factors(
+    edge_ids: np.ndarray, thresholds: np.ndarray, max_probabilities: np.ndarray
+) -> np.ndarray:
+    """Per cut entry, the probability ``min(1, c(e) / p(e))`` that it stays dead.
+
+    Entries on edges with ``p(e) <= 0`` get the neutral factor 1.0.
+    """
+    maxima = max_probabilities[edge_ids]
+    ratios = np.divide(thresholds, maxima, out=np.ones(len(maxima)), where=maxima > 0.0)
+    return np.minimum(1.0, ratios)
 
 
 @dataclass
@@ -59,15 +78,79 @@ class EdgeCut:
         """
         if self.always_live:
             return 0.0
-        if not self.entries:
-            return 1.0
-        probability = 1.0
-        for edge_id, threshold in self.entries:
-            maximum = max_probabilities[edge_id]
-            if maximum <= 0.0:
-                continue
-            probability *= min(1.0, threshold / maximum)
-        return probability
+        edge_ids = np.array([edge_id for edge_id, _ in self.entries], dtype=np.int64)
+        thresholds = np.array([threshold for _, threshold in self.entries], dtype=float)
+        # math.prod multiplies left to right: the cut's entry order fixes the bits.
+        return math.prod(_dead_factors(edge_ids, thresholds, max_probabilities).tolist(), start=1.0)
+
+
+def _cut_sides(block: RRBlock, user: int, graphs: np.ndarray):
+    """Both candidate cuts of ``user`` in each of ``graphs``, as flat arrays.
+
+    Returns ``(always, source, target)``.  ``always[i]`` marks ``user`` as the
+    root of ``graphs[i]``.  Each side is ``(indptr, edge_ids, thresholds)``
+    with one run per graph, entries in stored edge order: the source side
+    holds the user's out-edges, the target side the root's in-edges whose
+    source the user reaches with every edge live.
+    """
+    always = block.roots[graphs] == user
+    starts = block.start_nodes(user, graphs)
+    source_counts = np.where(starts >= 0, block.out_degree[starts], 0)
+    source_slots = concat_ranges(block.indptr[starts], source_counts)
+    in_starts = block.root_in_indptr[graphs]
+    in_counts = block.root_in_indptr[graphs + 1] - in_starts
+    in_positions = concat_ranges(in_starts, in_counts)
+    reached = block.structural_reach(user, graphs)[block.root_in_sources[in_positions]]
+    in_positions = in_positions[reached]
+    target_counts = np.bincount(
+        np.repeat(np.arange(len(graphs)), in_counts)[reached], minlength=len(graphs)
+    )
+    source = (
+        np.concatenate(([0], np.cumsum(source_counts))),
+        block.slot_edge_ids[source_slots],
+        block.slot_thresholds[source_slots],
+    )
+    target = (
+        np.concatenate(([0], np.cumsum(target_counts))),
+        block.root_in_edge_ids[in_positions],
+        block.root_in_thresholds[in_positions],
+    )
+    return always, source, target
+
+
+def _choose_cuts(
+    block: RRBlock, user: int, graphs: Sequence[int], max_probabilities: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The chosen cut of ``user`` in each of ``graphs`` (Example 7), as flat arrays.
+
+    Returns ``(always, indptr, edge_ids, thresholds)``: ``always[i]`` marks
+    graphs where ``user`` is the root (no cut can prune), and run ``i`` of
+    the entries is the cut with the higher pruning probability in
+    ``graphs[i]`` -- the source cut on a tie.  Probabilities multiply the
+    entry factors in entry order, exactly as :meth:`EdgeCut.pruning_probability`.
+    """
+    graphs = np.asarray(graphs, dtype=np.int64)
+    always, source, target = _cut_sides(block, user, graphs)
+    runs = []
+    for indptr, edge_ids, thresholds in (source, target):
+        factors = _dead_factors(edge_ids, thresholds, max_probabilities).tolist()
+        bounds = indptr.tolist()
+        runs.append([math.prod(factors[lo:hi], start=1.0) for lo, hi in zip(bounds, bounds[1:])])
+    take_source = np.array(
+        [pick_source >= pick_target for pick_source, pick_target in zip(*runs)], dtype=bool
+    )
+    take_source &= ~always
+    take_target = ~take_source & ~always
+    positions, edge_parts, threshold_parts = [], [], []
+    for (indptr, edge_ids, thresholds), take in ((source, take_source), (target, take_target)):
+        keep = np.repeat(take, np.diff(indptr))
+        positions.append(np.repeat(np.arange(len(graphs)), np.diff(indptr))[keep])
+        edge_parts.append(edge_ids[keep])
+        threshold_parts.append(thresholds[keep])
+    positions = np.concatenate(positions)
+    order = np.argsort(positions, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(positions, minlength=len(graphs)))))
+    return always, indptr, np.concatenate(edge_parts)[order], np.concatenate(threshold_parts)[order]
 
 
 def build_edge_cut(rr_graph: RRGraph, user: int, rr_index: int, side: str) -> EdgeCut:
@@ -80,21 +163,11 @@ def build_edge_cut(rr_graph: RRGraph, user: int, rr_index: int, side: str) -> Ed
     """
     if user == rr_graph.root:
         return EdgeCut(rr_index=rr_index, always_live=True)
-    if side == "source":
-        entries = [
-            (rr_graph.edge_ids[i], rr_graph.edge_thresholds[i])
-            for i in rr_graph.out_edges_of(user)
-        ]
-        return EdgeCut(rr_index=rr_index, entries=entries)
-    if side == "target":
-        reachable = structurally_reachable(rr_graph, user)
-        entries = [
-            (rr_graph.edge_ids[i], rr_graph.edge_thresholds[i])
-            for i in rr_graph.in_edges_of(rr_graph.root)
-            if rr_graph.edge_sources[i] in reachable
-        ]
-        return EdgeCut(rr_index=rr_index, entries=entries)
-    raise ValueError(f"side must be 'source' or 'target', got {side!r}")
+    if side not in ("source", "target"):
+        raise ValueError(f"side must be 'source' or 'target', got {side!r}")
+    _, source, target = _cut_sides(RRBlock.from_graphs([rr_graph]), user, np.zeros(1, np.int64))
+    _, edge_ids, thresholds = source if side == "source" else target
+    return EdgeCut(rr_index=rr_index, entries=list(zip(edge_ids.tolist(), thresholds.tolist())))
 
 
 def choose_edge_cut(
@@ -104,54 +177,75 @@ def choose_edge_cut(
     max_probabilities: np.ndarray,
 ) -> EdgeCut:
     """Pick the candidate cut with the higher estimated pruning probability."""
-    source_cut = build_edge_cut(rr_graph, user, rr_index, "source")
-    target_cut = build_edge_cut(rr_graph, user, rr_index, "target")
-    if source_cut.pruning_probability(max_probabilities) >= target_cut.pruning_probability(
-        max_probabilities
-    ):
-        return source_cut
-    return target_cut
+    always, _, edge_ids, thresholds = _choose_cuts(
+        RRBlock.from_graphs([rr_graph]), user, [0], max_probabilities
+    )
+    if always[0]:
+        return EdgeCut(rr_index=rr_index, always_live=True)
+    return EdgeCut(rr_index=rr_index, entries=list(zip(edge_ids.tolist(), thresholds.tolist())))
 
 
 @dataclass
 class _UserFilterStructures:
-    """Cached per-user filter structures: inverted lists + always-candidate graphs."""
+    """One user's flat inverted lists over the chosen cuts, plus the uncuttable graphs.
 
-    inverted_lists: Dict[int, List[Tuple[float, int]]]
-    always_candidates: Set[int]
-    candidate_universe: List[int]
-
-
-def build_user_filter_structures(
-    index: RRGraphIndex, user: int, max_probabilities: np.ndarray
-) -> _UserFilterStructures:
-    """Build the inverted lists of the chosen cuts for ``user``.
-
-    Pure function of the (built) index and the maximum edge probabilities --
-    no RNG draws -- so building at freeze time
-    (:mod:`repro.index.tables`) is bitwise-equivalent to building lazily on
-    the first query.
+    Postings are grouped by edge (edges in order of first appearance over
+    the graphs) and sorted by ``(threshold, rr_index)`` within an edge;
+    ``edge_last`` marks the last posting of each edge.
     """
-    inverted: Dict[int, List[Tuple[float, int]]] = {}
-    always: Set[int] = set()
-    candidates = index.graphs_containing(user)
-    for rr_index in candidates:
-        rr_graph = index.rr_graphs[rr_index]
-        cut = choose_edge_cut(rr_graph, user, rr_index, max_probabilities)
-        if cut.always_live:
-            always.add(rr_index)
-            continue
-        if not cut.entries:
-            # The user cannot reach the root in this RR-Graph at all.
-            continue
-        for edge_id, threshold in cut.entries:
-            inverted.setdefault(edge_id, []).append((threshold, rr_index))
-    for postings in inverted.values():
-        postings.sort()
+
+    edge_ids: np.ndarray
+    thresholds: np.ndarray
+    rr_indices: np.ndarray
+    edge_last: np.ndarray
+    always_candidates: Set[int]
+
+    def candidates(self, probabilities: np.ndarray) -> Tuple[Set[int], int]:
+        """``(surviving RR-Graph indices, postings scanned)`` under ``probabilities``.
+
+        A posting is kept when its edge is live and ``c(e) <= p(e|W)``.  The
+        scan of a live edge stops at its first posting above ``p(e|W)``, so
+        ``scanned`` counts the kept postings plus one for every live edge
+        whose last posting lies above ``p(e|W)``.
+        """
+        probabilities = probabilities[self.edge_ids]
+        live = probabilities > 0.0
+        kept = live & (self.thresholds <= probabilities)
+        scanned = int(np.count_nonzero(kept)) + int(
+            np.count_nonzero(live & self.edge_last & ~kept)
+        )
+        candidates = set(self.always_candidates)
+        candidates.update(self.rr_indices[kept].tolist())
+        return candidates, scanned
+
+
+def build_filter_structures(
+    block: RRBlock, user: int, graphs: Sequence[int], max_probabilities: np.ndarray
+) -> _UserFilterStructures:
+    """The inverted lists of ``user``'s chosen cuts in ``graphs`` of ``block``.
+
+    Pure function of the block and the maximum edge probabilities -- no RNG
+    draws -- so building at freeze time (:mod:`repro.index.tables`) is
+    bitwise-equivalent to building lazily on the first query.  Graphs whose
+    chosen cut is empty cannot be reached and get no posting.
+    """
+    graphs = np.asarray(graphs, dtype=np.int64)
+    always, indptr, edge_ids, thresholds = _choose_cuts(block, user, graphs, max_probabilities)
+    rr_indices = np.repeat(graphs, np.diff(indptr))
+    # Edges ordered by first appearance (as a dict keyed by edge fills up),
+    # so the kept postings fill the candidate set in a per-edge scan's order.
+    _, first, inverse = np.unique(edge_ids, return_index=True, return_inverse=True)
+    first_rank = np.empty(len(first), dtype=np.int64)
+    first_rank[np.argsort(first)] = np.arange(len(first))
+    groups = first_rank[inverse.reshape(-1)]
+    order = np.lexsort((rr_indices, thresholds, groups))
+    groups = groups[order]
     return _UserFilterStructures(
-        inverted_lists=inverted,
-        always_candidates=always,
-        candidate_universe=list(candidates),
+        edge_ids=edge_ids[order],
+        thresholds=thresholds[order],
+        rr_indices=rr_indices[order],
+        edge_last=np.append(groups[1:] != groups[:-1], True)[: len(groups)],
+        always_candidates=set(graphs[always].tolist()),
     )
 
 
@@ -192,8 +286,11 @@ class PrunedIndexEstimator(InfluenceEstimator):
         if cached is not None:
             return cached
         guard_check(self, "build cut structures in a frozen estimator's shared cache")
-        structures = build_user_filter_structures(
-            self.index, user, self.graph.max_edge_probabilities()
+        structures = build_filter_structures(
+            self.index.block(),
+            user,
+            self.index.graphs_containing(user),
+            self.graph.max_edge_probabilities(),
         )
         self._user_structures[user] = structures
         return structures
@@ -205,20 +302,8 @@ class PrunedIndexEstimator(InfluenceEstimator):
 
         Returns ``(candidates, postings_scanned)``.
         """
-        structures = self._structures_for(user)
         probabilities = np.asarray(edge_probabilities, dtype=float)
-        candidates: Set[int] = set(structures.always_candidates)
-        scanned = 0
-        for edge_id, postings in structures.inverted_lists.items():
-            probability = probabilities[edge_id]
-            if probability <= 0.0:
-                continue
-            for threshold, rr_index in postings:
-                scanned += 1
-                if threshold > probability:
-                    break
-                candidates.add(rr_index)
-        return candidates, scanned
+        return self._structures_for(user).candidates(probabilities)
 
     # --------------------------------------------------------------- estimate
     def estimate_with_probabilities(
@@ -227,22 +312,14 @@ class PrunedIndexEstimator(InfluenceEstimator):
         edge_probabilities: Sequence[float],
         num_samples: Optional[int] = None,
     ) -> InfluenceEstimate:
-        """Filter RR-Graphs with the cuts, verify survivors with the BFS."""
+        """Filter RR-Graphs with the cuts, verify survivors in one batched BFS."""
         candidates, scanned = self.filter_candidates(user, edge_probabilities)
-        hits = 0
-        checked_edges = scanned
-        for rr_index in candidates:
-            reachable, checked = tag_aware_reachable(
-                self.index.rr_graphs[rr_index], user, edge_probabilities
-            )
-            checked_edges += checked
-            if reachable:
-                hits += 1
-        value = hits / float(self.index.num_samples) * self.graph.num_vertices
+        hits, checked = self.index.block().reach_many(user, list(candidates), edge_probabilities)
+        value = int(hits.sum()) / float(self.index.num_samples) * self.graph.num_vertices
         return InfluenceEstimate(
             value=value,
             num_samples=len(candidates),
-            edges_visited=checked_edges,
+            edges_visited=scanned + checked,
             reachable_size=len(self.index.graphs_containing(user)),
             method=self.name,
         )

@@ -11,23 +11,31 @@ offline sample serves every future query.
 
 Generation runs frontier-at-a-time on the graph's reverse CSR arrays: all
 in-edges of a frontier are gathered with two NumPy indexing operations and
-their ``c(e)`` values drawn in one batch.  Query-time matching
-(:func:`tag_aware_reachable`) BFSes over a compact per-RR-Graph CSR built once
-and cached, so the thousands of matches of one PITEX exploration never probe
-Python dicts.  The original per-edge walkers remain available under
-``kernel="dict"`` as the reference implementation.
+their ``c(e)`` values drawn in one batch.
+
+Query-time matching runs on an :class:`RRBlock`: every RR-Graph of a
+collection concatenated into one CSR whose nodes are (graph, member vertex)
+pairs.  :meth:`RRBlock.reach_many` verifies all candidate RR-Graphs of one
+estimate in a single level-synchronous BFS, so an estimate costs a handful of
+NumPy calls per BFS level instead of a whole BFS per RR-Graph.  The per-graph
+reach bits and the per-graph level-synchronous ``edges_checked`` sums are
+exactly those of one BFS per graph.  :func:`tag_aware_reachable` is the
+single-graph view of the same kernel; the original per-edge walkers remain
+available under ``kernel="dict"`` as the reference implementation.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.graph.csr import csr_order, slice_positions
+from repro.graph.csr import csr_order
 from repro.graph.digraph import TopicSocialGraph
+from repro.utils.heap import concat_ranges
 from repro.utils.rng import RandomSource
 
 
@@ -61,7 +69,6 @@ class RRGraph:
     edge_thresholds: List[float] = field(default_factory=list)
     recovery_weight: float = 1.0
     _adjacency: Optional[Dict[int, List[int]]] = field(default=None, repr=False)
-    _local_csr: Optional["_LocalCSR"] = field(default=None, repr=False)
 
     @property
     def num_vertices(self) -> int:
@@ -84,7 +91,6 @@ class RRGraph:
         self.edge_targets.append(target)
         self.edge_thresholds.append(float(threshold))
         self._adjacency = None
-        self._local_csr = None
 
     def extend_edges(
         self,
@@ -99,7 +105,6 @@ class RRGraph:
         self.edge_targets.extend(int(t) for t in targets)
         self.edge_thresholds.extend(float(c) for c in thresholds)
         self._adjacency = None
-        self._local_csr = None
 
     def adjacency(self) -> Dict[int, List[int]]:
         """Out-adjacency restricted to the stored edges: source -> local edge indices."""
@@ -109,12 +114,6 @@ class RRGraph:
                 adjacency.setdefault(source, []).append(local_index)
             self._adjacency = adjacency
         return self._adjacency
-
-    def local_csr(self) -> "_LocalCSR":
-        """The cached compact CSR over the stored edges (built on first use)."""
-        if self._local_csr is None:
-            self._local_csr = _LocalCSR.from_rr_graph(self)
-        return self._local_csr
 
     def out_edges_of(self, vertex: int) -> List[int]:
         """Local edge indices leaving ``vertex`` inside this RR-Graph."""
@@ -129,46 +128,196 @@ class RRGraph:
         return 8 * self.num_vertices + (8 * 3 + 8) * self.num_edges
 
 
-class _LocalCSR:
-    """Compact CSR over one RR-Graph's stored edges.
+def flatten_rr_graphs(rr_graphs: Sequence[RRGraph]) -> Dict[str, np.ndarray]:
+    """Concatenate RR-Graphs into parallel arrays with per-graph ``indptr`` offsets.
 
-    Vertex ids are remapped to dense local ids (``searchsorted`` over the
-    sorted member array), so a graph of a few dozen edges BFSes over arrays a
-    cache line long instead of a dict of Python lists.
+    Vertex ids are sorted within each graph (one ``lexsort`` over the whole
+    array) so the layout is canonical; edges keep their stored order.  This is
+    the persisted form of :meth:`RRGraphIndex.to_arrays` and the input of
+    :class:`RRBlock`.
+    """
+    chain = itertools.chain.from_iterable
+    vertex_counts = np.fromiter((rr.num_vertices for rr in rr_graphs), np.int64, len(rr_graphs))
+    edge_counts = np.fromiter((rr.num_edges for rr in rr_graphs), np.int64, len(rr_graphs))
+    num_vertices, num_edges = int(vertex_counts.sum()), int(edge_counts.sum())
+    vertex_ids = np.fromiter(chain(rr.vertices for rr in rr_graphs), np.int64, num_vertices)
+    vertex_graph = np.repeat(np.arange(len(rr_graphs), dtype=np.int64), vertex_counts)
+    return {
+        "roots": np.fromiter((rr.root for rr in rr_graphs), np.int64, len(rr_graphs)),
+        "vertex_indptr": np.concatenate(([0], np.cumsum(vertex_counts))).astype(np.int64),
+        "vertex_ids": vertex_ids[np.lexsort((vertex_ids, vertex_graph))],
+        "edge_indptr": np.concatenate(([0], np.cumsum(edge_counts))).astype(np.int64),
+        "edge_ids": np.fromiter(chain(rr.edge_ids for rr in rr_graphs), np.int64, num_edges),
+        "edge_sources": np.fromiter(
+            chain(rr.edge_sources for rr in rr_graphs), np.int64, num_edges
+        ),
+        "edge_targets": np.fromiter(
+            chain(rr.edge_targets for rr in rr_graphs), np.int64, num_edges
+        ),
+        "edge_thresholds": np.fromiter(
+            chain(rr.edge_thresholds for rr in rr_graphs), float, num_edges
+        ),
+    }
+
+
+def _distinct(nodes: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """``nodes`` without repeats, using ``owner`` (one slot per node) as a work buffer.
+
+    Each node keeps the one occurrence whose position won the scatter, so a
+    frontier is deduplicated in a few linear passes instead of a sort.
+    """
+    positions = np.arange(len(nodes))
+    owner[nodes] = positions
+    return nodes[owner[nodes] == positions]
+
+
+class RRBlock:
+    """A collection of RR-Graphs concatenated into one CSR (the *block*).
+
+    A node is one (graph, member vertex) pair.  Nodes are numbered in the
+    order of their key ``graph * stride + vertex``, so the nodes of one graph
+    form a contiguous run and a (graph, vertex) lookup is one
+    ``searchsorted`` (``node_keys`` ends with a sentinel key above every
+    node's).  ``indptr`` runs over nodes; each slot stores its target node,
+    its global edge id and its ``c(e)`` threshold, and the slots of a node
+    keep the graph's stored edge order.  Per graph the block keeps the root
+    vertex and the root's in-slots (stored edge order, for the
+    edge-cut tables of :mod:`repro.index.pruning`); per node a root flag (its
+    graph is ``node_keys // stride``); ``weights`` carries the graphs'
+    recovery weights.
+
+    Members are the union of each graph's vertex set, edge endpoints and
+    root, so graphs assembled through :meth:`RRGraph.add_edge` map cleanly
+    even when their ``vertices`` set was not kept in sync.  The block is
+    immutable and every method only reads it, so concurrent queries may share
+    one block.
     """
 
-    __slots__ = ("members", "indptr", "local_targets", "slot_edge_ids", "slot_thresholds", "root_local")
-
-    def __init__(self, rr_graph: RRGraph) -> None:
-        sources = np.asarray(rr_graph.edge_sources, dtype=np.int64)
-        targets = np.asarray(rr_graph.edge_targets, dtype=np.int64)
-        # Union the vertex set with the edge endpoints (and root) so a graph
-        # assembled through the public add_edge/extend_edges API maps cleanly
-        # even when its `vertices` set was not kept in sync by the caller.
-        vertex_ids = np.fromiter(rr_graph.vertices, dtype=np.int64, count=len(rr_graph.vertices))
-        members = np.unique(
-            np.concatenate((vertex_ids, sources, targets, np.array([rr_graph.root], dtype=np.int64)))
+    def __init__(self, arrays: Dict[str, np.ndarray], weights: Optional[List[float]] = None):
+        roots = np.asarray(arrays["roots"], dtype=np.int64)
+        vertex_ids = np.asarray(arrays["vertex_ids"], dtype=np.int64)
+        sources = np.asarray(arrays["edge_sources"], dtype=np.int64)
+        targets = np.asarray(arrays["edge_targets"], dtype=np.int64)
+        edge_ids = np.asarray(arrays["edge_ids"], dtype=np.int64)
+        thresholds = np.asarray(arrays["edge_thresholds"], dtype=float)
+        num_graphs = len(roots)
+        graph_ids = np.arange(num_graphs, dtype=np.int64)
+        vertex_graph = np.repeat(graph_ids, np.diff(arrays["vertex_indptr"]))
+        edge_graph = np.repeat(graph_ids, np.diff(arrays["edge_indptr"]))
+        members = (roots, vertex_ids, sources, targets)
+        stride = int(max((int(a.max()) for a in members if a.size), default=0)) + 1
+        node_keys = np.unique(
+            np.concatenate(
+                (
+                    vertex_graph * stride + vertex_ids,
+                    edge_graph * stride + sources,
+                    edge_graph * stride + targets,
+                    graph_ids * stride + roots,
+                )
+            )
         )
-        self.members = members
-        thresholds = np.asarray(rr_graph.edge_thresholds, dtype=float)
-        edge_ids = np.asarray(rr_graph.edge_ids, dtype=np.int64)
-        local_sources = np.searchsorted(members, sources)
-        self.indptr, order = csr_order(local_sources, len(members))
-        self.local_targets = np.searchsorted(members, targets[order])
+        source_nodes = np.searchsorted(node_keys, edge_graph * stride + sources)
+        target_nodes = np.searchsorted(node_keys, edge_graph * stride + targets)
+        self.num_graphs = num_graphs
+        self.num_nodes = len(node_keys)
+        self.stride = stride
+        self.node_keys = np.append(node_keys, np.iinfo(np.int64).max)
+        self.indptr, order = csr_order(source_nodes, self.num_nodes)
+        self.out_degree = np.diff(self.indptr)
+        self.slot_targets = target_nodes[order]
         self.slot_edge_ids = edge_ids[order]
         self.slot_thresholds = thresholds[order]
-        self.root_local = int(np.searchsorted(members, rr_graph.root))
+        # An edge is live iff p > 0 and p >= c(e).  Raising c(e) = 0 to the
+        # smallest positive double folds both tests into one p >= floor.
+        self.slot_live_floor = np.maximum(self.slot_thresholds, np.nextafter(0.0, 1.0))
+        self.roots = roots
+        root_nodes = np.searchsorted(node_keys, graph_ids * stride + roots)
+        self.node_is_root = np.zeros(self.num_nodes, dtype=bool)
+        self.node_is_root[root_nodes] = True
+        into_root = target_nodes == root_nodes[edge_graph]
+        self.root_in_indptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(edge_graph[into_root], minlength=num_graphs)))
+        ).astype(np.int64)
+        self.root_in_sources = source_nodes[into_root]
+        self.root_in_edge_ids = edge_ids[into_root]
+        self.root_in_thresholds = thresholds[into_root]
+        self.weights = weights
 
     @classmethod
-    def from_rr_graph(cls, rr_graph: RRGraph) -> "_LocalCSR":
-        return cls(rr_graph)
+    def from_graphs(cls, rr_graphs: Sequence[RRGraph]) -> "RRBlock":
+        """The block of ``rr_graphs`` (graph ``i`` of the block is ``rr_graphs[i]``)."""
+        return cls(
+            flatten_rr_graphs(rr_graphs), weights=[rr.recovery_weight for rr in rr_graphs]
+        )
 
-    def local_id(self, vertex: int) -> Optional[int]:
-        """Dense local id of a global vertex, or ``None`` if not a member."""
-        position = int(np.searchsorted(self.members, vertex))
-        if position >= len(self.members) or self.members[position] != vertex:
-            return None
-        return position
+    def start_nodes(self, user: int, graphs: np.ndarray) -> np.ndarray:
+        """The node of ``user`` in each of ``graphs``, ``-1`` where it is no member."""
+        if not 0 <= user < self.stride:
+            return np.full(len(graphs), -1, dtype=np.int64)
+        keys = graphs * self.stride + user
+        nodes = np.searchsorted(self.node_keys, keys)
+        return np.where(self.node_keys[nodes] == keys, nodes, -1)
+
+    def out_slots(self, nodes: np.ndarray) -> np.ndarray:
+        """The out-slots of every one of ``nodes``, concatenated in node order."""
+        return concat_ranges(self.indptr[nodes], self.out_degree[nodes])
+
+    def reach_many(
+        self, user: int, graphs: Sequence[int], probabilities: Sequence[float]
+    ) -> Tuple[np.ndarray, int]:
+        """Definition 3 for ``user`` in every one of ``graphs`` at once.
+
+        Returns ``(hits, edges_checked)``: ``hits[i]`` tells whether ``user``
+        reaches the root of ``graphs[i]`` through live edges (``p(e|W) > 0``
+        and ``p(e|W) >= c(e)``).  One level-synchronous BFS advances every
+        graph's frontier together; liveness is computed only on the slots
+        being expanded.  A graph stops when its root appears among its newly
+        reached nodes (the slots of that level still count as checked) or
+        when it has nothing left to expand, so ``edges_checked`` is the sum
+        of one level-synchronous BFS per graph.  ``user == root`` is a hit
+        with nothing checked; a graph without ``user`` is a miss.
+        """
+        graphs = np.asarray(graphs, dtype=np.int64)
+        at_root = self.roots[graphs] == user
+        hit_graphs = np.zeros(self.num_graphs, dtype=bool)
+        hit_graphs[graphs[at_root]] = True
+        frontier = self.start_nodes(user, graphs)
+        frontier = frontier[(frontier >= 0) & ~at_root]
+        checked = 0
+        if frontier.size:
+            probabilities = np.asarray(probabilities, dtype=float)
+            unvisited = np.ones(self.num_nodes, dtype=bool)
+            unvisited[frontier] = False
+            owner = np.empty(self.num_nodes, dtype=np.int64)
+            while frontier.size:
+                positions = self.out_slots(frontier)
+                if not positions.size:
+                    break
+                checked += int(positions.size)
+                live = probabilities[self.slot_edge_ids[positions]] >= self.slot_live_floor[positions]
+                reached = self.slot_targets[positions[live]]
+                reached = reached[unvisited[reached]]
+                at_root = self.node_is_root[reached]
+                if at_root.any():
+                    hit_graphs[self.node_keys[reached[at_root]] // self.stride] = True
+                    reached = reached[~hit_graphs[self.node_keys[reached] // self.stride]]
+                unvisited[reached] = False
+                frontier = _distinct(reached, owner)
+        return hit_graphs[graphs], checked
+
+    def structural_reach(self, user: int, graphs: np.ndarray) -> np.ndarray:
+        """Node mask of everything ``user`` reaches in ``graphs`` with every edge live."""
+        frontier = self.start_nodes(user, graphs)
+        frontier = frontier[frontier >= 0]
+        visited = np.zeros(self.num_nodes, dtype=bool)
+        visited[frontier] = True
+        owner = np.empty(self.num_nodes, dtype=np.int64)
+        while frontier.size:
+            reached = self.slot_targets[self.out_slots(frontier)]
+            reached = reached[~visited[reached]]
+            visited[reached] = True
+            frontier = _distinct(reached, owner)
+        return visited
 
 
 def generate_rr_graph(
@@ -260,7 +409,9 @@ def tag_aware_reachable(
     """Definition 3: does ``user`` reach the root through live edges?
 
     An edge is live when ``p(e|W) >= c(e)``.  Returns ``(reachable,
-    edges_checked)`` so callers can account verification cost.  The exact
+    edges_checked)`` so callers can account verification cost.  The default
+    kernel is the one-graph case of :meth:`RRBlock.reach_many` (callers that
+    match many graphs should batch them through a block instead).  The exact
     ``edges_checked`` value depends on traversal order (both kernels stop as
     soon as the root is reached), so the two kernels agree on the reachability
     bit but may differ slightly in the accounting.
@@ -271,33 +422,8 @@ def tag_aware_reachable(
         return _tag_aware_reachable_dict(rr_graph, user, edge_probabilities)
     if user not in rr_graph.vertices:
         return False, 0
-    if not rr_graph.num_edges:
-        return False, 0
-    probabilities = np.asarray(edge_probabilities, dtype=float)
-    local = rr_graph.local_csr()
-    start = local.local_id(user)
-    if start is None:
-        return False, 0
-    live = probabilities[local.slot_edge_ids]
-    live_mask = (live > 0.0) & (live >= local.slot_thresholds)
-    visited = np.zeros(len(local.members), dtype=bool)
-    visited[start] = True
-    frontier = np.array([start], dtype=np.int64)
-    checked = 0
-    while frontier.size:
-        positions = slice_positions(local.indptr, frontier)
-        if not positions.size:
-            break
-        checked += int(positions.size)
-        targets = local.local_targets[positions][live_mask[positions]]
-        fresh = targets[~visited[targets]]
-        if not fresh.size:
-            break
-        if (fresh == local.root_local).any():
-            return True, checked
-        visited[fresh] = True
-        frontier = np.unique(fresh)
-    return False, checked
+    hits, checked = RRBlock.from_graphs([rr_graph]).reach_many(user, [0], edge_probabilities)
+    return bool(hits[0]), checked
 
 
 def _tag_aware_reachable_dict(
@@ -332,13 +458,7 @@ def structurally_reachable(rr_graph: RRGraph, user: int) -> Set[int]:
     """Vertices reachable from ``user`` inside the RR-Graph ignoring tag probabilities."""
     if user not in rr_graph.vertices:
         return set()
-    visited = {user}
-    queue = deque([user])
-    while queue:
-        vertex = queue.popleft()
-        for local_index in rr_graph.out_edges_of(vertex):
-            target = rr_graph.edge_targets[local_index]
-            if target not in visited:
-                visited.add(target)
-                queue.append(target)
-    return visited
+    block = RRBlock.from_graphs([rr_graph])
+    reached = block.structural_reach(user, np.zeros(1, dtype=np.int64))
+    # A one-graph block keys its nodes by vertex id.
+    return set(block.node_keys[: block.num_nodes][reached].tolist())

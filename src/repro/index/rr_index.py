@@ -8,18 +8,21 @@ the user actually reaches the root through live edges (Definition 3):
 ``E-hat[I(u|W)] = (#reaching RR-Graphs / theta) * |V|``
 
 No sampling happens at query time, which is where the orders-of-magnitude
-speed-ups of Fig. 7 / Fig. 9 come from.
+speed-ups of Fig. 7 / Fig. 9 come from.  The count runs on the index's
+:class:`~repro.index.rr_graph.RRBlock`: all RR-Graphs containing ``u`` are
+verified in one batched BFS.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.exceptions import IndexNotBuiltError
 from repro.graph.digraph import TopicSocialGraph
-from repro.index.rr_graph import RRGraph, generate_rr_graph, tag_aware_reachable
+from repro.index.rr_graph import RRBlock, RRGraph, flatten_rr_graphs, generate_rr_graph
 from repro.sampling.base import InfluenceEstimate, InfluenceEstimator, SampleBudget
 from repro.topics.model import TagTopicModel
 from repro.utils.freeze import guard_check
@@ -53,6 +56,8 @@ class RRGraphIndex:
         self.build_seconds: float = 0.0
         self._built = False
         self._built_version: Optional[int] = None
+        self._block: Optional[RRBlock] = None
+        self._block_lock = threading.Lock()
 
     # ------------------------------------------------------------------ build
     def build(self) -> "RRGraphIndex":
@@ -62,6 +67,7 @@ class RRGraphIndex:
         max_probabilities = self.graph.max_edge_probabilities()
         self.rr_graphs = []
         self.containment = {}
+        self._block = None
         for index in range(self.num_samples):
             root = self._rng.integer(0, self.graph.num_vertices)
             rr_graph = generate_rr_graph(self.graph, root, self._rng, max_probabilities)
@@ -103,20 +109,28 @@ class RRGraphIndex:
         """``theta(u)``: number of RR-Graphs containing ``user``."""
         return len(self.graphs_containing(user))
 
+    def block(self) -> RRBlock:
+        """The block CSR of all RR-Graphs, built once on the first match.
+
+        A pure function of the built index, so building it lazily (under a
+        lock, so concurrent first queries build it once) is invisible to
+        answers; :meth:`build` resets it.  Neither ``build()`` nor a freeze
+        builds it, so an index refresh leaves the cost to the first read.
+        """
+        self._require_built()
+        block = self._block
+        if block is None:
+            with self._block_lock:
+                if self._block is None:
+                    self._block = RRBlock.from_graphs(self.rr_graphs)
+                block = self._block
+        return block
+
     def estimate(self, user: int, edge_probabilities: Sequence[float]) -> InfluenceEstimate:
         """Algorithm 3 online phase: count tag-aware reachable RR-Graphs."""
-        self._require_built()
-        hits = 0
-        checked_edges = 0
         candidates = self.graphs_containing(user)
-        for index in candidates:
-            reachable, checked = tag_aware_reachable(
-                self.rr_graphs[index], user, edge_probabilities
-            )
-            checked_edges += checked
-            if reachable:
-                hits += 1
-        value = hits / float(self.num_samples) * self.graph.num_vertices
+        hits, checked_edges = self.block().reach_many(user, candidates, edge_probabilities)
+        value = int(hits.sum()) / float(self.num_samples) * self.graph.num_vertices
         return InfluenceEstimate(
             value=value,
             num_samples=len(candidates),
@@ -136,32 +150,9 @@ class RRGraphIndex:
         make the serialized form canonical.
         """
         self._require_built()
-
-        def concat(parts, dtype):
-            parts = list(parts)
-            if not parts:
-                return np.zeros(0, dtype=dtype)
-            return np.concatenate(parts).astype(dtype, copy=False)
-
-        vertex_counts = np.array([rr.num_vertices for rr in self.rr_graphs], dtype=np.int64)
-        edge_counts = np.array([rr.num_edges for rr in self.rr_graphs], dtype=np.int64)
-        return {
-            "roots": np.array([rr.root for rr in self.rr_graphs], dtype=np.int64),
-            "vertex_indptr": np.concatenate(([0], np.cumsum(vertex_counts))).astype(np.int64),
-            "vertex_ids": concat(
-                (
-                    np.sort(np.fromiter(rr.vertices, dtype=np.int64, count=rr.num_vertices))
-                    for rr in self.rr_graphs
-                ),
-                np.int64,
-            ),
-            "edge_indptr": np.concatenate(([0], np.cumsum(edge_counts))).astype(np.int64),
-            "edge_ids": concat((rr.edge_ids for rr in self.rr_graphs), np.int64),
-            "edge_sources": concat((rr.edge_sources for rr in self.rr_graphs), np.int64),
-            "edge_targets": concat((rr.edge_targets for rr in self.rr_graphs), np.int64),
-            "edge_thresholds": concat((rr.edge_thresholds for rr in self.rr_graphs), float),
-            "num_samples": np.array([self.num_samples], dtype=np.int64),
-        }
+        arrays = flatten_rr_graphs(self.rr_graphs)
+        arrays["num_samples"] = np.array([self.num_samples], dtype=np.int64)
+        return arrays
 
     @classmethod
     def from_arrays(

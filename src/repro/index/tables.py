@@ -28,16 +28,13 @@ without consuming RNG.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.index.delayed import (
-    DelayedMaterializationIndex,
-    build_recovery_filters,
-)
-from repro.index.pruning import _UserFilterStructures, build_user_filter_structures
-from repro.index.rr_graph import RRGraph
+from repro.index.delayed import DelayedMaterializationIndex
+from repro.index.pruning import _UserFilterStructures, build_filter_structures
+from repro.index.rr_graph import RRBlock
 from repro.index.rr_index import RRGraphIndex
 from repro.utils.rng import RandomSource
 
@@ -51,10 +48,8 @@ class FrozenUserTables:
     """
 
     pruning: Optional[Dict[int, _UserFilterStructures]] = None
-    delayed_graphs: Optional[Dict[int, List[RRGraph]]] = None
-    delayed_filters: Optional[
-        Dict[int, Tuple[Dict[int, List[Tuple[float, int]]], Set[int]]]
-    ] = None
+    delayed_graphs: Optional[Dict[int, RRBlock]] = None
+    delayed_filters: Optional[Dict[int, _UserFilterStructures]] = None
 
     def num_users(self) -> Dict[str, int]:
         """Per-section table sizes (JSON friendly; used by freeze telemetry)."""
@@ -73,9 +68,10 @@ def build_pruning_tables(
     build on first query; iteration order is sorted for reproducible build
     telemetry but cannot affect the structures themselves.
     """
+    block = index.block()
     return {
-        user: build_user_filter_structures(index, user, max_probabilities)
-        for user in sorted(index.containment)
+        user: build_filter_structures(block, user, graphs, max_probabilities)
+        for user, graphs in sorted(index.containment.items())
     }
 
 
@@ -83,21 +79,19 @@ def build_delayed_tables(
     index: DelayedMaterializationIndex,
     max_probabilities: np.ndarray,
     stream_for_user: Callable[[int], RandomSource],
-) -> Tuple[
-    Dict[int, List[RRGraph]],
-    Dict[int, Tuple[Dict[int, List[Tuple[float, int]]], Set[int]]],
-]:
+) -> Tuple[Dict[int, RRBlock], Dict[int, _UserFilterStructures]]:
     """``DelayMat`` recovered graphs + filters for every user with containment.
 
     ``stream_for_user`` maps a user id to a dedicated :class:`RandomSource`
     (the engine passes its label-derived stream factory), so each user's
     recovery is independent of every other user's and of build order.
     """
-    graphs_by_user: Dict[int, List[RRGraph]] = {}
-    filters_by_user: Dict[int, Tuple[Dict[int, List[Tuple[float, int]]], Set[int]]] = {}
+    graphs_by_user: Dict[int, RRBlock] = {}
+    filters_by_user: Dict[int, _UserFilterStructures] = {}
     for user in sorted(index.containment_counts):
-        rng = stream_for_user(user)
-        graphs = index.recover_for_user(user, rng)
-        graphs_by_user[user] = graphs
-        filters_by_user[user] = build_recovery_filters(graphs, user, max_probabilities)
+        block = RRBlock.from_graphs(index.recover_for_user(user, stream_for_user(user)))
+        graphs_by_user[user] = block
+        filters_by_user[user] = build_filter_structures(
+            block, user, range(block.num_graphs), max_probabilities
+        )
     return graphs_by_user, filters_by_user

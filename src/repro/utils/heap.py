@@ -184,16 +184,12 @@ def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     (world, vertex) schedules without a Python-level loop; the event-store
     analogue of :func:`repro.graph.csr.slice_positions`.
     """
-    total = int(counts.sum())
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    run_starts = np.zeros(len(counts), dtype=np.int64)
-    np.cumsum(counts[:-1], out=run_starts[1:])
-    return (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(run_starts, counts)
-        + np.repeat(starts, counts)
-    )
+    # Position i of run r is i - (ends[r] - counts[r]) + starts[r].
+    return np.arange(total, dtype=np.int64) + np.repeat(starts - ends + counts, counts)
 
 
 class BatchedEventQueue:

@@ -168,7 +168,14 @@ GUARDED_CLASSES = {
             "fingerprint",
         }
     ),
-    "RRGraphIndex": frozenset(),
+    "RRGraphIndex": frozenset(
+        {
+            # Lazy block CSR of the RR-Graphs: a pure function of the built
+            # index, built once under a lock; only the guard-checked build()
+            # resets it.
+            "block",
+        }
+    ),
     "DelayedMaterializationIndex": frozenset(),
     "InfluenceEstimator": frozenset(),
     "MonteCarloEstimator": frozenset(),
