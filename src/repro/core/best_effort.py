@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.core.query import PitexQuery, PitexResult, TagSetEvaluation
 from repro.exceptions import InvalidParameterError
-from repro.graph.algorithms import reachable_with_probabilities
+from repro.graph.algorithms import reachable_counts
 from repro.sampling.base import InfluenceEstimator
 from repro.topics.model import TagTopicModel
 from repro.utils.heap import MaxHeap
@@ -107,8 +107,8 @@ class BestEffortExplorer:
         """
         graph = self.estimator.graph
         bounds: List[Optional[Tuple[float, int, int]]] = [None] * len(partials)
-        sampled_rows: List[np.ndarray] = []
-        sampled_slots: List[int] = []
+        rows: List[np.ndarray] = []
+        slots: List[int] = []
         for slot, partial_tags in enumerate(partials):
             bound_probabilities = self.model.upper_bound_edge_probabilities(
                 graph, partial_tags, query.k
@@ -116,19 +116,22 @@ class BestEffortExplorer:
             if not np.any(bound_probabilities > 0.0):
                 # No completion of this partial set can activate anyone beyond the seed.
                 bounds[slot] = (1.0, 0, 0)
-            elif self.bound_method == "reach":
-                reachable = reachable_with_probabilities(graph, query.user, bound_probabilities)
-                bounds[slot] = (float(len(reachable)), 0, 0)
             else:
-                sampled_rows.append(bound_probabilities)
-                sampled_slots.append(slot)
-        if sampled_rows:
-            estimates = self.estimator.estimate_many_with_probabilities(
-                query.user, np.asarray(sampled_rows), num_samples=self._bound_samples()
-            )
-            for slot, estimate in zip(sampled_slots, estimates):
-                inflated = estimate.value * (1.0 + query.epsilon)
-                bounds[slot] = (float(inflated), estimate.edges_visited, estimate.num_samples)
+                rows.append(bound_probabilities)
+                slots.append(slot)
+        if not rows:
+            return bounds
+        if self.bound_method == "reach":
+            # |R_W(u)| under p+ for every row at once (bit-parallel BFS).
+            for slot, size in zip(slots, reachable_counts(graph, query.user, np.asarray(rows))):
+                bounds[slot] = (float(size), 0, 0)
+            return bounds
+        estimates = self.estimator.estimate_many_with_probabilities(
+            query.user, np.asarray(rows), num_samples=self._bound_samples()
+        )
+        for slot, estimate in zip(slots, estimates):
+            inflated = estimate.value * (1.0 + query.epsilon)
+            bounds[slot] = (float(inflated), estimate.edges_visited, estimate.num_samples)
         return bounds
 
     # ---------------------------------------------------------------- explore

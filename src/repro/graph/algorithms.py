@@ -29,8 +29,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.exceptions import UnknownVertexError
+from repro.exceptions import InvalidParameterError, UnknownVertexError
 from repro.graph.digraph import TopicSocialGraph
+from repro.utils.heap import concat_ranges
 from repro.utils.rng import RandomSource
 
 
@@ -134,6 +135,100 @@ def reachable_mask(
         visited[fresh] = True
         frontier = np.unique(fresh)
     return visited
+
+
+#: Worlds packed into one ``uint64`` bitmask word by :func:`reachable_counts`.
+WORLDS_PER_WORD = 64
+_BIT_WEIGHTS = (1 << np.arange(8, dtype=np.uint8)).reshape(1, 8, 1)
+
+
+def reachable_counts(
+    graph: TopicSocialGraph, source: int, edge_probability_rows: np.ndarray
+) -> np.ndarray:
+    """``|R_W(u)|`` for every row of ``edge_probability_rows``, bit-parallel.
+
+    Row ``w`` of the ``(worlds, |E|)`` matrix is one world ``W``; entry
+    ``[w]`` of the result equals
+    ``reachable_mask(graph, source, edge_probability_rows[w]).sum()``.
+    Up to :data:`WORLDS_PER_WORD` worlds share one BFS: every edge carries a
+    ``uint64`` mask of the worlds it is open in, every vertex the mask of the
+    worlds that reach it, and a round expands only the vertices whose mask
+    grew, OR-ing ``grown & edge_mask`` into the targets.  Wider batches run
+    one BFS per 64-world chunk, so memory stays ``O(|V| + |E|)`` whatever the
+    number of worlds.
+    """
+    _check_vertex(graph, source)
+    rows = np.asarray(edge_probability_rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != graph.num_edges:
+        raise InvalidParameterError(
+            f"expected a (worlds, {graph.num_edges}) probability matrix, got shape {rows.shape}"
+        )
+    counts = np.empty(rows.shape[0], dtype=np.int64)
+    for start in range(0, rows.shape[0], WORLDS_PER_WORD):
+        chunk = rows[start : start + WORLDS_PER_WORD] > 0.0
+        reach = _reach_masks(graph.csr, source, _pack_worlds(chunk), len(chunk))
+        counts[start : start + len(chunk)] = _world_counts(reach, len(chunk))
+    return counts
+
+
+def _pack_worlds(open_edges: np.ndarray) -> np.ndarray:
+    """Per-edge ``uint64`` masks of a ``(worlds <= 64, |E|)`` boolean matrix.
+
+    Bit ``w`` of word ``e`` is ``open_edges[w, e]``.  Each group of 8 worlds
+    is summed into one byte per edge, and the bytes are read back as explicit
+    little-endian words, so the bit layout does not depend on the host's byte
+    order.
+    """
+    num_worlds, num_edges = open_edges.shape
+    num_bytes = -(-num_worlds // 8)
+    bits = np.zeros((num_bytes * 8, num_edges), dtype=np.uint8)
+    bits[:num_worlds] = open_edges
+    packed = (bits.reshape(num_bytes, 8, num_edges) * _BIT_WEIGHTS).sum(axis=1, dtype=np.uint8)
+    octets = np.zeros((num_edges, 8), dtype=np.uint8)
+    octets[:, :num_bytes] = packed.T
+    return octets.view("<u8").ravel().astype(np.uint64, copy=False)
+
+
+def _reach_masks(csr, source: int, edge_masks: np.ndarray, num_worlds: int) -> np.ndarray:
+    """Per-vertex masks of the worlds in which ``source`` reaches the vertex."""
+    reach = np.zeros(csr.num_vertices, dtype=np.uint64)
+    reach[source] = np.uint64((1 << num_worlds) - 1)
+    frontier = np.array([source], dtype=np.int64)
+    grown = reach[frontier]
+    owner = np.empty(csr.num_vertices, dtype=np.int64)
+    while True:
+        starts = csr.out_indptr[frontier]
+        degrees = csr.out_indptr[frontier + 1] - starts
+        positions = concat_ranges(starts, degrees)
+        if not positions.size:
+            break
+        targets = csr.out_targets[positions]
+        before = reach[targets]
+        fresh = np.repeat(grown, degrees) & edge_masks[csr.out_edge_ids[positions]] & ~before
+        keep = fresh != 0
+        if not keep.any():
+            break
+        targets, before = targets[keep], before[keep]
+        np.bitwise_or.at(reach, targets, fresh[keep])
+        # One occurrence per target: the one whose position won the scatter.
+        slots = np.arange(len(targets))
+        owner[targets] = slots
+        first = owner[targets] == slots
+        frontier = targets[first]
+        grown = reach[frontier] & ~before[first]
+    return reach
+
+
+def _world_counts(reach: np.ndarray, num_worlds: int) -> np.ndarray:
+    """How many vertex masks in ``reach`` have bit ``w`` set, for each world ``w``.
+
+    The words are read as explicit little-endian bytes and unpacked
+    little-bit-first, so byte ``j`` bit ``b`` is world ``8 * j + b`` on any
+    host (``np.bitwise_count`` needs numpy 2).
+    """
+    reached = reach[reach != 0].astype("<u8", copy=False)
+    bits = np.unpackbits(reached.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
+    return bits[:, :num_worlds].sum(axis=0, dtype=np.int64)
 
 
 def reachable_vertices(

@@ -18,7 +18,9 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
+
+import numpy as np
 
 from repro.exceptions import InvalidParameterError
 from repro.graph.digraph import TopicSocialGraph
@@ -156,6 +158,26 @@ class SampleBudget:
         }
         values.update(kwargs)
         return SampleBudget(**values)
+
+
+def probability_rows(
+    graph: TopicSocialGraph, edge_probability_rows: Sequence[Sequence[float]]
+) -> List[np.ndarray]:
+    """``edge_probability_rows`` as a list of ``(graph.num_edges,)`` float rows.
+
+    Float rows (and the rows of a float matrix) are used in place, not
+    copied.  An empty batch gives ``[]``; a row that is not a vector of
+    ``graph.num_edges`` probabilities -- narrower, wider, or the scalars of a
+    single 1-D row passed as a batch -- raises
+    :class:`~repro.exceptions.InvalidParameterError`.
+    """
+    rows = [np.asarray(row, dtype=float) for row in edge_probability_rows]
+    for row in rows:
+        if row.shape != (graph.num_edges,):
+            raise InvalidParameterError(
+                f"expected rows of {graph.num_edges} edge probabilities, got shape {row.shape}"
+            )
+    return rows
 
 
 @dataclass
@@ -299,7 +321,7 @@ class InfluenceEstimator(abc.ABC):
         )
         return [
             self.estimate_with_probabilities(user, row, num_samples)
-            for row in edge_probability_rows
+            for row in probability_rows(self.graph, edge_probability_rows)
         ]
 
     def reset_counters(self) -> None:

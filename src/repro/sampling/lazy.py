@@ -33,6 +33,15 @@ Three kernels are provided:
   activation (the PR-2 kernel).
 * ``"dict"`` -- the per-edge reference walker (one dict probe and one scalar
   geometric per edge), kept for equivalence testing.
+
+Before the batched kernel draws a sample it sizes every world's budget by
+``theta_W(|R_W(u)|)``.  The ``|R_W(u)|`` of all worlds come from
+:func:`~repro.graph.algorithms.reachable_counts`, a bit-parallel BFS with one
+``uint64`` world mask per edge and per vertex (64 worlds per pass, memory
+``O(|V| + |E|)``).  Within a chunk, the ``(instance, vertex)`` keys that fire
+in one round are deduplicated by an in-place sort plus an adjacent-difference
+mask, which yields the same sorted keys as ``np.unique``.  Neither step draws
+a random number.
 """
 
 from __future__ import annotations
@@ -45,12 +54,18 @@ import numpy as np
 
 from repro.graph.algorithms import (
     live_edge_world,
+    reachable_counts,
     reachable_mask,
     reachable_with_probabilities,
 )
 from repro.exceptions import InvalidParameterError
 from repro.graph.digraph import TopicSocialGraph
-from repro.sampling.base import InfluenceEstimate, InfluenceEstimator, SampleBudget
+from repro.sampling.base import (
+    InfluenceEstimate,
+    InfluenceEstimator,
+    SampleBudget,
+    probability_rows,
+)
 from repro.topics.model import TagTopicModel
 from repro.utils.freeze import guard_check
 from repro.utils.heap import BatchedEventQueue, LazyEdgeHeap
@@ -178,48 +193,6 @@ class LazyPropagationEstimator(InfluenceEstimator):
             return len(reachable_with_probabilities(self.graph, user, probabilities, kernel="dict"))
         return int(reachable_mask(self.graph, user, probabilities).sum())
 
-    def _reachable_sizes_batched(self, user: int, rows: np.ndarray) -> np.ndarray:
-        """``|R_W(u)|`` for every probability row, multi-world BFS.
-
-        The frontier lives in the flattened ``world * V + vertex`` key space,
-        so one round expands every world's frontier with the same handful of
-        numpy gathers instead of one :func:`reachable_mask` walk per world.
-        Worlds are processed in chunks so the bitmap honours the same
-        :data:`VISITED_CELL_BUDGET` the instance batching does.
-        """
-        num_worlds = rows.shape[0]
-        worlds_per_chunk = max(1, self.VISITED_CELL_BUDGET // max(1, self.graph.num_vertices))
-        if num_worlds > worlds_per_chunk:
-            return np.concatenate(
-                [
-                    self._reachable_sizes_batched(user, rows[start : start + worlds_per_chunk])
-                    for start in range(0, num_worlds, worlds_per_chunk)
-                ]
-            )
-        csr = self.graph.csr
-        num_vertices = self.graph.num_vertices
-        visited = np.zeros(num_worlds * num_vertices, dtype=bool)
-        frontier_worlds = np.arange(num_worlds, dtype=np.int64)
-        frontier_vertices = np.full(num_worlds, user, dtype=np.int64)
-        visited[frontier_worlds * num_vertices + user] = True
-        while frontier_vertices.size:
-            positions = csr.out_positions(frontier_vertices)
-            if not positions.size:
-                break
-            counts = csr.out_indptr[frontier_vertices + 1] - csr.out_indptr[frontier_vertices]
-            owner_world = np.repeat(frontier_worlds, counts)
-            allowed = rows[owner_world, csr.out_edge_ids[positions]] > 0.0
-            keys = (
-                owner_world[allowed] * num_vertices + csr.out_targets[positions][allowed]
-            )
-            keys = np.unique(keys[~visited[keys]])
-            if not keys.size:
-                break
-            visited[keys] = True
-            frontier_worlds = keys // num_vertices
-            frontier_vertices = keys - frontier_worlds * num_vertices
-        return visited.reshape(num_worlds, num_vertices).sum(axis=1)
-
     # ------------------------------------------------------------ batched core
     def _make_queue(self, world_probabilities: np.ndarray) -> BatchedEventQueue:
         """One event queue over the graph's CSR arrays, one row per world."""
@@ -265,9 +238,15 @@ class LazyPropagationEstimator(InfluenceEstimator):
                 break
             keys = fired_rows * num_vertices + fired_targets
             # Distinct edges can fire into the same (instance, target) pair in
-            # one round; dedupe on the flattened pair key (sorted, so the next
-            # round's frontier order is deterministic).
-            keys = np.unique(keys[~visited[keys]])
+            # one round; dedupe on the flattened pair key.  Sorting in place
+            # and keeping the first of each run yields the sorted distinct
+            # keys, so the next round's frontier order is deterministic.
+            keys = keys[~visited[keys]]
+            keys.sort()
+            distinct = np.empty(keys.size, dtype=bool)
+            distinct[:1] = True
+            np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+            keys = keys[distinct]
             visited[keys] = True
             rows = keys // num_vertices
             vertices = keys - rows * num_vertices
@@ -300,11 +279,15 @@ class LazyPropagationEstimator(InfluenceEstimator):
         guard_check(
             self, "estimate through a frozen engine's shared estimator (RNG + counters)"
         )
-        rows = np.atleast_2d(np.asarray(edge_probability_rows, dtype=float))
+        checked = probability_rows(self.graph, edge_probability_rows)
         if self.kernel != "batched":
-            return super().estimate_many_with_probabilities(user, rows, num_samples)
-        num_worlds = rows.shape[0]
-        reachable = self._reachable_sizes_batched(user, rows)
+            return super().estimate_many_with_probabilities(user, checked, num_samples)
+        num_worlds = len(checked)
+        # A matrix argument is used in place; a list of rows is stacked once.
+        rows = np.asarray(edge_probability_rows, dtype=float).reshape(
+            num_worlds, self.graph.num_edges
+        )
+        reachable = reachable_counts(self.graph, user, rows)
         budgets = np.array(
             [
                 num_samples if num_samples is not None else self.budget.online_samples(int(size))

@@ -73,6 +73,7 @@ class TagTopicModel:
             self._tags = list(tags)
         self._tag_index: Dict[str, int] = {tag: i for i, tag in enumerate(self._tags)}
         self._posterior_cache: Dict[FrozenSet[int], np.ndarray] = {}
+        self._upper_bound_cache: Dict[Tuple[Tuple[int, ...], int], np.ndarray] = {}
         self._jensen_ratios: Optional[np.ndarray] = None
         self._content_hash: Optional[str] = None
 
@@ -272,42 +273,45 @@ class TagTopicModel:
         For each topic in the support of the partial set the bound starts from
         the topic prior ``p(z)`` and multiplies the Jensen ratios of the
         already-selected tags with the largest ratios among the remaining tags
-        (choosing exactly ``k - |W|`` of them), then clamps at 1 since a
-        posterior can never exceed 1.  Topics outside the support get a bound
-        of 0 -- adding tags can only shrink the support.
+        (choosing exactly ``k - |W|`` of them, largest first), then clamps at
+        1 since a posterior can never exceed 1.  Topics outside the support get
+        a bound of 0 -- adding tags can only shrink the support.
+
+        All topics multiply together, one factor at a time, so each topic's
+        product keeps the same order of operations.  A topic whose product
+        turns non-finite stops multiplying (so ``inf * 0`` never yields
+        ``nan``) and is clamped to the trivial bound 1.  The result is a pure
+        function of the immutable model, memoized read-only per
+        ``(tag_ids, k)`` with the same benign ``setdefault`` race as
+        :meth:`topic_posterior`.
         """
         tag_ids = self.resolve_tags(partial_tags)
         if len(tag_ids) > k:
             raise ModelError(f"partial tag set of size {len(tag_ids)} exceeds k={k}")
+        key = (tag_ids, k)
+        cached = self._upper_bound_cache.get(key)
+        if cached is not None:
+            return cached
         remaining = k - len(tag_ids)
         support = self.posterior_support(tag_ids) if tag_ids else self._prior > 0.0
-        ratios = self.jensen_ratios()
-        bounds = np.zeros(self._num_topics)
-        available = [t for t in range(self._num_tags) if t not in tag_ids]
-        for topic in range(self._num_topics):
-            if not support[topic]:
-                continue
-            bound = float(self._prior[topic])
-            for tag in tag_ids:
-                bound *= ratios[tag, topic]
-                if not np.isfinite(bound):
-                    bound = np.inf
-                    break
-            if remaining > 0 and np.isfinite(bound):
-                candidate_ratios = sorted(
-                    (ratios[tag, topic] for tag in available), reverse=True
-                )[:remaining]
-                if len(candidate_ratios) < remaining:
+        ratios = self.jensen_ratios()[:, support]
+        bound = self._prior[support]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for factor in ratios[list(tag_ids)]:
+                np.multiply(bound, factor, out=bound, where=np.isfinite(bound))
+            if remaining > 0:
+                others = np.delete(ratios, tag_ids, axis=0)
+                if len(others) < remaining:
                     # Cannot complete the tag set at all; no completion exists.
-                    bounds[topic] = 0.0
-                    continue
-                for ratio in candidate_ratios:
-                    bound *= ratio
-                    if not np.isfinite(bound):
-                        bound = np.inf
-                        break
-            bounds[topic] = min(1.0, bound) if np.isfinite(bound) else 1.0
-        return bounds
+                    bound = np.where(np.isfinite(bound), 0.0, np.inf)
+                else:
+                    # The largest `remaining` ratios of the other tags, largest first.
+                    for factor in np.sort(others, axis=0)[::-1][:remaining]:
+                        np.multiply(bound, factor, out=bound, where=np.isfinite(bound))
+        bounds = np.zeros(self._num_topics)
+        bounds[support] = np.where(np.isfinite(bound), np.minimum(1.0, bound), 1.0)
+        bounds.flags.writeable = False
+        return self._upper_bound_cache.setdefault(key, bounds)
 
     def upper_bound_edge_probabilities(
         self, graph: TopicSocialGraph, partial_tags: Iterable, k: int

@@ -144,3 +144,26 @@ def test_best_effort_works_with_mc_estimator(topical_instance):
     result = explorer.explore(PitexQuery(user=0, k=2, epsilon=0.5))
     expected_tags, _ = exact_best_tag_set(graph, model, 0, 2)
     assert result.tag_ids == expected_tags
+
+
+def test_reach_bounds_equal_per_partial_bfs():
+    """The batched reach bound of one expansion equals one BFS per partial set."""
+    from itertools import combinations
+
+    from repro.datasets.synthetic import load_dataset
+    from repro.graph.algorithms import reachable_with_probabilities
+
+    dataset = load_dataset("lastfm", scale=0.07, seed=2017)
+    graph, model = dataset.graph, dataset.model
+    explorer = BestEffortExplorer(model, make_lazy(graph, model), bound_method="reach")
+    # 1 + 12 + 66 partial sets: more than one 64-world word.
+    partials = [()] + [(t,) for t in range(12)] + list(combinations(range(12), 2))
+    for user in (0, 5, 40):
+        query = PitexQuery(user=user, k=3)
+        expected = []
+        for partial in partials:
+            row = model.upper_bound_edge_probabilities(graph, partial, 3)
+            size = len(reachable_with_probabilities(graph, user, row)) if np.any(row > 0) else 1
+            expected.append((float(size), 0, 0))
+        assert explorer._upper_bounds_many(query, partials) == expected
+        assert len({bound for bound, _, _ in expected}) > 1

@@ -170,3 +170,67 @@ def test_content_hash_tracks_matrix_prior_and_tags(paper_example):
     assert renamed.content_hash() != base
     reprior = TagTopicModel(model.tag_topic_matrix.copy(), topic_prior=[0.5, 0.3, 0.2], tags=model.tags)
     assert reprior.content_hash() != base
+
+
+def _scalar_topic_posterior_upper_bound(model, tag_ids, k):
+    """The per-topic scalar loop the vectorized bound must reproduce bit for bit."""
+    remaining = k - len(tag_ids)
+    support = model.posterior_support(tag_ids) if tag_ids else model.topic_prior > 0.0
+    ratios = model.jensen_ratios()
+    bounds = np.zeros(model.num_topics)
+    available = [t for t in range(model.num_tags) if t not in tag_ids]
+    for topic in range(model.num_topics):
+        if not support[topic]:
+            continue
+        bound = float(model.topic_prior[topic])
+        for tag in tag_ids:
+            bound *= ratios[tag, topic]
+            if not np.isfinite(bound):
+                bound = np.inf
+                break
+        if remaining > 0 and np.isfinite(bound):
+            candidate_ratios = sorted((ratios[tag, topic] for tag in available), reverse=True)[
+                :remaining
+            ]
+            if len(candidate_ratios) < remaining:
+                bounds[topic] = 0.0
+                continue
+            for ratio in candidate_ratios:
+                bound *= ratio
+                if not np.isfinite(bound):
+                    bound = np.inf
+                    break
+        bounds[topic] = min(1.0, bound) if np.isfinite(bound) else 1.0
+    return bounds
+
+
+def _extreme_model():
+    """Likelihoods spanning 300 decades: ratio products overflow and underflow."""
+    rng = np.random.default_rng(3)
+    matrix = 10.0 ** rng.uniform(-300.0, 0.0, size=(7, 4))
+    matrix[rng.uniform(size=matrix.shape) < 0.25] = 0.0
+    matrix[:, 0] = np.maximum(matrix[:, 0], 1e-300)
+    return TagTopicModel(matrix, topic_prior=[0.4, 0.3, 0.2, 0.1])
+
+
+@pytest.mark.parametrize("which", ["paper", "small", "extreme"])
+def test_vectorized_upper_bound_equals_scalar_loop(which, paper_example, small_model):
+    """Exact equality on every partial set of size <= k, including k > |Omega|."""
+    from itertools import combinations
+
+    model = {"paper": paper_example[1], "small": small_model, "extreme": _extreme_model()}[which]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, model.num_tags + 2):
+            for size in range(min(k, model.num_tags) + 1):
+                for partial in combinations(range(model.num_tags), size):
+                    expected = _scalar_topic_posterior_upper_bound(model, partial, k)
+                    got = model.topic_posterior_upper_bound(partial, k)
+                    assert got.tobytes() == expected.tobytes(), (which, partial, k)
+
+
+def test_upper_bound_is_memoized_read_only(small_model):
+    first = small_model.topic_posterior_upper_bound((2, 0), 3)
+    assert small_model.topic_posterior_upper_bound(["w0", "w2"], 3) is first
+    assert small_model.topic_posterior_upper_bound((0, 2), 2) is not first
+    with pytest.raises(ValueError):
+        first[0] = 0.5
