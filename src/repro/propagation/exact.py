@@ -51,6 +51,10 @@ def exact_influence_spread(
     certain = [e for e in relevant if probabilities[e] >= 1.0]
     uncertain = [e for e in relevant if 0.0 < probabilities[e] < 1.0]
 
+    # The source is active in every world, so it contributes exactly 1; only
+    # the other activated vertices are weighted by world probability.  Summing
+    # the source's share world by world would let rounding in the world
+    # probabilities push a spread below 1.
     expected = 0.0
     for assignment in product((False, True), repeat=len(uncertain)):
         world_probability = 1.0
@@ -65,8 +69,8 @@ def exact_influence_spread(
         if world_probability == 0.0:
             continue
         activated = forward_reachable(graph, source, lambda e: e in live)
-        expected += world_probability * len(activated)
-    return expected
+        expected += world_probability * (len(activated) - 1)
+    return 1.0 + expected
 
 
 def exact_activation_probabilities(
@@ -101,6 +105,7 @@ def exact_activation_probabilities(
         activated = forward_reachable(graph, source, lambda e: e in live)
         for vertex in activated:
             activation[vertex] += world_probability
+    activation[source] = 1.0
     return activation
 
 
