@@ -165,3 +165,35 @@ def test_per_estimate_values_are_pinned(dataset):
                 )
         digests[name] = hasher.hexdigest()
     assert digests == ESTIMATE_GOLDEN
+
+
+# sha256 over the engine index's ``to_arrays()`` (see ``arrays_digest``).
+INDEX_ARRAYS_GOLDEN = "871c3502648b2744b9bba0ff43ca453a7641ded6d05a4dd237ad0d9b7c488dd1"
+
+
+def arrays_digest(arrays):
+    """sha256 over every named array: name, dtype, shape and bytes, in name order."""
+    hasher = hashlib.sha256()
+    for name in sorted(arrays):
+        array = np.asarray(arrays[name])
+        hasher.update(f"{name}|{array.dtype.str}|{array.shape};".encode())
+        hasher.update(np.ascontiguousarray(array).tobytes())
+    return hasher.hexdigest()
+
+
+def test_index_arrays_are_pinned_and_round_trip(dataset):
+    graph = dataset.graph
+    engine = PitexEngine(
+        graph, dataset.model, max_samples=40, index_samples=80, default_k=2, seed=7
+    )
+    index = engine.rr_index
+    arrays = index.to_arrays()
+    assert arrays_digest(arrays) == INDEX_ARRAYS_GOLDEN
+    loaded = RRGraphIndex.from_arrays(graph, arrays)
+    assert arrays_digest(loaded.to_arrays()) == INDEX_ARRAYS_GOLDEN
+    assert loaded.containment == index.containment
+    assert loaded.memory_bytes() == index.memory_bytes()
+    assert loaded.average_rr_graph_size() == index.average_rr_graph_size()
+    maxima = graph.max_edge_probabilities()
+    for user in sorted(index.containment)[::7]:
+        assert loaded.estimate(user, maxima) == index.estimate(user, maxima)
