@@ -29,12 +29,15 @@ from repro.graph.algorithms import live_edge_world
 from repro.graph.csr import csr_order, slice_positions
 from repro.graph.digraph import TopicSocialGraph
 from repro.index.pruning import _UserFilterStructures, build_filter_structures
-from repro.index.rr_graph import RRBlock, RRGraph, generate_rr_graph
+from repro.index.rr_graph import RRBlock, RRGraph, sample_rr_arrays
 from repro.sampling.base import InfluenceEstimate, InfluenceEstimator, SampleBudget
 from repro.topics.model import TagTopicModel
 from repro.utils.freeze import guard_check
 from repro.utils.rng import RandomSource, SeedLike, spawn_rng
 from repro.utils.timer import Stopwatch
+
+SAMPLES_PER_CHUNK = 1024
+"""RR-Graphs drawn per chunk while :meth:`DelayedMaterializationIndex.build` counts containment."""
 
 
 class DelayedMaterializationIndex:
@@ -54,12 +57,15 @@ class DelayedMaterializationIndex:
         guard_check(self, "rebuild a frozen delayed-materialization index")
         watch = Stopwatch().start()
         max_probabilities = self.graph.max_edge_probabilities()
-        self.containment_counts = {}
-        for _ in range(self.num_samples):
-            root = self._rng.integer(0, self.graph.num_vertices)
-            rr_graph = generate_rr_graph(self.graph, root, self._rng, max_probabilities)
-            for vertex in rr_graph.vertices:
-                self.containment_counts[vertex] = self.containment_counts.get(vertex, 0) + 1
+        counts = np.zeros(self.graph.num_vertices, dtype=np.int64)
+        # Samples are drawn in bounded chunks: the RNG runs in the same order
+        # as one long run, and only one chunk's graphs are held at a time.
+        for start in range(0, self.num_samples, SAMPLES_PER_CHUNK):
+            size = min(SAMPLES_PER_CHUNK, self.num_samples - start)
+            arrays = sample_rr_arrays(self.graph, size, self._rng, max_probabilities)
+            counts += np.bincount(arrays["vertex_ids"], minlength=len(counts))
+        users = np.flatnonzero(counts)
+        self.containment_counts = dict(zip(users.tolist(), counts[users].tolist()))
         self._built = True
         self._built_version = self.graph.version
         watch.stop()

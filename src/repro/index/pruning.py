@@ -9,9 +9,11 @@ most of that verification work:
     cut edge is live.  Two candidate cuts are compared (the user's out-edges
     inside the RR-Graph vs. the root's in-edges from vertices the user can
     structurally reach) and the one with the higher estimated pruning
-    probability wins, following Example 7 of the paper.  The cuts of all of a
-    user's RR-Graphs come from one multi-graph BFS over the index's
-    :class:`~repro.index.rr_graph.RRBlock`.
+    probability wins, following Example 7 of the paper.  Cuts are chosen for
+    many (user, RR-Graph) pairs in one vectorized pass over the index's
+    :class:`~repro.index.rr_graph.RRBlock`: the source side is the user's
+    out-slot run, the target side the root in-slots whose bit is set in the
+    block's reverse root-reach closure (:meth:`RRBlock.root_reach`).
 2.  Flat inverted lists hold one posting ``(edge id, c(e), RR-Graph)`` per cut
     entry, grouped by edge and sorted by ``c(e)`` within each edge.  Given a
     tag set, an RR-Graph survives iff one of its postings has
@@ -21,9 +23,12 @@ most of that verification work:
 3.  Only the surviving candidates are verified, in one batched BFS
     (:meth:`~repro.index.rr_graph.RRBlock.reach_many`).
 
-The per-user cut/inverted-list structures are built lazily on the first query
-of a user and cached, since the same user typically evaluates many tag sets
-during one PITEX exploration.
+:func:`build_filter_tables` builds the structures of many users in that one
+pass, with one ``lexsort`` over all their postings; a frozen engine runs it
+over every user at freeze time (:mod:`repro.index.tables`).  Otherwise the
+structures are built lazily, by the same pass with one user, on the first
+query of a user and cached, since the same user typically evaluates many tag
+sets during one PITEX exploration.
 """
 
 from __future__ import annotations
@@ -84,73 +89,98 @@ class EdgeCut:
         return math.prod(_dead_factors(edge_ids, thresholds, max_probabilities).tolist(), start=1.0)
 
 
-def _cut_sides(block: RRBlock, user: int, graphs: np.ndarray):
-    """Both candidate cuts of ``user`` in each of ``graphs``, as flat arrays.
+def cut_sides(block: RRBlock, users: np.ndarray, graphs: np.ndarray):
+    """Both candidate cuts of every ``(users[i], graphs[i])`` pair, as flat arrays.
 
-    Returns ``(always, source, target)``.  ``always[i]`` marks ``user`` as the
-    root of ``graphs[i]``.  Each side is ``(indptr, edge_ids, thresholds)``
-    with one run per graph, entries in stored edge order: the source side
-    holds the user's out-edges, the target side the root's in-edges whose
-    source the user reaches with every edge live.
+    Returns ``(always, source, target)``.  ``always[i]`` marks pairs whose
+    user is the graph's root.  Each side is ``(indptr, edge_ids,
+    thresholds)`` with one run per pair, entries in stored edge order: the
+    source side holds the user's out-slots, the target side the root's
+    in-slots whose source the user reaches with every edge live (the bits of
+    :meth:`RRBlock.root_reach`).  A user that is no member of its graph gets
+    two empty runs.
     """
-    always = block.roots[graphs] == user
-    starts = block.start_nodes(user, graphs)
-    source_counts = np.where(starts >= 0, block.out_degree[starts], 0)
+    always = block.roots[graphs] == users
+    starts = block.start_nodes(users, graphs)
+    member = starts >= 0
+    source_counts = np.where(member, block.out_degree[starts], 0)
     source_slots = concat_ranges(block.indptr[starts], source_counts)
     in_starts = block.root_in_indptr[graphs]
-    in_counts = block.root_in_indptr[graphs + 1] - in_starts
+    in_counts = np.where(member, block.root_in_indptr[graphs + 1] - in_starts, 0)
     in_positions = concat_ranges(in_starts, in_counts)
-    reached = block.structural_reach(user, graphs)[block.root_in_sources[in_positions]]
+    pair_of = np.repeat(np.arange(len(graphs), dtype=np.int64), in_counts)
+    slots = in_positions - in_starts[pair_of]
+    words = block.root_reach()[starts[pair_of], slots >> 6]
+    reached = (words >> (slots & 63).astype(np.uint64)) & np.uint64(1) == 1
     in_positions = in_positions[reached]
-    target_counts = np.bincount(
-        np.repeat(np.arange(len(graphs)), in_counts)[reached], minlength=len(graphs)
-    )
     source = (
-        np.concatenate(([0], np.cumsum(source_counts))),
+        _indptr(source_counts),
         block.slot_edge_ids[source_slots],
         block.slot_thresholds[source_slots],
     )
     target = (
-        np.concatenate(([0], np.cumsum(target_counts))),
+        _indptr(np.bincount(pair_of[reached], minlength=len(graphs))),
         block.root_in_edge_ids[in_positions],
         block.root_in_thresholds[in_positions],
     )
     return always, source, target
 
 
-def _choose_cuts(
-    block: RRBlock, user: int, graphs: Sequence[int], max_probabilities: np.ndarray
+def _indptr(counts: np.ndarray) -> np.ndarray:
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr
+
+
+def _run_products(factors: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """The product of every run of ``factors``; an empty run gives 1.0.
+
+    ``np.multiply.reduceat`` multiplies each run left to right, exactly as
+    ``math.prod(run, start=1.0)``.
+    """
+    counts = np.diff(indptr)
+    products = np.ones(len(counts))
+    nonempty = counts > 0
+    if factors.size:
+        products[nonempty] = np.multiply.reduceat(factors, indptr[:-1][nonempty])
+    return products
+
+
+def choose_cuts(
+    block: RRBlock, users: np.ndarray, graphs: np.ndarray, max_probabilities: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The chosen cut of ``user`` in each of ``graphs`` (Example 7), as flat arrays.
+    """The chosen cut of every ``(users[i], graphs[i])`` pair (Example 7), as flat arrays.
 
     Returns ``(always, indptr, edge_ids, thresholds)``: ``always[i]`` marks
-    graphs where ``user`` is the root (no cut can prune), and run ``i`` of
-    the entries is the cut with the higher pruning probability in
-    ``graphs[i]`` -- the source cut on a tie.  Probabilities multiply the
-    entry factors in entry order, exactly as :meth:`EdgeCut.pruning_probability`.
+    pairs whose user is the root (no cut can prune), and run ``i`` of the
+    entries is the cut with the higher pruning probability of pair ``i`` --
+    the source cut on a tie.  Probabilities multiply the entry factors in
+    entry order, exactly as :meth:`EdgeCut.pruning_probability`.
     """
-    graphs = np.asarray(graphs, dtype=np.int64)
-    always, source, target = _cut_sides(block, user, graphs)
-    runs = []
-    for indptr, edge_ids, thresholds in (source, target):
-        factors = _dead_factors(edge_ids, thresholds, max_probabilities).tolist()
-        bounds = indptr.tolist()
-        runs.append([math.prod(factors[lo:hi], start=1.0) for lo, hi in zip(bounds, bounds[1:])])
-    take_source = np.array(
-        [pick_source >= pick_target for pick_source, pick_target in zip(*runs)], dtype=bool
+    always, source, target = cut_sides(block, users, graphs)
+    source_dead, target_dead = (
+        _run_products(_dead_factors(edge_ids, thresholds, max_probabilities), indptr)
+        for indptr, edge_ids, thresholds in (source, target)
     )
-    take_source &= ~always
+    take_source = (source_dead >= target_dead) & ~always
     take_target = ~take_source & ~always
-    positions, edge_parts, threshold_parts = [], [], []
-    for (indptr, edge_ids, thresholds), take in ((source, take_source), (target, take_target)):
-        keep = np.repeat(take, np.diff(indptr))
-        positions.append(np.repeat(np.arange(len(graphs)), np.diff(indptr))[keep])
-        edge_parts.append(edge_ids[keep])
-        threshold_parts.append(thresholds[keep])
-    positions = np.concatenate(positions)
-    order = np.argsort(positions, kind="stable")
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(positions, minlength=len(graphs)))))
-    return always, indptr, np.concatenate(edge_parts)[order], np.concatenate(threshold_parts)[order]
+    counts = np.where(take_source, np.diff(source[0]), 0)
+    counts += np.where(take_target, np.diff(target[0]), 0)
+    indptr = _indptr(counts)
+    edge_ids = np.empty(int(indptr[-1]), dtype=np.int64)
+    thresholds = np.empty(int(indptr[-1]), dtype=np.float64)
+    for (side_indptr, side_edges, side_thresholds), take in (
+        (source, take_source),
+        (target, take_target),
+    ):
+        side_counts = np.diff(side_indptr)
+        keep = np.repeat(take, side_counts)
+        # Entry i of run r moves to indptr[r] + (i - side_indptr[r]).
+        moved = np.arange(len(side_edges), dtype=np.int64)
+        moved += np.repeat(indptr[:-1] - side_indptr[:-1], side_counts)
+        edge_ids[moved[keep]] = side_edges[keep]
+        thresholds[moved[keep]] = side_thresholds[keep]
+    return always, indptr, edge_ids, thresholds
 
 
 def build_edge_cut(rr_graph: RRGraph, user: int, rr_index: int, side: str) -> EdgeCut:
@@ -165,7 +195,7 @@ def build_edge_cut(rr_graph: RRGraph, user: int, rr_index: int, side: str) -> Ed
         return EdgeCut(rr_index=rr_index, always_live=True)
     if side not in ("source", "target"):
         raise ValueError(f"side must be 'source' or 'target', got {side!r}")
-    _, source, target = _cut_sides(RRBlock.from_graphs([rr_graph]), user, np.zeros(1, np.int64))
+    _, source, target = cut_sides(RRBlock.from_graphs([rr_graph]), np.array([user]), np.zeros(1, np.int64))
     _, edge_ids, thresholds = source if side == "source" else target
     return EdgeCut(rr_index=rr_index, entries=list(zip(edge_ids.tolist(), thresholds.tolist())))
 
@@ -177,8 +207,8 @@ def choose_edge_cut(
     max_probabilities: np.ndarray,
 ) -> EdgeCut:
     """Pick the candidate cut with the higher estimated pruning probability."""
-    always, _, edge_ids, thresholds = _choose_cuts(
-        RRBlock.from_graphs([rr_graph]), user, [0], max_probabilities
+    always, _, edge_ids, thresholds = choose_cuts(
+        RRBlock.from_graphs([rr_graph]), np.array([user]), np.zeros(1, np.int64), max_probabilities
     )
     if always[0]:
         return EdgeCut(rr_index=rr_index, always_live=True)
@@ -219,34 +249,84 @@ class _UserFilterStructures:
         return candidates, scanned
 
 
+def build_filter_tables(
+    block: RRBlock,
+    users: Sequence[int],
+    graphs: Sequence[Sequence[int]],
+    max_probabilities: np.ndarray,
+) -> List[_UserFilterStructures]:
+    """The inverted lists of every ``users[i]``'s chosen cuts in ``graphs[i]`` of ``block``.
+
+    One vectorized pass over all (user, graph) pairs: :func:`choose_cuts`
+    picks every cut, and one ``lexsort`` orders the postings of all users at
+    once; each user's structures are slices of the result.  Pure function of
+    the block and the maximum edge probabilities -- no RNG draws -- so
+    building at freeze time (:mod:`repro.index.tables`) is bitwise-equivalent
+    to building lazily on the first query.  Graphs whose chosen cut is empty
+    cannot be reached and get no posting.
+    """
+    graph_lists = [np.asarray(user_graphs, dtype=np.int64) for user_graphs in graphs]
+    pair_counts = np.array([len(user_graphs) for user_graphs in graph_lists], dtype=np.int64)
+    pair_graphs = np.concatenate(graph_lists) if graph_lists else np.empty(0, np.int64)
+    pair_slots = np.repeat(np.arange(len(graph_lists), dtype=np.int64), pair_counts)
+    pair_users = np.asarray(users, dtype=np.int64)[pair_slots]
+    always, indptr, edge_ids, thresholds = choose_cuts(
+        block, pair_users, pair_graphs, max_probabilities
+    )
+    entry_counts = np.diff(indptr)
+    rr_indices = np.repeat(pair_graphs, entry_counts)
+    # A user's edges are ordered by first appearance (as a dict keyed by edge
+    # fills up), so the kept postings fill the candidate set in a per-edge
+    # scan's order.  First positions are global, so they also keep the
+    # users apart and in order.
+    first = _first_positions(
+        np.repeat(pair_slots, entry_counts) * (int(edge_ids.max(initial=0)) + 1) + edge_ids
+    )
+    order = np.lexsort((rr_indices, thresholds, first))
+    first = first[order]
+    edge_last = np.ones(len(first), dtype=bool)
+    np.not_equal(first[1:], first[:-1], out=edge_last[:-1])
+    edge_ids, thresholds, rr_indices = edge_ids[order], thresholds[order], rr_indices[order]
+    pair_bounds = _indptr(pair_counts)
+    posting_bounds = indptr[pair_bounds].tolist()
+    pair_bounds = pair_bounds.tolist()
+    structures = []
+    for slot in range(len(graph_lists)):
+        lo, hi = posting_bounds[slot], posting_bounds[slot + 1]
+        first_pair, end_pair = pair_bounds[slot], pair_bounds[slot + 1]
+        structures.append(
+            _UserFilterStructures(
+                edge_ids=edge_ids[lo:hi],
+                thresholds=thresholds[lo:hi],
+                rr_indices=rr_indices[lo:hi],
+                edge_last=edge_last[lo:hi],
+                always_candidates=set(
+                    pair_graphs[first_pair:end_pair][always[first_pair:end_pair]].tolist()
+                ),
+            )
+        )
+    return structures
+
+
+def _first_positions(keys: np.ndarray) -> np.ndarray:
+    """For every entry, the position of the first entry with the same key."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    head = np.ones(len(keys), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    first = np.empty(len(keys), dtype=np.int64)
+    first[order] = order[head][np.cumsum(head) - 1]
+    return first
+
+
 def build_filter_structures(
     block: RRBlock, user: int, graphs: Sequence[int], max_probabilities: np.ndarray
 ) -> _UserFilterStructures:
     """The inverted lists of ``user``'s chosen cuts in ``graphs`` of ``block``.
 
-    Pure function of the block and the maximum edge probabilities -- no RNG
-    draws -- so building at freeze time (:mod:`repro.index.tables`) is
-    bitwise-equivalent to building lazily on the first query.  Graphs whose
-    chosen cut is empty cannot be reached and get no posting.
+    The one-user case of :func:`build_filter_tables`.
     """
-    graphs = np.asarray(graphs, dtype=np.int64)
-    always, indptr, edge_ids, thresholds = _choose_cuts(block, user, graphs, max_probabilities)
-    rr_indices = np.repeat(graphs, np.diff(indptr))
-    # Edges ordered by first appearance (as a dict keyed by edge fills up),
-    # so the kept postings fill the candidate set in a per-edge scan's order.
-    _, first, inverse = np.unique(edge_ids, return_index=True, return_inverse=True)
-    first_rank = np.empty(len(first), dtype=np.int64)
-    first_rank[np.argsort(first)] = np.arange(len(first))
-    groups = first_rank[inverse.reshape(-1)]
-    order = np.lexsort((rr_indices, thresholds, groups))
-    groups = groups[order]
-    return _UserFilterStructures(
-        edge_ids=edge_ids[order],
-        thresholds=thresholds[order],
-        rr_indices=rr_indices[order],
-        edge_last=np.append(groups[1:] != groups[:-1], True)[: len(groups)],
-        always_candidates=set(graphs[always].tolist()),
-    )
+    return build_filter_tables(block, [user], [graphs], max_probabilities)[0]
 
 
 class PrunedIndexEstimator(InfluenceEstimator):

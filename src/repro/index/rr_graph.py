@@ -11,7 +11,9 @@ offline sample serves every future query.
 
 Generation runs frontier-at-a-time on the graph's reverse CSR arrays: all
 in-edges of a frontier are gathered with two NumPy indexing operations and
-their ``c(e)`` values drawn in one batch.
+their ``c(e)`` values drawn in one batch.  :func:`sample_rr_arrays` writes
+many samples straight into the flat per-graph ``indptr`` layout the index
+stores; :func:`generate_rr_graph` is its one-sample view.
 
 Query-time matching runs on an :class:`RRBlock`: every RR-Graph of a
 collection concatenated into one CSR whose nodes are (graph, member vertex)
@@ -19,7 +21,9 @@ pairs.  :meth:`RRBlock.reach_many` verifies all candidate RR-Graphs of one
 estimate in a single level-synchronous BFS, so an estimate costs a handful of
 NumPy calls per BFS level instead of a whole BFS per RR-Graph.  The per-graph
 reach bits and the per-graph level-synchronous ``edges_checked`` sums are
-exactly those of one BFS per graph.  :func:`tag_aware_reachable` is the
+exactly those of one BFS per graph.  :meth:`RRBlock.root_reach` is the
+reverse closure the edge-cut tables of :mod:`repro.index.pruning` read: per
+node, the root in-slots of its graph it reaches.  :func:`tag_aware_reachable` is the
 single-graph view of the same kernel; the original per-edge walkers remain
 available under ``kernel="dict"`` as the reference implementation.
 """
@@ -27,6 +31,7 @@ available under ``kernel="dict"`` as the reference implementation.
 from __future__ import annotations
 
 import itertools
+import threading
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -242,6 +247,8 @@ class RRBlock:
         self.root_in_edge_ids = edge_ids[into_root]
         self.root_in_thresholds = thresholds[into_root]
         self.weights = weights
+        self._root_reach: Optional[np.ndarray] = None
+        self._root_reach_lock = threading.Lock()
 
     @classmethod
     def from_graphs(cls, rr_graphs: Sequence[RRGraph]) -> "RRBlock":
@@ -250,13 +257,17 @@ class RRBlock:
             flatten_rr_graphs(rr_graphs), weights=[rr.recovery_weight for rr in rr_graphs]
         )
 
-    def start_nodes(self, user: int, graphs: np.ndarray) -> np.ndarray:
-        """The node of ``user`` in each of ``graphs``, ``-1`` where it is no member."""
-        if not 0 <= user < self.stride:
-            return np.full(len(graphs), -1, dtype=np.int64)
-        keys = graphs * self.stride + user
+    def start_nodes(self, users, graphs: np.ndarray) -> np.ndarray:
+        """The node of ``users[i]`` in ``graphs[i]``, ``-1`` where it is no member.
+
+        ``users`` is one user for every graph, or one user per graph.
+        """
+        graphs = np.asarray(graphs, dtype=np.int64)
+        users = np.asarray(users, dtype=np.int64)
+        valid = (users >= 0) & (users < self.stride)
+        keys = graphs * self.stride + np.where(valid, users, 0)
         nodes = np.searchsorted(self.node_keys, keys)
-        return np.where(self.node_keys[nodes] == keys, nodes, -1)
+        return np.where(valid & (self.node_keys[nodes] == keys), nodes, -1)
 
     def out_slots(self, nodes: np.ndarray) -> np.ndarray:
         """The out-slots of every one of ``nodes``, concatenated in node order."""
@@ -305,6 +316,51 @@ class RRBlock:
                 frontier = _distinct(reached, owner)
         return hit_graphs[graphs], checked
 
+    def root_reach(self) -> np.ndarray:
+        """Per node, which root in-slots of its graph it reaches with every edge live.
+
+        A ``(num_nodes, words)`` ``uint64`` array: bit ``j % 64`` of word
+        ``j // 64`` of a node is set iff the node structurally reaches the
+        source of the ``j``-th root in-slot of its graph (that source counts
+        as reaching itself).  ``words`` covers the widest root in-degree of
+        the block.  Built once, under a lock, by one reverse closure over all
+        graphs: the in-slot sources are seeded with their bits, and each round
+        ORs the bits of the nodes that grew into their in-neighbours.  The
+        block is immutable, so the memo is invisible to callers.
+        """
+        reach = self._root_reach
+        if reach is None:
+            with self._root_reach_lock:
+                if self._root_reach is None:
+                    self._root_reach = self._reverse_root_closure()
+                reach = self._root_reach
+        return reach
+
+    def _reverse_root_closure(self) -> np.ndarray:
+        in_counts = np.diff(self.root_in_indptr)
+        words = max(1, -(-int(in_counts.max(initial=0)) // 64))
+        reach = np.zeros((self.num_nodes, words), dtype=np.uint64)
+        slots = np.arange(len(self.root_in_sources), dtype=np.int64)
+        slots -= np.repeat(self.root_in_indptr[:-1], in_counts)
+        bits = np.left_shift(np.uint64(1), (slots & 63).astype(np.uint64))
+        np.bitwise_or.at(reach, (self.root_in_sources, slots >> 6), bits)
+        # Reverse CSR of the slots: the in-neighbours of every node.
+        slot_sources = np.repeat(np.arange(self.num_nodes, dtype=np.int64), self.out_degree)
+        reverse_indptr, reverse_order = csr_order(self.slot_targets, self.num_nodes)
+        reverse_sources = slot_sources[reverse_order]
+        reverse_degree = np.diff(reverse_indptr)
+        owner = np.empty(self.num_nodes, dtype=np.int64)
+        frontier = _distinct(self.root_in_sources, owner)
+        while frontier.size:
+            degrees = reverse_degree[frontier]
+            sources = reverse_sources[concat_ranges(reverse_indptr[frontier], degrees)]
+            fresh = np.repeat(reach[frontier], degrees, axis=0) & ~reach[sources]
+            grew = fresh.any(axis=1)
+            sources = sources[grew]
+            np.bitwise_or.at(reach, sources, fresh[grew])
+            frontier = _distinct(sources, owner)
+        return reach
+
     def structural_reach(self, user: int, graphs: np.ndarray) -> np.ndarray:
         """Node mask of everything ``user`` reaches in ``graphs`` with every edge live."""
         frontier = self.start_nodes(user, graphs)
@@ -320,6 +376,133 @@ class RRBlock:
         return visited
 
 
+RR_ARRAY_LAYOUT = {
+    "roots": np.int64,
+    "vertex_indptr": np.int64,
+    "vertex_ids": np.int64,
+    "edge_indptr": np.int64,
+    "edge_ids": np.int64,
+    "edge_sources": np.int64,
+    "edge_targets": np.int64,
+    "edge_thresholds": np.float64,
+}
+"""The flat RR-Graph arrays (:func:`flatten_rr_graphs`) and their dtypes."""
+
+
+def sample_rr_arrays(
+    graph: TopicSocialGraph,
+    num_samples: int,
+    rng: RandomSource,
+    max_probabilities: Optional[np.ndarray] = None,
+    root: Optional[int] = None,
+) -> Dict[str, np.ndarray]:
+    """Draw ``num_samples`` RR-Graphs straight into the flat layout (Definition 2).
+
+    Each sample draws its root with ``rng.integer(0, |V|)`` -- or uses
+    ``root`` when given -- and then runs the reverse BFS of
+    :func:`generate_rr_graph`, one batched ``rng.uniforms`` call per level,
+    so the RNG is consumed exactly as by a loop of root draws and
+    :func:`generate_rr_graph` calls.  The result equals
+    :func:`flatten_rr_graphs` of those graphs array for array, without a
+    per-graph Python object in between.  The arrays are read-only.
+    """
+    if max_probabilities is None:
+        max_probabilities = graph.max_edge_probabilities()
+    csr = graph.csr
+    num_vertices = csr.num_vertices
+    visited = np.zeros(num_vertices, dtype=bool)
+    roots = np.empty(num_samples, dtype=np.int64)
+    vertex_counts = np.empty(num_samples, dtype=np.int64)
+    edge_counts = np.zeros(num_samples, dtype=np.int64)
+    members, edge_ids, edge_sources, thresholds = [], [], [], []
+    for sample in range(num_samples):
+        start = rng.integer(0, num_vertices) if root is None else root
+        roots[sample] = start
+        frontier = np.array([start], dtype=np.int64)
+        visited[start] = True
+        graph_members = [frontier]
+        while True:
+            positions = csr.in_positions(frontier)
+            if not positions.size:
+                break
+            level_edges = csr.in_edge_ids[positions]
+            maxima = max_probabilities[level_edges]
+            level_thresholds = rng.uniforms(level_edges.size)
+            keep = (maxima > 0.0) & (level_thresholds <= maxima)
+            if not keep.any():
+                break
+            kept_sources = csr.in_sources[positions[keep]]
+            edge_ids.append(level_edges[keep])
+            edge_sources.append(kept_sources)
+            thresholds.append(level_thresholds[keep])
+            edge_counts[sample] += kept_sources.size
+            fresh = kept_sources[~visited[kept_sources]]
+            if not fresh.size:
+                break
+            frontier = _sorted_distinct(fresh)
+            visited[frontier] = True
+            graph_members.append(frontier)
+        graph_members = np.concatenate(graph_members)
+        visited[graph_members] = False
+        vertex_counts[sample] = graph_members.size
+        members.append(graph_members)
+    # Sort the members of every graph by one sort over (graph, vertex) keys.
+    offsets = np.repeat(np.arange(num_samples, dtype=np.int64) * num_vertices, vertex_counts)
+    vertex_keys = _concatenate(members, np.int64) + offsets
+    vertex_keys.sort()
+    edge_ids = _concatenate(edge_ids, np.int64)
+    arrays = {
+        "roots": roots,
+        "vertex_indptr": _indptr(vertex_counts),
+        "vertex_ids": vertex_keys - offsets,
+        "edge_indptr": _indptr(edge_counts),
+        "edge_ids": edge_ids,
+        "edge_sources": _concatenate(edge_sources, np.int64),
+        "edge_targets": csr.edge_targets[edge_ids].astype(np.int64, copy=False),
+        "edge_thresholds": _concatenate(thresholds, np.float64),
+    }
+    for array in arrays.values():
+        array.setflags(write=False)
+    return arrays
+
+
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct ``values`` in ascending order (``np.unique`` by sort + mask)."""
+    values = np.sort(values)
+    keep = np.empty(values.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+def _concatenate(parts: List[np.ndarray], dtype) -> np.ndarray:
+    return np.concatenate(parts).astype(dtype, copy=False) if parts else np.empty(0, dtype)
+
+
+def _indptr(counts: np.ndarray) -> np.ndarray:
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr
+
+
+def rr_graphs_from_arrays(arrays: Dict[str, np.ndarray]) -> List[RRGraph]:
+    """The :class:`RRGraph` objects of flat RR-Graph arrays (inverse of :func:`flatten_rr_graphs`)."""
+    vertex_bounds = np.asarray(arrays["vertex_indptr"]).tolist()
+    edge_bounds = np.asarray(arrays["edge_indptr"]).tolist()
+    vertex_ids = np.asarray(arrays["vertex_ids"]).tolist()
+    columns = [
+        np.asarray(arrays[name]).tolist()
+        for name in ("edge_ids", "edge_sources", "edge_targets", "edge_thresholds")
+    ]
+    graphs = []
+    for position, root in enumerate(np.asarray(arrays["roots"]).tolist()):
+        lo, hi = edge_bounds[position], edge_bounds[position + 1]
+        ids, sources, targets, thresholds = (column[lo:hi] for column in columns)
+        members = vertex_ids[vertex_bounds[position] : vertex_bounds[position + 1]]
+        graphs.append(RRGraph(root, set(members), ids, sources, targets, thresholds))
+    return graphs
+
+
 def generate_rr_graph(
     graph: TopicSocialGraph,
     root: int,
@@ -332,43 +515,16 @@ def generate_rr_graph(
     The reverse BFS examines every in-edge of every reached vertex, draws its
     ``c(e)`` lazily, and keeps the edge iff ``c(e) <= p(e)``.  Edges whose
     ``c(e)`` exceeds ``p(e)`` can never be live under any tag set and are
-    dropped entirely.  The default CSR kernel expands whole frontiers with one
-    gather and one batched uniform draw; ``kernel="dict"`` is the per-edge
-    reference walker.
+    dropped entirely.  The default CSR kernel is the one-sample view of
+    :func:`sample_rr_arrays` (whole frontiers per gather and batched uniform
+    draw); ``kernel="dict"`` is the per-edge reference walker.
     """
     if max_probabilities is None:
         max_probabilities = graph.max_edge_probabilities()
     if kernel == "dict":
         return _generate_rr_graph_dict(graph, root, rng, max_probabilities)
-    csr = graph.csr
-    rr_graph = RRGraph(root=root, vertices={root})
-    visited = np.zeros(csr.num_vertices, dtype=bool)
-    visited[root] = True
-    frontier = np.array([root], dtype=np.int64)
-    while frontier.size:
-        positions = csr.in_positions(frontier)
-        if not positions.size:
-            break
-        edge_ids = csr.in_edge_ids[positions]
-        maxima = max_probabilities[edge_ids]
-        thresholds = rng.uniforms(edge_ids.size)
-        keep = (maxima > 0.0) & (thresholds <= maxima)
-        if not keep.any():
-            break
-        kept_edges = edge_ids[keep]
-        kept_sources = csr.in_sources[positions][keep]
-        rr_graph.extend_edges(
-            kept_edges, kept_sources, csr.edge_targets[kept_edges], thresholds[keep]
-        )
-        fresh = kept_sources[~visited[kept_sources]]
-        if fresh.size:
-            fresh = np.unique(fresh)
-            visited[fresh] = True
-            rr_graph.vertices.update(fresh.tolist())
-            frontier = fresh
-        else:
-            frontier = np.empty(0, dtype=np.int64)
-    return rr_graph
+    arrays = sample_rr_arrays(graph, 1, rng, max_probabilities, root=root)
+    return rr_graphs_from_arrays(arrays)[0]
 
 
 def _generate_rr_graph_dict(

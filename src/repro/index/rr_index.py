@@ -11,18 +11,31 @@ No sampling happens at query time, which is where the orders-of-magnitude
 speed-ups of Fig. 7 / Fig. 9 come from.  The count runs on the index's
 :class:`~repro.index.rr_graph.RRBlock`: all RR-Graphs containing ``u`` are
 verified in one batched BFS.
+
+The index keeps its RR-Graphs only as the flat arrays of :meth:`to_arrays`:
+:func:`~repro.index.rr_graph.sample_rr_arrays` draws them straight into that
+layout, :meth:`from_arrays` adopts stored (possibly memory-mapped) arrays as
+they are, the block and the containment lists are built from them, and
+:attr:`RRGraphIndex.rr_graphs` is a lazy read-only view of
+:class:`~repro.index.rr_graph.RRGraph` objects.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import IndexNotBuiltError
 from repro.graph.digraph import TopicSocialGraph
-from repro.index.rr_graph import RRBlock, RRGraph, flatten_rr_graphs, generate_rr_graph
+from repro.index.rr_graph import (
+    RR_ARRAY_LAYOUT,
+    RRBlock,
+    RRGraph,
+    rr_graphs_from_arrays,
+    sample_rr_arrays,
+)
 from repro.sampling.base import InfluenceEstimate, InfluenceEstimator, SampleBudget
 from repro.topics.model import TagTopicModel
 from repro.utils.freeze import guard_check
@@ -51,7 +64,8 @@ class RRGraphIndex:
         self.graph = graph
         self.num_samples = int(num_samples)
         self._rng = spawn_rng(seed)
-        self.rr_graphs: List[RRGraph] = []
+        self._arrays: Dict[str, np.ndarray] = {}
+        self._rr_graphs: Optional[Tuple[RRGraph, ...]] = None
         self.containment: Dict[int, List[int]] = {}
         self.build_seconds: float = 0.0
         self._built = False
@@ -65,20 +79,35 @@ class RRGraphIndex:
         guard_check(self, "rebuild a frozen RR-Graph index")
         watch = Stopwatch().start()
         max_probabilities = self.graph.max_edge_probabilities()
-        self.rr_graphs = []
-        self.containment = {}
-        self._block = None
-        for index in range(self.num_samples):
-            root = self._rng.integer(0, self.graph.num_vertices)
-            rr_graph = generate_rr_graph(self.graph, root, self._rng, max_probabilities)
-            self.rr_graphs.append(rr_graph)
-            for vertex in rr_graph.vertices:
-                self.containment.setdefault(vertex, []).append(index)
+        self._adopt(sample_rr_arrays(self.graph, self.num_samples, self._rng, max_probabilities))
         self._built = True
         self._built_version = self.graph.version
         watch.stop()
         self.build_seconds = watch.elapsed
         return self
+
+    def _adopt(self, arrays: Dict[str, np.ndarray]) -> None:
+        """Take ``arrays`` (the flat layout) as the index's RR-Graphs."""
+        guard_check(self, "replace a frozen RR-Graph index's graphs")
+        self._arrays = arrays
+        self._rr_graphs = None
+        self._block = None
+        self.containment = _containment(arrays["vertex_ids"], arrays["vertex_indptr"])
+
+    @property
+    def rr_graphs(self) -> Tuple[RRGraph, ...]:
+        """The RR-Graphs as :class:`RRGraph` objects: a read-only view built on first use.
+
+        The index itself keeps only the flat arrays; this view exists for
+        tests and callers that walk single graphs.
+        """
+        graphs = self._rr_graphs
+        if graphs is None:
+            with self._block_lock:
+                if self._rr_graphs is None:
+                    self._rr_graphs = tuple(rr_graphs_from_arrays(self._arrays)) if self._arrays else ()
+                graphs = self._rr_graphs
+        return graphs
 
     @property
     def is_built(self) -> bool:
@@ -122,7 +151,7 @@ class RRGraphIndex:
         if block is None:
             with self._block_lock:
                 if self._block is None:
-                    self._block = RRBlock.from_graphs(self.rr_graphs)
+                    self._block = RRBlock(self._arrays)
                 block = self._block
         return block
 
@@ -141,16 +170,17 @@ class RRGraphIndex:
 
     # -------------------------------------------------------------- serialize
     def to_arrays(self) -> Dict[str, np.ndarray]:
-        """Flatten the built index into named arrays for ``npz`` persistence.
+        """The built index as named arrays for ``npz`` persistence.
 
         The RR-Graphs are concatenated into parallel arrays with per-graph
-        ``indptr`` offsets (the same layout the CSR kernels use), so the whole
-        index round-trips through :func:`numpy.savez_compressed` without any
-        per-graph Python objects.  Vertex ids are stored sorted per graph to
-        make the serialized form canonical.
+        ``indptr`` offsets (the layout of :func:`~repro.index.rr_graph.flatten_rr_graphs`),
+        which is also how the index stores them, so the whole index
+        round-trips through :func:`numpy.savez_compressed` without any
+        per-graph Python objects.  Vertex ids are sorted per graph, so the
+        form is canonical.  The arrays are the index's own, read-only.
         """
         self._require_built()
-        arrays = flatten_rr_graphs(self.rr_graphs)
+        arrays = dict(self._arrays)
         arrays["num_samples"] = np.array([self.num_samples], dtype=np.int64)
         return arrays
 
@@ -168,50 +198,16 @@ class RRGraphIndex:
         reconstructed index is only usable while the graph still has that
         version (the usual staleness rule of :attr:`is_built`).  The rebuilt
         containment lists are identical to the originals because graphs are
-        replayed in materialization order.
+        rebuilt from the same flat arrays.
 
-        ``arrays`` may be read-only ``numpy.memmap`` views (what
-        :meth:`IndexStore.open_mapped` hands a process replica): every value
-        is *read* -- sliced, ``tolist()``'d or copied into per-graph Python
-        lists -- and never written, so a single mapped file can back many
-        worker processes at once without copy-on-write faults.
+        The arrays are adopted as they are (no per-graph Python objects).
+        They may be read-only ``numpy.memmap`` views (what
+        :meth:`IndexStore.open_mapped` hands a process replica): the index
+        only ever reads them, so a single mapped file can back many worker
+        processes at once without copy-on-write faults.
         """
-        roots = np.asarray(arrays["roots"], dtype=np.int64)
         index = cls(graph, int(arrays["num_samples"][0]))
-        vertex_indptr = np.asarray(arrays["vertex_indptr"], dtype=np.int64)
-        edge_indptr = np.asarray(arrays["edge_indptr"], dtype=np.int64)
-        vertex_ids = np.asarray(arrays["vertex_ids"], dtype=np.int64)
-        edge_ids = np.asarray(arrays["edge_ids"], dtype=np.int64)
-        edge_sources = np.asarray(arrays["edge_sources"], dtype=np.int64)
-        edge_targets = np.asarray(arrays["edge_targets"], dtype=np.int64)
-        edge_thresholds = np.asarray(arrays["edge_thresholds"], dtype=float)
-        for position, root in enumerate(roots.tolist()):
-            members = vertex_ids[vertex_indptr[position] : vertex_indptr[position + 1]]
-            rr_graph = RRGraph(root=int(root), vertices=set(members.tolist()))
-            lo, hi = int(edge_indptr[position]), int(edge_indptr[position + 1])
-            if hi > lo:
-                rr_graph.edge_ids = edge_ids[lo:hi].tolist()
-                rr_graph.edge_sources = edge_sources[lo:hi].tolist()
-                rr_graph.edge_targets = edge_targets[lo:hi].tolist()
-                rr_graph.edge_thresholds = edge_thresholds[lo:hi].tolist()
-            index.rr_graphs.append(rr_graph)
-        # Containment rebuild, vectorized: one stable sort groups the flat
-        # vertex array by vertex while keeping graph positions ascending
-        # (np.repeat emits positions in increasing order), reproducing exactly
-        # the lists build() accumulates.
-        if vertex_ids.size:
-            positions = np.repeat(
-                np.arange(len(roots), dtype=np.int64), np.diff(vertex_indptr)
-            )
-            order = np.argsort(vertex_ids, kind="stable")
-            sorted_vertices = vertex_ids[order]
-            sorted_positions = positions[order]
-            boundaries = np.flatnonzero(np.diff(sorted_vertices)) + 1
-            unique_vertices = sorted_vertices[np.concatenate(([0], boundaries))]
-            for vertex, postings in zip(
-                unique_vertices.tolist(), np.split(sorted_positions, boundaries)
-            ):
-                index.containment[vertex] = postings.tolist()
+        index._adopt({name: np.asarray(arrays[name], dtype=dtype) for name, dtype in RR_ARRAY_LAYOUT.items()})
         index._built = True
         index._built_version = graph.version if built_version is None else int(built_version)
         index.build_seconds = float(build_seconds)
@@ -219,18 +215,35 @@ class RRGraphIndex:
 
     # ------------------------------------------------------------------ stats
     def memory_bytes(self) -> int:
-        """Approximate index footprint (graphs + containment lists)."""
+        """Approximate index footprint: vertex ids, 4 numbers per stored edge, containment."""
         self._require_built()
-        graphs = sum(rr.memory_bytes() for rr in self.rr_graphs)
-        containment = sum(len(v) for v in self.containment.values()) * 8
+        edges = ("edge_ids", "edge_sources", "edge_targets", "edge_thresholds")
+        graphs = self._arrays["vertex_ids"].nbytes + sum(self._arrays[name].nbytes for name in edges)
+        containment = 8 * len(self._arrays["vertex_ids"])
         return graphs + containment
 
     def average_rr_graph_size(self) -> float:
         """Mean number of vertices per RR-Graph."""
         self._require_built()
-        if not self.rr_graphs:
+        if not len(self._arrays["roots"]):
             return 0.0
-        return float(np.mean([rr.num_vertices for rr in self.rr_graphs]))
+        return float(np.mean(np.diff(self._arrays["vertex_indptr"])))
+
+
+def _containment(vertex_ids: np.ndarray, vertex_indptr: np.ndarray) -> Dict[int, List[int]]:
+    """Per vertex, the ascending positions of the RR-Graphs that contain it.
+
+    One stable sort groups the flat vertex array by vertex while keeping
+    graph positions ascending (``np.repeat`` emits them in increasing order).
+    """
+    positions = np.repeat(np.arange(len(vertex_indptr) - 1, dtype=np.int64), np.diff(vertex_indptr))
+    order = np.argsort(vertex_ids, kind="stable")
+    sorted_vertices = vertex_ids[order]
+    boundaries = np.flatnonzero(np.diff(sorted_vertices)) + 1
+    starts = np.concatenate(([0], boundaries)) if sorted_vertices.size else boundaries
+    return dict(
+        zip(sorted_vertices[starts].tolist(), (p.tolist() for p in np.split(positions[order], boundaries)))
+    )
 
 
 class IndexEstimator(InfluenceEstimator):

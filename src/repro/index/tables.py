@@ -23,20 +23,34 @@ Users are enumerated from the indexes' own containment maps (every user a
 query could ever recover for); users outside the maps have empty structures
 and fall back to the estimator-local path, which derives the same emptiness
 without consuming RNG.
+
+The ``IndexEst+`` table is one batched pass of
+:func:`~repro.index.pruning.build_filter_tables` per chunk of users, over the
+block's memoized reverse root-reach closure, so the per-user work is a few
+array lookups instead of one structural BFS per user.  Chunks of
+:data:`PAIRS_PER_CHUNK` (user, RR-Graph) pairs keep the transient arrays of
+the pass small.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.index.delayed import DelayedMaterializationIndex
-from repro.index.pruning import _UserFilterStructures, build_filter_structures
+from repro.index.pruning import (
+    _UserFilterStructures,
+    build_filter_structures,
+    build_filter_tables,
+)
 from repro.index.rr_graph import RRBlock
 from repro.index.rr_index import RRGraphIndex
 from repro.utils.rng import RandomSource
+
+PAIRS_PER_CHUNK = 2048
+"""(user, RR-Graph) pairs per pass of :func:`build_pruning_tables`."""
 
 
 @dataclass
@@ -60,19 +74,29 @@ class FrozenUserTables:
 
 
 def build_pruning_tables(
-    index: RRGraphIndex, max_probabilities: np.ndarray
+    index: RRGraphIndex, max_probabilities: np.ndarray, pairs_per_chunk: int = PAIRS_PER_CHUNK
 ) -> Dict[int, _UserFilterStructures]:
     """``IndexEst+`` cut structures for every user the index contains.
 
     RNG-free, so the table is bitwise-identical to what the lazy path would
-    build on first query; iteration order is sorted for reproducible build
-    telemetry but cannot affect the structures themselves.
+    build on first query.  Users run in sorted order through
+    :func:`~repro.index.pruning.build_filter_tables`, in chunks of about
+    ``pairs_per_chunk`` (user, RR-Graph) pairs so the transient arrays of one
+    pass stay small; chunking cannot affect the structures themselves.
     """
     block = index.block()
-    return {
-        user: build_filter_structures(block, user, graphs, max_probabilities)
-        for user, graphs in sorted(index.containment.items())
-    }
+    tables: Dict[int, _UserFilterStructures] = {}
+    chunk: List[int] = []
+    pairs = 0
+    users = sorted(index.containment)
+    for position, user in enumerate(users):
+        chunk.append(user)
+        pairs += len(index.containment[user])
+        if pairs >= pairs_per_chunk or position == len(users) - 1:
+            graphs = [index.containment[member] for member in chunk]
+            tables.update(zip(chunk, build_filter_tables(block, chunk, graphs, max_probabilities)))
+            chunk, pairs = [], 0
+    return tables
 
 
 def build_delayed_tables(

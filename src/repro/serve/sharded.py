@@ -596,6 +596,14 @@ class ProcessShardedService:
                 self._on_message(worker_id, message)
 
     def _on_message(self, worker_id: int, message: tuple) -> None:
+        """Apply one worker reply.
+
+        Parent and workers always run the same code, so each reply kind has
+        one fixed shape: ``("ready", worker)``, ``("fatal", worker, error)``,
+        ``("result", worker, request_id, error, result, execute_seconds,
+        cache_hit)`` and ``("shard", worker, shard, completed, failed,
+        telemetry_snapshot, spans)``.
+        """
         kind = message[0]
         if kind == "ready":
             with self._condition:
@@ -607,21 +615,17 @@ class ProcessShardedService:
                 self._fatal[worker_id] = message[2]
                 self._condition.notify_all()
         elif kind == "shard":
-            shard = message[2]
+            _, _, shard, _, _, telemetry_snapshot, spans = message
             self.metrics.record_worker_shard(shard)
             with self._condition:
                 self._shard_received[worker_id] = True
-            if len(message) >= 7:
-                telemetry_snapshot, spans = message[5], message[6]
-                self.metrics.record_worker_telemetry(shard.label, telemetry_snapshot)
-                if spans:
-                    recorder = get_recorder()
-                    if recorder is not None:
-                        recorder.extend(spans)
+            self.metrics.record_worker_telemetry(shard.label, telemetry_snapshot)
+            if spans:
+                recorder = get_recorder()
+                if recorder is not None:
+                    recorder.extend(spans)
         elif kind == "result":
-            request_id, error, result, execute_seconds = message[2:6]
-            # Length-tolerant: pre-answer-cache workers sent 6-tuples.
-            cache_hit = bool(message[6]) if len(message) > 6 else False
+            _, _, request_id, error, result, execute_seconds, cache_hit = message
             with self._condition:
                 pending = self._pending.pop(request_id, None)
             if pending is None:

@@ -174,6 +174,9 @@ GUARDED_CLASSES = {
             # index, built once under a lock; only the guard-checked build()
             # resets it.
             "block",
+            # Lazy read-only RRGraph view of the same arrays, built once
+            # under the block lock; only the guard-checked _adopt resets it.
+            "rr_graphs",
         }
     ),
     "DelayedMaterializationIndex": frozenset(),
