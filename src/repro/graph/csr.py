@@ -132,6 +132,13 @@ class CSRAdjacency:
         return int(sum(a.nbytes for a in arrays))
 
 
+def indptr_from_counts(counts: np.ndarray) -> np.ndarray:
+    """The ``int64`` offsets ``[0, c0, c0 + c1, ...]`` of consecutive runs of ``counts``."""
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr
+
+
 def csr_order(keys: np.ndarray, num_buckets: int) -> Tuple[np.ndarray, np.ndarray]:
     """``(indptr, order)`` grouping positions by ``keys`` with stable slot order.
 
@@ -143,7 +150,6 @@ def csr_order(keys: np.ndarray, num_buckets: int) -> Tuple[np.ndarray, np.ndarra
         counts = np.bincount(keys, minlength=num_buckets)
     else:
         counts = np.zeros(num_buckets, dtype=np.int64)
-    indptr = np.zeros(num_buckets + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
+    indptr = indptr_from_counts(counts)
     order = np.argsort(keys, kind="stable").astype(np.int64)
     return indptr, order

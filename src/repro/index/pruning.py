@@ -40,6 +40,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.exceptions import IndexNotBuiltError
+from repro.graph.csr import indptr_from_counts
 from repro.graph.digraph import TopicSocialGraph
 from repro.index.rr_graph import RRBlock, RRGraph
 from repro.index.rr_index import RRGraphIndex
@@ -114,22 +115,16 @@ def cut_sides(block: RRBlock, users: np.ndarray, graphs: np.ndarray):
     reached = (words >> (slots & 63).astype(np.uint64)) & np.uint64(1) == 1
     in_positions = in_positions[reached]
     source = (
-        _indptr(source_counts),
+        indptr_from_counts(source_counts),
         block.slot_edge_ids[source_slots],
         block.slot_thresholds[source_slots],
     )
     target = (
-        _indptr(np.bincount(pair_of[reached], minlength=len(graphs))),
+        indptr_from_counts(np.bincount(pair_of[reached], minlength=len(graphs))),
         block.root_in_edge_ids[in_positions],
         block.root_in_thresholds[in_positions],
     )
     return always, source, target
-
-
-def _indptr(counts: np.ndarray) -> np.ndarray:
-    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr
 
 
 def _run_products(factors: np.ndarray, indptr: np.ndarray) -> np.ndarray:
@@ -166,7 +161,7 @@ def choose_cuts(
     take_target = ~take_source & ~always
     counts = np.where(take_source, np.diff(source[0]), 0)
     counts += np.where(take_target, np.diff(target[0]), 0)
-    indptr = _indptr(counts)
+    indptr = indptr_from_counts(counts)
     edge_ids = np.empty(int(indptr[-1]), dtype=np.int64)
     thresholds = np.empty(int(indptr[-1]), dtype=np.float64)
     for (side_indptr, side_edges, side_thresholds), take in (
@@ -195,7 +190,8 @@ def build_edge_cut(rr_graph: RRGraph, user: int, rr_index: int, side: str) -> Ed
         return EdgeCut(rr_index=rr_index, always_live=True)
     if side not in ("source", "target"):
         raise ValueError(f"side must be 'source' or 'target', got {side!r}")
-    _, source, target = cut_sides(RRBlock.from_graphs([rr_graph]), np.array([user]), np.zeros(1, np.int64))
+    block = RRBlock.from_graphs([rr_graph])
+    _, source, target = cut_sides(block, np.array([user]), np.zeros(1, np.int64))
     _, edge_ids, thresholds = source if side == "source" else target
     return EdgeCut(rr_index=rr_index, entries=list(zip(edge_ids.tolist(), thresholds.tolist())))
 
@@ -287,7 +283,7 @@ def build_filter_tables(
     edge_last = np.ones(len(first), dtype=bool)
     np.not_equal(first[1:], first[:-1], out=edge_last[:-1])
     edge_ids, thresholds, rr_indices = edge_ids[order], thresholds[order], rr_indices[order]
-    pair_bounds = _indptr(pair_counts)
+    pair_bounds = indptr_from_counts(pair_counts)
     posting_bounds = indptr[pair_bounds].tolist()
     pair_bounds = pair_bounds.tolist()
     structures = []

@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.graph.csr import csr_order
+from repro.graph.csr import csr_order, indptr_from_counts
 from repro.graph.digraph import TopicSocialGraph
 from repro.utils.heap import concat_ranges
 from repro.utils.rng import RandomSource
@@ -149,9 +149,9 @@ def flatten_rr_graphs(rr_graphs: Sequence[RRGraph]) -> Dict[str, np.ndarray]:
     vertex_graph = np.repeat(np.arange(len(rr_graphs), dtype=np.int64), vertex_counts)
     return {
         "roots": np.fromiter((rr.root for rr in rr_graphs), np.int64, len(rr_graphs)),
-        "vertex_indptr": np.concatenate(([0], np.cumsum(vertex_counts))).astype(np.int64),
+        "vertex_indptr": indptr_from_counts(vertex_counts),
         "vertex_ids": vertex_ids[np.lexsort((vertex_ids, vertex_graph))],
-        "edge_indptr": np.concatenate(([0], np.cumsum(edge_counts))).astype(np.int64),
+        "edge_indptr": indptr_from_counts(edge_counts),
         "edge_ids": np.fromiter(chain(rr.edge_ids for rr in rr_graphs), np.int64, num_edges),
         "edge_sources": np.fromiter(
             chain(rr.edge_sources for rr in rr_graphs), np.int64, num_edges
@@ -240,9 +240,9 @@ class RRBlock:
         self.node_is_root = np.zeros(self.num_nodes, dtype=bool)
         self.node_is_root[root_nodes] = True
         into_root = target_nodes == root_nodes[edge_graph]
-        self.root_in_indptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(edge_graph[into_root], minlength=num_graphs)))
-        ).astype(np.int64)
+        self.root_in_indptr = indptr_from_counts(
+            np.bincount(edge_graph[into_root], minlength=num_graphs)
+        )
         self.root_in_sources = source_nodes[into_root]
         self.root_in_edge_ids = edge_ids[into_root]
         self.root_in_thresholds = thresholds[into_root]
@@ -453,9 +453,9 @@ def sample_rr_arrays(
     edge_ids = _concatenate(edge_ids, np.int64)
     arrays = {
         "roots": roots,
-        "vertex_indptr": _indptr(vertex_counts),
+        "vertex_indptr": indptr_from_counts(vertex_counts),
         "vertex_ids": vertex_keys - offsets,
-        "edge_indptr": _indptr(edge_counts),
+        "edge_indptr": indptr_from_counts(edge_counts),
         "edge_ids": edge_ids,
         "edge_sources": _concatenate(edge_sources, np.int64),
         "edge_targets": csr.edge_targets[edge_ids].astype(np.int64, copy=False),
@@ -479,14 +479,11 @@ def _concatenate(parts: List[np.ndarray], dtype) -> np.ndarray:
     return np.concatenate(parts).astype(dtype, copy=False) if parts else np.empty(0, dtype)
 
 
-def _indptr(counts: np.ndarray) -> np.ndarray:
-    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr
-
-
 def rr_graphs_from_arrays(arrays: Dict[str, np.ndarray]) -> List[RRGraph]:
-    """The :class:`RRGraph` objects of flat RR-Graph arrays (inverse of :func:`flatten_rr_graphs`)."""
+    """The :class:`RRGraph` objects of flat RR-Graph arrays.
+
+    The inverse of :func:`flatten_rr_graphs`.
+    """
     vertex_bounds = np.asarray(arrays["vertex_indptr"]).tolist()
     edge_bounds = np.asarray(arrays["edge_indptr"]).tolist()
     vertex_ids = np.asarray(arrays["vertex_ids"]).tolist()

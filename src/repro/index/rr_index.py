@@ -105,7 +105,8 @@ class RRGraphIndex:
         if graphs is None:
             with self._block_lock:
                 if self._rr_graphs is None:
-                    self._rr_graphs = tuple(rr_graphs_from_arrays(self._arrays)) if self._arrays else ()
+                    built = rr_graphs_from_arrays(self._arrays) if self._arrays else ()
+                    self._rr_graphs = tuple(built)
                 graphs = self._rr_graphs
         return graphs
 
@@ -207,7 +208,9 @@ class RRGraphIndex:
         processes at once without copy-on-write faults.
         """
         index = cls(graph, int(arrays["num_samples"][0]))
-        index._adopt({name: np.asarray(arrays[name], dtype=dtype) for name, dtype in RR_ARRAY_LAYOUT.items()})
+        index._adopt(
+            {name: np.asarray(arrays[name], dtype=dtype) for name, dtype in RR_ARRAY_LAYOUT.items()}
+        )
         index._built = True
         index._built_version = graph.version if built_version is None else int(built_version)
         index.build_seconds = float(build_seconds)
@@ -217,10 +220,10 @@ class RRGraphIndex:
     def memory_bytes(self) -> int:
         """Approximate index footprint: vertex ids, 4 numbers per stored edge, containment."""
         self._require_built()
+        vertices = self._arrays["vertex_ids"]
         edges = ("edge_ids", "edge_sources", "edge_targets", "edge_thresholds")
-        graphs = self._arrays["vertex_ids"].nbytes + sum(self._arrays[name].nbytes for name in edges)
-        containment = 8 * len(self._arrays["vertex_ids"])
-        return graphs + containment
+        graphs = vertices.nbytes + sum(self._arrays[name].nbytes for name in edges)
+        return graphs + 8 * len(vertices)
 
     def average_rr_graph_size(self) -> float:
         """Mean number of vertices per RR-Graph."""
@@ -236,14 +239,13 @@ def _containment(vertex_ids: np.ndarray, vertex_indptr: np.ndarray) -> Dict[int,
     One stable sort groups the flat vertex array by vertex while keeping
     graph positions ascending (``np.repeat`` emits them in increasing order).
     """
-    positions = np.repeat(np.arange(len(vertex_indptr) - 1, dtype=np.int64), np.diff(vertex_indptr))
+    graph_of = np.repeat(np.arange(len(vertex_indptr) - 1, dtype=np.int64), np.diff(vertex_indptr))
     order = np.argsort(vertex_ids, kind="stable")
     sorted_vertices = vertex_ids[order]
     boundaries = np.flatnonzero(np.diff(sorted_vertices)) + 1
     starts = np.concatenate(([0], boundaries)) if sorted_vertices.size else boundaries
-    return dict(
-        zip(sorted_vertices[starts].tolist(), (p.tolist() for p in np.split(positions[order], boundaries)))
-    )
+    postings = (graphs.tolist() for graphs in np.split(graph_of[order], boundaries))
+    return dict(zip(sorted_vertices[starts].tolist(), postings))
 
 
 class IndexEstimator(InfluenceEstimator):

@@ -74,14 +74,14 @@ class FrozenUserTables:
 
 
 def build_pruning_tables(
-    index: RRGraphIndex, max_probabilities: np.ndarray, pairs_per_chunk: int = PAIRS_PER_CHUNK
+    index: RRGraphIndex, max_probabilities: np.ndarray
 ) -> Dict[int, _UserFilterStructures]:
     """``IndexEst+`` cut structures for every user the index contains.
 
     RNG-free, so the table is bitwise-identical to what the lazy path would
     build on first query.  Users run in sorted order through
     :func:`~repro.index.pruning.build_filter_tables`, in chunks of about
-    ``pairs_per_chunk`` (user, RR-Graph) pairs so the transient arrays of one
+    :data:`PAIRS_PER_CHUNK` (user, RR-Graph) pairs so the transient arrays of one
     pass stay small; chunking cannot affect the structures themselves.
     """
     block = index.block()
@@ -92,7 +92,7 @@ def build_pruning_tables(
     for position, user in enumerate(users):
         chunk.append(user)
         pairs += len(index.containment[user])
-        if pairs >= pairs_per_chunk or position == len(users) - 1:
+        if pairs >= PAIRS_PER_CHUNK or position == len(users) - 1:
             graphs = [index.containment[member] for member in chunk]
             tables.update(zip(chunk, build_filter_tables(block, chunk, graphs, max_probabilities)))
             chunk, pairs = [], 0
