@@ -260,14 +260,15 @@ class RRBlock:
     def start_nodes(self, users, graphs: np.ndarray) -> np.ndarray:
         """The node of ``users[i]`` in ``graphs[i]``, ``-1`` where it is no member.
 
-        ``users`` is one user for every graph, or one user per graph.
+        ``users`` is one user for every graph, or one user per graph;
+        ``graphs`` is an ``int64`` array.
         """
-        graphs = np.asarray(graphs, dtype=np.int64)
-        users = np.asarray(users, dtype=np.int64)
-        valid = (users >= 0) & (users < self.stride)
-        keys = graphs * self.stride + np.where(valid, users, 0)
+        keys = graphs * self.stride + users
         nodes = np.searchsorted(self.node_keys, keys)
-        return np.where(valid & (self.node_keys[nodes] == keys), nodes, -1)
+        found = self.node_keys[nodes] == keys
+        # A user outside [0, stride) could alias another graph's key.
+        found &= (users >= 0) & (users < self.stride)
+        return np.where(found, nodes, -1)
 
     def out_slots(self, nodes: np.ndarray) -> np.ndarray:
         """The out-slots of every one of ``nodes``, concatenated in node order."""
