@@ -205,7 +205,7 @@ def test_frozen_worker_sweep_is_bitwise_equal_and_scales(
 
     for report in reports.values():
         assert report.failures == 0
-        assert report.mode == "frozen-parallel"
+        assert report.backend == "thread"
     answers = {
         pool_size: [
             (resp.request.user, resp.result.tag_ids, resp.result.spread)
@@ -312,7 +312,6 @@ def test_process_backend_matches_thread_oracle_and_scales(
 
     for pool_size, report in reports.items():
         assert report.failures == 0
-        assert report.mode == "process-sharded"
         assert report.backend == "process"
         assert answers(report) == answers(oracle), (
             f"{pool_size}-worker process replay diverged from the thread oracle"

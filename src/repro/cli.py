@@ -117,9 +117,9 @@ def _build_parser() -> argparse.ArgumentParser:
     replay.add_argument(
         "--freeze",
         action="store_true",
-        help="freeze the engine (read-only) before serving so requests fan "
-             "across all workers concurrently instead of serializing behind "
-             "the per-engine lock (always on for --backend process)",
+        help="freeze the engine before serving: build the served method's "
+             "indexes and per-user tables up front and make the graph and "
+             "indexes read-only (always on for --backend process)",
     )
     replay.add_argument(
         "--trace",
@@ -350,11 +350,9 @@ def _run_serve_replay(args: argparse.Namespace) -> int:
                 delayed_index=delayed_index,
             )
             if args.freeze or args.answer_cache:
-                # Warm only the served method; the report's "mode" field
-                # records that the run executed on the lock-free frozen path.
-                # The answer cache only fronts frozen engines (answers must
-                # be pure functions of the fingerprint), so --answer-cache
-                # implies --freeze here.
+                # Warm only the served method.  The answer cache only fronts
+                # frozen engines (whose graph cannot change under a query),
+                # so --answer-cache implies --freeze here.
                 engine.freeze(methods=[args.method], ks=[args.k])
             answer_cache = AnswerCache() if args.answer_cache else None
             with PitexService.for_engine(

@@ -23,26 +23,26 @@ All methods run under either exhaustive enumeration or best-effort exploration
 
 Engine lifecycle
 ----------------
-An engine starts *warm-up mutable*: indexes build lazily, estimators are
-created and cached on first use, and every estimator draws from a shared
-per-engine RNG stream -- which is why the serving layer historically
-serialized all queries against one engine.  :meth:`PitexEngine.freeze` ends
-that phase: it warms every configured method (offline indexes, estimator
-cache, graph/model caches) and flips the engine read-only.  From then on
-``query`` touches no shared mutable state -- each query runs on a fresh,
-query-local estimator whose RNG root is derived *statelessly* from
-``(engine seed, query fingerprint)``, so answers are bitwise independent of
-arrival order and thread interleaving -- and a shared
-:class:`~repro.utils.freeze.FrozenGuard` raises on any attempt to mutate the
-graph, the indexes or the warmed estimators.  ``thaw`` returns the engine to
-the mutable phase.
+There is one query path.  :meth:`PitexEngine.query` and
+:meth:`PitexEngine.estimate_influence` answer on a fresh, query-local
+estimator whose RNG root is derived statelessly from ``(engine seed, query
+fingerprint)`` (:meth:`PitexEngine.query_seed`), so an answer is a pure
+function of the engine's seed, its graph/model/index state and the query --
+never of call order or thread interleaving.  Queries share only structures
+that are built once and then only read: the offline indexes (built lazily,
+once, under the engine's build lock) and the graph/model caches.
+:meth:`PitexEngine.freeze` builds all of them eagerly for the listed methods,
+optionally adds read-only per-user tables, and engages a
+:class:`~repro.utils.freeze.FrozenGuard` that raises on any mutation of the
+graph or the indexes; ``thaw`` disengages it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import threading
 import zlib
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from repro.core.best_effort import BestEffortExplorer
 from repro.core.enumeration import EnumerationExplorer
@@ -162,10 +162,13 @@ class PitexEngine:
         self.index_samples = int(index_samples)
         self._rr_index: Optional[RRGraphIndex] = None
         self._delayed_index: Optional[DelayedMaterializationIndex] = None
-        self._estimators: Dict[Tuple[str, float, float, int], InfluenceEstimator] = {}
+        # Serializes the lazy index builds, so concurrent first queries build
+        # each index once.
+        self._build_lock = threading.Lock()
         self._frozen = False
         self._frozen_methods: Tuple[str, ...] = ()
         self._frozen_ks: Tuple[int, ...] = ()
+        self._frozen_tables = False
         self._user_tables: Optional[FrozenUserTables] = None
         self._guard = FrozenGuard(owner=f"PitexEngine@{id(self):x}")
         self._guarded_objects: list = []
@@ -182,23 +185,25 @@ class PitexEngine:
     # ----------------------------------------------------------------- indexes
     @property
     def rr_index(self) -> RRGraphIndex:
-        """The materialized RR-Graph index, built on first access."""
-        if self._rr_index is None or not self._rr_index.is_built:
-            self._guard.check("build the RR-Graph index after freeze()")
-            self._rr_index = RRGraphIndex(
-                self.graph, self.index_samples, seed=self._stream("rr-index")
-            ).build()
-        return self._rr_index
+        """The materialized RR-Graph index, built once on first access."""
+        with self._build_lock:
+            if self._rr_index is None or not self._rr_index.is_built:
+                self._guard.check("build the RR-Graph index after freeze()")
+                self._rr_index = RRGraphIndex(
+                    self.graph, self.index_samples, seed=self._stream("rr-index")
+                ).build()
+            return self._rr_index
 
     @property
     def delayed_index(self) -> DelayedMaterializationIndex:
-        """The delayed-materialization index, built on first access."""
-        if self._delayed_index is None or not self._delayed_index.is_built:
-            self._guard.check("build the delayed-materialization index after freeze()")
-            self._delayed_index = DelayedMaterializationIndex(
-                self.graph, self.index_samples, seed=self._stream("delayed-index")
-            ).build()
-        return self._delayed_index
+        """The delayed-materialization index, built once on first access."""
+        with self._build_lock:
+            if self._delayed_index is None or not self._delayed_index.is_built:
+                self._guard.check("build the delayed-materialization index after freeze()")
+                self._delayed_index = DelayedMaterializationIndex(
+                    self.graph, self.index_samples, seed=self._stream("delayed-index")
+                ).build()
+            return self._delayed_index
 
     def build_indexes(self) -> None:
         """Eagerly build both offline indexes (otherwise built lazily)."""
@@ -206,22 +211,16 @@ class PitexEngine:
         _ = self.delayed_index
 
     def attach_rr_index(self, index: RRGraphIndex) -> None:
-        """Adopt a prebuilt RR-Graph index (the load-from-store warm path).
-
-        Any estimators built against the previous index are dropped so later
-        queries cannot silently keep answering from the replaced snapshot.
-        """
+        """Adopt a prebuilt RR-Graph index (the load-from-store warm path)."""
         self._guard.check("attach an RR-Graph index after freeze()")
         self._check_prebuilt(index, "rr_index")
         self._rr_index = index
-        self._drop_index_estimators()
 
     def attach_delayed_index(self, index: DelayedMaterializationIndex) -> None:
         """Adopt a prebuilt delayed-materialization index."""
         self._guard.check("attach a delayed-materialization index after freeze()")
         self._check_prebuilt(index, "delayed_index")
         self._delayed_index = index
-        self._drop_index_estimators()
 
     def _check_prebuilt(self, index, name: str) -> None:
         if index.graph is not self.graph:
@@ -241,10 +240,6 @@ class PitexEngine:
                 f"{index.num_samples} to adopt the index's theta)"
             )
 
-    def _drop_index_estimators(self) -> None:
-        for key in [k for k in self._estimators if k[0] in ("indexest", "indexest+", "delaymat")]:
-            del self._estimators[key]
-
     # -------------------------------------------------------------- estimators
     def estimator(
         self,
@@ -252,43 +247,37 @@ class PitexEngine:
         epsilon: Optional[float] = None,
         delta: Optional[float] = None,
         k: Optional[int] = None,
+        seed: Optional[RandomSource] = None,
     ) -> InfluenceEstimator:
-        """Create (or fetch) the estimator behind ``method`` with the given accuracy."""
+        """A fresh estimator for ``method`` with the given accuracy.
+
+        The one estimator constructor: :meth:`query` and
+        :meth:`estimate_influence` call it with a query-derived ``seed``.
+        Without ``seed`` the estimator draws from the engine's stream for
+        ``(method, epsilon, delta, k)``, which depends on neither process nor
+        call order.  Construction is cheap -- estimators hold references to
+        the graph, model and indexes, never copies -- and nothing is cached,
+        so two calls return two independent instances.  A frozen engine
+        refuses methods :meth:`freeze` did not warm.
+        """
         method = method.lower()
         if method not in METHODS:
             raise InvalidParameterError(f"unknown method {method!r}; choose from {METHODS}")
+        if self._frozen and method not in self._frozen_methods:
+            # A routing error by the caller, not a shared-state mutation, so
+            # it raises directly instead of tripping the guard.
+            raise EngineFrozenError(
+                f"frozen engine cannot serve unwarmed method {method!r} "
+                f"(warmed: {self._frozen_methods}); include it in "
+                "freeze(methods=...) or thaw() first"
+            )
         budget = self.budget.with_overrides(
             epsilon=epsilon if epsilon is not None else self.budget.epsilon,
             delta=delta if delta is not None else self.budget.delta,
             k=k if k is not None else self.budget.k,
         )
-        key = (method, budget.epsilon, budget.delta, budget.k)
-        cached = self._estimators.get(key)
-        if cached is not None:
-            return cached
-        self._guard.check(
-            f"cache a new estimator for {key!r} after freeze(); warm the method/k "
-            "via freeze(methods=..., ks=...), or serve accuracy overrides through "
-            "query()/estimate_influence() (the frozen path handles them statelessly)"
-        )
-        # A process-stable, creation-order-independent stream per estimator
-        # key.  The previous hash()-salted spawn was randomized per process
-        # (PYTHONHASHSEED) *and* shifted with the order estimators were first
-        # requested, silently making engine results non-reproducible.
-        estimator = self._build_estimator(method, budget, self._stream(repr(key)))
-        self._estimators[key] = estimator
-        return estimator
-
-    def _build_estimator(
-        self, method: str, budget: SampleBudget, seed: RandomSource
-    ) -> InfluenceEstimator:
-        """Construct one estimator instance for ``method`` (no caching).
-
-        Shared by the warm-up path (which caches the instance) and the frozen
-        query path (which builds a fresh, query-local instance per query so
-        the engine's shared state stays untouched).  Construction is cheap --
-        estimators hold references to the graph/model/indexes, never copies.
-        """
+        if seed is None:
+            seed = self._stream(repr((method, budget.epsilon, budget.delta, budget.k)))
         kernel = resolved_kernel(method, self.kernel)
         if method == "mc":
             return MonteCarloEstimator(self.graph, self.model, budget, seed, kernel=kernel)
@@ -347,48 +336,41 @@ class PitexEngine:
         ks: Optional[Iterable[int]] = None,
         precompute_tables: bool = True,
     ) -> "PitexEngine":
-        """Warm every configured method, then flip the engine read-only.
+        """Warm every configured method eagerly, then engage the guard.
 
-        Warming builds the offline indexes the listed ``methods`` need,
-        resolves their kernels into the estimator cache (one entry per
-        ``(method, default epsilon/delta, k)`` for each ``k`` in ``ks``), and
+        Warming builds the offline indexes the listed ``methods`` need and
         materializes the lazily cached graph/model structures (CSR view,
-        probability matrix, fingerprint, Jensen ratios) so no first-access
-        build can happen on the serving path.
+        probability matrix, fingerprint, Jensen ratios), so no first-access
+        build happens on the serving path.  Queries answer the same way
+        before and after: every query runs on a query-local estimator seeded
+        by :meth:`query_seed`.
 
         With ``precompute_tables`` (the default) freezing also builds the
         read-only per-user tables of :mod:`repro.index.tables` for the warmed
-        index methods, so even the first (cold, uncached) query for a user
-        skips the per-query re-derivation of its cut structures
-        (``indexest+``, bitwise-neutral) and recovered graphs (``delaymat``,
-        drawn once from per-user label-derived streams shared by every
-        same-seed replica).
+        index methods, so even the first query for a user skips the per-query
+        re-derivation of its cut structures (``indexest+``, bitwise-neutral)
+        and recovered graphs (``delaymat``, drawn once from per-user
+        label-derived streams shared by every same-seed replica; these change
+        ``delaymat`` answers).
 
-        After ``freeze()``:
+        After ``freeze()`` the :class:`~repro.utils.freeze.FrozenGuard`
+        raises :class:`~repro.exceptions.EngineFrozenError` on any mutation
+        of the graph or the indexes, and :meth:`estimator` (so also
+        :meth:`query`) refuses methods that were not warmed.
 
-        * :meth:`query` and :meth:`estimate_influence` run on *query-local*
-          estimators seeded by the stateless ``(seed, query fingerprint)``
-          derivation of :meth:`query_seed` -- no shared RNG stream, no shared
-          caches, no counters; concurrent queries from any number of threads
-          return bitwise the same answers as a serial replay;
-        * the :class:`~repro.utils.freeze.FrozenGuard` raises
-          :class:`~repro.exceptions.EngineFrozenError` on any mutation of the
-          graph, the indexes or the warmed estimators (including estimating
-          *through* a warmed shared estimator, which would consume its RNG);
-        * :meth:`estimator` keeps answering for warmed keys (introspection)
-          and raises for combinations not covered by ``freeze``.
-
-        ``methods`` defaults to every method; ``ks`` defaults to the engine's
-        ``default_k``.  Re-freezing with a configuration already covered by
-        the first freeze is a no-op (returns ``self``); asking an already
-        frozen engine to warm *additional* methods or ``k`` values raises --
-        warming mutates shared state, so the caller must ``thaw()`` first.
+        ``methods`` defaults to every method; ``ks`` (default: the engine's
+        ``default_k``) names the ``k`` values the deployment serves.  No
+        structure depends on ``k``, so queries may still override it.
+        Re-freezing with a configuration the first freeze covers is a no-op
+        (returns ``self``); asking a frozen engine for *additional* methods
+        or ``k`` values, or for a different ``precompute_tables``, raises --
+        the caller must ``thaw()`` first.
 
         The contract extends across *processes*: the stream root behind
         :meth:`query_seed` is drawn eagerly at construction, so a replica
         built in another process from the same integer seed and the same
-        graph/model/index bytes answers every frozen query bitwise
-        identically (what :mod:`repro.serve.sharded` relies on; see
+        graph/model/index bytes answers every query bitwise identically
+        (what :mod:`repro.serve.sharded` relies on; see
         ``docs/architecture.md``).
         """
         if methods is None:
@@ -404,6 +386,7 @@ class PitexEngine:
         for k in k_list:
             if k <= 0:
                 raise InvalidParameterError(f"k must be positive, got {k}")
+        precompute_tables = bool(precompute_tables)
         if self._frozen:
             uncovered = [m for m in method_list if m not in self._frozen_methods]
             uncovered += [k for k in k_list if k not in self._frozen_ks]
@@ -412,20 +395,25 @@ class PitexEngine:
                     f"engine is already frozen without {uncovered!r} warmed; "
                     "thaw() before freezing a different configuration"
                 )
+            if precompute_tables != self._frozen_tables:
+                raise EngineFrozenError(
+                    f"engine is already frozen with precompute_tables={self._frozen_tables}; "
+                    "thaw() before freezing a different configuration"
+                )
             return self
         # Warm the shared lazily-built read-only structures.
         _ = self.graph.csr
         _ = self.graph.probability_matrix
-        self.graph.max_edge_probabilities()
+        max_probabilities = self.graph.max_edge_probabilities()
         self.graph.fingerprint()
         self.model.jensen_ratios()
-        for method in method_list:
-            for k in k_list:
-                self.estimator(method, k=k)
+        if "indexest" in method_list or "indexest+" in method_list:
+            _ = self.rr_index
+        if "delaymat" in method_list:
+            _ = self.delayed_index
         if precompute_tables:
             pruning_tables = None
             delayed_graphs = delayed_filters = None
-            max_probabilities = self.graph.max_edge_probabilities()
             if "indexest+" in method_list:
                 pruning_tables = build_pruning_tables(self.rr_index, max_probabilities)
             if "delaymat" in method_list:
@@ -442,12 +430,12 @@ class PitexEngine:
                 )
         self._frozen_methods = tuple(dict.fromkeys(method_list))
         self._frozen_ks = tuple(k_list)
+        self._frozen_tables = precompute_tables
         self._frozen = True
         self._guarded_objects = [self.graph]
         for index in (self._rr_index, self._delayed_index):
             if index is not None:
                 self._guarded_objects.append(index)
-        self._guarded_objects.extend(self._estimators.values())
         for obj in self._guarded_objects:
             attach_freeze_guard(obj, self._guard)
         self._guard.engage()
@@ -455,12 +443,12 @@ class PitexEngine:
         return self
 
     def thaw(self) -> "PitexEngine":
-        """Return a frozen engine to the mutable warm-up phase.
+        """Return a frozen engine to the mutable phase.
 
         Disengages the guard and detaches it from every structure it froze
         (shared objects -- e.g. a graph served by several engines -- keep any
-        *other* engine's guard), restoring the shared cached-estimator query
-        path.  Past guard violations are preserved for inspection.
+        *other* engine's guard) and drops the per-user tables.  Past guard
+        violations are preserved for inspection.
         """
         self._guard.disengage()
         for obj in self._guarded_objects:
@@ -469,6 +457,7 @@ class PitexEngine:
         self._frozen = False
         self._frozen_methods = ()
         self._frozen_ks = ()
+        self._frozen_tables = False
         self._user_tables = None
         counter("engine.thaw")
         return self
@@ -515,58 +504,15 @@ class PitexEngine:
         """The stateless per-query RNG root: ``(engine seed, fingerprint)``.
 
         Mixes the engine's eagerly drawn stream root with the query
-        fingerprint.  Unlike the shared mutable streams of the warm-up phase,
-        two engines with the same seed derive the same root for the same query
-        no matter how many other queries ran before or concurrently -- the
-        property the concurrency equivalence harness pins down.
+        fingerprint: two engines with the same seed derive the same root for
+        the same query no matter how many other queries ran before or
+        concurrently -- the property the concurrency equivalence harness pins
+        down.
         """
         fingerprint = self.query_fingerprint(
             user, method, k, epsilon, delta, exploration=exploration, extra=extra
         )
         return (self._stream_root ^ int(fingerprint[:15], 16)) & (2**63 - 1)
-
-    def _check_frozen_method(self, method: str) -> str:
-        """Reject methods :meth:`freeze` did not warm.
-
-        Only the *method* set is fixed at freeze time -- it determines which
-        offline indexes exist, the one shared structure the frozen path
-        depends on.  ``k`` / ``epsilon`` / ``delta`` are deliberately
-        unrestricted: every query runs on a query-local estimator whose
-        budget and RNG derive statelessly from the request, so arbitrary
-        accuracy overrides serve fine (and reproducibly) without touching
-        shared state.
-
-        The rejection raises *directly* (no guard trip): an unwarmed request
-        is a routing error by the caller, not a shared-state mutation, so it
-        must not poison the zero-violations invariant the stress harness and
-        ``bench_serving`` assert.  Without this check the outcome would
-        depend on implementation accident -- unwarmed index methods tripped
-        the guard at the lazy index build while unwarmed sampling methods
-        silently succeeded.
-        """
-        method = method.lower()
-        if method not in METHODS:
-            raise InvalidParameterError(f"unknown method {method!r}; choose from {METHODS}")
-        if method not in self._frozen_methods:
-            raise EngineFrozenError(
-                f"frozen engine cannot serve unwarmed method {method!r} "
-                f"(warmed: {self._frozen_methods}); include it in "
-                "freeze(methods=...) or thaw() first"
-            )
-        return method
-
-    def _query_estimator(
-        self, method: str, query: PitexQuery, exploration: str
-    ) -> InfluenceEstimator:
-        """A fresh query-local estimator for the frozen read-only path."""
-        method = self._check_frozen_method(method)
-        budget = self.budget.with_overrides(
-            epsilon=query.epsilon, delta=query.delta, k=query.k
-        )
-        seed = self.query_seed(
-            query.user, method, query.k, query.epsilon, query.delta, exploration=exploration
-        )
-        return self._build_estimator(method, budget, RandomSource(seed))
 
     # ------------------------------------------------------------------ query
     def query(
@@ -610,13 +556,15 @@ class PitexEngine:
             epsilon=epsilon if epsilon is not None else self.budget.epsilon,
             delta=delta if delta is not None else self.budget.delta,
         )
-        if self._frozen:
-            # Read-only serving: a fresh estimator per query, seeded by the
-            # stateless (seed, fingerprint) derivation -- nothing shared is
-            # touched, so concurrent queries need no lock.
-            estimator = self._query_estimator(method, query, exploration)
-        else:
-            estimator = self.estimator(method, query.epsilon, query.delta, query.k)
+        # A fresh estimator per query, seeded by the stateless (seed,
+        # fingerprint) derivation: nothing shared is mutated, so concurrent
+        # queries need no lock.
+        seed = self.query_seed(
+            user, method, query.k, query.epsilon, query.delta, exploration=exploration
+        )
+        estimator = self.estimator(
+            method, query.epsilon, query.delta, query.k, seed=RandomSource(seed)
+        )
         if exploration == "enumeration":
             explorer = EnumerationExplorer(self.model, estimator, keep_evaluations)
             if candidate_tags is not None:
@@ -658,24 +606,18 @@ class PitexEngine:
     ) -> InfluenceEstimate:
         """Estimate ``E[I(user|tags)]`` for one explicit tag set."""
         tag_ids = self.model.resolve_tags(tags)
-        if self._frozen:
-            budget = self.budget.with_overrides(
-                epsilon=epsilon if epsilon is not None else self.budget.epsilon,
-                delta=delta if delta is not None else self.budget.delta,
-            )
-            method = self._check_frozen_method(method)
-            seed = self.query_seed(
-                user,
-                method,
-                budget.k,
-                budget.epsilon,
-                budget.delta,
-                exploration="estimate",
-                extra=repr(tag_ids),
-            )
-            estimator = self._build_estimator(method, budget, RandomSource(seed))
-            return estimator.estimate(user, tag_ids)
-        estimator = self.estimator(method, epsilon, delta, None)
+        epsilon = epsilon if epsilon is not None else self.budget.epsilon
+        delta = delta if delta is not None else self.budget.delta
+        seed = self.query_seed(
+            user,
+            method,
+            self.budget.k,
+            epsilon,
+            delta,
+            exploration="estimate",
+            extra=repr(tag_ids),
+        )
+        estimator = self.estimator(method, epsilon, delta, seed=RandomSource(seed))
         return estimator.estimate(user, tag_ids)
 
     # ------------------------------------------------------------------ info

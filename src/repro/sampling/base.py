@@ -26,7 +26,6 @@ from repro.exceptions import InvalidParameterError
 from repro.graph.digraph import TopicSocialGraph
 from repro.obs.telemetry import counter
 from repro.topics.model import TagTopicModel
-from repro.utils.freeze import guard_check
 from repro.utils.stats import log_binomial, log_sum_binomials
 from repro.utils.validation import ensure_in_range, ensure_positive_int
 
@@ -253,9 +252,6 @@ class InfluenceEstimator(abc.ABC):
         best-effort explorer drains runs of complete tag sets through this
         entry point.
         """
-        guard_check(
-            self, "estimate through a frozen engine's shared estimator (RNG + counters)"
-        )
         results: list = [None] * len(tag_sets)
         rows = []
         slots = []
@@ -316,9 +312,6 @@ class InfluenceEstimator(abc.ABC):
         single shared event store; the best-effort explorer feeds the upper
         bounds of every child of one expansion through this entry point.
         """
-        guard_check(
-            self, "estimate through a frozen engine's shared estimator (RNG + counters)"
-        )
         return [
             self.estimate_with_probabilities(user, row, num_samples)
             for row in probability_rows(self.graph, edge_probability_rows)
@@ -326,6 +319,5 @@ class InfluenceEstimator(abc.ABC):
 
     def reset_counters(self) -> None:
         """Zero the cumulative edge / sample counters."""
-        guard_check(self, "reset a frozen estimator's counters")
         self.total_edges_visited = 0
         self.total_samples = 0

@@ -67,7 +67,6 @@ from repro.sampling.base import (
     probability_rows,
 )
 from repro.topics.model import TagTopicModel
-from repro.utils.freeze import guard_check
 from repro.utils.heap import BatchedEventQueue, LazyEdgeHeap
 from repro.utils.rng import RandomSource, SeedLike, spawn_rng
 from repro.utils.stats import log_binomial
@@ -276,9 +275,6 @@ class LazyPropagationEstimator(InfluenceEstimator):
         this for the upper bounds of all children of one expansion); other
         kernels fall back to one independent estimation per row.
         """
-        guard_check(
-            self, "estimate through a frozen engine's shared estimator (RNG + counters)"
-        )
         checked = probability_rows(self.graph, edge_probability_rows)
         if self.kernel != "batched":
             return super().estimate_many_with_probabilities(user, checked, num_samples)
@@ -362,7 +358,6 @@ class LazyPropagationEstimator(InfluenceEstimator):
         num_samples: Optional[int] = None,
     ) -> InfluenceEstimate:
         """Run ``theta_W`` lazy sample instances (possibly fewer with early stopping)."""
-        guard_check(self, "draw from a frozen engine's shared estimator RNG")
         probabilities = np.asarray(edge_probabilities, dtype=float)
         if self.kernel == "batched":
             return self._estimate_batched(user, probabilities, num_samples)
@@ -424,7 +419,6 @@ class LazyPropagationEstimator(InfluenceEstimator):
         checkpoints: Sequence[int],
     ) -> list:
         """Estimate values at increasing sample counts (Fig. 6 convergence sweep)."""
-        guard_check(self, "draw from a frozen engine's shared estimator RNG")
         probabilities = np.asarray(edge_probabilities, dtype=float)
         if self.kernel == "batched":
             queue = self._make_queue(probabilities[None, :])
@@ -474,7 +468,6 @@ class LazyPropagationEstimator(InfluenceEstimator):
         coins are used so the draw is independent of previous estimations; on
         the CSR kernel the world is realized with batched coin flips.
         """
-        guard_check(self, "draw from a frozen engine's shared estimator RNG")
         probabilities = np.asarray(edge_probabilities, dtype=float)
         if self.kernel == "dict":
             visited = {user}

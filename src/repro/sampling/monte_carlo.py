@@ -30,7 +30,6 @@ from repro.exceptions import InvalidParameterError
 from repro.graph.digraph import TopicSocialGraph
 from repro.sampling.base import InfluenceEstimate, InfluenceEstimator, SampleBudget
 from repro.topics.model import TagTopicModel
-from repro.utils.freeze import guard_check
 from repro.utils.rng import SeedLike, spawn_rng
 
 _KERNELS = ("csr", "dict")
@@ -64,7 +63,6 @@ class MonteCarloEstimator(InfluenceEstimator):
         num_samples: Optional[int] = None,
     ) -> InfluenceEstimate:
         """Average realized spread over ``theta_W`` forward live-edge samples."""
-        guard_check(self, "draw from a frozen engine's shared estimator RNG")
         probabilities = np.asarray(edge_probabilities, dtype=float)
         if self._compute_reachable or num_samples is None:
             if self.kernel == "csr":
@@ -111,7 +109,6 @@ class MonteCarloEstimator(InfluenceEstimator):
         ``checkpoints`` must be increasing; the samples are shared, i.e. the
         estimate at checkpoint ``c`` uses the first ``c`` sample instances.
         """
-        guard_check(self, "draw from a frozen engine's shared estimator RNG")
         probabilities = np.asarray(edge_probabilities, dtype=float)
         uniform = self._rng.uniform
         results = []

@@ -32,7 +32,6 @@ from repro.exceptions import InvalidParameterError
 from repro.graph.digraph import TopicSocialGraph
 from repro.sampling.base import InfluenceEstimate, InfluenceEstimator, SampleBudget
 from repro.topics.model import TagTopicModel
-from repro.utils.freeze import guard_check
 from repro.utils.rng import SeedLike, spawn_rng
 
 _KERNELS = ("csr", "dict")
@@ -64,7 +63,6 @@ class ReverseReachableEstimator(InfluenceEstimator):
         num_samples: Optional[int] = None,
     ) -> InfluenceEstimate:
         """Average hit-indicator over ``theta_W`` reverse samples, scaled by ``|R_W(u)|``."""
-        guard_check(self, "draw from a frozen engine's shared estimator RNG")
         probabilities = np.asarray(edge_probabilities, dtype=float)
         if self.kernel == "csr":
             reachable = reachable_vertices(self.graph, user, probabilities)
@@ -123,7 +121,6 @@ class ReverseReachableEstimator(InfluenceEstimator):
         checkpoints: Sequence[int],
     ) -> list:
         """Estimate values at increasing sample counts (Fig. 6 convergence sweep)."""
-        guard_check(self, "draw from a frozen engine's shared estimator RNG")
         probabilities = np.asarray(edge_probabilities, dtype=float)
         if self.kernel == "csr":
             reachable = reachable_vertices(self.graph, user, probabilities)

@@ -22,8 +22,9 @@ that asymmetry across process and query boundaries:
 
 Safety contracts (details in each module's docstring): the store is safe to
 share across threads *and* processes; the cache, both services and the
-metrics objects are thread-safe; engines themselves are only safe for
-concurrent queries once frozen.
+metrics objects are thread-safe; engines answer concurrent queries on one
+stateless query path, and a frozen engine additionally guards its graph and
+indexes against mutation while it serves.
 """
 
 from repro.serve.store import (

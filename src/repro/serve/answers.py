@@ -1,11 +1,11 @@
 """Fingerprint-keyed answer memoization for frozen engines.
 
-PR 5 established that a frozen engine's answer is a *pure function* of
-``(engine seed, query fingerprint)``: the frozen query path derives its RNG
-stream from :meth:`PitexEngine.query_fingerprint` alone, so two identical
-requests against the same frozen engine produce bitwise-identical results.
-That purity makes a full answer cache trivially correct -- this module is
-that cache.
+An engine's answer is a *pure function* of ``(engine seed, query
+fingerprint)`` and its graph/model state: every query derives its RNG stream
+from :meth:`PitexEngine.query_fingerprint` alone, so two identical requests
+against the same frozen engine produce bitwise-identical results.  That
+purity makes a full answer cache trivially correct -- this module is that
+cache.
 
 :class:`AnswerCache` is a thread-safe LRU keyed on
 ``(engine_key, graph.version, model.content_hash(), fingerprint)``.  The
@@ -307,9 +307,17 @@ class AnswerCache:
             counter("answer_cache.invalidation", len(stale))
 
     def _put(self, key: tuple, result: PitexResult) -> None:
-        """Insert ``result``, accounting bytes and evicting beyond capacity."""
+        """Insert ``result``, accounting bytes and evicting beyond capacity.
+
+        A compute can outlive its epoch: while it ran, another request may
+        have observed a newer ``(graph.version, model hash)`` for the same
+        engine key.  Such a result can never hit, and inserting it would
+        take a live entry's slot, so it is dropped.
+        """
         num_bytes = len(pickle.dumps(result))
         with self._lock:
+            if self._epochs.get(key[0]) != (key[1], key[2]):
+                return
             self._entries[key] = _CachedAnswer(result=result, num_bytes=num_bytes)
             self._entries.move_to_end(key)
             self.stats.bytes_cached += num_bytes

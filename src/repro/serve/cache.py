@@ -1,25 +1,25 @@
 """Warm engine cache: LRU over (dataset, params) keys.
 
 Building a :class:`~repro.core.engine.PitexEngine` is cheap, but the engine's
-*warmth* is not: its offline indexes, its per-method estimator cache and the
-``DelayMat`` per-user recovered graphs all accumulate across queries.  The
+*warmth* is not: its offline indexes and the freeze-time per-user tables
+(:mod:`repro.index.tables`) are built once and then serve every query.  The
 serving layer therefore keeps engines alive between requests in a small LRU
 keyed by whatever identifies an engine configuration to the caller (the CLI
 and the service use ``(dataset, scale, epsilon, delta, k, method knobs...)``
 tuples).
 
 Every cache hit is re-validated against the engine's graph ``version``: if the
-graph mutated after the engine was cached, its indexes and estimators describe
-a stale snapshot, so the entry is dropped and rebuilt instead of served.
+graph mutated after the engine was cached, its indexes and tables describe a
+stale snapshot, so the entry is dropped and rebuilt instead of served.
 All operations are thread-safe; ``get_or_create`` serializes factory calls for
 the *same* key so concurrent requests cannot build one engine twice, while
 different keys build in parallel.
 
 By default ``get_or_create`` also **freezes** every factory-built engine
 before inserting it (:meth:`PitexEngine.freeze`): a cached engine is by
-definition shared across requests, and only a frozen engine can serve those
-requests concurrently without the service's per-engine lock.  Pass
-``freeze=False`` for the historical serialize-behind-a-lock behaviour, or
+definition shared across requests, so its indexes and tables are built up
+front and its graph is guarded against mutation while it serves.  Pass
+``freeze=False`` to cache engines that build lazily on first use, or
 ``freeze_methods`` to warm only the methods a deployment actually serves.
 ``put`` never freezes -- callers inserting an engine directly keep full
 control over its lifecycle.
@@ -97,8 +97,8 @@ class EngineCache:
     capacity:
         Maximum number of cached engines (LRU eviction beyond it).
     freeze:
-        Freeze factory-built engines before caching them (default), so the
-        service can serve each cached engine from several workers at once.
+        Freeze factory-built engines before caching them (default), so their
+        indexes and tables are built before the first request.
     freeze_methods:
         Methods passed to :meth:`PitexEngine.freeze` on insert; ``None``
         warms every method.

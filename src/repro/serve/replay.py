@@ -27,21 +27,19 @@ from repro.utils.stats import LatencyAccumulator
 class ReplayReport:
     """Outcome of one replay run: responses plus aggregated latency stats.
 
-    ``num_workers``, ``mode`` and ``backend`` record *how* the run executed --
-    ``"frozen-parallel"`` (read-only engine, no per-engine lock, requests fan
-    across the thread pool), ``"serial"`` (unfrozen engine behind its
-    identity lock) or ``"process-sharded"`` (one frozen replica per worker
-    process) -- so a persisted latency artifact is self-describing: two
-    reports are only comparable when all axes match.  ``host_cores`` stamps
-    the machine's CPU count, which is what makes a 1-core CI artifact next to
-    a skipped speedup gate self-explaining.
+    ``num_workers`` and ``backend`` record *how* the run executed --
+    ``"thread"`` (one in-process engine, requests fan across the thread
+    pool) or ``"process"`` (one frozen replica per worker process) -- so a
+    persisted latency artifact is self-describing: two reports are only
+    comparable when both axes match.  ``host_cores`` stamps the machine's
+    CPU count, which is what makes a 1-core CI artifact next to a skipped
+    speedup gate self-explaining.
     """
 
     method: str
     num_queries: int
     wall_seconds: float
     num_workers: int = 1
-    mode: str = "serial"
     backend: str = "thread"
     host_cores: int = field(default_factory=lambda: int(os.cpu_count() or 1))
     responses: List[QueryResponse] = field(default_factory=list)
@@ -93,7 +91,7 @@ class ReplayReport:
         )
         result.add_note(
             f"wall={self.wall_seconds:.3f}s throughput={self.throughput_qps:.1f} qps "
-            f"failures={self.failures} workers={self.num_workers} mode={self.mode} "
+            f"failures={self.failures} workers={self.num_workers} "
             f"backend={self.backend} cores={self.host_cores}"
         )
         return result
@@ -104,7 +102,6 @@ class ReplayReport:
             "method": self.method,
             "num_queries": self.num_queries,
             "num_workers": self.num_workers,
-            "mode": self.mode,
             "backend": self.backend,
             "host_cores": self.host_cores,
             "wall_seconds": self.wall_seconds,
@@ -158,7 +155,6 @@ def replay_stream(
         num_queries=len(stream),
         wall_seconds=wall,
         num_workers=service.num_workers,
-        mode=service.execution_mode(engine_key),
         backend=getattr(service, "backend", "thread"),
         responses=responses,
         telemetry=service.metrics.telemetry(),

@@ -2,29 +2,20 @@
 
 The service accepts :class:`QueryRequest` submissions from any thread, queues
 them, and has a small worker pool drain the queue in *batches grouped by
-engine key*.  How a batch executes depends on the engine's lifecycle phase:
-
-* a **frozen** engine (:meth:`PitexEngine.freeze`) is read-only -- its query
-  path touches no shared mutable state -- so batches against it run with *no
-  lock at all*: several workers answer requests for the same engine
-  concurrently (true intra-engine parallelism);
-* an **unfrozen** engine is not thread-safe (lazy index builds, estimator and
-  ``DelayMat`` recovery caches, shared RNG streams), so all requests against
-  it run under a per-engine identity lock, exactly as before.
-
-Grouping consecutive same-engine requests into one batch keeps a warm engine
-on one worker while other workers serve other engines (or, for frozen
-engines, other slices of the same backlog).  Per-request queue wait and
-execution latency feed the :class:`ServiceMetrics` accumulators (p50/p95/p99,
-throughput), which is what ``pitex serve-replay`` and ``bench_serving``
-report.
+engine key*.  Every engine answers a query on a query-local estimator and
+builds its shared indexes once under its own lock
+(:meth:`PitexEngine.query`), so batches run with *no service lock at all*:
+several workers answer requests for the same engine concurrently.  A worker
+claims a fair share of the oldest key's backlog and leaves the rest queued
+for the other workers.  Per-request queue wait and execution latency feed
+the :class:`ServiceMetrics` accumulators (p50/p95/p99, throughput), which is
+what ``pitex serve-replay`` and ``bench_serving`` report.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-import weakref
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
@@ -247,18 +238,16 @@ class PitexService:
         ``EngineCache.get_or_create`` partially applied, or a plain dict
         lookup.  Called from worker threads; must be thread-safe.
     num_workers:
-        Worker threads draining the queue.  For frozen engines every worker
-        can answer the same engine concurrently; for unfrozen engines more
-        workers only help when the workload spans several distinct engines
-        (an unfrozen engine serves serially, even when reached through
-        several keys).
+        Worker threads draining the queue; every worker can answer the same
+        engine concurrently.
     max_batch:
-        Upper bound on how many same-engine requests one worker claims at
-        once.
+        Upper bound on the backlog one claim divides among the workers: a
+        worker claims ``ceil(min(max_batch, queued) / num_workers)``
+        requests of the oldest key.
     answer_cache:
         Optional :class:`~repro.serve.answers.AnswerCache` consulted before
-        executing requests against *frozen* engines (whose answers are pure
-        functions of the query fingerprint); unfrozen engines always execute.
+        executing requests against *frozen* engines, whose graph cannot
+        change under a running query; unfrozen engines always execute.
         Hits skip the engine, the execute trace span and the ``query.*``
         telemetry, and are recorded as ``cache_hit`` responses.
     """
@@ -282,16 +271,6 @@ class PitexService:
         self.metrics = ServiceMetrics()
         self._queue: Deque[_Pending] = deque()
         self._condition = threading.Condition()
-        # Serialization is per engine *instance*, not per key: a provider may
-        # map several keys to one engine (PitexService.for_engine does), and
-        # engines are not thread-safe.  _key_locks mirrors each key's last
-        # resolved engine lock so the batch claimer can prefer idle engines.
-        self._identity_locks: "weakref.WeakKeyDictionary[PitexEngine, threading.Lock]" = (
-            weakref.WeakKeyDictionary()
-        )
-        self._key_locks: Dict[Hashable, threading.Lock] = {}
-        # Last execution mode observed per key (workers write, GIL-atomic).
-        self._observed_modes: Dict[Hashable, str] = {}
         self._closed = False
         self._workers = [
             threading.Thread(target=self._worker_loop, name=f"pitex-serve-{i}", daemon=True)
@@ -321,20 +300,6 @@ class PitexService:
         """Size of the worker pool."""
         return len(self._workers)
 
-    def execution_mode(self, engine_key: Hashable = DEFAULT_ENGINE_KEY) -> str:
-        """How requests for ``engine_key`` last executed.
-
-        ``"frozen-parallel"`` -- the engine was frozen, so same-engine
-        requests fanned across the worker pool with no lock; ``"serial"`` --
-        the engine was unfrozen and serialized behind its identity lock;
-        ``"unknown"`` -- no batch for the key has executed yet.  The mode is
-        *observed* by the workers as they resolve engines, never probed
-        through the provider -- probing could trigger a full engine build
-        just to answer a status question.  Used by the replay report so
-        benchmark artifacts are self-describing.
-        """
-        return self._observed_modes.get(engine_key, "unknown")
-
     # ----------------------------------------------------------------- submit
     def submit(self, request: QueryRequest) -> "Future[QueryResponse]":
         """Queue one request; the future resolves to a :class:`QueryResponse`."""
@@ -363,15 +328,13 @@ class PitexService:
 
     # ---------------------------------------------------------------- workers
     def _claim_batch(self) -> Optional[List[_Pending]]:
-        """Block until work exists; claim up to ``max_batch`` same-key requests.
+        """Block until work exists; claim a fair share of the oldest key's backlog.
 
-        The batch takes the key of the oldest queued request whose engine is
-        not currently serving another worker (falling back to the oldest key
-        outright when every queued key is busy), and collects the queued
-        requests with that key in arrival order; other keys stay queued,
-        order preserved, for the next worker.  Preferring free engines keeps
-        one deep backlog against a single engine from parking every worker
-        behind the same per-engine lock.
+        The batch takes the key of the oldest queued request and claims
+        ``ceil(min(max_batch, queued) / num_workers)`` of that key's queued
+        requests in arrival order.  Everything else stays queued, in order,
+        so idle workers fan out over the rest instead of waiting behind one
+        greedy claim.
         """
         with self._condition:
             while not self._queue and not self._closed:
@@ -379,31 +342,19 @@ class PitexService:
             if not self._queue:
                 return None
             key = self._queue[0].request.engine_key
-            for pending in self._queue:
-                lock = self._key_locks.get(pending.request.engine_key)
-                if lock is None or not lock.locked():
-                    key = pending.request.engine_key
-                    break
+            queued = sum(1 for pending in self._queue if pending.request.engine_key == key)
+            share = -(-min(self.max_batch, queued) // len(self._workers))
             batch: List[_Pending] = []
             rest: Deque[_Pending] = deque()
-            while self._queue:
-                pending = self._queue.popleft()
-                if len(batch) < self.max_batch and pending.request.engine_key == key:
+            for pending in self._queue:
+                if len(batch) < share and pending.request.engine_key == key:
                     batch.append(pending)
                 else:
                     rest.append(pending)
             self._queue = rest
+            if rest:
+                self._condition.notify()
             return batch
-
-    def _lock_for(self, key: Hashable, engine: PitexEngine) -> threading.Lock:
-        """The serialization lock of ``engine``, also remembered under ``key``."""
-        with self._condition:
-            lock = self._identity_locks.get(engine)
-            if lock is None:
-                lock = threading.Lock()
-                self._identity_locks[engine] = lock
-            self._key_locks[key] = lock
-            return lock
 
     def _worker_loop(self) -> None:
         while True:
@@ -417,39 +368,8 @@ class PitexService:
             except Exception as exc:  # engine build failed: fail the batch
                 self._fail_batch(batch, f"engine {key!r} unavailable: {exc}")
                 continue
-            if getattr(engine, "is_frozen", False):
-                # Read-only engine: no identity lock.  Another worker may be
-                # executing a different slice of the same engine's backlog
-                # right now -- that is the point of the frozen lifecycle.
-                # Batching exists to keep an unfrozen engine on one worker,
-                # which is exactly wrong here: keep only a fair share of the
-                # claimed batch and return the tail to the queue so idle
-                # workers fan out over it instead of waiting behind
-                # max_batch.  The tail is merged back by enqueue timestamp,
-                # not pushed to the front: front-requeueing would let a
-                # steady frozen backlog repeatedly leapfrog an older request
-                # for another (serial) key and starve it.
-                # pitexlint: ignore[LCK001] -- GIL-atomic dict store; execution_mode() documents last-writer-wins
-                self._observed_modes[key] = "frozen-parallel"
-                share = max(1, -(-len(batch) // len(self._workers)))
-                if len(batch) > share:
-                    tail = batch[share:]
-                    batch = batch[:share]
-                    with self._condition:
-                        merged = sorted(
-                            list(self._queue) + tail,
-                            key=lambda pending: pending.enqueued_monotonic,
-                        )
-                        self._queue = deque(merged)
-                        self._condition.notify_all()
-                for pending in batch:
-                    self._execute(engine, pending, len(batch))
-                continue
-            # pitexlint: ignore[LCK001] -- GIL-atomic dict store; execution_mode() documents last-writer-wins
-            self._observed_modes[key] = "serial"
-            with self._lock_for(key, engine):
-                for pending in batch:
-                    self._execute(engine, pending, len(batch))
+            for pending in batch:
+                self._execute(engine, pending, len(batch))
 
     def _run_query(self, engine: PitexEngine, request: QueryRequest, batch_size: int) -> PitexResult:
         """Execute ``request`` on ``engine`` inside the execute trace span."""
@@ -480,9 +400,10 @@ class PitexService:
         try:
             cache = self.answer_cache
             if cache is not None and getattr(engine, "is_frozen", False):
-                # Frozen answers are pure functions of the fingerprint, so a
-                # hit returns the memoized result without touching the
-                # engine -- no query.* telemetry, no execute span.
+                # A frozen engine's graph cannot change under the query, so
+                # its answer is a pure function of the key and a hit returns
+                # the memoized result without touching the engine -- no
+                # query.* telemetry, no execute span.
                 key = answer_key(engine, request)
                 result, cache_hit = cache.get_or_compute(
                     key, lambda: self._run_query(engine, request, batch_size)

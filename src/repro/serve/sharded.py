@@ -4,10 +4,10 @@ The thread-pooled :class:`~repro.serve.service.PitexService` proved that
 frozen engines answer concurrently *correctly* -- but not *faster*: the
 pure-Python index-matching loop serializes behind the GIL (the ``bench_serving``
 sweep measured 0.81x "speedup" at 4 threads).  Processes are the right
-parallelism unit, and PR 5's freeze contract makes them cheap to be correct
-about:
+parallelism unit, and the stateless query path makes them cheap to be
+correct about:
 
-* a frozen engine's answer is a pure function of ``(engine seed, query
+* an engine's answer is a pure function of ``(engine seed, query
   fingerprint)`` (:meth:`PitexEngine.query_seed`), so a replica built in
   another process from the same seed and the same bytes returns bitwise the
   same answer -- no cross-process coordination, no shared RNG;
@@ -43,7 +43,7 @@ import zlib
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from multiprocessing import connection
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.engine import PitexEngine
 from repro.exceptions import InvalidParameterError, StoreError, WorkerError
@@ -374,7 +374,7 @@ class ProcessShardedService:
 
     Mirrors the :class:`~repro.serve.service.PitexService` surface that
     :func:`~repro.serve.replay.replay_stream` consumes (``submit``,
-    ``num_workers``, ``execution_mode``, ``metrics``, context manager), so
+    ``num_workers``, ``backend``, ``metrics``, context manager), so
     the two backends are drop-in interchangeable for replay and benchmarks.
 
     Parameters
@@ -430,7 +430,6 @@ class ProcessShardedService:
         self._pending: Dict[int, _ProcPending] = {}
         self._next_request_id = 0
         self._closed = False
-        self._any_ready = False
         self._ready = [False] * int(num_workers)
         self._shard_received = [False] * int(num_workers)
         self._fatal: List[Optional[str]] = [None] * int(num_workers)
@@ -496,15 +495,6 @@ class ProcessShardedService:
     def num_workers(self) -> int:
         """Number of worker processes (live or dead)."""
         return len(self._processes)
-
-    def execution_mode(self, engine_key: Hashable = None) -> str:
-        """``"process-sharded"`` once any replica served, else ``"unknown"``.
-
-        Mirrors :meth:`PitexService.execution_mode` so replay reports are
-        self-describing across backends.
-        """
-        with self._condition:
-            return "process-sharded" if self._any_ready else "unknown"
 
     def shard_of(self, request: QueryRequest) -> int:
         """Deterministic worker assignment for a request.
@@ -608,7 +598,6 @@ class ProcessShardedService:
         if kind == "ready":
             with self._condition:
                 self._ready[worker_id] = True
-                self._any_ready = True
                 self._condition.notify_all()
         elif kind == "fatal":
             with self._condition:

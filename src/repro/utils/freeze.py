@@ -1,15 +1,15 @@
 """The frozen-engine tripwire: detect shared-state mutation after warm-up.
 
-:meth:`repro.core.engine.PitexEngine.freeze` flips an engine into a read-only
-serving mode: every configured method is warmed (indexes built, kernels
-resolved), and from then on the query path derives all randomness statelessly
-per query, so concurrent queries need no lock.  That contract is easy to break
-silently -- a lazily built cache, a shared RNG draw, a counter increment -- and
-the GIL usually hides the race instead of failing it.
+Every query derives all randomness statelessly and builds its own estimator,
+so the structures queries share -- the graph and the offline indexes -- must
+not change while an engine serves.  :meth:`repro.core.engine.PitexEngine.freeze`
+builds them eagerly and then guards them.  That contract is easy to break
+silently -- a lazily built cache, a graph mutation, a rebuilt index -- and the
+GIL usually hides the race instead of failing it.
 
 :class:`FrozenGuard` makes the contract executable.  One guard instance is
-shared by the engine and every structure it froze (graph, offline indexes,
-warmed estimators); the known mutators of those structures call
+shared by the engine and every structure it froze (graph, offline
+indexes); the known mutators of those structures call
 :func:`guard_check` on entry, and once the guard is engaged any such call
 records a violation and raises :class:`~repro.exceptions.EngineFrozenError`.
 The concurrency harness (``tests/test_serve_concurrency.py``) asserts that a

@@ -177,32 +177,38 @@ def test_cli_index_build_then_serve_replay_warm_start(capsys, tmp_path):
     assert replay_doc["service"]["completed"] == 6
 
 
-def test_cli_serve_replay_freeze_runs_lock_free_and_reports_mode(capsys):
+def test_cli_serve_replay_freeze_answers_like_unfrozen(capsys):
     import json
 
-    exit_code = main(
-        [
-            "serve-replay",
-            "--dataset", "lastfm",
-            "--scale", "0.08",
-            "--index-samples", "60",
-            "--seed", "11",
-            "--num-queries", "6",
-            "--k", "2",
-            "--method", "indexest+",
-            "--max-samples", "40",
-            "--workers", "4",
-            "--freeze",
-            "--json",
-        ]
-    )
-    captured = capsys.readouterr()
-    assert exit_code == 0
-    document = json.loads(captured.out)
-    assert document["failures"] == 0
-    assert document["mode"] == "frozen-parallel"
-    assert document["num_workers"] == 4
-    assert document["overall"]["count"] == 6
+    documents = {}
+    for flags in ([], ["--freeze"]):
+        exit_code = main(
+            [
+                "serve-replay",
+                "--dataset", "lastfm",
+                "--scale", "0.08",
+                "--index-samples", "60",
+                "--seed", "11",
+                "--num-queries", "6",
+                "--k", "2",
+                "--method", "indexest+",
+                "--max-samples", "40",
+                "--workers", "4",
+                *flags,
+                "--json",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert exit_code == 0
+        documents[bool(flags)] = json.loads(captured.out)
+    for document in documents.values():
+        assert document["failures"] == 0
+        assert document["backend"] == "thread"
+        assert document["num_workers"] == 4
+        assert document["overall"]["count"] == 6
+    # One query path: freezing builds up front but never changes an answer.
+    digests = {frozen: doc["answer_cache"]["answers_digest"] for frozen, doc in documents.items()}
+    assert digests[True] == digests[False]
 
 
 def test_cli_serve_replay_without_store_builds_in_process(capsys):

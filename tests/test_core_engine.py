@@ -44,9 +44,11 @@ def test_engine_estimator_registry(engine_instance):
         assert estimator.name in (method, "indexest")
     with pytest.raises(InvalidParameterError):
         engine.estimator("bogus")
-    # same accuracy parameters -> cached instance
-    assert engine.estimator("lazy") is engine.estimator("lazy")
-    assert engine.estimator("lazy", epsilon=0.3) is not engine.estimator("lazy")
+    # Nothing is cached: every call builds a fresh instance, and the default
+    # seed is a stable per-configuration stream, so equal calls estimate equally.
+    first, second = engine.estimator("lazy"), engine.estimator("lazy")
+    assert first is not second
+    assert first.estimate(0, [0, 1]) == second.estimate(0, [0, 1])
 
 
 @pytest.mark.parametrize("method", ["mc", "rr", "lazy", "indexest", "indexest+", "delaymat"])

@@ -22,7 +22,8 @@ from repro.sampling.lazy import LazyPropagationEstimator
 from repro.serve.answers import answer_digest
 
 # mode -> (answer digest, deterministic counters) of an 8-query in-process
-# lazy-batched replay, frozen (query-local estimators) and unfrozen.
+# lazy-batched replay.  Frozen and unfrozen engines answer on the same
+# query-local path, so the unfrozen mode must match the frozen pin.
 REPLAY_GOLDEN = {
     "frozen": (
         "8dc01be8b17c957e9ed23fc48e3f95ae8be7b8bb333d8cc2785671dbd16c3b9a",
@@ -34,18 +35,6 @@ REPLAY_GOLDEN = {
             "query.lazy-batched.count": 8,
             "query.lazy-batched.edges_visited": 405755,
             "query.lazy-batched.samples": 64090,
-        },
-    ),
-    "unfrozen": (
-        "f69bc31a9d9a4c342940388894149e20ea2c6f6548d4bed407ad2e682131bcef",
-        {
-            "estimator.lazy-batched.edges_visited": 151882,
-            "estimator.lazy-batched.estimates": 745,
-            "estimator.lazy-batched.samples": 29800,
-            "query.count": 8,
-            "query.lazy-batched.count": 8,
-            "query.lazy-batched.edges_visited": 393969,
-            "query.lazy-batched.samples": 60100,
         },
     ),
 }
@@ -65,7 +54,7 @@ def _users(graph, count):
     return [u for u in range(graph.num_vertices) if graph.out_degree(u) > 0][::3][:count]
 
 
-@pytest.mark.parametrize("mode", sorted(REPLAY_GOLDEN))
+@pytest.mark.parametrize("mode", ["frozen", "unfrozen"])
 def test_replay_digest_and_counters_are_pinned(dataset, mode):
     engine = PitexEngine(dataset.graph, dataset.model, max_samples=40, default_k=2, seed=7)
     if mode == "frozen":
@@ -78,7 +67,7 @@ def test_replay_digest_and_counters_are_pinned(dataset, mode):
         counters = deterministic_counters(get_telemetry().counters())
     finally:
         install(previous)
-    digest, expected_counters = REPLAY_GOLDEN[mode]
+    digest, expected_counters = REPLAY_GOLDEN["frozen"]
     assert counters == expected_counters
     assert answer_digest(results) == digest
 

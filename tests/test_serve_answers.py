@@ -118,6 +118,34 @@ def test_answer_cache_invalidates_on_epoch_roll():
         install(previous)
 
 
+def test_answer_cache_drops_a_result_whose_epoch_rolled_during_compute():
+    """A compute that outlives its epoch is returned but never inserted.
+
+    The nested lookup observes epoch 2 while the epoch-1 compute still runs.
+    Inserting the epoch-1 answer afterwards would take the live epoch-2
+    entry's slot in a full cache, for an entry that can never hit.
+    """
+    previous = install(Telemetry())
+    try:
+        cache = AnswerCache(capacity=1)
+
+        def stale_compute():
+            cache.get_or_compute(key_for(version=2, fingerprint="fp-b"), lambda: "v2-b")
+            return "v1-a"
+
+        result, hit = cache.get_or_compute(key_for(version=1, fingerprint="fp-a"), stale_compute)
+        assert (result, hit) == ("v1-a", False)
+        assert len(cache) == 1
+        assert cache.stats.evictions == 0
+        assert cache.stats.bytes_cached == len(pickle.dumps("v2-b"))
+        result, hit = cache.get_or_compute(
+            key_for(version=2, fingerprint="fp-b"), lambda: pytest.fail("live entry was evicted")
+        )
+        assert (result, hit) == ("v2-b", True)
+    finally:
+        install(previous)
+
+
 def test_answer_cache_clear_counts_invalidations():
     previous = install(Telemetry())
     try:

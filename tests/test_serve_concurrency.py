@@ -1,9 +1,10 @@
-"""Concurrency stress / equivalence harness for frozen read-only engines.
+"""Concurrency stress / equivalence harness for the stateless query path.
 
-The contract under test (``PitexEngine.freeze``): once an engine is frozen,
-its query path touches **no shared mutable state** -- every query runs on a
-query-local estimator whose RNG root is derived statelessly from
-``(engine seed, query fingerprint)``.  If the contract holds, then
+The contract under test (``PitexEngine.query``): a query touches **no shared
+mutable state** -- every query runs on a query-local estimator whose RNG root
+is derived statelessly from ``(engine seed, query fingerprint)``, and the
+shared indexes are built once under the engine's lock.  ``freeze`` only
+builds everything up front and guards it.  If the contract holds, then
 
 (a) any number of concurrent threads hammering one engine return answers
     *bitwise identical* to a single-threaded oracle replay,
@@ -21,14 +22,18 @@ pure functions of the query configuration.
 """
 
 import threading
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.engine import PitexEngine
+from repro.core.engine import METHODS, PitexEngine
 from repro.datasets.synthetic import load_dataset
 from repro.exceptions import EngineFrozenError
+from repro.index.delayed import DelayedMaterializationIndex
+from repro.index.rr_index import RRGraphIndex
+from repro.serve.answers import answer_digest
 from repro.serve.replay import replay_stream
 from repro.serve.service import PitexService, QueryRequest
 
@@ -119,13 +124,11 @@ def test_service_parallel_replay_matches_oracle_with_sane_tails(
     violations_before = len(frozen_engine.freeze_guard.violations)
 
     with PitexService.for_engine(frozen_engine, num_workers=4, max_batch=4) as service:
-        assert service.execution_mode() == "unknown"  # nothing observed yet
         report = replay_stream(service, stream, method="indexest+", k=2)
-        assert service.execution_mode() == "frozen-parallel"
 
     assert report.failures == 0
     assert report.num_workers == 4
-    assert report.mode == "frozen-parallel"
+    assert report.backend == "thread"
     for response in report.responses:
         assert response.ok
         assert response.result.spread == oracle[response.request.user]
@@ -140,52 +143,111 @@ def test_service_parallel_replay_matches_oracle_with_sane_tails(
     assert p95 < 30.0
 
 
-def test_service_keeps_serial_path_for_unfrozen_engines(dataset):
-    """Unfrozen engines still serialize (and the report says so)."""
-    engine = PitexEngine(
-        dataset.graph, dataset.model, max_samples=40, index_samples=50, default_k=2, seed=7
-    )
-    stream = dataset.query_workload.query_stream(6, seed=5)
-    with PitexService.for_engine(engine, num_workers=2, max_batch=4) as service:
-        report = replay_stream(service, stream, method="indexest", k=2)
-        assert service.execution_mode() == "serial"
-    assert report.failures == 0
-    assert report.mode == "serial"
-    assert report.num_workers == 2
+def test_frozen_and_unfrozen_engines_give_equal_answers(dataset):
+    """One service, two keys: a frozen and an unfrozen same-seed engine agree.
 
+    Both answer on the same query-local path, so every method -- including
+    ``delaymat`` (frozen without its per-user tables, which change answers)
+    and ``lazy-batched`` -- gives the same answer digest on both engines.
+    """
 
-def test_mixed_frozen_and_unfrozen_engines_coexist(dataset):
-    """One service, two keys: a frozen engine (lock-free) next to a serial one."""
-    frozen = PitexEngine(
-        dataset.graph, dataset.model, max_samples=40, index_samples=50, default_k=2, seed=3
-    ).freeze(methods=["indexest"])
-    serial = PitexEngine(
-        dataset.graph, dataset.model, max_samples=40, index_samples=50, default_k=2, seed=3
-    )
-    engines = {"frozen": frozen, "serial": serial}
-    user = dataset.workload("mid", 1)[0]
+    def make_engine():
+        return PitexEngine(
+            dataset.graph, dataset.model, max_samples=40, index_samples=50, default_k=2, seed=3
+        )
+
+    engines = {
+        "frozen": make_engine().freeze(methods=METHODS, precompute_tables=False),
+        "unfrozen": make_engine(),
+    }
+    users = dataset.workload("mid", 2)
+    plan = [(user, method) for method in METHODS for user in users]
     with PitexService(engines.__getitem__, num_workers=3, max_batch=2) as service:
-        futures = [
-            service.submit(
-                QueryRequest(user=user, k=2, method="indexest", engine_key=key)
-            )
-            for key in ("frozen", "serial", "frozen", "serial", "frozen")
-        ]
-        responses = [future.result() for future in futures]
-    assert all(response.ok for response in responses)
-    # Identical seeds and a warm prebuilt index on both engines: the frozen
-    # stateless derivation and the serial shared-stream path agree on the
-    # index methods (no RNG on the indexest query path).
-    assert len({response.result.spread for response in responses}) == 1
+        futures = {
+            key: [
+                service.submit(QueryRequest(user=user, k=2, method=method, engine_key=key))
+                for user, method in plan
+            ]
+            for key in engines
+        }
+        responses = {key: [future.result() for future in futures[key]] for key in engines}
+    for key in engines:
+        assert all(response.ok for response in responses[key]), key
+    for position, (user, method) in enumerate(plan):
+        frozen = responses["frozen"][position].result
+        unfrozen = responses["unfrozen"][position].result
+        assert answer_digest([frozen]) == answer_digest([unfrozen]), (user, method)
+
+
+def test_concurrent_first_queries_build_each_index_once(dataset, monkeypatch):
+    """8 threads racing the first queries of an unfrozen engine build each index once.
+
+    The builds are slowed down so every thread reaches the lazy index
+    property while the first build is still running; the engine's build
+    lock must make the rest wait for it and reuse its index.
+    """
+    methods = ("indexest", "indexest+", "delaymat")
+    users = dataset.workload("mid", 2)
+    plan = [(user, method) for user in users for method in methods]
+
+    def make_engine():
+        return PitexEngine(
+            dataset.graph, dataset.model, max_samples=40, index_samples=50, default_k=2, seed=4
+        )
+
+    oracle_engine = make_engine().freeze(methods=methods, precompute_tables=False)
+    oracle = [
+        answer_digest([oracle_engine.query(user=user, k=2, method=method)]) for user, method in plan
+    ]
+
+    builds = []
+    for cls in (RRGraphIndex, DelayedMaterializationIndex):
+        original = cls.build
+
+        def slow_build(self, original=original):
+            builds.append(type(self).__name__)
+            time.sleep(0.05)
+            return original(self)
+
+        monkeypatch.setattr(cls, "build", slow_build)
+
+    engine = make_engine()
+    num_threads = 8
+    barrier = threading.Barrier(num_threads)
+    outcomes = [None] * num_threads
+
+    def worker(slot):
+        # Each thread starts at a different method, so both builds race.
+        order = plan[slot % len(plan) :] + plan[: slot % len(plan)]
+        barrier.wait()
+        try:
+            digests = {
+                (user, method): answer_digest([engine.query(user=user, k=2, method=method)])
+                for user, method in order
+            }
+            outcomes[slot] = [digests[entry] for entry in plan]
+        except Exception as exc:  # pragma: no cover - failure reporting only
+            outcomes[slot] = exc
+
+    threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(num_threads)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+
+    for slot, outcome in enumerate(outcomes):
+        assert not isinstance(outcome, Exception), f"thread {slot} raised: {outcome!r}"
+        assert outcome == oracle, f"thread {slot} diverged from the frozen oracle"
+    assert sorted(builds) == ["DelayedMaterializationIndex", "RRGraphIndex"]
 
 
 def test_frozen_fanout_is_not_capped_by_max_batch(dataset, frozen_engine):
-    """A frozen engine's backlog fans across workers even with a large max_batch.
+    """An engine's backlog fans across workers even with a large max_batch.
 
-    Batching keeps an *unfrozen* engine on one worker; for frozen engines the
-    claimed batch is trimmed to a fair share (ceil(batch / workers)) and the
-    tail requeued, so one greedy claim can never serialize the backlog.  With
-    4 workers and max_batch=8 every executed batch must be <= ceil(8/4) = 2.
+    A worker claims only a fair share, ceil(min(max_batch, queued) / workers),
+    and leaves the rest queued, so one greedy claim can never serialize the
+    backlog.  With 4 workers and max_batch=8 every executed batch must be
+    <= ceil(8/4) = 2.
     """
     stream = dataset.query_workload.query_stream(10, seed=21)
     with PitexService.for_engine(frozen_engine, num_workers=4, max_batch=8) as service:
@@ -235,18 +297,17 @@ def test_guard_trips_on_post_freeze_mutation(dataset):
 
     with pytest.raises(EngineFrozenError):
         graph.add_edge(0, graph.num_vertices - 1, [0.1] * graph.num_topics)
-    with pytest.raises(EngineFrozenError):  # unwarmed estimator key
-        engine.estimator("mc", epsilon=0.5)
-    with pytest.raises(EngineFrozenError):  # shared estimator RNG/counters
-        engine.estimator("lazy").estimate(0, [0, 1])
     with pytest.raises(EngineFrozenError):  # unwarmed offline index
         _ = engine.delayed_index
-    assert len(engine.freeze_guard.violations) == 4
+    assert len(engine.freeze_guard.violations) == 2
+    with pytest.raises(EngineFrozenError):  # unwarmed method: a routing error, no trip
+        engine.estimator("mc", epsilon=0.5)
+    assert len(engine.freeze_guard.violations) == 2
 
     engine.thaw()
     graph.add_edge(0, graph.num_vertices - 1, [0.1] * graph.num_topics)  # mutable again
     assert engine.query(user=0, k=2, method="lazy").tag_ids
-    assert len(engine.freeze_guard.violations) == 4  # history preserved
+    assert len(engine.freeze_guard.violations) == 2  # history preserved
 
 
 def test_freeze_is_idempotent_and_validates_arguments(dataset):
@@ -268,6 +329,24 @@ def test_freeze_is_idempotent_and_validates_arguments(dataset):
     engine.thaw()
     engine.freeze(methods=["indexest", "delaymat"], ks=[2, 5])
     assert engine.frozen_methods == ("indexest", "delaymat")
+
+
+def test_refreeze_rejects_a_different_precompute_tables(dataset):
+    """Per-user tables change delaymat answers, so a re-freeze must match them."""
+    engine = PitexEngine(
+        dataset.graph, dataset.model, max_samples=40, index_samples=40, default_k=2, seed=5
+    )
+    engine.freeze(methods=["delaymat"], precompute_tables=False)
+    assert engine.frozen_user_tables is None
+    assert engine.freeze(methods=["delaymat"], precompute_tables=False) is engine
+    with pytest.raises(EngineFrozenError):
+        engine.freeze(methods=["delaymat"])  # default precompute_tables=True
+    engine.thaw()
+    engine.freeze(methods=["delaymat"])
+    assert engine.frozen_user_tables is not None
+    assert engine.freeze(methods=["delaymat"]) is engine
+    with pytest.raises(EngineFrozenError):
+        engine.freeze(methods=["delaymat"], precompute_tables=False)
 
 
 def test_concurrent_freezes_over_one_graph_both_land_their_guards(dataset):
@@ -352,9 +431,9 @@ def test_answers_are_independent_of_arrival_order(frozen_engine, canonical_answe
     """Replaying any permutation of the plan yields the canonical answers.
 
     This is the property the stateless ``(seed, query_fingerprint)`` RNG
-    derivation buys: under the warm-up phase's shared streams, earlier
-    queries shift the stream consumed by later ones, so *order* changed
-    answers; on a frozen engine it cannot.
+    derivation buys: with one shared stream per estimator, earlier queries
+    would shift the stream consumed by later ones, so *order* would change
+    answers; with a query-local stream it cannot.
     """
     plan, canonical = canonical_answers
     permuted = [plan[i] for i in order]

@@ -183,7 +183,6 @@ def test_process_replay_bitwise_equals_thread_oracle(dataset, reference_engine, 
     snapshot = service.metrics.snapshot()
 
     assert report.failures == 0
-    assert report.mode == "process-sharded"
     assert report.backend == "process"
     assert report.num_workers == 3
     facets = lambda rep: [  # noqa: E731

@@ -7,7 +7,7 @@ tests only catch when a test happens to exercise the offending path:
   :class:`repro.utils.rng.RandomSource` streams; no direct numpy/stdlib RNG
   construction, no ``hash()``-derived seeds, no wall clock in compute paths;
 * **freeze-safety** -- guard-wired classes (the graph, the offline indexes,
-  the estimators, the engine) never mutate shared state without a
+  the engine) never mutate shared state without a
   ``guard_check`` tripwire on the mutating method;
 * **lock discipline** -- serve-layer classes that own a lock only write
   shared attributes while holding it.
@@ -20,7 +20,7 @@ Findings print as ``file:line:col: RULE message``; ``--json report.json``
 additionally writes a machine-readable report (uploaded as a CI artifact).
 Intentional exceptions are suppressed inline with a mandatory reason::
 
-    self._observed_modes[key] = mode  # pitexlint: ignore[LCK001] -- GIL-atomic dict store
+    self._epochs[key] = epoch  # pitexlint: ignore[LCK001] -- _locked helper: caller holds self._lock
 
 See ``tools/pitexlint/registry.py`` for the rule scopes and the guard-wired
 class registry, and ``tools/pitexlint/fixtures/`` for one good and one bad

@@ -38,8 +38,8 @@ class PitexEngine:
     def __init__(self, graph):
         self.graph = graph
         self._guard = None
-        self._estimators = {}
+        self._rr_index = None
 
-    def attach_estimator(self, name, estimator):
-        self._guard.check("attach_estimator")
-        self._estimators[name] = estimator
+    def attach_rr_index(self, index):
+        self._guard.check("attach_rr_index")
+        self._rr_index = index

@@ -6,7 +6,7 @@ that its shared state is touched concurrently.  From that declaration the
 rule demands the obvious discipline: every write to ``self``-reachable state
 outside ``__init__`` must happen lexically inside a ``with`` block whose
 context manager looks lock-ish (``with self._lock:``, ``with
-self._condition:``, ``with gate.lock:``, ``with self._lock_for(key, e):``).
+self._condition:``, ``with gate.lock:``).
 
 The check is lexical, not an escape analysis: a helper that is *always
 called* under the caller's lock still gets flagged and needs an inline

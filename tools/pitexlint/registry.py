@@ -152,10 +152,11 @@ STDLIB_RANDOM_ATTRS = frozenset(
 # window -- freeze() engages the guard only after warming).
 FREEZE_GLOBAL_ALLOW = frozenset({"__init__", "__post_init__", "freeze", "thaw"})
 
-# The guard-wired classes of PR 5 and their per-class allowlists.  An entry
-# is a *justified* mutation escape: each listed method either builds a lazy
-# cache that PitexEngine.freeze() warms before engaging the guard, or is a
-# private helper reachable only through guard-checked callers.
+# The guard-wired classes -- the graph, the offline indexes and the engine --
+# and their per-class allowlists.  Estimators are not listed: every query
+# builds its own, so none is shared.  An entry is a *justified* mutation
+# escape: each listed method builds a lazy cache that PitexEngine.freeze()
+# warms before engaging the guard.
 GUARDED_CLASSES = {
     "TopicSocialGraph": frozenset(
         {
@@ -180,21 +181,7 @@ GUARDED_CLASSES = {
         }
     ),
     "DelayedMaterializationIndex": frozenset(),
-    "InfluenceEstimator": frozenset(),
-    "MonteCarloEstimator": frozenset(),
-    "ReverseReachableEstimator": frozenset(),
-    "LazyPropagationEstimator": frozenset(),
-    "TreeModelEstimator": frozenset(),
-    "IndexEstimator": frozenset(),
-    "PrunedIndexEstimator": frozenset(),
-    "DelayedIndexEstimator": frozenset(),
-    "PitexEngine": frozenset(
-        {
-            # Reachable only through attach_rr_index/attach_delayed_index,
-            # both of which guard-check before calling it.
-            "_drop_index_estimators",
-        }
-    ),
+    "PitexEngine": frozenset(),
 }
 
 # Container methods that mutate their receiver in place.
@@ -223,8 +210,7 @@ MUTATING_CONTAINER_METHODS = frozenset(
 
 # Substrings identifying a lock-ish `with` context expression (matched on the
 # dotted source of the context manager, case-insensitive): `with self._lock`,
-# `with self._condition`, `with gate.lock`, `with self._lock_for(...)` all
-# qualify.
+# `with self._condition` and `with gate.lock` all qualify.
 LOCKISH_TOKENS = ("lock", "condition", "mutex", "semaphore", "_cv")
 
 # threading constructors whose assignment marks an attribute as a lock.
