@@ -143,6 +143,45 @@ def test_service_parallel_replay_matches_oracle_with_sane_tails(
     assert p95 < 30.0
 
 
+def test_service_keeps_serial_path_for_unfrozen_engines(dataset):
+    """An unfrozen engine is served by every worker and matches its serial answers."""
+    engine = PitexEngine(
+        dataset.graph, dataset.model, max_samples=40, index_samples=50, default_k=2, seed=7
+    )
+    stream = dataset.query_workload.query_stream(6, seed=5)
+    with PitexService.for_engine(engine, num_workers=2, max_batch=4) as service:
+        report = replay_stream(service, stream, method="indexest", k=2)
+    assert report.failures == 0
+    assert report.num_workers == 2
+    assert report.backend == "thread"
+    assert not engine.is_frozen
+    for response in report.responses:
+        assert response.ok
+        serial = engine.query(user=response.request.user, k=2, method="indexest")
+        assert answer_digest([response.result]) == answer_digest([serial])
+
+
+def test_mixed_frozen_and_unfrozen_engines_coexist(dataset):
+    """One service, two keys: a frozen engine next to an unfrozen one."""
+    frozen = PitexEngine(
+        dataset.graph, dataset.model, max_samples=40, index_samples=50, default_k=2, seed=3
+    ).freeze(methods=["indexest"])
+    unfrozen = PitexEngine(
+        dataset.graph, dataset.model, max_samples=40, index_samples=50, default_k=2, seed=3
+    )
+    engines = {"frozen": frozen, "unfrozen": unfrozen}
+    user = dataset.workload("mid", 1)[0]
+    with PitexService(engines.__getitem__, num_workers=3, max_batch=2) as service:
+        futures = [
+            service.submit(QueryRequest(user=user, k=2, method="indexest", engine_key=key))
+            for key in ("frozen", "unfrozen", "frozen", "unfrozen", "frozen")
+        ]
+        responses = [future.result() for future in futures]
+    assert all(response.ok for response in responses)
+    # Identical seeds and the same query-local path: both engines agree.
+    assert len({response.result.spread for response in responses}) == 1
+
+
 def test_frozen_and_unfrozen_engines_give_equal_answers(dataset):
     """One service, two keys: a frozen and an unfrozen same-seed engine agree.
 
