@@ -59,7 +59,9 @@ class QueryResponse:
     ``cache_hit`` marks answers served from the fingerprint-keyed
     :class:`~repro.serve.answers.AnswerCache` without touching the engine;
     :class:`ServiceMetrics` uses it to keep microsecond hits out of the
-    execute percentiles.
+    execute percentiles.  ``worker`` is the id of the process worker that
+    ran the engine; it stays ``None`` on the thread backend and for cache
+    hits.
     """
 
     request: QueryRequest
@@ -69,6 +71,7 @@ class QueryResponse:
     execute_seconds: float = 0.0
     batch_size: int = 1
     cache_hit: bool = False
+    worker: Optional[int] = None
 
     @property
     def ok(self) -> bool:

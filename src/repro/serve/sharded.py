@@ -20,10 +20,15 @@ correct about:
 :class:`EngineSpec` is the picklable recipe a worker needs (store root +
 bundle key + engine/freeze parameters); :func:`build_engine_from_spec` turns
 it into a frozen replica; :class:`ProcessShardedService` forks N workers,
-shards requests by ``crc32(engine_key | user)`` (stable across processes --
-never builtin ``hash()``), speaks a tuple protocol over per-worker pipes, and
-merges each worker's :class:`~repro.utils.stats.LatencyAccumulator` shard
-into the parent's :class:`~repro.serve.service.ServiceMetrics` on shutdown.
+sends each request to the live worker with the fewest requests in flight
+(ties go to the user's ``crc32(engine_key | user)`` affinity shard -- stable
+across processes, never builtin ``hash()``), speaks a tuple protocol over
+per-worker pipes, and merges each worker's
+:class:`~repro.utils.stats.LatencyAccumulator` shard into the parent's
+:class:`~repro.serve.service.ServiceMetrics` on shutdown.  Because every
+replica answers bitwise alike, the route can follow load without changing
+an answer; only per-worker answer caches pin requests to their affinity
+shard.
 
 Concurrency contract: the parent object is thread-safe (``submit`` from any
 thread; internal state is guarded by one condition variable).  Worker death
@@ -57,7 +62,7 @@ from repro.obs.trace import (
 )
 from repro.serve.answers import DEFAULT_ANSWER_CAPACITY, AnswerCache, answer_key
 from repro.serve.service import QueryRequest, QueryResponse, ServiceMetrics
-from repro.serve.store import IndexStore
+from repro.serve.store import IndexStore, seed_tag
 from repro.utils.stats import LatencyAccumulator
 
 RR_METHODS = ("indexest", "indexest+")
@@ -92,6 +97,9 @@ class EngineSpec:
     # replica; same-seed replicas derive identical tables, so this preserves
     # bitwise equality with the thread oracle.
     precompute_tables: bool = True
+    # The integer seed the published indexes were drawn from (None: the
+    # build was unseeded); a replica loads no index drawn from another seed.
+    index_seed: Optional[int] = None
 
 
 def publish_engine_spec(
@@ -139,6 +147,7 @@ def publish_engine_spec(
         ks=tuple(int(k) for k in ks),
         mmap=mmap,
         precompute_tables=precompute_tables,
+        index_seed=seed_tag(index_seed),
     )
 
 
@@ -158,20 +167,22 @@ def build_engine_from_spec(spec: EngineSpec) -> PitexEngine:
     rr_index = None
     delayed_index = None
     if any(method in RR_METHODS for method in methods):
-        rr_index = store.load_rr_index(graph, model, spec.index_samples, mmap=spec.mmap)
+        rr_index = store.load_rr_index(
+            graph, model, spec.index_samples, mmap=spec.mmap, index_seed=spec.index_seed
+        )
         if rr_index is None:
             raise StoreError(
                 f"no persisted RR index for bundle {spec.bundle_key!r} at "
-                f"theta={spec.index_samples} in {spec.store_root!r}"
+                f"theta={spec.index_samples}, seed={spec.index_seed} in {spec.store_root!r}"
             )
     if any(method in DELAYED_METHODS for method in methods):
         delayed_index = store.load_delayed_index(
-            graph, model, spec.index_samples, mmap=spec.mmap
+            graph, model, spec.index_samples, mmap=spec.mmap, index_seed=spec.index_seed
         )
         if delayed_index is None:
             raise StoreError(
                 f"no persisted delayed index for bundle {spec.bundle_key!r} at "
-                f"theta={spec.index_samples} in {spec.store_root!r}"
+                f"theta={spec.index_samples}, seed={spec.index_seed} in {spec.store_root!r}"
             )
     engine = PitexEngine(
         graph,
@@ -207,11 +218,12 @@ def _serve_requests(
     An unpicklable result degrades to an error reply; a broken reply pipe
     ends the loop -- the parent sees EOF either way.
 
-    ``answer_cache`` (when given) memoizes frozen answers per worker; the
-    by-user request sharding routes every fingerprint to exactly one worker,
-    so the per-worker caches behave like one shared cache.  Hits skip the
-    engine, the execute span and the shard accumulator (hits must not drag
-    the engine-execute percentiles down), and are flagged in the reply tuple.
+    ``answer_cache`` (when given) memoizes frozen answers per worker; with
+    caches on, the parent routes every request to its affinity shard, so
+    each fingerprint reaches exactly one worker and the per-worker caches
+    behave like one shared cache.  Hits skip the engine, the execute span
+    and the shard accumulator (hits must not drag the engine-execute
+    percentiles down), and are flagged in the reply tuple.
     """
     shard = LatencyAccumulator(label=f"worker-{worker_id}")
     completed = 0
@@ -383,9 +395,13 @@ class ProcessShardedService:
         The :class:`EngineSpec` every worker reconstructs its replica from
         (see :func:`publish_engine_spec`).
     num_workers:
-        Number of worker processes.  Requests are sharded deterministically
-        by ``crc32(engine_key | user) % num_workers``, so a given user always
-        lands on the same replica -- cache-friendly and reproducible.
+        Number of worker processes.  Each request has an affinity shard,
+        ``crc32(engine_key | user) % num_workers`` (:meth:`shard_of`), and
+        runs on the live worker with the fewest requests in flight, ties
+        going to the affinity shard, then the lowest id.  Any replica gives
+        the same bits, so routing by load never changes an answer.  A
+        request whose affinity shard is dead fails with a ``WorkerError``
+        response rather than moving to a peer.
     start_method:
         ``multiprocessing`` start method; defaults to ``"fork"`` where
         available (cheap start, inherits nothing mutable that matters --
@@ -397,10 +413,11 @@ class ProcessShardedService:
         :class:`~repro.exceptions.WorkerError` from the constructor.
     answer_cache:
         Equip every worker with a per-process
-        :class:`~repro.serve.answers.AnswerCache` replica.  The by-user
-        sharding sends each fingerprint to exactly one worker, so hit/miss
-        totals across the replicas equal a single shared cache's (what the
-        cross-backend telemetry gate compares).
+        :class:`~repro.serve.answers.AnswerCache` replica.  Requests then
+        always run on their affinity shard, so each fingerprint reaches
+        exactly one cache replica and the hit/miss totals across the
+        replicas equal a single shared cache's (what the cross-backend
+        telemetry gate compares).
     answer_cache_capacity:
         Per-worker cache capacity when ``answer_cache`` is enabled.
     """
@@ -428,6 +445,8 @@ class ProcessShardedService:
         self._condition = threading.Condition()
         self._send_locks = [threading.Lock() for _ in range(int(num_workers))]
         self._pending: Dict[int, _ProcPending] = {}
+        self._in_flight = [0] * int(num_workers)
+        self._answer_cache = bool(answer_cache)
         self._next_request_id = 0
         self._closed = False
         self._ready = [False] * int(num_workers)
@@ -497,50 +516,77 @@ class ProcessShardedService:
         return len(self._processes)
 
     def shard_of(self, request: QueryRequest) -> int:
-        """Deterministic worker assignment for a request.
+        """The request's affinity shard: the worker its user is planned on.
 
         ``crc32`` over a stable label -- builtin ``hash()`` is randomized per
-        process (``PYTHONHASHSEED``) and would break the "same user, same
-        replica" property across runs.
+        process (``PYTHONHASHSEED``) and would break "same user, same shard"
+        across runs.  With ``answer_cache=True`` every request runs here;
+        otherwise :meth:`submit` moves it to a less loaded live worker, and
+        the affinity shard only breaks ties.  Either way the answer is the
+        same, and a dead affinity shard fails the request.
         """
         token = f"{request.engine_key}|{request.user}".encode()
         return zlib.crc32(token) % self.num_workers
 
     # ----------------------------------------------------------------- submit
-    def submit(self, request: QueryRequest) -> "Future[QueryResponse]":
-        """Queue one request on its shard; resolves to a :class:`QueryResponse`.
+    def _route(self, affinity: int) -> int:
+        """The worker a request whose affinity shard is live runs on.
 
-        A request sharded to a dead worker resolves immediately with a clean
+        Caller holds ``_condition``.  With per-worker answer caches the
+        affinity shard always wins: each fingerprint must keep reaching one
+        cache replica.  Otherwise the live worker with the fewest requests in
+        flight wins, ties going to the affinity shard, then the lowest id.
+        """
+        if self._answer_cache:
+            return affinity
+        live = [w for w, conn in enumerate(self._reply_conns) if conn is not None]
+        return min(live, key=lambda w: (self._in_flight[w], w != affinity, w))
+
+    def _release(self, request_id: int) -> Optional[_ProcPending]:
+        """Forget one in-flight request, whichever way it ended."""
+        with self._condition:
+            pending = self._pending.pop(request_id, None)
+            if pending is not None:
+                self._in_flight[pending.worker_id] -= 1
+        return pending
+
+    def submit(self, request: QueryRequest) -> "Future[QueryResponse]":
+        """Queue one request on a worker; resolves to a :class:`QueryResponse`.
+
+        The request runs on the least-loaded live worker (see
+        :meth:`shard_of` for when it stays on its affinity shard).  A request
+        whose affinity shard is dead resolves immediately with a clean
         ``WorkerError`` message instead of hanging.  ``send`` applies natural
-        backpressure: when a shard's pipe is full, ``submit`` blocks until
+        backpressure: when a worker's pipe is full, ``submit`` blocks until
         the worker drains it.
         """
         future: "Future[QueryResponse]" = Future()
-        worker_id = self.shard_of(request)
+        affinity = self.shard_of(request)
         dead_message: Optional[str] = None
         request_id = -1
         with self._condition:
             if self._closed:
                 raise RuntimeError("ProcessShardedService is closed")
-            if self._reply_conns[worker_id] is None:
-                dead_message = self._fatal[worker_id] or "worker died"
+            if self._reply_conns[affinity] is None:
+                dead_message = self._fatal[affinity] or "worker died"
             else:
+                worker_id = self._route(affinity)
                 request_id = self._next_request_id
                 self._next_request_id += 1
                 self._pending[request_id] = _ProcPending(
                     request=request, future=future, worker_id=worker_id
                 )
+                self._in_flight[worker_id] += 1
         if dead_message is not None:
             self._resolve_error(
-                future, request, f"WorkerError: worker {worker_id} unavailable: {dead_message}"
+                future, request, f"WorkerError: worker {affinity} unavailable: {dead_message}"
             )
             return future
         try:
             with self._send_locks[worker_id]:
                 self._request_conns[worker_id].send(("query", request_id, request))
         except (OSError, ValueError) as exc:
-            with self._condition:
-                pending = self._pending.pop(request_id, None)
+            pending = self._release(request_id)
             if pending is not None:
                 self._resolve_error(
                     future,
@@ -615,8 +661,7 @@ class ProcessShardedService:
                     recorder.extend(spans)
         elif kind == "result":
             _, _, request_id, error, result, execute_seconds, cache_hit = message
-            with self._condition:
-                pending = self._pending.pop(request_id, None)
+            pending = self._release(request_id)
             if pending is None:
                 return  # cancelled or already failed over
             if not pending.future.set_running_or_notify_cancel():
@@ -632,6 +677,7 @@ class ProcessShardedService:
                 queue_seconds=queue_seconds,
                 execute_seconds=execute_seconds,
                 cache_hit=cache_hit,
+                worker=None if cache_hit else worker_id,
             )
             self.metrics.record(response)
             pending.future.set_result(response)
@@ -657,14 +703,12 @@ class ProcessShardedService:
                 if self._ready[worker_id]:
                     counter("worker.shards_lost")
             orphans = [
-                (request_id, pending)
-                for request_id, pending in self._pending.items()
+                self._release(request_id)
+                for request_id, pending in list(self._pending.items())
                 if pending.worker_id == worker_id
             ]
-            for request_id, _ in orphans:
-                del self._pending[request_id]
             self._condition.notify_all()
-        for _, pending in orphans:
+        for pending in orphans:
             self._resolve_error(
                 pending.future,
                 pending.request,

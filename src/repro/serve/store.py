@@ -17,6 +17,12 @@ index was built for are presented again -- regenerating a synthetic dataset
 from the same profile and seed reproduces the same fingerprint, which is what
 makes the cold-process ``pitex serve-replay`` warm start work.
 
+The manifest also records the integer seed the index was drawn from
+(``index_seed``; ``null`` for an unseeded build).  A lookup that names a
+seed loads only an entry drawn from exactly that seed, so an unseeded or
+other-seed entry is a miss and ``load_or_build_*`` rebuilds the slot; a
+lookup without a seed accepts whatever the slot holds.
+
 Layout on disk (one directory per entry)::
 
     <root>/<key>/manifest.json   # provenance + integrity fields
@@ -103,6 +109,18 @@ def index_cache_key(
     digest.update(f"graph={graph.fingerprint()};version={graph.version};".encode())
     digest.update(f"model={model.content_hash()};theta={int(num_samples)}".encode())
     return digest.hexdigest()[:32]
+
+
+def seed_tag(seed: SeedLike) -> Optional[int]:
+    """The integer a build was seeded with, or ``None`` when it has none.
+
+    Only a plain integer names a reproducible draw; an unseeded build, or
+    one fed a generator, is recorded as unseeded and never matches a
+    seeded lookup.
+    """
+    if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool):
+        return int(seed)
+    return None
 
 
 def graph_bundle_key(graph: TopicSocialGraph, model: TagTopicModel) -> str:
@@ -207,6 +225,7 @@ class IndexStore:
         num_samples: int,
         arrays: Dict[str, np.ndarray],
         build_seconds: float,
+        index_seed: Optional[int],
     ) -> StoreEntry:
         key = index_cache_key(kind, graph, model, num_samples)
         manifest = {
@@ -219,22 +238,42 @@ class IndexStore:
             "num_edges": graph.num_edges,
             "model_hash": model.content_hash(),
             "num_samples": int(num_samples),
+            "index_seed": seed_tag(index_seed),
             "build_seconds": float(build_seconds),
             "created_unix": wall_clock(),
             "arrays_file": ARRAYS_NAME,
         }
         return self._write_entry(key, manifest, arrays)
 
-    def save_rr_index(self, index: RRGraphIndex, model: TagTopicModel) -> StoreEntry:
-        """Persist a built RR-Graph index."""
+    def save_rr_index(
+        self, index: RRGraphIndex, model: TagTopicModel, index_seed: Optional[int] = None
+    ) -> StoreEntry:
+        """Persist a built RR-Graph index drawn from ``index_seed`` (if any)."""
         return self._save(
-            KIND_RR, index.graph, model, index.num_samples, index.to_arrays(), index.build_seconds
+            KIND_RR,
+            index.graph,
+            model,
+            index.num_samples,
+            index.to_arrays(),
+            index.build_seconds,
+            index_seed,
         )
 
-    def save_delayed_index(self, index: DelayedMaterializationIndex, model: TagTopicModel) -> StoreEntry:
-        """Persist a built delayed-materialization index."""
+    def save_delayed_index(
+        self,
+        index: DelayedMaterializationIndex,
+        model: TagTopicModel,
+        index_seed: Optional[int] = None,
+    ) -> StoreEntry:
+        """Persist a built delayed-materialization index drawn from ``index_seed``."""
         return self._save(
-            KIND_DELAYED, index.graph, model, index.num_samples, index.to_arrays(), index.build_seconds
+            KIND_DELAYED,
+            index.graph,
+            model,
+            index.num_samples,
+            index.to_arrays(),
+            index.build_seconds,
+            index_seed,
         )
 
     # ------------------------------------------------------------------ mapped
@@ -283,6 +322,7 @@ class IndexStore:
         model: TagTopicModel,
         num_samples: int,
         mmap: bool = False,
+        index_seed: Optional[int] = None,
     ) -> Optional[Tuple[Dict[str, np.ndarray], Dict]]:
         key = index_cache_key(kind, graph, model, num_samples)
         entry = self.entry_path(key)
@@ -304,6 +344,8 @@ class IndexStore:
             or manifest.get("num_samples") != int(num_samples)
         ):
             return None
+        if index_seed is not None and manifest.get("index_seed") != int(index_seed):
+            return None  # drawn from another seed, or unseeded
         arrays_path = entry / manifest.get("arrays_file", ARRAYS_NAME)
         try:
             if mmap:
@@ -321,15 +363,19 @@ class IndexStore:
         model: TagTopicModel,
         num_samples: int,
         mmap: bool = False,
+        index_seed: Optional[int] = None,
     ) -> Optional[RRGraphIndex]:
         """The stored RR-Graph index for (graph, model, theta), or ``None``.
 
-        With ``mmap=True`` the flat sample arrays are memory-mapped read-only
+        With ``index_seed`` set, only an index drawn from exactly that seed
+        loads.  With ``mmap=True`` the flat sample arrays are memory-mapped read-only
         through :meth:`open_mapped` instead of decompressed into fresh
         buffers; the reconstructed index answers bitwise-identically either
         way (covered by ``tests/test_serve_process.py``).
         """
-        loaded = self._load_arrays(KIND_RR, graph, model, num_samples, mmap=mmap)
+        loaded = self._load_arrays(
+            KIND_RR, graph, model, num_samples, mmap=mmap, index_seed=index_seed
+        )
         if loaded is None:
             return None
         arrays, manifest = loaded
@@ -347,9 +393,16 @@ class IndexStore:
         num_samples: int,
         seed: SeedLike = None,
         mmap: bool = False,
+        index_seed: Optional[int] = None,
     ) -> Optional[DelayedMaterializationIndex]:
-        """The stored delayed index for (graph, model, theta), or ``None``."""
-        loaded = self._load_arrays(KIND_DELAYED, graph, model, num_samples, mmap=mmap)
+        """The stored delayed index for (graph, model, theta), or ``None``.
+
+        ``seed`` feeds the reloaded index's recovery RNG; ``index_seed``, when
+        set, admits only an index drawn from exactly that seed.
+        """
+        loaded = self._load_arrays(
+            KIND_DELAYED, graph, model, num_samples, mmap=mmap, index_seed=index_seed
+        )
         if loaded is None:
             return None
         arrays, manifest = loaded
@@ -374,16 +427,17 @@ class IndexStore:
         Returns ``(index, loaded, seconds)`` where ``loaded`` says whether the
         disk path was taken and ``seconds`` is the wall-clock cost of that
         path (load time or build time) -- the numbers ``bench_serving``
-        compares.
+        compares.  An integer ``seed`` loads only an index drawn from that
+        seed; ``None`` accepts whatever the slot holds.
         """
         watch = Stopwatch().start()
-        index = self.load_rr_index(graph, model, num_samples)
+        index = self.load_rr_index(graph, model, num_samples, index_seed=seed_tag(seed))
         if index is not None:
             watch.stop()
             counter("store.load_or_build.loaded")
             return index, True, watch.elapsed
         index = RRGraphIndex(graph, num_samples, seed=seed).build()
-        self.save_rr_index(index, model)
+        self.save_rr_index(index, model, index_seed=seed_tag(seed))
         watch.stop()
         counter("store.load_or_build.built")
         return index, False, watch.elapsed
@@ -395,15 +449,20 @@ class IndexStore:
         num_samples: int,
         seed: SeedLike = None,
     ) -> Tuple[DelayedMaterializationIndex, bool, float]:
-        """Load the delayed index if stored, else build and persist it."""
+        """Load the delayed index if stored, else build and persist it.
+
+        Seed matching works as in :meth:`load_or_build_rr`.
+        """
         watch = Stopwatch().start()
-        index = self.load_delayed_index(graph, model, num_samples, seed=seed)
+        index = self.load_delayed_index(
+            graph, model, num_samples, seed=seed, index_seed=seed_tag(seed)
+        )
         if index is not None:
             watch.stop()
             counter("store.load_or_build.loaded")
             return index, True, watch.elapsed
         index = DelayedMaterializationIndex(graph, num_samples, seed=seed).build()
-        self.save_delayed_index(index, model)
+        self.save_delayed_index(index, model, index_seed=seed_tag(seed))
         watch.stop()
         counter("store.load_or_build.built")
         return index, False, watch.elapsed

@@ -15,7 +15,13 @@ Three failure families are pinned alongside the happy path:
   (never a hang), in-flight and after the fact, while surviving shards keep
   serving; a broken spec fails construction with the worker's real error;
 * *accounting*: per-worker latency shards merge into the parent metrics on
-  close, and replay reports carry ``backend`` + ``host_cores``.
+  close, and replay reports carry ``backend`` + ``host_cores``;
+* *dispatch*: a request runs on the least-loaded live worker unless answer
+  caches pin it to its affinity shard, and the per-worker in-flight counts
+  return to zero however a request ends.
+
+The full-service replay and dispatch tests run under every start method the
+platform offers (``fork``, ``spawn``, ``forkserver``).
 
 The worker loop (:func:`_serve_requests`, :func:`_worker_main`) is also
 driven in-process over real ``multiprocessing`` pipes, so its branches --
@@ -25,6 +31,7 @@ coverage, which cannot see forked children.
 
 import dataclasses
 import os
+import signal
 import threading
 
 import multiprocessing
@@ -50,6 +57,16 @@ from repro.serve.store import IndexStore, graph_bundle_key
 
 METHODS = ("indexest", "indexest+", "delaymat")
 ENGINE_SEED = 7
+START_METHODS = [
+    pytest.param(
+        method,
+        marks=pytest.mark.skipif(
+            method not in multiprocessing.get_all_start_methods(),
+            reason=f"start method {method!r} is not available on this platform",
+        ),
+    )
+    for method in ("fork", "spawn", "forkserver")
+]
 
 
 @pytest.fixture(scope="module")
@@ -171,14 +188,17 @@ def test_build_engine_from_spec_missing_index_raises(spec):
 
 
 # ------------------------------------------------------------- full service
-def test_process_replay_bitwise_equals_thread_oracle(dataset, reference_engine, spec):
+@pytest.mark.parametrize("start_method", START_METHODS)
+def test_process_replay_bitwise_equals_thread_oracle(
+    dataset, reference_engine, spec, start_method
+):
     stream = dataset.query_workload.query_stream(24, seed=13)
     with PitexService.for_engine(reference_engine, num_workers=1, max_batch=4) as service:
         oracle = replay_stream(service, stream, method="indexest+", k=2)
     oracle_telemetry = service.metrics.telemetry()
     assert oracle.failures == 0
 
-    with ProcessShardedService(spec, num_workers=3) as service:
+    with ProcessShardedService(spec, num_workers=3, start_method=start_method) as service:
         report = replay_stream(service, stream, method="indexest+", k=2)
     snapshot = service.metrics.snapshot()
 
@@ -311,6 +331,150 @@ def test_killed_worker_surfaces_clean_errors_and_peers_survive(spec):
         assert set(telemetry["workers"]) == {"worker-1"}
         assert telemetry["workers"]["worker-1"]["query.count"] >= 1
         assert telemetry["deterministic"]["query.count"] >= 1
+    finally:
+        install(previous)
+
+
+def users_sharing_a_shard(service, dataset, count=2):
+    """``count`` distinct query users with the same affinity shard."""
+    by_shard = {}
+    for user in dataset.workload("mid", 8) + dataset.workload("low", 8):
+        request = QueryRequest(user=user, k=2, method="indexest+")
+        users = by_shard.setdefault(service.shard_of(request), [])
+        if user not in users:
+            users.append(user)
+        if len(users) == count:
+            return service.shard_of(request), users
+    raise AssertionError("no two users share an affinity shard")
+
+
+def in_flight(service):
+    with service._condition:
+        return list(service._in_flight)
+
+
+def submit_while_stopped(service, worker_id, requests):
+    """Submit ``requests`` from barrier-released threads while ``worker_id`` is stopped.
+
+    Stopping the worker keeps every request in flight until it resumes, so
+    the routing each ``submit`` sees does not depend on thread timing.
+    """
+    barrier = threading.Barrier(len(requests) + 1)
+    futures = [None] * len(requests)
+
+    def client(slot):
+        barrier.wait()
+        futures[slot] = service.submit(requests[slot])
+
+    threads = [threading.Thread(target=client, args=(slot,)) for slot in range(len(requests))]
+    pid = service._processes[worker_id].pid
+    os.kill(pid, signal.SIGSTOP)
+    try:
+        for thread in threads:
+            thread.start()
+        barrier.wait()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        counts = in_flight(service)
+    finally:
+        os.kill(pid, signal.SIGCONT)
+    return [future.result(timeout=60.0) for future in futures], counts
+
+
+needs_sigstop = pytest.mark.skipif(
+    not hasattr(signal, "SIGSTOP"), reason="needs SIGSTOP to hold a worker busy"
+)
+
+
+@needs_sigstop
+@pytest.mark.parametrize("start_method", START_METHODS)
+def test_busy_affinity_shard_hands_a_request_to_the_idle_worker(
+    dataset, reference_engine, spec, start_method
+):
+    with ProcessShardedService(spec, num_workers=2, start_method=start_method) as service:
+        affinity, users = users_sharing_a_shard(service, dataset)
+        requests = [QueryRequest(user=user, k=2, method="indexest+") for user in users]
+        responses, counts = submit_while_stopped(service, affinity, requests)
+        assert counts == [1, 1]
+        assert in_flight(service) == [0, 0]
+    with PitexService.for_engine(reference_engine, num_workers=1) as oracle_service:
+        oracle = [oracle_service.submit(request).result(timeout=60.0) for request in requests]
+
+    assert all(response.ok for response in responses)
+    assert sorted(response.worker for response in responses) == [0, 1]
+    assert [facet(response.result) for response in responses] == [
+        facet(response.result) for response in oracle
+    ]
+    assert all(response.worker is None for response in oracle)
+
+
+@needs_sigstop
+def test_answer_cache_keeps_requests_on_their_affinity_shard(dataset, reference_engine, spec):
+    with ProcessShardedService(spec, num_workers=2, answer_cache=True) as service:
+        affinity, users = users_sharing_a_shard(service, dataset)
+        requests = [QueryRequest(user=user, k=2, method="indexest+") for user in users]
+        responses, counts = submit_while_stopped(service, affinity, requests)
+        assert counts[affinity] == 2
+        repeat = service.submit(requests[0]).result(timeout=60.0)
+
+    assert [response.worker for response in responses] == [affinity, affinity]
+    assert [facet(response.result) for response in responses] == [
+        facet(reference_engine.query(user=user, k=2, method="indexest+")) for user in users
+    ]
+    assert repeat.cache_hit and repeat.worker is None
+
+
+def stub_query(kwargs):
+    """Worker-side stand-in: user 1 raises, user 2 cannot pickle, others answer."""
+    if kwargs["user"] == 1:
+        raise ValueError("bad query")
+    if kwargs["user"] == 2:
+        return lambda: None
+    return ("answer", kwargs["user"])
+
+
+@needs_sigstop
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the stub engine reaches the workers only through fork",
+)
+def test_in_flight_counts_return_to_zero_however_a_request_ends(spec, monkeypatch):
+    import repro.serve.sharded as sharded
+
+    monkeypatch.setattr(sharded, "build_engine_from_spec", lambda _: _StubEngine(stub_query))
+    previous = install(Telemetry())
+    try:
+        with ProcessShardedService(spec, num_workers=2, start_method="fork") as service:
+            answered = service.submit(QueryRequest(user=0, k=2)).result(timeout=60.0)
+            assert answered.ok and answered.result == ("answer", 0)
+            assert answered.worker == service.shard_of(answered.request)
+            assert in_flight(service) == [0, 0]
+
+            failed = service.submit(QueryRequest(user=1, k=2)).result(timeout=60.0)
+            assert failed.error == "ValueError: bad query"
+            assert in_flight(service) == [0, 0]
+
+            unpicklable = service.submit(QueryRequest(user=2, k=2)).result(timeout=60.0)
+            assert "could not serialize" in unpicklable.error
+            assert in_flight(service) == [0, 0]
+
+            victim = user_sharded_to(service, 0)
+            os.kill(service._processes[0].pid, signal.SIGSTOP)
+            orphan = service.submit(QueryRequest(user=victim, k=2, method="indexest+"))
+            assert in_flight(service) == [1, 0]
+            service._processes[0].kill()
+            lost = orphan.result(timeout=60.0)
+            assert "WorkerError" in lost.error and "died" in lost.error
+            assert in_flight(service) == [0, 0]
+
+            # The dead worker is never picked; its affinity users still fail.
+            survivor = service.submit(
+                QueryRequest(user=user_sharded_to(service, 1), k=2, method="indexest+")
+            ).result(timeout=60.0)
+            assert survivor.ok and survivor.worker == 1
+            late = service.submit(QueryRequest(user=victim, k=2, method="indexest+"))
+            assert "worker 0 unavailable" in late.result(timeout=60.0).error
+            assert in_flight(service) == [0, 0]
     finally:
         install(previous)
 

@@ -2,11 +2,13 @@
 
 The load-bearing property: a loaded index answers *bitwise identically* to the
 index that was saved, and a store lookup never matches across a graph
-mutation, a different model, or different sampling parameters.
+mutation, a different model, different sampling parameters, or a different
+index seed.
 """
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.engine import PitexEngine
@@ -134,6 +136,74 @@ def test_load_or_build_builds_once_then_loads(dataset, store):
     assert not loaded_delayed and delayed.is_built
     again, loaded_again, _ = store.load_or_build_delayed(graph, model, 40, seed=2)
     assert loaded_again and again.containment_counts == delayed.containment_counts
+
+
+def _same_arrays(left, right):
+    return left.keys() == right.keys() and all(
+        np.array_equal(left[name], right[name]) for name in left
+    )
+
+
+def test_load_or_build_only_loads_the_seed_it_asks_for(dataset, store):
+    graph, model = dataset.graph, dataset.model
+    _, loaded, _ = store.load_or_build_rr(graph, model, 50, seed=7)
+    assert not loaded
+    eight, loaded, _ = store.load_or_build_rr(graph, model, 50, seed=8)
+    assert not loaded
+    fresh_eight = RRGraphIndex(graph, 50, seed=8).build().to_arrays()
+    assert _same_arrays(eight.to_arrays(), fresh_eight)
+    again, loaded, _ = store.load_or_build_rr(graph, model, 50, seed=8)
+    assert loaded and _same_arrays(again.to_arrays(), fresh_eight)
+    assert store.load_rr_index(graph, model, 50, index_seed=7) is None
+    assert store.load_rr_index(graph, model, 50, index_seed=8) is not None
+    # A lookup that names no seed takes whatever the slot holds.
+    assert _same_arrays(store.load_rr_index(graph, model, 50).to_arrays(), fresh_eight)
+
+    delayed_seven, _, _ = store.load_or_build_delayed(graph, model, 50, seed=7)
+    delayed_eight, loaded, _ = store.load_or_build_delayed(graph, model, 50, seed=8)
+    assert not loaded
+    fresh = DelayedMaterializationIndex(graph, 50, seed=8).build().to_arrays()
+    assert _same_arrays(delayed_eight.to_arrays(), fresh)
+    assert not _same_arrays(delayed_seven.to_arrays(), fresh)
+
+
+def test_unseeded_entries_never_match_a_seeded_lookup(dataset, store):
+    graph, model = dataset.graph, dataset.model
+    store.save_rr_index(RRGraphIndex(graph, 40, seed=3).build(), model)
+    assert store.load_rr_index(graph, model, 40) is not None
+    assert store.load_rr_index(graph, model, 40, index_seed=3) is None
+    _, loaded, _ = store.load_or_build_rr(graph, model, 40, seed=3)
+    assert not loaded
+    _, loaded, _ = store.load_or_build_rr(graph, model, 40, seed=None)
+    assert loaded  # an unseeded request accepts the seed-3 entry
+
+
+def test_published_spec_loads_only_its_own_seed(dataset, store):
+    from repro.exceptions import StoreError
+    from repro.serve.sharded import build_engine_from_spec, publish_engine_spec
+
+    graph, model = dataset.graph, dataset.model
+
+    def publish(index_seed):
+        return publish_engine_spec(
+            store,
+            graph,
+            model,
+            engine_seed=5,
+            index_samples=30,
+            methods=("indexest",),
+            max_samples=20,
+            index_seed=index_seed,
+        )
+
+    seven = publish(7)
+    eight = publish(8)
+    assert (seven.index_seed, eight.index_seed) == (7, 8)
+    replica = build_engine_from_spec(eight)
+    fresh = RRGraphIndex(graph, 30, seed=8).build().to_arrays()
+    assert _same_arrays(replica.rr_index.to_arrays(), fresh)
+    with pytest.raises(StoreError, match="seed=7"):
+        build_engine_from_spec(seven)  # the slot now holds seed 8's draws
 
 
 def test_entries_and_clear(dataset, store):
