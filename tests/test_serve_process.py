@@ -335,16 +335,16 @@ def test_killed_worker_surfaces_clean_errors_and_peers_survive(spec):
         install(previous)
 
 
-def users_sharing_a_shard(service, dataset, count=2):
-    """``count`` distinct query users with the same affinity shard."""
+def users_sharing_a_shard(service, dataset):
+    """``(shard, [user, user])``: two distinct query users with one affinity shard."""
     by_shard = {}
     for user in dataset.workload("mid", 8) + dataset.workload("low", 8):
-        request = QueryRequest(user=user, k=2, method="indexest+")
-        users = by_shard.setdefault(service.shard_of(request), [])
+        shard = service.shard_of(QueryRequest(user=user, k=2, method="indexest+"))
+        users = by_shard.setdefault(shard, [])
         if user not in users:
             users.append(user)
-        if len(users) == count:
-            return service.shard_of(request), users
+        if len(users) == 2:
+            return shard, users
     raise AssertionError("no two users share an affinity shard")
 
 

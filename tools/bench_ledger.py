@@ -14,15 +14,18 @@ Usage, from the repository root::
         --workload lazy-proc --pairs 10 --first-seed 71 --seconds 15 \\
         --traced-seed 1 --probe-seed 1 --out BENCH_<n>.json
 
-``--workload`` may repeat.  ``--traced-seed`` adds one ``--trace 1`` run per
-side (per-layer metrics and digests).  ``--probe-seed`` adds one route probe
-per side: the untraced phase replayed through the tree's own
-``pitexbench.workloads``, reporting the queue-wait percentiles of
-``QueryResponse.queue_seconds`` and, on the process backend, each worker's
-execute count (warm-up reads included); it may repeat.  An existing
-``--out`` file keeps its other workloads.  A pair counts as a win for the
-change when its value is strictly better in the direction
-``BENCHMARK.json`` declares.
+``--workload`` may repeat.  Each ``--traced-seed`` (it may repeat) adds one
+``--trace 1`` run per side, the first side alternating, for per-layer
+metrics and digests; ``--traced-seconds`` sets their length.  Each
+``--probe-seed`` adds one route probe per side: the untraced phase replayed
+through the tree's own ``pitexbench.workloads``, reporting the queue-wait
+percentiles of ``QueryResponse.queue_seconds`` and, on the process backend,
+each worker's execute count (warm-up reads included).
+
+An existing ``--out`` file is extended, not replaced: pairs, traced runs
+and probes are appended, and the summary covers every recorded pair.
+A pair counts as a win for the change when its value is strictly better in
+the direction ``BENCHMARK.json`` declares.
 """
 
 from __future__ import annotations
@@ -55,10 +58,8 @@ def _child_env():
 
 def run_benchmark(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One ``pitexbench/run.py`` run inside ``tree``, parsed."""
-    command = [
-        sys.executable, "pitexbench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
-    ]
+    command = [sys.executable, "pitexbench/run.py", "--workload", workload, "--trace", str(trace)]
+    command += ["--seed", str(seed), "--seconds", str(seconds)]
     done = subprocess.run(
         command, cwd=tree, env=_child_env(), capture_output=True, text=True, check=False
     )
@@ -82,10 +83,8 @@ def run_benchmark(tree: Path, workload: str, seed: int, seconds: float, trace: i
 
 def route_probe(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """Run :func:`probe_main` inside ``tree`` through this file."""
-    command = [
-        sys.executable, str(Path(__file__).resolve()), "--probe", "--workload", workload,
-        "--first-seed", str(seed), "--seconds", str(seconds),
-    ]
+    command = [sys.executable, str(Path(__file__).resolve()), "--probe", "--workload", workload]
+    command += ["--first-seed", str(seed), "--seconds", str(seconds)]
     done = subprocess.run(
         command, cwd=tree, env=_child_env(), capture_output=True, text=True, check=True
     )
@@ -120,14 +119,15 @@ def probe_main(args) -> int:
         for label, summary in shards.items():
             executes[label] = executes.get(label, 0) + summary["count"]
     deciles = statistics.quantiles(waits, n=10, method="inclusive")
-    print(json.dumps({
+    report = {
         "reads": len(waits),
         "queue_ms_p50": statistics.median(waits),
         "queue_ms_p90": deciles[8],
         "worker_executes": dict(sorted(executes.items())),
         "answers_digest": phase.digest[:16],
         "problems": phase.problems,
-    }))
+    }
+    print(json.dumps(report))
     return 0
 
 
@@ -162,57 +162,56 @@ def summarize(pairs, metrics):
     return summary
 
 
+def _unseeded(stamp):
+    return {key: value for key, value in stamp.items() if key != "seed"}
+
+
+def alternate(seeds):
+    """``(seed, order)`` per run, the side that goes first alternating."""
+    for index, seed in enumerate(seeds):
+        yield seed, ("base", "change") if index % 2 == 0 else ("change", "base")
+
+
 def ledger_main(args) -> int:
-    """Run every pair and write the ledger."""
+    """Run what the arguments ask for and merge it into the ledger file."""
     trees = {"base": Path(args.base).resolve(), "change": Path(args.change).resolve()}
     declared = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     out = Path(args.out)
     ledger = json.loads(out.read_text()) if out.is_file() else {"workloads": {}}
+    seeds = range(args.first_seed, args.first_seed + args.pairs)
     for workload in args.workload:
+        entry = ledger["workloads"].setdefault(workload, {})
         pairs = []
-        for index in range(args.pairs):
-            seed = args.first_seed + index
-            order = ("base", "change") if index % 2 == 0 else ("change", "base")
+        for seed, order in alternate(seeds):
             pair = {"seed": seed, "first": order[0]}
             for side in order:
                 pair[side] = run_benchmark(trees[side], workload, seed, args.seconds, 0)
-                print(
-                    f"{workload} seed {seed} {side}: "
-                    f"{pair[side]['metrics'].get(args.headline, float('nan')):.3f} "
-                    f"{args.headline}, correct={pair[side]['correct']}",
-                    file=sys.stderr,
-                )
+                print(f"{workload} seed {seed} {side}: {pair[side]['metrics']}", file=sys.stderr)
             pairs.append(pair)
-        entry = {
-            "run_seconds": args.seconds,
-            "stamps": {side: pairs[0][side]["stamp"] for side in trees},
-            "pairs": [
-                {
-                    "seed": pair["seed"],
-                    "first": pair["first"],
-                    **{
-                        side: {key: value for key, value in pair[side].items() if key != "stamp"}
-                        for side in trees
-                    },
-                }
-                for pair in pairs
-            ],
-            "summary": summarize(pairs, declared["end_to_end"]),
-        }
-        if args.traced_seed is not None:
-            entry["traced"] = {
-                side: run_benchmark(trees[side], workload, args.traced_seed, args.seconds, 1)
-                for side in trees
-            }
-        if args.probe_seed:
-            entry["route_probe"] = {
-                side: [
-                    {"seed": seed, **route_probe(trees[side], workload, seed, args.seconds)}
-                    for seed in args.probe_seed
-                ]
-                for side in trees
-            }
-        ledger["workloads"][workload] = entry
+        if pairs:
+            stamps = {side: pairs[0][side]["stamp"] for side in trees}
+            recorded = entry.setdefault("stamps", stamps)
+            if any(_unseeded(recorded[side]) != _unseeded(stamps[side]) for side in trees):
+                raise SystemExit(f"{workload}: the runs differ from the ledger's earlier pairs")
+            for pair in pairs:
+                for side in trees:
+                    del pair[side]["stamp"]
+            entry["run_seconds"] = args.seconds
+            entry.setdefault("pairs", []).extend(pairs)
+            entry["summary"] = summarize(entry["pairs"], declared["end_to_end"])
+        traced_seconds = args.traced_seconds or args.seconds
+        traced = []
+        for seed, order in alternate(args.traced_seed):
+            run = {"seed": seed, "seconds": traced_seconds, "first": order[0]}
+            for side in order:
+                run[side] = run_benchmark(trees[side], workload, seed, traced_seconds, 1)
+            traced.append(run)
+        entry.setdefault("traced", []).extend(traced)
+        for seed in args.probe_seed:
+            probes = entry.setdefault("route_probe", {"base": [], "change": []})
+            for side in trees:
+                probe = route_probe(trees[side], workload, seed, args.seconds)
+                probes[side].append({"seed": seed, "seconds": args.seconds, **probe})
     out.write_text(json.dumps(ledger, indent=1, sort_keys=True) + "\n")
     return 0
 
@@ -227,9 +226,9 @@ def parse_args(argv):
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=15.0)
-    parser.add_argument("--traced-seed", type=int)
+    parser.add_argument("--traced-seed", type=int, action="append", default=[])
+    parser.add_argument("--traced-seconds", type=float, help="run length of traced runs")
     parser.add_argument("--probe-seed", type=int, action="append", default=[])
-    parser.add_argument("--headline", default="throughput_qps", help="metric echoed per run")
     parser.add_argument("--out")
     return parser.parse_args(argv)
 
