@@ -7,8 +7,12 @@ that asymmetry across process and query boundaries:
 * :mod:`repro.serve.store` -- :class:`IndexStore`: offline indexes serialized
   to ``npz`` + JSON manifests keyed on graph fingerprint / version, model hash
   and theta, with load-or-build semantics.
-* :mod:`repro.serve.cache` -- :class:`EngineCache`: an LRU of warm engines so
-  repeated queries skip engine construction and index builds.
+* :mod:`repro.serve.cache` -- :class:`SingleFlightLRU`: the one thread-safe
+  LRU whose misses compute once per key, and :class:`EngineCache`, its policy
+  for warm engines, so repeated queries skip engine construction and index
+  builds.
+* :mod:`repro.serve.answers` -- :class:`AnswerCache`: the LRU's epoch policy
+  for frozen-engine answers, keyed by query fingerprint.
 * :mod:`repro.serve.service` -- :class:`PitexService`: a thread-pooled query
   front-end that batches concurrent requests per engine and records
   p50/p95/p99 latency and throughput.
@@ -21,7 +25,7 @@ that asymmetry across process and query boundaries:
   thread backend (see ``docs/architecture.md``).
 
 Safety contracts (details in each module's docstring): the store is safe to
-share across threads *and* processes; the cache, both services and the
+share across threads *and* processes; both caches, both services and the
 metrics objects are thread-safe; engines answer concurrent queries on one
 stateless query path, and a frozen engine additionally guards its graph and
 indexes against mutation while it serves.
@@ -36,7 +40,8 @@ from repro.serve.store import (
     KIND_RR,
     KIND_SHARED_GRAPH,
 )
-from repro.serve.cache import EngineCache, EngineCacheStats
+from repro.serve.cache import CacheStats, EngineCache, SingleFlightLRU
+from repro.serve.answers import AnswerCache
 from repro.serve.service import (
     DEFAULT_ENGINE_KEY,
     PitexService,
@@ -60,8 +65,10 @@ __all__ = [
     "KIND_RR",
     "KIND_DELAYED",
     "KIND_SHARED_GRAPH",
+    "CacheStats",
+    "SingleFlightLRU",
     "EngineCache",
-    "EngineCacheStats",
+    "AnswerCache",
     "DEFAULT_ENGINE_KEY",
     "PitexService",
     "QueryRequest",

@@ -1,95 +1,256 @@
-"""Warm engine cache: LRU over (dataset, params) keys.
+"""The serving layer's one cache primitive, and the warm engine cache on it.
 
-Building a :class:`~repro.core.engine.PitexEngine` is cheap, but the engine's
-*warmth* is not: its offline indexes and the freeze-time per-user tables
-(:mod:`repro.index.tables`) are built once and then serve every query.  The
-serving layer therefore keeps engines alive between requests in a small LRU
-keyed by whatever identifies an engine configuration to the caller (the CLI
-and the service use ``(dataset, scale, epsilon, delta, k, method knobs...)``
-tuples).
+:class:`SingleFlightLRU` is a thread-safe LRU whose misses compute once per
+key: concurrent misses on one key run the compute once while the rest wait
+on the key's gate.  It owns the lock, the ordered map, the gate table, the
+:class:`CacheStats` counters and their telemetry mirror, and one accounting
+rule: the caller that runs the compute records the single miss; every caller
+that finds the value records a hit, waiters included; waits go to
+``stats.single_flight_waits`` only, never to telemetry, because they depend
+on thread scheduling.  So U unique keys over N lookups record U misses and
+N - U hits however the threads interleave (while nothing is evicted).
 
-Every cache hit is re-validated against the engine's graph ``version``: if the
-graph mutated after the engine was cached, its indexes and tables describe a
-stale snapshot, so the entry is dropped and rebuilt instead of served.
-All operations are thread-safe; ``get_or_create`` serializes factory calls for
-the *same* key so concurrent requests cannot build one engine twice, while
-different keys build in parallel.
+Subclasses are *policies*: they override ``_entry``, ``_superseded`` and
+``_admit``, and every hook that touches cache state runs under the LRU's
+lock.  :class:`~repro.serve.answers.AnswerCache` is the epoch policy;
+:class:`EngineCache` below keeps warm :class:`~repro.core.engine.PitexEngine`
+instances keyed by engine configuration.  An engine is cheap to build, but
+its offline indexes and freeze-time per-user tables are not.  Each lookup
+re-validates the entry against the engine's graph ``version``: an engine
+whose graph mutated after caching is dropped (an invalidation) and rebuilt.
+``get_or_create`` freezes every factory-built engine inside the gate
+(:meth:`PitexEngine.freeze`; opt out with ``freeze=False``, narrow it with
+``freeze_methods``); ``put`` never freezes.
 
-By default ``get_or_create`` also **freezes** every factory-built engine
-before inserting it (:meth:`PitexEngine.freeze`): a cached engine is by
-definition shared across requests, so its indexes and tables are built up
-front and its graph is guarded against mutation while it serves.  Pass
-``freeze=False`` to cache engines that build lazily on first use, or
-``freeze_methods`` to warm only the methods a deployment actually serves.
-``put`` never freezes -- callers inserting an engine directly keep full
-control over its lifecycle.
-
-The cache is **process-local** by design: warm engines hold live numpy
-arrays and locks, so nothing here is shared across processes.  Replicas in
-other processes warm themselves from the :class:`~repro.serve.store.IndexStore`
-instead (see :mod:`repro.serve.sharded`), which is the cross-process
-equivalent of a cache hit.
+The caches are **process-local**: warm engines hold live numpy arrays and
+locks.  Replicas in other processes warm themselves from the
+:class:`~repro.serve.store.IndexStore` instead (:mod:`repro.serve.sharded`).
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Callable, Hashable, List, Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.engine import METHODS, PitexEngine
 from repro.exceptions import InvalidParameterError
 from repro.obs.telemetry import counter
 
+_MISS = object()
+
 
 @dataclass
-class EngineCacheStats:
-    """Counters describing cache behaviour since construction.
+class CacheStats:
+    """One cache's counters since construction.
 
-    Every increment is mirrored into the process-wide telemetry registry
-    under ``engine_cache.*`` so service snapshots expose the same numbers
-    without holding a cache reference.
+    Mirrored into telemetry as ``<prefix>.hit/miss/eviction/invalidation``,
+    plus ``<prefix>.bytes``: the cumulative size of every sized insert,
+    where ``bytes_cached`` is the resident size.  ``single_flight_waits``
+    depends on thread scheduling and is never mirrored.
     """
 
     hits: int = 0
     misses: int = 0
     evictions: int = 0
     invalidations: int = 0
+    bytes_cached: int = 0
     single_flight_waits: int = 0
 
     def as_dict(self) -> dict:
         """Plain-dict snapshot (JSON friendly)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-            "single_flight_waits": self.single_flight_waits,
-        }
+        return asdict(self)
+
+    @property
+    def hit_rate(self) -> float:
+        """Hits over lookups (0.0 before the first lookup)."""
+        lookups = self.hits + self.misses
+        return (self.hits / lookups) if lookups else 0.0
 
 
 @dataclass
 class _Entry:
-    engine: PitexEngine
-    graph_version: int
+    """One resident value, its size in bytes and a policy-defined stamp."""
+
+    value: Any
+    num_bytes: int = 0
+    stamp: Any = None
 
 
 @dataclass
 class _Gate:
-    """Single-flight gate: one build lock plus a waiter refcount.
+    """Single-flight gate: one compute lock plus a waiter refcount.
 
-    The refcount lets the *last* leaving thread remove the gate from the
-    pending table, so a waiter blocked on the lock can never be orphaned onto
-    a gate a newcomer no longer sees (which would allow two concurrent
-    factory runs after a failed build).
+    The *last* leaving thread removes the gate, so a waiter can never be
+    orphaned onto a gate a newcomer no longer sees.
     """
 
     lock: threading.Lock = field(default_factory=threading.Lock)
     refs: int = 0
 
 
-class EngineCache:
+class SingleFlightLRU:
+    """A thread-safe LRU whose misses compute once per key.
+
+    Parameters
+    ----------
+    capacity:
+        Maximum number of resident entries (LRU eviction beyond it).
+    prefix:
+        Telemetry prefix of the mirrored :class:`CacheStats` counters.
+    """
+
+    def __init__(self, capacity: int, prefix: str) -> None:
+        if capacity <= 0:
+            raise InvalidParameterError(f"capacity must be positive, got {capacity}")
+        self.capacity = int(capacity)
+        self.stats = CacheStats()
+        self._prefix = prefix
+        self._lock = threading.Lock()
+        self._entries: "OrderedDict[Hashable, _Entry]" = OrderedDict()
+        self._pending: Dict[Hashable, _Gate] = {}
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def keys(self) -> List[Hashable]:
+        """Resident keys, least-recently used first."""
+        with self._lock:
+            return list(self._entries)
+
+    # ------------------------------------------------------------ policy hooks
+    def _entry(self, value: Any) -> _Entry:
+        """Wrap ``value`` for insertion.  Runs *outside* the lock."""
+        return _Entry(value)
+
+    def _superseded(self, key: Hashable) -> Iterable[Hashable]:
+        """Resident keys to invalidate before ``key`` is looked up.
+
+        Runs once per lookup, before it; a policy may also record what the
+        lookup tells it (the answer cache's newest epoch per engine key).
+        """
+        return ()
+
+    def _admit(self, key: Hashable) -> bool:
+        """Whether a value for ``key`` may be inserted now."""
+        return True
+
+    # -------------------------------------------------------------------- core
+    def get(self, key: Hashable) -> Optional[Any]:
+        """The live value for ``key`` (refreshing recency), or ``None``.
+
+        Records a hit, or a miss when nothing live is resident.
+        """
+        self._invalidate(lambda: self._superseded(key))
+        with self._lock:
+            value = self._lookup_locked(key, count_miss=True)
+        return None if value is _MISS else value
+
+    def _get_or_compute(self, key: Hashable, compute: Callable[[], Any]) -> Tuple[Any, bool]:
+        """``(value, hit)``: the live value for ``key``, or ``compute()``'s result.
+
+        Concurrent misses on one key compute once; the rest wait, then hit.
+        A failure propagates and is never cached (its miss stays counted).
+        """
+        self._invalidate(lambda: self._superseded(key))
+        with self._lock:
+            value = self._lookup_locked(key, count_miss=False)
+            if value is not _MISS:
+                return value, True
+            gate = self._pending.get(key)
+            if gate is None:
+                gate = self._pending[key] = _Gate()
+            else:
+                self.stats.single_flight_waits += 1
+            gate.refs += 1
+        try:
+            with gate.lock:
+                # Double-check: the compute we waited behind may have landed.
+                with self._lock:
+                    value = self._lookup_locked(key, count_miss=True)
+                if value is not _MISS:
+                    return value, True
+                value = compute()
+                self.put(key, value)
+                return value, False
+        finally:
+            # The last thread through removes the gate -- also after a hit
+            # or a failed compute -- so _pending cannot grow one gate per key.
+            with self._lock:
+                gate.refs -= 1
+                if gate.refs == 0:
+                    del self._pending[key]
+
+    def put(self, key: Hashable, value: Any) -> None:
+        """Insert (or replace) ``value``, evicting LRU entries beyond capacity.
+
+        A same-key replace never grows the cache, so it never evicts.  A key
+        the policy does not ``_admit`` is dropped silently.
+        """
+        entry = self._entry(value)
+        with self._lock:
+            if not self._admit(key):
+                return
+            replaced = self._entries.pop(key, None)
+            self._entries[key] = entry
+            self.stats.bytes_cached += entry.num_bytes
+            if entry.num_bytes:
+                counter(f"{self._prefix}.bytes", entry.num_bytes)
+            if replaced is not None:
+                self.stats.bytes_cached -= replaced.num_bytes
+            while len(self._entries) > self.capacity:
+                _, evicted = self._entries.popitem(last=False)
+                self.stats.bytes_cached -= evicted.num_bytes
+                self.stats.evictions += 1
+                counter(f"{self._prefix}.eviction")
+
+    def invalidate(self, key: Hashable) -> bool:
+        """Drop one entry; returns whether it existed."""
+        return self._invalidate(lambda: [key] if key in self._entries else []) > 0
+
+    def clear(self) -> None:
+        """Drop every entry, counting each as an invalidation (stats are kept).
+
+        ``clear`` is a bulk :meth:`invalidate`: silently clearing would
+        under-report drops in ``stats.invalidations`` and its telemetry.
+        """
+        self._invalidate(lambda: list(self._entries))
+
+    # --------------------------------------------------------------- internals
+    def _invalidate(self, select: Callable[[], Iterable[Hashable]]) -> int:
+        """Drop the keys ``select()`` names (evaluated under the lock)."""
+        with self._lock:
+            dropped = [self._entries.pop(key) for key in select()]
+            if dropped:
+                self.stats.invalidations += len(dropped)
+                self.stats.bytes_cached -= sum(entry.num_bytes for entry in dropped)
+                counter(f"{self._prefix}.invalidation", len(dropped))
+        return len(dropped)
+
+    def _lookup_locked(self, key: Hashable, count_miss: bool) -> Any:
+        """The resident value for ``key`` (refreshing recency) or ``_MISS``.
+
+        Caller must hold ``self._lock``.  Records a hit when found, and a
+        miss when ``count_miss`` and nothing is resident.
+        """
+        entry = self._entries.get(key)
+        if entry is None:
+            if count_miss:
+                # pitexlint: ignore[LCK001] -- _locked helper: caller holds self._lock
+                self.stats.misses += 1
+                counter(f"{self._prefix}.miss")
+            return _MISS
+        # pitexlint: ignore[LCK001] -- _locked helper: caller holds self._lock
+        self._entries.move_to_end(key)
+        # pitexlint: ignore[LCK001] -- _locked helper: caller holds self._lock
+        self.stats.hits += 1
+        counter(f"{self._prefix}.hit")
+        return entry.value
+
+
+class EngineCache(SingleFlightLRU):
     """A thread-safe LRU cache of warm :class:`PitexEngine` instances.
 
     Parameters
@@ -110,8 +271,7 @@ class EngineCache:
         freeze: bool = True,
         freeze_methods: Optional[Sequence[str]] = None,
     ) -> None:
-        if capacity <= 0:
-            raise InvalidParameterError(f"capacity must be positive, got {capacity}")
+        super().__init__(capacity, "engine_cache")
         if freeze_methods is not None:
             # Fail fast: a typo here would otherwise surface only after every
             # expensive factory build, and be re-paid on every retry.
@@ -120,137 +280,31 @@ class EngineCache:
                 raise InvalidParameterError(
                     f"unknown freeze_methods {unknown!r}; choose from {METHODS}"
                 )
-        self.capacity = int(capacity)
         self.freeze = bool(freeze)
         self.freeze_methods = tuple(freeze_methods) if freeze_methods is not None else None
-        self.stats = EngineCacheStats()
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[Hashable, _Entry]" = OrderedDict()
-        self._pending: dict = {}
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def keys(self) -> List[Hashable]:
-        """Cached keys, least-recently used first."""
-        with self._lock:
-            return list(self._entries)
-
-    # ------------------------------------------------------------------ core
-    def get(self, key: Hashable) -> Optional[PitexEngine]:
-        """The cached engine for ``key`` (refreshing recency), or ``None``.
-
-        A stale entry -- one whose graph mutated after caching -- is evicted
-        and reported as a miss.
-        """
-        return self._lookup(key, record=True)
-
-    def _lookup(self, key: Hashable, record: bool) -> Optional[PitexEngine]:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                if record:
-                    self.stats.misses += 1
-                    counter("engine_cache.miss")
-                return None
-            if entry.engine.graph.version != entry.graph_version:
-                del self._entries[key]
-                self.stats.invalidations += 1
-                counter("engine_cache.invalidation")
-                if record:
-                    self.stats.misses += 1
-                    counter("engine_cache.miss")
-                return None
-            self._entries.move_to_end(key)
-            if record:
-                self.stats.hits += 1
-                counter("engine_cache.hit")
-            return entry.engine
-
-    def put(self, key: Hashable, engine: PitexEngine) -> None:
-        """Insert (or replace) an engine, evicting the LRU entry if full.
-
-        A same-key replace never grows the cache, so it skips the
-        over-capacity eviction pass entirely: replacing a resident entry must
-        not evict (or count as evicting) the key's LRU neighbor.
-        """
-        with self._lock:
-            replaced = key in self._entries
-            self._entries[key] = _Entry(engine=engine, graph_version=engine.graph.version)
-            self._entries.move_to_end(key)
-            if replaced:
-                return
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
-                counter("engine_cache.eviction")
 
     def get_or_create(self, key: Hashable, factory: Callable[[], PitexEngine]) -> PitexEngine:
         """The cached engine for ``key``, building it with ``factory`` on a miss.
 
-        Concurrent misses on the same key run ``factory`` once: the first
-        caller builds under a per-key lock while the rest wait and then hit.
-        When the cache was constructed with ``freeze=True`` (the default) the
-        built engine is frozen -- still under the single-flight gate, so the
-        warm-up work happens exactly once too -- before it becomes visible to
-        other callers.
+        Concurrent misses on one key run ``factory`` once.  With
+        ``freeze=True`` (the default) the built engine is frozen still under
+        the gate, so the warm-up also runs once, before anyone sees it.
         """
-        engine = self.get(key)
-        if engine is not None:
+
+        def build() -> PitexEngine:
+            engine = factory()
+            if self.freeze and not engine.is_frozen:
+                engine.freeze(self.freeze_methods)
             return engine
-        with self._lock:
-            gate = self._pending.get(key)
-            if gate is None:
-                gate = _Gate()
-                self._pending[key] = gate
-            else:
-                # A build for this key is already in flight; we are about to
-                # block on its gate instead of running the factory ourselves.
-                self.stats.single_flight_waits += 1
-                counter("engine_cache.single_flight_wait")
-            gate.refs += 1
-        try:
-            with gate.lock:
-                # Double-check: another thread may have built while we waited.
-                engine = self._lookup(key, record=False)
-                if engine is not None:
-                    return engine
-                engine = factory()
-                if self.freeze and not engine.is_frozen:
-                    engine.freeze(self.freeze_methods)
-                self.put(key, engine)
-                return engine
-        finally:
-            # The last thread through removes the gate -- also after a
-            # double-check hit or a factory failure -- so _pending cannot
-            # grow one gate per key forever.
-            with self._lock:
-                gate.refs -= 1
-                if gate.refs == 0 and self._pending.get(key) is gate:
-                    self._pending.pop(key)
 
-    def invalidate(self, key: Hashable) -> bool:
-        """Drop one entry; returns whether it existed."""
-        with self._lock:
-            if key in self._entries:
-                del self._entries[key]
-                self.stats.invalidations += 1
-                counter("engine_cache.invalidation")
-                return True
-            return False
+        return self._get_or_compute(key, build)[0]
 
-    def clear(self) -> None:
-        """Drop every entry, counting each as an invalidation (stats are kept).
+    def _entry(self, engine: PitexEngine) -> _Entry:
+        """Stamp the engine with the graph version it was cached at."""
+        return _Entry(engine, stamp=engine.graph.version)
 
-        ``clear`` is a bulk :meth:`invalidate`, so snapshots must account for
-        the dropped entries the same way -- silently clearing would
-        under-report drops in ``stats.invalidations`` and the mirrored
-        ``engine_cache.invalidation`` telemetry.
-        """
-        with self._lock:
-            dropped = len(self._entries)
-            self._entries.clear()
-            if dropped:
-                self.stats.invalidations += dropped
-                counter("engine_cache.invalidation", dropped)
+    def _superseded(self, key: Hashable) -> List[Hashable]:
+        """``[key]`` when its engine's graph mutated after caching."""
+        entry = self._entries.get(key)
+        stale = entry is not None and entry.value.graph.version != entry.stamp
+        return [key] if stale else []

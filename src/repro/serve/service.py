@@ -19,7 +19,7 @@ import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Hashable, List, Optional
+from typing import Callable, Deque, Dict, Hashable, List, Optional, Tuple
 
 from repro.core.engine import PitexEngine
 from repro.core.query import PitexResult
@@ -224,6 +224,46 @@ class ServiceMetrics:
             }
 
 
+def execute_request(
+    engine: PitexEngine,
+    request: QueryRequest,
+    answer_cache: Optional[AnswerCache] = None,
+    **span_fields,
+) -> Tuple[PitexResult, bool]:
+    """``(result, cache_hit)``: answer ``request`` on ``engine``, both backends' one path.
+
+    The answer cache fronts *frozen* engines only: their graph cannot change
+    under the query, so the answer is a pure function of
+    :func:`~repro.serve.answers.answer_key`, and a hit returns it without
+    touching the engine -- no ``query.*`` telemetry, no execute span.  The
+    engine runs inside the ``execute`` trace span, which carries
+    ``span_fields`` (``batch_size`` on the thread backend, ``worker`` on the
+    process backend) after the request's own fields.
+    """
+
+    def run() -> PitexResult:
+        with trace_span(
+            "execute",
+            engine_key=str(request.engine_key),
+            user=request.user,
+            method=request.method,
+            group=request.group,
+            **span_fields,
+        ):
+            return engine.query(
+                user=request.user,
+                k=request.k,
+                method=request.method,
+                exploration=request.exploration,
+                epsilon=request.epsilon,
+                delta=request.delta,
+            )
+
+    if answer_cache is None or not getattr(engine, "is_frozen", False):
+        return run(), False
+    return answer_cache.get_or_compute(answer_key(engine, request), run)
+
+
 @dataclass
 class _Pending:
     request: QueryRequest
@@ -374,45 +414,16 @@ class PitexService:
             for pending in batch:
                 self._execute(engine, pending, len(batch))
 
-    def _run_query(self, engine: PitexEngine, request: QueryRequest, batch_size: int) -> PitexResult:
-        """Execute ``request`` on ``engine`` inside the execute trace span."""
-        with trace_span(
-            "execute",
-            engine_key=str(request.engine_key),
-            user=request.user,
-            method=request.method,
-            group=request.group,
-            batch_size=batch_size,
-        ):
-            return engine.query(
-                user=request.user,
-                k=request.k,
-                method=request.method,
-                exploration=request.exploration,
-                epsilon=request.epsilon,
-                delta=request.delta,
-            )
-
     def _execute(self, engine: PitexEngine, pending: _Pending, batch_size: int) -> None:
         request = pending.request
         if not pending.future.set_running_or_notify_cancel():
             return  # client cancelled while queued; nothing to run or record
         started = time.monotonic()
         queue_seconds = started - pending.enqueued_monotonic
-        cache_hit = False
         try:
-            cache = self.answer_cache
-            if cache is not None and getattr(engine, "is_frozen", False):
-                # A frozen engine's graph cannot change under the query, so
-                # its answer is a pure function of the key and a hit returns
-                # the memoized result without touching the engine -- no
-                # query.* telemetry, no execute span.
-                key = answer_key(engine, request)
-                result, cache_hit = cache.get_or_compute(
-                    key, lambda: self._run_query(engine, request, batch_size)
-                )
-            else:
-                result = self._run_query(engine, request, batch_size)
+            result, cache_hit = execute_request(
+                engine, request, self.answer_cache, batch_size=batch_size
+            )
             response = QueryResponse(
                 request=request,
                 result=result,

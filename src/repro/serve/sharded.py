@@ -53,15 +53,9 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.engine import PitexEngine
 from repro.exceptions import InvalidParameterError, StoreError, WorkerError
 from repro.obs.telemetry import Telemetry, counter, get_telemetry, install
-from repro.obs.trace import (
-    TraceRecorder,
-    get_recorder,
-    install_recorder,
-    trace_span,
-    tracing_enabled,
-)
-from repro.serve.answers import DEFAULT_ANSWER_CAPACITY, AnswerCache, answer_key
-from repro.serve.service import QueryRequest, QueryResponse, ServiceMetrics
+from repro.obs.trace import TraceRecorder, get_recorder, install_recorder, tracing_enabled
+from repro.serve.answers import DEFAULT_ANSWER_CAPACITY, AnswerCache
+from repro.serve.service import QueryRequest, QueryResponse, ServiceMetrics, execute_request
 from repro.serve.store import IndexStore, seed_tag
 from repro.utils.stats import LatencyAccumulator
 
@@ -229,24 +223,6 @@ def _serve_requests(
     completed = 0
     failed = 0
 
-    def run_query(request):
-        with trace_span(
-            "execute",
-            engine_key=str(request.engine_key),
-            user=request.user,
-            method=request.method,
-            group=request.group,
-            worker=worker_id,
-        ):
-            return engine.query(
-                user=request.user,
-                k=request.k,
-                method=request.method,
-                exploration=request.exploration,
-                epsilon=request.epsilon,
-                delta=request.delta,
-            )
-
     while True:
         try:
             message = requests.recv()
@@ -260,13 +236,7 @@ def _serve_requests(
         result = None
         cache_hit = False
         try:
-            if answer_cache is not None and getattr(engine, "is_frozen", False):
-                key = answer_key(engine, request)
-                result, cache_hit = answer_cache.get_or_compute(
-                    key, lambda: run_query(request)
-                )
-            else:
-                result = run_query(request)
+            result, cache_hit = execute_request(engine, request, answer_cache, worker=worker_id)
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
         execute_seconds = time.monotonic() - started

@@ -8,7 +8,7 @@ import pytest
 from repro.core.engine import PitexEngine
 from repro.datasets.synthetic import load_dataset
 from repro.exceptions import InvalidParameterError
-from repro.obs.telemetry import Telemetry, get_telemetry, install
+from repro.obs.telemetry import Telemetry, deterministic_counters, get_telemetry, install
 from repro.serve.cache import EngineCache
 from repro.serve.service import DEFAULT_ENGINE_KEY, PitexService, QueryRequest
 
@@ -159,7 +159,7 @@ def test_cache_freezes_on_insert_by_default(dataset):
 def test_cache_counters_flow_into_telemetry_registry(dataset):
     """Satellite: hit/miss/eviction accounting is visible without a cache ref.
 
-    Every ``EngineCacheStats`` increment must be mirrored as an
+    Every ``CacheStats`` increment must be mirrored as an
     ``engine_cache.*`` counter in the process-wide registry -- that is what
     lets service snapshots report cache behaviour.
     """
@@ -181,6 +181,7 @@ def test_cache_counters_flow_into_telemetry_registry(dataset):
             "misses": 2,
             "evictions": 1,
             "invalidations": 1,
+            "bytes_cached": 0,
             "single_flight_waits": 0,
         }
     finally:
@@ -223,7 +224,41 @@ def test_cache_single_flight_wait_is_counted(dataset):
         waiter_thread.join()
         assert results[0] is results[1]
         assert cache.stats.single_flight_waits == 1
-        assert get_telemetry().counters()["engine_cache.single_flight_wait"] == 1
+        assert "engine_cache.single_flight_wait" not in get_telemetry().counters()
+    finally:
+        install(previous)
+
+
+def test_cache_concurrent_misses_count_like_sequential_calls(dataset):
+    """Racing callers record what the same calls made one by one record.
+
+    Four barrier-released ``get_or_create`` calls on an empty cache build
+    once: the builder records the one miss, the three callers that waited
+    behind it record hits, and the waits stay out of telemetry -- so the
+    deterministic counters do not depend on thread scheduling.
+    """
+    previous = install(Telemetry())
+    try:
+        cache = EngineCache(capacity=2, freeze=False)
+        barrier = threading.Barrier(4)
+
+        def slow_factory():
+            time.sleep(0.1)  # hold the gate while the other callers arrive
+            return make_engine(dataset)
+
+        def caller():
+            barrier.wait()
+            cache.get_or_create("k", slow_factory)
+
+        threads = [threading.Thread(target=caller) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10.0)
+        assert not any(thread.is_alive() for thread in threads)
+        expected = {"engine_cache.hit": 3, "engine_cache.miss": 1}
+        assert deterministic_counters(get_telemetry().counters()) == expected
+        assert (cache.stats.hits, cache.stats.misses) == (3, 1)
     finally:
         install(previous)
 

@@ -19,8 +19,12 @@ Usage, from the repository root::
 metrics and digests; ``--traced-seconds`` sets their length.  Each
 ``--probe-seed`` adds one route probe per side: the untraced phase replayed
 through the tree's own ``pitexbench.workloads``, reporting the queue-wait
-percentiles of ``QueryResponse.queue_seconds`` and, on the process backend,
-each worker's execute count (warm-up reads included).
+percentiles of ``QueryResponse.queue_seconds``, on the process backend
+each worker's execute count (warm-up reads included), and the phase's
+deterministic counters.  A base and a change probe of the same workload and
+seed must agree on the answers digest and on every deterministic counter;
+each disagreement is listed under ``probe_mismatches`` and makes the ledger
+exit non-zero.
 
 An existing ``--out`` file is extended, not replaced: pairs, traced runs
 and probes are appended, and the summary covers every recorded pair.
@@ -125,10 +129,25 @@ def probe_main(args) -> int:
         "queue_ms_p90": deciles[8],
         "worker_executes": dict(sorted(executes.items())),
         "answers_digest": phase.digest[:16],
+        "counters": phase.counters,
         "problems": phase.problems,
     }
     print(json.dumps(report))
     return 0
+
+
+def probe_mismatches(base: dict, change: dict) -> list:
+    """What two probes of one workload and seed disagree on, as messages."""
+    mismatches = []
+    if base["answers_digest"] != change["answers_digest"]:
+        mismatches.append(
+            f"answers digest {base['answers_digest']} -> {change['answers_digest']}"
+        )
+    for name in sorted(set(base["counters"]) | set(change["counters"])):
+        before, after = base["counters"].get(name), change["counters"].get(name)
+        if before != after:
+            mismatches.append(f"counter {name}: {before} -> {after}")
+    return mismatches
 
 
 def summarize(pairs, metrics):
@@ -179,6 +198,7 @@ def ledger_main(args) -> int:
     out = Path(args.out)
     ledger = json.loads(out.read_text()) if out.is_file() else {"workloads": {}}
     seeds = range(args.first_seed, args.first_seed + args.pairs)
+    failed = False
     for workload in args.workload:
         entry = ledger["workloads"].setdefault(workload, {})
         pairs = []
@@ -209,11 +229,16 @@ def ledger_main(args) -> int:
         entry.setdefault("traced", []).extend(traced)
         for seed in args.probe_seed:
             probes = entry.setdefault("route_probe", {"base": [], "change": []})
+            ran = {}
             for side in trees:
-                probe = route_probe(trees[side], workload, seed, args.seconds)
-                probes[side].append({"seed": seed, "seconds": args.seconds, **probe})
+                ran[side] = route_probe(trees[side], workload, seed, args.seconds)
+                probes[side].append({"seed": seed, "seconds": args.seconds, **ran[side]})
+            for mismatch in probe_mismatches(ran["base"], ran["change"]):
+                failed = True
+                entry.setdefault("probe_mismatches", []).append(f"seed {seed}: {mismatch}")
+                print(f"{workload} probe seed {seed}: {mismatch}", file=sys.stderr)
     out.write_text(json.dumps(ledger, indent=1, sort_keys=True) + "\n")
-    return 0
+    return 1 if failed else 0
 
 
 def parse_args(argv):
