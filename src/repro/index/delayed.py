@@ -20,6 +20,7 @@ Algorithm 3 guarantee while the stored index shrinks to one counter per user.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -30,7 +31,12 @@ from repro.graph.csr import csr_order, slice_positions
 from repro.graph.digraph import TopicSocialGraph
 from repro.index.pruning import _UserFilterStructures, build_filter_structures
 from repro.index.rr_graph import RRBlock, RRGraph, sample_rr_arrays
-from repro.sampling.base import InfluenceEstimate, InfluenceEstimator, SampleBudget
+from repro.sampling.base import (
+    InfluenceEstimate,
+    InfluenceEstimator,
+    SampleBudget,
+    probability_matrix,
+)
 from repro.topics.model import TagTopicModel
 from repro.utils.freeze import guard_check
 from repro.utils.rng import RandomSource, SeedLike, spawn_rng
@@ -221,7 +227,9 @@ class DelayedIndexEstimator(InfluenceEstimator):
     :class:`~repro.index.rr_graph.RRBlock`, so the many tag-set evaluations of
     one PITEX exploration pay the recovery cost only once -- mirroring the
     paper's query-phase behaviour where recovery happens once per query user
-    -- and every evaluation matches all candidates in one batched BFS.
+    -- and every batch of evaluations matches all its (row, candidate) pairs
+    in one batched BFS.  Hit weights still add up per row in the iteration
+    order of that row's candidate set, which fixes the last bits of the value.
 
     ``shared_graphs`` / ``shared_filters`` (when given) are read-only per-user
     tables owned by a frozen engine (:mod:`repro.index.tables`): users found
@@ -288,37 +296,77 @@ class DelayedIndexEstimator(InfluenceEstimator):
         edge_probabilities: Sequence[float],
         num_samples: Optional[int] = None,
     ) -> InfluenceEstimate:
-        """Recover (cached) RR-Graphs for the user and count live matches."""
+        """The one-row case of :meth:`estimate_many_with_probabilities`."""
+        rows = np.asarray(edge_probabilities, dtype=float)[None]
+        return self.estimate_many_with_probabilities(user, rows, num_samples)[0]
+
+    def estimate_many_with_probabilities(
+        self,
+        user: int,
+        edge_probability_rows: Sequence[Sequence[float]],
+        num_samples: Optional[int] = None,
+    ) -> list:
+        """Recover (cached) RR-Graphs for the user and count live matches under every row.
+
+        With pruning, one :meth:`_UserFilterStructures.scan` filters all
+        rows; each row's candidates form a set filled as the one-row filter
+        fills it.  Every (row, candidate) pair is verified in one
+        :meth:`~repro.index.rr_graph.RRBlock.reach_pairs` BFS.  The hit
+        weights of a row add up in the iteration order of its candidate set,
+        exactly as a one-row estimate adds them, so every estimate is bit for
+        bit the one-row estimate of its row.  ``num_samples`` is ignored.
+        """
+        rows = probability_matrix(self.graph, edge_probability_rows)
         block = self._recovered_block(user)
         if not block.num_graphs:
-            return InfluenceEstimate(
-                value=0.0, num_samples=0, edges_visited=0, reachable_size=0, method=self.name
-            )
-        probabilities = np.asarray(edge_probabilities, dtype=float)
+            return [
+                InfluenceEstimate(
+                    value=0.0, num_samples=0, edges_visited=0, reachable_size=0, method=self.name
+                )
+                for _ in range(len(rows))
+            ]
         if self.use_pruning:
-            candidates, checked_edges = self._filter_for(user).candidates(probabilities)
+            structures = self._filter_for(user)
+            kept_rows, graphs, scanned = structures.scan(rows)
+            bounds = kept_rows.searchsorted(np.arange(len(rows) + 1)).tolist()
+            orders = [
+                list(structures.candidate_set(graphs[lo:hi]))
+                for lo, hi in zip(bounds[:-1], bounds[1:])
+            ]
+            scanned = scanned.tolist()
         else:
-            candidates, checked_edges = set(range(block.num_graphs)), 0
-        order = list(candidates)
-        hits, checked = block.reach_many(user, order, probabilities)
-        # Self-normalized importance estimate of the conditional reach
-        # probability; hit weights add up in candidate-iteration order.
+            orders = [list(range(block.num_graphs))] * len(rows)
+            scanned = [0] * len(rows)
+        counts = [len(order) for order in orders]
+        pair_rows = np.repeat(np.arange(len(rows), dtype=np.int64), counts)
+        pair_graphs = np.fromiter(itertools.chain.from_iterable(orders), np.int64, sum(counts))
+        hits, checked = block.reach_pairs(user, rows, pair_rows, pair_graphs)
+        hits = hits.tolist()
         weights = block.weights
         total_weight = float(sum(weights))
-        hit_weight = 0.0
-        for position, hit in zip(order, hits.tolist()):
-            if hit:
-                hit_weight += weights[position]
-        reach_fraction = hit_weight / total_weight if total_weight > 0 else 0.0
         containment_fraction = block.num_graphs / float(self.index.num_samples)
-        value = containment_fraction * reach_fraction * self.graph.num_vertices
-        return InfluenceEstimate(
-            value=value,
-            num_samples=len(candidates),
-            edges_visited=checked_edges + checked,
-            reachable_size=block.num_graphs,
-            method=self.name,
-        )
+        estimates = []
+        start = 0
+        for order, row_scanned, row_checked in zip(orders, scanned, checked.tolist()):
+            # Self-normalized importance estimate of the conditional reach
+            # probability; hit weights add up in candidate-iteration order.
+            hit_weight = 0.0
+            for position, hit in zip(order, hits[start : start + len(order)]):
+                if hit:
+                    hit_weight += weights[position]
+            start += len(order)
+            reach_fraction = hit_weight / total_weight if total_weight > 0 else 0.0
+            value = containment_fraction * reach_fraction * self.graph.num_vertices
+            estimates.append(
+                InfluenceEstimate(
+                    value=value,
+                    num_samples=len(order),
+                    edges_visited=row_scanned + row_checked,
+                    reachable_size=block.num_graphs,
+                    method=self.name,
+                )
+            )
+        return estimates
 
     def clear_cache(self) -> None:
         """Drop recovered graphs (e.g. between unrelated query batches)."""

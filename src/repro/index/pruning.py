@@ -21,7 +21,12 @@ most of that verification work:
     traversed.  The scan cost is counted as a per-edge scan that stops at the
     first posting above ``p(e|W)``.
 3.  Only the surviving candidates are verified, in one batched BFS
-    (:meth:`~repro.index.rr_graph.RRBlock.reach_many`).
+    (:meth:`~repro.index.rr_graph.RRBlock.reach_pairs`).
+
+Both steps take a whole matrix of probability rows: the best-effort explorer
+hands over the upper-bound rows of every child of one expansion at once, so
+:meth:`_UserFilterStructures.scan` filters all rows in one vectorized pass
+and one BFS verifies every surviving (row, RR-Graph) pair.
 
 :func:`build_filter_tables` builds the structures of many users in that one
 pass, with one ``lexsort`` over all their postings; a frozen engine runs it
@@ -44,7 +49,12 @@ from repro.graph.csr import indptr_from_counts
 from repro.graph.digraph import TopicSocialGraph
 from repro.index.rr_graph import RRBlock, RRGraph
 from repro.index.rr_index import RRGraphIndex
-from repro.sampling.base import InfluenceEstimate, InfluenceEstimator, SampleBudget
+from repro.sampling.base import (
+    InfluenceEstimate,
+    InfluenceEstimator,
+    SampleBudget,
+    probability_matrix,
+)
 from repro.topics.model import TagTopicModel
 from repro.utils.heap import concat_ranges
 
@@ -225,23 +235,40 @@ class _UserFilterStructures:
     edge_last: np.ndarray
     always_candidates: Set[int]
 
-    def candidates(self, probabilities: np.ndarray) -> Tuple[Set[int], int]:
-        """``(surviving RR-Graph indices, postings scanned)`` under ``probabilities``.
+    def scan(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The filter step under every row of the ``(R, |E|)`` matrix ``rows`` at once.
 
-        A posting is kept when its edge is live and ``c(e) <= p(e|W)``.  The
+        Returns ``(kept_rows, graphs, scanned)``: one entry per kept posting,
+        row by row and in posting order within a row -- its row and its
+        RR-Graph (graphs may repeat; the uncuttable ``always_candidates`` are
+        not listed) -- and per row the number of postings scanned.  A
+        posting is kept when its edge is live and ``c(e) <= p(e|W)``.  The
         scan of a live edge stops at its first posting above ``p(e|W)``, so
-        ``scanned`` counts the kept postings plus one for every live edge
-        whose last posting lies above ``p(e|W)``.
+        a row scans its kept postings plus, for every live edge whose last
+        posting lies above ``p(e|W)``, that last posting.
         """
-        probabilities = probabilities[self.edge_ids]
+        probabilities = rows.take(self.edge_ids, axis=1)
         live = probabilities > 0.0
         kept = live & (self.thresholds <= probabilities)
-        scanned = int(np.count_nonzero(kept)) + int(
-            np.count_nonzero(live & self.edge_last & ~kept)
-        )
+        # Kept postings and last postings of live edges are the scanned ones.
+        scanned = (kept | (live & self.edge_last)).sum(axis=1)
+        kept_rows, postings = kept.nonzero()
+        return kept_rows, self.rr_indices[postings], scanned
+
+    def candidate_set(self, graphs: np.ndarray) -> Set[int]:
+        """The surviving RR-Graphs of one row of :meth:`scan` as a set.
+
+        The uncuttable graphs go in first, then the kept postings in posting
+        order, so the set iterates as the per-edge scan fills it.
+        """
         candidates = set(self.always_candidates)
-        candidates.update(self.rr_indices[kept].tolist())
-        return candidates, scanned
+        candidates.update(graphs.tolist())
+        return candidates
+
+    def candidates(self, probabilities: np.ndarray) -> Tuple[Set[int], int]:
+        """``(surviving RR-Graph indices, postings scanned)`` under one probability row."""
+        _, graphs, scanned = self.scan(np.asarray(probabilities, dtype=float)[None])
+        return self.candidate_set(graphs), int(scanned[0])
 
 
 def build_filter_tables(
@@ -327,6 +354,11 @@ def build_filter_structures(
 class PrunedIndexEstimator(InfluenceEstimator):
     """``IndexEst+``: filter-and-verify estimation on top of the RR-Graph index.
 
+    :meth:`estimate_many_with_probabilities` is the one estimation path: it
+    filters a whole matrix of probability rows and verifies every surviving
+    (row, RR-Graph) pair in one BFS; :meth:`estimate_with_probabilities` is
+    its one-row call.
+
     ``shared_structures`` (when given) is a read-only table of precomputed
     per-user filter structures owned by a frozen engine
     (:mod:`repro.index.tables`); users found there skip the lazy build, users
@@ -386,17 +418,53 @@ class PrunedIndexEstimator(InfluenceEstimator):
         edge_probabilities: Sequence[float],
         num_samples: Optional[int] = None,
     ) -> InfluenceEstimate:
-        """Filter RR-Graphs with the cuts, verify survivors in one batched BFS."""
-        candidates, scanned = self.filter_candidates(user, edge_probabilities)
-        hits, checked = self.index.block().reach_many(user, list(candidates), edge_probabilities)
-        value = int(hits.sum()) / float(self.index.num_samples) * self.graph.num_vertices
-        return InfluenceEstimate(
-            value=value,
-            num_samples=len(candidates),
-            edges_visited=scanned + checked,
-            reachable_size=len(self.index.graphs_containing(user)),
-            method=self.name,
-        )
+        """The one-row case of :meth:`estimate_many_with_probabilities`."""
+        rows = np.asarray(edge_probabilities, dtype=float)[None]
+        return self.estimate_many_with_probabilities(user, rows, num_samples)[0]
+
+    def estimate_many_with_probabilities(
+        self,
+        user: int,
+        edge_probability_rows: Sequence[Sequence[float]],
+        num_samples: Optional[int] = None,
+    ) -> list:
+        """Filter every row's RR-Graphs with the cuts, verify all survivors in one BFS.
+
+        One :meth:`_UserFilterStructures.scan` filters all rows; the
+        surviving (row, RR-Graph) pairs -- each row's kept postings plus the
+        uncuttable graphs, without repeats -- are verified together by
+        :meth:`~repro.index.rr_graph.RRBlock.reach_pairs`.  Every estimate
+        equals the one-row filter-and-verify of its row bit for bit (a hit
+        count does not depend on the order of a row's candidates).
+        ``num_samples`` is ignored (offline samples).
+        """
+        rows = probability_matrix(self.graph, edge_probability_rows)
+        structures = self._structures_for(user)
+        kept_rows, graphs, scanned = structures.scan(rows)
+        block = self.index.block()
+        candidates = np.zeros((len(rows), block.num_graphs), dtype=bool)
+        candidates[kept_rows, graphs] = True
+        if structures.always_candidates:
+            candidates[:, list(structures.always_candidates)] = True
+        pair_rows, pair_graphs = candidates.nonzero()
+        hits, checked = block.reach_pairs(user, rows, pair_rows, pair_graphs)
+        hit_counts = np.bincount(pair_rows[hits], minlength=len(rows)).tolist()
+        candidate_counts = np.bincount(pair_rows, minlength=len(rows)).tolist()
+        edges_visited = (scanned + checked).tolist()
+        reachable_size = len(self.index.graphs_containing(user))
+        scale = float(self.index.num_samples)
+        return [
+            InfluenceEstimate(
+                value=hit_count / scale * self.graph.num_vertices,
+                num_samples=candidate_count,
+                edges_visited=edges,
+                reachable_size=reachable_size,
+                method=self.name,
+            )
+            for hit_count, candidate_count, edges in zip(
+                hit_counts, candidate_counts, edges_visited
+            )
+        ]
 
     def pruning_ratio(self, user: int, edge_probabilities: Sequence[float]) -> float:
         """Fraction of containing RR-Graphs eliminated by the filter step."""

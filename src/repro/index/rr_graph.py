@@ -17,11 +17,13 @@ stores; :func:`generate_rr_graph` is its one-sample view.
 
 Query-time matching runs on an :class:`RRBlock`: every RR-Graph of a
 collection concatenated into one CSR whose nodes are (graph, member vertex)
-pairs.  :meth:`RRBlock.reach_many` verifies all candidate RR-Graphs of one
-estimate in a single level-synchronous BFS, so an estimate costs a handful of
-NumPy calls per BFS level instead of a whole BFS per RR-Graph.  The per-graph
-reach bits and the per-graph level-synchronous ``edges_checked`` sums are
-exactly those of one BFS per graph.  :meth:`RRBlock.root_reach` is the
+pairs.  :meth:`RRBlock.reach_pairs` verifies every (probability row,
+candidate RR-Graph) pair of a batch of estimates in a single level-synchronous
+BFS, so a whole best-effort expansion costs a handful of NumPy calls per BFS
+level instead of one BFS per row, let alone per RR-Graph.  The per-pair reach
+bits and the per-row level-synchronous ``edges_checked`` sums are exactly
+those of one BFS per graph; :meth:`RRBlock.reach_many` is the one-row
+case.  :meth:`RRBlock.root_reach` is the
 reverse closure the edge-cut tables of :mod:`repro.index.pruning` read: per
 node, the root in-slots of its graph it reaches.  :func:`tag_aware_reachable` is the
 single-graph view of the same kernel; the original per-edge walkers remain
@@ -38,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.graph.csr import csr_order, indptr_from_counts
+from repro.graph.csr import csr_order, indptr_from_counts, slice_positions
 from repro.graph.digraph import TopicSocialGraph
 from repro.utils.heap import concat_ranges
 from repro.utils.rng import RandomSource
@@ -226,6 +228,8 @@ class RRBlock:
         self.num_graphs = num_graphs
         self.num_nodes = len(node_keys)
         self.stride = stride
+        self.graph_indptr = np.searchsorted(node_keys, np.arange(num_graphs + 1) * stride)
+        self.graph_sizes = np.diff(self.graph_indptr)
         self.node_keys = np.append(node_keys, np.iinfo(np.int64).max)
         self.indptr, order = csr_order(source_nodes, self.num_nodes)
         self.out_degree = np.diff(self.indptr)
@@ -264,7 +268,7 @@ class RRBlock:
         ``graphs`` is an ``int64`` array.
         """
         keys = graphs * self.stride + users
-        nodes = np.searchsorted(self.node_keys, keys)
+        nodes = self.node_keys.searchsorted(keys)
         found = self.node_keys[nodes] == keys
         # A user outside [0, stride) could alias another graph's key.
         found &= (users >= 0) & (users < self.stride)
@@ -274,48 +278,105 @@ class RRBlock:
         """The out-slots of every one of ``nodes``, concatenated in node order."""
         return concat_ranges(self.indptr[nodes], self.out_degree[nodes])
 
+    def reach_pairs(
+        self,
+        user: int,
+        rows: np.ndarray,
+        pair_rows: np.ndarray,
+        pair_graphs: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Definition 3 for ``user`` in every (probability row, graph) pair at once.
+
+        ``rows`` is a ``(R, |E|)`` float matrix of edge probabilities ``p(e|W)``
+        (read in place); pair ``i`` asks whether ``user`` reaches the root of
+        graph ``pair_graphs[i]`` through the edges live under row
+        ``pair_rows[i]`` (``p(e|W) > 0`` and ``p(e|W) >= c(e)``).  Returns
+        ``(hits, edges_checked)``: one bool per pair and one count per row.
+
+        One level-synchronous BFS advances the frontier of every pair
+        together over (pair, node) keys.  Each pair owns one compact run of
+        keys, as many as its graph has nodes, so visited sets never mix rows
+        or graphs and the visited bitmap spans only the pairs' own graphs.
+        A pair stops when its root appears among its newly reached nodes
+        (the slots of that level still count as checked) or when it has
+        nothing left to expand.  So the hits and the ``edges_checked`` of a
+        row equal one level-synchronous BFS per pair of that row, summed.
+        ``user == root`` is a hit with nothing checked; a graph without
+        ``user`` is a miss.  Pairs are expected to be distinct; a repeated
+        pair is verified (and counted) once per listing.
+        """
+        pair_rows = np.asarray(pair_rows, dtype=np.int64)
+        pair_graphs = np.asarray(pair_graphs, dtype=np.int64)
+        hits = self.roots[pair_graphs] == user
+        if not 0 <= user < self.stride:
+            return hits, np.zeros(len(rows), dtype=np.int64)
+        # The start of every pair, as in start_nodes.
+        keys = pair_graphs * self.stride + user
+        nodes = self.node_keys.searchsorted(keys)
+        owners = ((self.node_keys[nodes] == keys) & ~hits).nonzero()[0]
+        if not owners.size:
+            return hits, np.zeros(len(rows), dtype=np.int64)
+        # Pair i owns the keys [ends[i] - sizes[i], ends[i]); node n of its
+        # graph is key shift[i] + n.  The frontier is a sorted array of
+        # distinct keys, so a key's pair is one searchsorted away.
+        sizes = self.graph_sizes[pair_graphs]
+        ends = sizes.cumsum()
+        shift = ends - sizes - self.graph_indptr[pair_graphs]
+        unvisited = np.ones(int(ends[-1]), dtype=bool)
+        nodes = nodes[owners]
+        unvisited[shift[owners] + nodes] = False
+        # Liveness reads the row matrix flat: pair i's row starts at row_base[i].
+        flat = rows.reshape(-1)
+        row_base = pair_rows * rows.shape[1]
+        expanded = []
+        while True:
+            degrees = self.out_degree[nodes]
+            # concat_ranges over the frontier's out-slot runs, inlined so the
+            # run ends serve both the positions and the emptiness test.
+            run_ends = degrees.cumsum()
+            total = int(run_ends[-1])
+            if not total:
+                break
+            positions = np.arange(total) + (self.indptr[nodes] - run_ends + degrees).repeat(degrees)
+            owners = owners.repeat(degrees)
+            expanded.append(owners)
+            live = (
+                flat[row_base[owners] + self.slot_edge_ids[positions]]
+                >= self.slot_live_floor[positions]
+            )
+            owners = owners[live]
+            nodes = self.slot_targets[positions[live]]
+            # A root is never visited (its pair stops on reaching it), so
+            # it may be tested before the visited filter.
+            at_root = self.node_is_root[nodes]
+            if np.count_nonzero(at_root):
+                hits[owners[at_root]] = True
+                keep = ~hits[owners]
+                owners, nodes = owners[keep], nodes[keep]
+            keys = shift[owners] + nodes
+            keys = keys[unvisited[keys]]
+            if not keys.size:
+                break
+            unvisited[keys] = False
+            keys = _sorted_distinct(keys)
+            owners = ends.searchsorted(keys, side="right")
+            nodes = keys - shift[owners]
+        checked = pair_rows[np.concatenate(expanded)] if expanded else pair_rows[:0]
+        return hits, np.bincount(checked, minlength=len(rows))
+
     def reach_many(
         self, user: int, graphs: Sequence[int], probabilities: Sequence[float]
     ) -> Tuple[np.ndarray, int]:
-        """Definition 3 for ``user`` in every one of ``graphs`` at once.
+        """Definition 3 for ``user`` in every one of ``graphs`` under one probability row.
 
-        Returns ``(hits, edges_checked)``: ``hits[i]`` tells whether ``user``
-        reaches the root of ``graphs[i]`` through live edges (``p(e|W) > 0``
-        and ``p(e|W) >= c(e)``).  One level-synchronous BFS advances every
-        graph's frontier together; liveness is computed only on the slots
-        being expanded.  A graph stops when its root appears among its newly
-        reached nodes (the slots of that level still count as checked) or
-        when it has nothing left to expand, so ``edges_checked`` is the sum
-        of one level-synchronous BFS per graph.  ``user == root`` is a hit
-        with nothing checked; a graph without ``user`` is a miss.
+        The one-row case of :meth:`reach_pairs`: returns ``(hits,
+        edges_checked)`` with ``hits[i]`` for ``graphs[i]`` and the summed
+        count of one level-synchronous BFS per graph.
         """
+        rows = np.asarray(probabilities, dtype=float)[None]
         graphs = np.asarray(graphs, dtype=np.int64)
-        at_root = self.roots[graphs] == user
-        hit_graphs = np.zeros(self.num_graphs, dtype=bool)
-        hit_graphs[graphs[at_root]] = True
-        frontier = self.start_nodes(user, graphs)
-        frontier = frontier[(frontier >= 0) & ~at_root]
-        checked = 0
-        if frontier.size:
-            probabilities = np.asarray(probabilities, dtype=float)
-            unvisited = np.ones(self.num_nodes, dtype=bool)
-            unvisited[frontier] = False
-            owner = np.empty(self.num_nodes, dtype=np.int64)
-            while frontier.size:
-                positions = self.out_slots(frontier)
-                if not positions.size:
-                    break
-                checked += int(positions.size)
-                live = probabilities[self.slot_edge_ids[positions]] >= self.slot_live_floor[positions]
-                reached = self.slot_targets[positions[live]]
-                reached = reached[unvisited[reached]]
-                at_root = self.node_is_root[reached]
-                if at_root.any():
-                    hit_graphs[self.node_keys[reached[at_root]] // self.stride] = True
-                    reached = reached[~hit_graphs[self.node_keys[reached] // self.stride]]
-                unvisited[reached] = False
-                frontier = _distinct(reached, owner)
-        return hit_graphs[graphs], checked
+        hits, checked = self.reach_pairs(user, rows, np.zeros(len(graphs), np.int64), graphs)
+        return hits, int(checked[0])
 
     def root_reach(self) -> np.ndarray:
         """Per node, which root in-slots of its graph it reaches with every edge live.
@@ -401,9 +462,11 @@ def sample_rr_arrays(
 
     Each sample draws its root with ``rng.integer(0, |V|)`` -- or uses
     ``root`` when given -- and then runs the reverse BFS of
-    :func:`generate_rr_graph`, one batched ``rng.uniforms`` call per level,
-    so the RNG is consumed exactly as by a loop of root draws and
-    :func:`generate_rr_graph` calls.  The result equals
+    :func:`generate_rr_graph`, one batched uniform draw per level (the bits
+    of ``rng.uniforms``), so the RNG is consumed exactly as by a loop of root
+    draws and :func:`generate_rr_graph` calls.  A level keeps the in-slot
+    positions of its surviving edges; their edge ids and sources are
+    gathered once at the end.  The result equals
     :func:`flatten_rr_graphs` of those graphs array for array, without a
     per-graph Python object in between.  The arrays are read-only.
     """
@@ -411,11 +474,17 @@ def sample_rr_arrays(
         max_probabilities = graph.max_edge_probabilities()
     csr = graph.csr
     num_vertices = csr.num_vertices
+    in_indptr, in_sources = csr.in_indptr, csr.in_sources
+    # Per in-slot liveness floor, gathered once: an examined edge survives
+    # iff c(e) <= floor, and -1 (below every draw) stands for p(e) <= 0.
+    slot_floor = np.where(max_probabilities > 0.0, max_probabilities, -1.0)[csr.in_edge_ids]
+    # generator.random(n) draws the bits of rng.uniforms(n), with less overhead.
+    draw = rng.generator.random
     visited = np.zeros(num_vertices, dtype=bool)
     roots = np.empty(num_samples, dtype=np.int64)
     vertex_counts = np.empty(num_samples, dtype=np.int64)
     edge_counts = np.zeros(num_samples, dtype=np.int64)
-    members, edge_ids, edge_sources, thresholds = [], [], [], []
+    members, kept_slots, thresholds = [], [], []
     for sample in range(num_samples):
         start = rng.integer(0, num_vertices) if root is None else root
         roots[sample] = start
@@ -423,20 +492,29 @@ def sample_rr_arrays(
         visited[start] = True
         graph_members = [frontier]
         while True:
-            positions = csr.in_positions(frontier)
-            if not positions.size:
+            if frontier.size == 1:
+                # A single vertex's in-slots are one CSR slice.
+                low, high = in_indptr[frontier[0] : frontier[0] + 2].tolist()
+                if low == high:
+                    break
+                level_thresholds = draw(high - low)
+                kept = (level_thresholds <= slot_floor[low:high]).nonzero()[0]
+                level_thresholds = level_thresholds[kept]
+                kept += low
+            else:
+                positions = slice_positions(in_indptr, frontier)
+                if not positions.size:
+                    break
+                level_thresholds = draw(positions.size)
+                keep = level_thresholds <= slot_floor[positions]
+                kept = positions[keep]
+                level_thresholds = level_thresholds[keep]
+            if not kept.size:
                 break
-            level_edges = csr.in_edge_ids[positions]
-            maxima = max_probabilities[level_edges]
-            level_thresholds = rng.uniforms(level_edges.size)
-            keep = (maxima > 0.0) & (level_thresholds <= maxima)
-            if not keep.any():
-                break
-            kept_sources = csr.in_sources[positions[keep]]
-            edge_ids.append(level_edges[keep])
-            edge_sources.append(kept_sources)
-            thresholds.append(level_thresholds[keep])
-            edge_counts[sample] += kept_sources.size
+            kept_slots.append(kept)
+            thresholds.append(level_thresholds)
+            edge_counts[sample] += kept.size
+            kept_sources = in_sources[kept]
             fresh = kept_sources[~visited[kept_sources]]
             if not fresh.size:
                 break
@@ -451,14 +529,15 @@ def sample_rr_arrays(
     offsets = np.repeat(np.arange(num_samples, dtype=np.int64) * num_vertices, vertex_counts)
     vertex_keys = _concatenate(members, np.int64) + offsets
     vertex_keys.sort()
-    edge_ids = _concatenate(edge_ids, np.int64)
+    slots = _concatenate(kept_slots, np.int64)
+    edge_ids = csr.in_edge_ids[slots].astype(np.int64, copy=False)
     arrays = {
         "roots": roots,
         "vertex_indptr": indptr_from_counts(vertex_counts),
         "vertex_ids": vertex_keys - offsets,
         "edge_indptr": indptr_from_counts(edge_counts),
         "edge_ids": edge_ids,
-        "edge_sources": _concatenate(edge_sources, np.int64),
+        "edge_sources": in_sources[slots].astype(np.int64, copy=False),
         "edge_targets": csr.edge_targets[edge_ids].astype(np.int64, copy=False),
         "edge_thresholds": _concatenate(thresholds, np.float64),
     }
@@ -468,10 +547,12 @@ def sample_rr_arrays(
 
 
 def _sorted_distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct ``values`` in ascending order (``np.unique`` by sort + mask)."""
-    values = np.sort(values)
-    keep = np.empty(values.size, dtype=bool)
-    keep[:1] = True
+    """The distinct ``values`` in ascending order (``np.unique`` by sort + mask).
+
+    ``values`` (a fresh array of the caller's) is sorted in place.
+    """
+    values.sort()
+    keep = np.ones(values.size, dtype=bool)
     np.not_equal(values[1:], values[:-1], out=keep[1:])
     return values[keep]
 
@@ -564,7 +645,7 @@ def tag_aware_reachable(
 
     An edge is live when ``p(e|W) >= c(e)``.  Returns ``(reachable,
     edges_checked)`` so callers can account verification cost.  The default
-    kernel is the one-graph case of :meth:`RRBlock.reach_many` (callers that
+    kernel is the one-graph case of :meth:`RRBlock.reach_pairs` (callers that
     match many graphs should batch them through a block instead).  The exact
     ``edges_checked`` value depends on traversal order (both kernels stop as
     soon as the root is reached), so the two kernels agree on the reachability

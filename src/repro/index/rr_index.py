@@ -10,7 +10,9 @@ the user actually reaches the root through live edges (Definition 3):
 No sampling happens at query time, which is where the orders-of-magnitude
 speed-ups of Fig. 7 / Fig. 9 come from.  The count runs on the index's
 :class:`~repro.index.rr_graph.RRBlock`: all RR-Graphs containing ``u`` are
-verified in one batched BFS.
+verified in one batched BFS, under every probability row of a batch at once.
+The per-user containment lists are tuples, so a list handed to a caller
+cannot change the index.
 
 The index keeps its RR-Graphs only as the flat arrays of :meth:`to_arrays`:
 :func:`~repro.index.rr_graph.sample_rr_arrays` draws them straight into that
@@ -36,7 +38,12 @@ from repro.index.rr_graph import (
     rr_graphs_from_arrays,
     sample_rr_arrays,
 )
-from repro.sampling.base import InfluenceEstimate, InfluenceEstimator, SampleBudget
+from repro.sampling.base import (
+    InfluenceEstimate,
+    InfluenceEstimator,
+    SampleBudget,
+    probability_matrix,
+)
 from repro.topics.model import TagTopicModel
 from repro.utils.freeze import guard_check
 from repro.utils.rng import SeedLike, spawn_rng
@@ -66,7 +73,7 @@ class RRGraphIndex:
         self._rng = spawn_rng(seed)
         self._arrays: Dict[str, np.ndarray] = {}
         self._rr_graphs: Optional[Tuple[RRGraph, ...]] = None
-        self.containment: Dict[int, List[int]] = {}
+        self.containment: Dict[int, Tuple[int, ...]] = {}
         self.build_seconds: float = 0.0
         self._built = False
         self._built_version: Optional[int] = None
@@ -130,10 +137,10 @@ class RRGraphIndex:
             )
 
     # ------------------------------------------------------------------ query
-    def graphs_containing(self, user: int) -> List[int]:
-        """Indices of the RR-Graphs containing ``user``."""
+    def graphs_containing(self, user: int) -> Tuple[int, ...]:
+        """Indices of the RR-Graphs containing ``user``, ascending (an immutable tuple)."""
         self._require_built()
-        return self.containment.get(user, [])
+        return self.containment.get(user, ())
 
     def containment_count(self, user: int) -> int:
         """``theta(u)``: number of RR-Graphs containing ``user``."""
@@ -158,16 +165,30 @@ class RRGraphIndex:
 
     def estimate(self, user: int, edge_probabilities: Sequence[float]) -> InfluenceEstimate:
         """Algorithm 3 online phase: count tag-aware reachable RR-Graphs."""
-        candidates = self.graphs_containing(user)
-        hits, checked_edges = self.block().reach_many(user, candidates, edge_probabilities)
-        value = int(hits.sum()) / float(self.num_samples) * self.graph.num_vertices
-        return InfluenceEstimate(
-            value=value,
-            num_samples=len(candidates),
-            edges_visited=checked_edges,
-            reachable_size=len(candidates),
-            method="indexest",
-        )
+        return self.estimate_many(user, np.asarray(edge_probabilities, dtype=float)[None])[0]
+
+    def estimate_many(self, user: int, rows: np.ndarray) -> List[InfluenceEstimate]:
+        """:meth:`estimate` under every row of the ``(R, |E|)`` matrix ``rows``.
+
+        Every (row, RR-Graph containing ``user``) pair is verified in one
+        :meth:`~repro.index.rr_graph.RRBlock.reach_pairs` BFS.
+        """
+        candidates = np.asarray(self.graphs_containing(user), dtype=np.int64)
+        pair_rows = np.repeat(np.arange(len(rows), dtype=np.int64), len(candidates))
+        pair_graphs = np.tile(candidates, len(rows))
+        hits, checked = self.block().reach_pairs(user, rows, pair_rows, pair_graphs)
+        hit_counts = np.bincount(pair_rows[hits], minlength=len(rows)).tolist()
+        scale = float(self.num_samples)
+        return [
+            InfluenceEstimate(
+                value=hit_count / scale * self.graph.num_vertices,
+                num_samples=len(candidates),
+                edges_visited=edges,
+                reachable_size=len(candidates),
+                method="indexest",
+            )
+            for hit_count, edges in zip(hit_counts, checked.tolist())
+        ]
 
     # -------------------------------------------------------------- serialize
     def to_arrays(self) -> Dict[str, np.ndarray]:
@@ -233,8 +254,10 @@ class RRGraphIndex:
         return float(np.mean(np.diff(self._arrays["vertex_indptr"])))
 
 
-def _containment(vertex_ids: np.ndarray, vertex_indptr: np.ndarray) -> Dict[int, List[int]]:
+def _containment(vertex_ids: np.ndarray, vertex_indptr: np.ndarray) -> Dict[int, Tuple[int, ...]]:
     """Per vertex, the ascending positions of the RR-Graphs that contain it.
+
+    Each list is a tuple, so a caller handed one cannot edit the index.
 
     One stable sort groups the flat vertex array by vertex while keeping
     graph positions ascending (``np.repeat`` emits them in increasing order).
@@ -244,12 +267,16 @@ def _containment(vertex_ids: np.ndarray, vertex_indptr: np.ndarray) -> Dict[int,
     sorted_vertices = vertex_ids[order]
     boundaries = np.flatnonzero(np.diff(sorted_vertices)) + 1
     starts = np.concatenate(([0], boundaries)) if sorted_vertices.size else boundaries
-    postings = (graphs.tolist() for graphs in np.split(graph_of[order], boundaries))
+    postings = (tuple(graphs.tolist()) for graphs in np.split(graph_of[order], boundaries))
     return dict(zip(sorted_vertices[starts].tolist(), postings))
 
 
 class IndexEstimator(InfluenceEstimator):
-    """The ``IndexEst`` method: Algorithm 3 behind the estimator interface."""
+    """The ``IndexEst`` method: Algorithm 3 behind the estimator interface.
+
+    Every row of a batch is answered by :meth:`RRGraphIndex.estimate_many` in
+    one BFS; :meth:`estimate_with_probabilities` is the one-row call.
+    """
 
     name = "indexest"
 
@@ -271,5 +298,18 @@ class IndexEstimator(InfluenceEstimator):
         edge_probabilities: Sequence[float],
         num_samples: Optional[int] = None,
     ) -> InfluenceEstimate:
-        """Delegate to the RR-Graph index; ``num_samples`` is ignored (offline samples)."""
-        return self.index.estimate(user, edge_probabilities)
+        """The one-row case of :meth:`estimate_many_with_probabilities`."""
+        rows = np.asarray(edge_probabilities, dtype=float)[None]
+        return self.estimate_many_with_probabilities(user, rows, num_samples)[0]
+
+    def estimate_many_with_probabilities(
+        self,
+        user: int,
+        edge_probability_rows: Sequence[Sequence[float]],
+        num_samples: Optional[int] = None,
+    ) -> list:
+        """Delegate to :meth:`RRGraphIndex.estimate_many`: every row in one batched BFS.
+
+        ``num_samples`` is ignored (offline samples).
+        """
+        return self.index.estimate_many(user, probability_matrix(self.graph, edge_probability_rows))

@@ -179,6 +179,26 @@ def probability_rows(
     return rows
 
 
+def probability_matrix(
+    graph: TopicSocialGraph, edge_probability_rows: Sequence[Sequence[float]]
+) -> np.ndarray:
+    """``edge_probability_rows`` as one ``(R, graph.num_edges)`` float matrix.
+
+    A float matrix of that shape is used in place, not copied; any other
+    batch is validated by :func:`probability_rows` and its rows are stacked.
+    An empty batch gives a ``(0, graph.num_edges)`` matrix.
+    """
+    matrix = edge_probability_rows
+    if (
+        isinstance(matrix, np.ndarray)
+        and matrix.dtype == np.float64
+        and matrix.shape[1:] == (graph.num_edges,)
+    ):
+        return matrix
+    rows = probability_rows(graph, edge_probability_rows)
+    return np.array(rows) if rows else np.empty((0, graph.num_edges))
+
+
 @dataclass
 class InfluenceEstimate:
     """The result of one influence estimation.

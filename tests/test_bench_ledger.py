@@ -1,14 +1,16 @@
-"""The benchmark ledger's equality gate on route probes (``tools/bench_ledger.py``).
+"""The benchmark ledger (``tools/bench_ledger.py``): probe gate and run records.
 
 A base probe and a change probe of one workload and seed must agree on the
 answers digest and on every deterministic counter; any disagreement is
-recorded in the ledger and makes it exit non-zero.
+recorded in the ledger and makes it exit non-zero.  Every run keeps
+pitexbench's raw timing line next to its scaled metrics.
 """
 
 import importlib.util
 import json
 import os
 import shutil
+import subprocess
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -62,3 +64,39 @@ def test_ledger_passes_when_probes_agree(tmp_path, monkeypatch):
     status, entry = run_ledger(tmp_path, monkeypatch, {"base": probe(), "change": probe()})
     assert status == 0
     assert "probe_mismatches" not in entry
+
+
+def fake_run(stdout):
+    def run(command, **kwargs):
+        return subprocess.CompletedProcess(command, 0, stdout=stdout, stderr="")
+
+    return run
+
+
+def bench_stdout(trace):
+    """What ``pitexbench/run.py`` prints: stamp, report, [raw line], result."""
+    metric = {"latency_p50_ms": {"value": 12.5, "unit": "ms"}}
+    lines = [json.dumps({"stamp": {"seed": 3}}), "workload index-cold  seed 3  trace 0"]
+    lines.append("  untraced: reads 5 attempted / 0 failed, answers_digest 36b32d19eb2682eb")
+    if not trace:
+        raw = {"unscaled": {"latency_p50_ms": {"value": 11.0, "unit": "ms"}}}
+        raw.update(probe_ms_median=41.5, probe_busy_share=0.01)
+        lines.append(json.dumps(raw))
+    lines.append(json.dumps({"correct": True, "attempted": 5, "failed": 0, "metrics": metric}))
+    return "\n".join(lines) + "\n"
+
+
+def test_runs_keep_the_raw_timing_line(tmp_path, monkeypatch):
+    ledger = load_ledger()
+    monkeypatch.setattr(ledger.subprocess, "run", fake_run(bench_stdout(trace=0)))
+    run = ledger.run_benchmark(tmp_path, "index-cold", 3, 15.0, 0)
+    assert run["metrics"] == {"latency_p50_ms": 12.5}
+    assert run["answers_digest"] == "36b32d19eb2682eb"
+    assert run["raw"] == {
+        "unscaled": {"latency_p50_ms": 11.0},
+        "probe_ms_median": 41.5,
+        "probe_busy_share": 0.01,
+    }
+    # A traced run prints no raw line; the ledger records that as null.
+    monkeypatch.setattr(ledger.subprocess, "run", fake_run(bench_stdout(trace=1)))
+    assert ledger.run_benchmark(tmp_path, "index-cold", 3, 15.0, 1)["raw"] is None

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.engine import PitexEngine
 from repro.exceptions import IndexNotBuiltError
 from repro.graph.generators import line_graph, random_topic_graph
 from repro.index.delayed import DelayedIndexEstimator, DelayedMaterializationIndex
@@ -206,3 +207,21 @@ def test_delayed_estimator_pruning_consistency(indexed_instance):
     assert a.value == pytest.approx(b.value, rel=0.4, abs=0.5)
     with_pruning.clear_cache()
     assert with_pruning._recovered == {}
+
+
+def test_frozen_index_hands_out_immutable_containment():
+    graph = random_topic_graph(40, 2, edge_probability=0.12, base_probability=0.6, seed=17)
+    model = TagTopicModel(np.array([[0.9, 0.0], [0.7, 0.2], [0.0, 0.9], [0.2, 0.7]]))
+    engine = PitexEngine(graph, model, max_samples=40, index_samples=200, default_k=2, seed=7)
+    engine.freeze(methods=("indexest",), ks=(2,))
+    user = max(engine.rr_index.containment, key=lambda v: len(engine.rr_index.containment[v]))
+    before = engine.query(user, k=2, method="indexest")
+    graphs = engine.rr_index.graphs_containing(user)
+    assert isinstance(graphs, tuple) and graphs
+    with pytest.raises(AttributeError):
+        graphs.clear()
+    with pytest.raises(TypeError):
+        graphs[0] = graphs[-1]
+    after = engine.query(user, k=2, method="indexest")
+    assert (after.tag_ids, after.spread) == (before.tag_ids, before.spread)
+    assert engine.rr_index.graphs_containing(graph.num_vertices) == ()

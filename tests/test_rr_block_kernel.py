@@ -214,3 +214,78 @@ def test_delaymat_weighted_hit_sum_matches_reference():
         assert estimate.edges_visited == checked
         # Pruning never drops a reachable graph, so the value is unchanged.
         assert pruned.estimate_with_probabilities(user, probabilities).value == expected
+
+
+# ------------------------------------------------------- the (row, graph) kernel
+def with_zero_thresholds(rr_graphs, rng):
+    """Copies of ``rr_graphs`` with some ``c(e)`` set to exactly 0."""
+    copies = []
+    for rr_graph in rr_graphs:
+        thresholds = [0.0 if rng.uniform() < 0.25 else c for c in rr_graph.edge_thresholds]
+        copy = RRGraph(rr_graph.root, set(rr_graph.vertices))
+        copy.extend_edges(rr_graph.edge_ids, rr_graph.edge_sources, rr_graph.edge_targets, thresholds)
+        copies.append(copy)
+    return copies
+
+
+@given(instance=indexed_graphs(), data=st.data())
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_reach_pairs_matches_per_graph_reference(instance, data):
+    graph, index = instance
+    rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
+    rr_graphs = with_zero_thresholds(index.rr_graphs, rng)
+    block = RRBlock.from_graphs(rr_graphs)
+    # Few rows, or more rows than one 64-bit word holds.
+    num_rows = data.draw(st.one_of(st.integers(1, 4), st.integers(65, 70)))
+    rows = np.stack([draw_probabilities(data, graph, index) for _ in range(num_rows)])
+    rows[0] = 0.0  # an all-zero row: only c(e) = 0 edges could matter, and they stay dead
+    roots = [rr.root for rr in rr_graphs]
+    # A root, a vertex outside the graph and a few others.
+    others = data.draw(st.lists(st.integers(0, graph.num_vertices - 1), max_size=3))
+    for user in sorted({roots[0], graph.num_vertices, *others}):
+        # Each row lists its own graphs, so a graph may appear for some rows only.
+        listed = [
+            data.draw(st.lists(st.sampled_from(range(len(rr_graphs))), unique=True, max_size=6))
+            if row < 4
+            else rng.permutation(len(rr_graphs))[: rng.integers(0, len(rr_graphs) + 1)].tolist()
+            for row in range(num_rows)
+        ]
+        pair_rows = np.repeat(np.arange(num_rows), [len(graphs) for graphs in listed])
+        pair_graphs = np.array([g for graphs in listed for g in graphs], dtype=np.int64)
+        hits, checked = block.reach_pairs(user, rows, pair_rows, pair_graphs)
+        expected = [
+            reference_reach(rr_graphs[g], user, rows[r]) for r, g in zip(pair_rows, pair_graphs)
+        ]
+        assert hits.tolist() == [reachable for reachable, _ in expected]
+        per_row = np.zeros(num_rows, dtype=np.int64)
+        for r, (_, count) in zip(pair_rows, expected):
+            per_row[r] += count
+        assert checked.tolist() == per_row.tolist()
+
+
+def test_reach_pairs_edge_cases():
+    # 0 -> 1 -> 2 with root 2; edge 0 has c(e) = 0, edge 1 has c(e) = 0.5.
+    line = RRGraph(root=2, vertices={0, 1, 2})
+    line.extend_edges([0, 1], [0, 1], [1, 2], [0.0, 0.5])
+    block = RRBlock.from_graphs([line, RRGraph(root=4, vertices={3, 4})])
+    rows = np.array([[1.0, 1.0], [0.0, 1.0], [0.3, 0.6], [0.3, 0.4]])
+    pairs = np.array([0, 1, 2, 3]), np.zeros(4, dtype=np.int64)
+    hits, checked = block.reach_pairs(0, rows, *pairs)
+    # A c(e) = 0 edge is live only while p(e|W) > 0; a dead second edge still counts.
+    assert hits.tolist() == [True, False, True, False]
+    assert checked.tolist() == [2, 1, 2, 2]
+    # user == root: a hit with nothing checked, in every row that lists it.
+    hits, checked = block.reach_pairs(2, rows, np.array([1, 3]), np.array([0, 0]))
+    assert hits.tolist() == [True, True] and checked.tolist() == [0, 0, 0, 0]
+    # A user who is no member (or out of the vertex range): misses, nothing checked.
+    for user in (3, 99, -1):
+        hits, checked = block.reach_pairs(user, rows, np.array([0, 2]), np.array([0, 0]))
+        assert hits.tolist() == [False, False] and checked.tolist() == [0, 0, 0, 0]
+    # A graph without edges, and the empty pair list.
+    hits, checked = block.reach_pairs(3, rows, np.array([0]), np.array([1]))
+    assert hits.tolist() == [False] and checked.tolist() == [0, 0, 0, 0]
+    hits, checked = block.reach_pairs(0, rows, np.empty(0, np.int64), np.empty(0, np.int64))
+    assert hits.size == 0 and checked.tolist() == [0, 0, 0, 0]
+    # One row through reach_many gives the same answers.
+    assert block.reach_many(0, [0], rows[2])[0].tolist() == [True]
+    assert block.reach_many(0, [0], rows[2])[1] == 2

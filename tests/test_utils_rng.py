@@ -181,3 +181,16 @@ def test_child_streams_depend_on_parent_draw_position():
     advanced = RandomSource(7)
     advanced.uniform()  # spawn() folds in parent entropy, so position matters
     assert fresh.spawn(3).uniforms(4).tolist() != advanced.spawn(3).uniforms(4).tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2017])
+def test_uniforms_and_generator_random_draw_identical_bits(seed):
+    # RR-Graph sampling draws its c(e) values with generator.random(n) in
+    # place of uniforms(n); both must consume and return the same bits.
+    via_uniforms, via_random = RandomSource(seed), RandomSource(seed)
+    for size in (1, 2, 3, 17, 64, 1000, 5):
+        a = via_uniforms.uniforms(size)
+        b = via_random.generator.random(size)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        # Interleaved scalar draws stay in step too.
+        assert via_uniforms.integer(0, 100) == via_random.integer(0, 100)

@@ -28,6 +28,9 @@ exit non-zero.
 
 An existing ``--out`` file is extended, not replaced: pairs, traced runs
 and probes are appended, and the summary covers every recorded pair.
+Every run also keeps, under ``raw``, pitexbench's unscaled end-to-end
+metrics and the speed-probe readings behind the scaling (``null`` for
+traced runs, which print no such line).
 A pair counts as a win for the change when its value is strictly better in
 the direction ``BENCHMARK.json`` declares.
 """
@@ -81,8 +84,24 @@ def run_benchmark(tree: Path, workload: str, seed: int, seconds: float, trace: i
         "failed": result["failed"],
         "answers_digest": digest.group(1) if digest else None,
         "metrics": {name: entry["value"] for name, entry in result["metrics"].items()},
+        "raw": raw_timings(lines[1:-1]),
         "checks_failed": [line for line in lines if line.startswith("CHECK FAILED")],
     }
+
+
+def raw_timings(lines) -> dict:
+    """The run's ``{"unscaled": ...}`` line: raw host timings and speed-probe readings.
+
+    Returns ``{"unscaled": {metric: value}, "probe_ms_median": ...,
+    "probe_busy_share": ...}``, or ``None`` when the run printed no such
+    line (``pitexbench/run.py`` prints it for untraced runs only).
+    """
+    for line in lines:
+        if line.startswith('{"unscaled"'):
+            raw = json.loads(line)
+            raw["unscaled"] = {name: entry["value"] for name, entry in raw["unscaled"].items()}
+            return raw
+    return None
 
 
 def route_probe(tree: Path, workload: str, seed: int, seconds: float) -> dict:
