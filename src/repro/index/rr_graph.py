@@ -310,7 +310,7 @@ class RRBlock:
         hits = self.roots[pair_graphs] == user
         if not 0 <= user < self.stride:
             return hits, np.zeros(len(rows), dtype=np.int64)
-        # The start of every pair, as in start_nodes.
+        # The start node of every pair, found as start_nodes finds it.
         keys = pair_graphs * self.stride + user
         nodes = self.node_keys.searchsorted(keys)
         owners = ((self.node_keys[nodes] == keys) & ~hits).nonzero()[0]
@@ -319,25 +319,20 @@ class RRBlock:
         # Pair i owns the keys [ends[i] - sizes[i], ends[i]); node n of its
         # graph is key shift[i] + n.  The frontier is a sorted array of
         # distinct keys, so a key's pair is one searchsorted away.
-        sizes = self.graph_sizes[pair_graphs]
-        ends = sizes.cumsum()
-        shift = ends - sizes - self.graph_indptr[pair_graphs]
-        unvisited = np.ones(int(ends[-1]), dtype=bool)
+        ends = self.graph_sizes[pair_graphs].cumsum()
+        shift = ends - self.graph_indptr[pair_graphs + 1]
+        visited = np.zeros(int(ends[-1]), dtype=bool)
         nodes = nodes[owners]
-        unvisited[shift[owners] + nodes] = False
+        visited[shift[owners] + nodes] = True
         # Liveness reads the row matrix flat: pair i's row starts at row_base[i].
         flat = rows.reshape(-1)
         row_base = pair_rows * rows.shape[1]
         expanded = []
         while True:
             degrees = self.out_degree[nodes]
-            # concat_ranges over the frontier's out-slot runs, inlined so the
-            # run ends serve both the positions and the emptiness test.
-            run_ends = degrees.cumsum()
-            total = int(run_ends[-1])
-            if not total:
+            positions = concat_ranges(self.indptr[nodes], degrees)
+            if not positions.size:
                 break
-            positions = np.arange(total) + (self.indptr[nodes] - run_ends + degrees).repeat(degrees)
             owners = owners.repeat(degrees)
             expanded.append(owners)
             live = (
@@ -354,10 +349,10 @@ class RRBlock:
                 keep = ~hits[owners]
                 owners, nodes = owners[keep], nodes[keep]
             keys = shift[owners] + nodes
-            keys = keys[unvisited[keys]]
+            keys = keys[~visited[keys]]
             if not keys.size:
                 break
-            unvisited[keys] = False
+            visited[keys] = True
             keys = _sorted_distinct(keys)
             owners = ends.searchsorted(keys, side="right")
             nodes = keys - shift[owners]
@@ -552,7 +547,8 @@ def _sorted_distinct(values: np.ndarray) -> np.ndarray:
     ``values`` (a fresh array of the caller's) is sorted in place.
     """
     values.sort()
-    keep = np.ones(values.size, dtype=bool)
+    keep = np.empty(values.size, dtype=bool)
+    keep[:1] = True
     np.not_equal(values[1:], values[:-1], out=keep[1:])
     return values[keep]
 

@@ -185,8 +185,9 @@ def probability_matrix(
     """``edge_probability_rows`` as one ``(R, graph.num_edges)`` float matrix.
 
     A float matrix of that shape is used in place, not copied; any other
-    batch is validated by :func:`probability_rows` and its rows are stacked.
-    An empty batch gives a ``(0, graph.num_edges)`` matrix.
+    batch is validated by :func:`probability_rows`.  A single row is then
+    viewed in place as a one-row matrix, and several rows are stacked.  An
+    empty batch gives a ``(0, graph.num_edges)`` matrix.
     """
     matrix = edge_probability_rows
     if (
@@ -196,6 +197,8 @@ def probability_matrix(
     ):
         return matrix
     rows = probability_rows(graph, edge_probability_rows)
+    if len(rows) == 1:
+        return rows[0][None]
     return np.array(rows) if rows else np.empty((0, graph.num_edges))
 
 

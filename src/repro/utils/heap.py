@@ -184,12 +184,13 @@ def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     (world, vertex) schedules without a Python-level loop; the event-store
     analogue of :func:`repro.graph.csr.slice_positions`.
     """
-    ends = np.cumsum(counts)
+    ends = counts.cumsum()
     total = int(ends[-1]) if len(ends) else 0
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    # Position i of run r is i - (ends[r] - counts[r]) + starts[r].
-    return np.arange(total, dtype=np.int64) + np.repeat(starts - ends + counts, counts)
+    # Position i of run r is i - (ends[r] - counts[r]) + starts[r].  Array
+    # methods, not the np.* wrappers: this runs once per BFS level.
+    return np.arange(total, dtype=np.int64) + (starts - ends + counts).repeat(counts)
 
 
 class BatchedEventQueue:
