@@ -320,9 +320,7 @@ class DelayedIndexEstimator(InfluenceEstimator):
         block = self._recovered_block(user)
         if not block.num_graphs:
             return [
-                InfluenceEstimate(
-                    value=0.0, num_samples=0, edges_visited=0, reachable_size=0, method=self.name
-                )
+                InfluenceEstimate(value=0.0, num_samples=0, edges_visited=0, reachable_size=0, method=self.name)
                 for _ in range(len(rows))
             ]
         if self.use_pruning:

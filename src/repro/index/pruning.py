@@ -265,11 +265,6 @@ class _UserFilterStructures:
         candidates.update(graphs.tolist())
         return candidates
 
-    def candidates(self, probabilities: np.ndarray) -> Tuple[Set[int], int]:
-        """``(surviving RR-Graph indices, postings scanned)`` under one probability row."""
-        _, graphs, scanned = self.scan(np.asarray(probabilities, dtype=float)[None])
-        return self.candidate_set(graphs), int(scanned[0])
-
 
 def build_filter_tables(
     block: RRBlock,
@@ -404,12 +399,13 @@ class PrunedIndexEstimator(InfluenceEstimator):
     def filter_candidates(
         self, user: int, edge_probabilities: Sequence[float]
     ) -> Tuple[Set[int], int]:
-        """The filter step: RR-Graph indices that survive the cut test.
+        """The filter step under one probability row: RR-Graph indices that survive the cut test.
 
         Returns ``(candidates, postings_scanned)``.
         """
-        probabilities = np.asarray(edge_probabilities, dtype=float)
-        return self._structures_for(user).candidates(probabilities)
+        structures = self._structures_for(user)
+        _, graphs, scanned = structures.scan(np.asarray(edge_probabilities, dtype=float)[None])
+        return structures.candidate_set(graphs), int(scanned[0])
 
     # --------------------------------------------------------------- estimate
     def estimate_with_probabilities(
@@ -461,9 +457,7 @@ class PrunedIndexEstimator(InfluenceEstimator):
                 reachable_size=reachable_size,
                 method=self.name,
             )
-            for hit_count, candidate_count, edges in zip(
-                hit_counts, candidate_counts, edges_visited
-            )
+            for hit_count, candidate_count, edges in zip(hit_counts, candidate_counts, edges_visited)
         ]
 
     def pruning_ratio(self, user: int, edge_probabilities: Sequence[float]) -> float:

@@ -188,7 +188,8 @@ class RRBlock:
     node's).  ``indptr`` runs over nodes; each slot stores its target node,
     its global edge id and its ``c(e)`` threshold, and the slots of a node
     keep the graph's stored edge order.  Per graph the block keeps the root
-    vertex and the root's in-slots (stored edge order, for the
+    vertex, its run of nodes (``graph_indptr``, ``graph_sizes``) and the
+    root's in-slots (stored edge order, for the
     edge-cut tables of :mod:`repro.index.pruning`); per node a root flag (its
     graph is ``node_keys // stride``); ``weights`` carries the graphs'
     recovery weights.
@@ -310,7 +311,8 @@ class RRBlock:
         hits = self.roots[pair_graphs] == user
         if not 0 <= user < self.stride:
             return hits, np.zeros(len(rows), dtype=np.int64)
-        # The start node of every pair, found as start_nodes finds it.
+        # start_nodes for one in-range user, without its np.where: this
+        # setup is a measurable share of a one-row call.
         keys = pair_graphs * self.stride + user
         nodes = self.node_keys.searchsorted(keys)
         owners = ((self.node_keys[nodes] == keys) & ~hits).nonzero()[0]
@@ -335,10 +337,7 @@ class RRBlock:
                 break
             owners = owners.repeat(degrees)
             expanded.append(owners)
-            live = (
-                flat[row_base[owners] + self.slot_edge_ids[positions]]
-                >= self.slot_live_floor[positions]
-            )
+            live = flat[row_base[owners] + self.slot_edge_ids[positions]] >= self.slot_live_floor[positions]
             owners = owners[live]
             nodes = self.slot_targets[positions[live]]
             # A root is never visited (its pair stops on reaching it), so
