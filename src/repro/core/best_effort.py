@@ -19,6 +19,7 @@ set found so far, which removes entire sub-trees of the enumeration.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -98,36 +99,31 @@ class BestEffortExplorer:
     ) -> List[Tuple[float, int, int]]:
         """Upper bounds for a batch of partial tag sets (one expansion's children).
 
-        The ``p+`` probability rows of every partial set with a live completion
-        are evaluated through the estimator's
+        The ``p+`` rows of all partial sets are built as one matrix
+        (:meth:`~repro.topics.model.TagTopicModel.upper_bound_edge_probabilities_many`);
+        the rows with a live edge are evaluated through the estimator's
         :meth:`~repro.sampling.base.InfluenceEstimator.estimate_many_with_probabilities`,
         so a batched-kernel estimator answers the whole candidate frontier from
         one shared event store; other kernels estimate row by row in the same
         order, preserving their sequential sampling paths.
         """
         graph = self.estimator.graph
-        bounds: List[Optional[Tuple[float, int, int]]] = [None] * len(partials)
-        rows: List[np.ndarray] = []
-        slots: List[int] = []
-        for slot, partial_tags in enumerate(partials):
-            bound_probabilities = self.model.upper_bound_edge_probabilities(
-                graph, partial_tags, query.k
-            )
-            if not np.any(bound_probabilities > 0.0):
-                # No completion of this partial set can activate anyone beyond the seed.
-                bounds[slot] = (1.0, 0, 0)
-            else:
-                rows.append(bound_probabilities)
-                slots.append(slot)
-        if not rows:
+        rows = self.model.upper_bound_edge_probabilities_many(graph, partials, query.k)
+        # A row without a positive p+ edge cannot activate anyone beyond the seed.
+        live = (rows > 0.0).any(axis=1)
+        bounds: List[Tuple[float, int, int]] = [(1.0, 0, 0)] * len(partials)
+        slots = np.flatnonzero(live).tolist()
+        if not slots:
             return bounds
+        if len(slots) < len(partials):
+            rows = rows[live]
         if self.bound_method == "reach":
             # |R_W(u)| under p+ for every row at once (bit-parallel BFS).
-            for slot, size in zip(slots, reachable_counts(graph, query.user, np.asarray(rows))):
+            for slot, size in zip(slots, reachable_counts(graph, query.user, rows)):
                 bounds[slot] = (float(size), 0, 0)
             return bounds
         estimates = self.estimator.estimate_many_with_probabilities(
-            query.user, np.asarray(rows), num_samples=self._bound_samples()
+            query.user, rows, num_samples=self._bound_samples()
         )
         for slot, estimate in zip(slots, estimates):
             inflated = estimate.value * (1.0 + query.epsilon)
@@ -159,6 +155,12 @@ class BestEffortExplorer:
             raise InvalidParameterError(
                 f"k={query.k} exceeds the number of candidate tags {len(tags)}"
             )
+        # Tags above each candidate tag: a partial set ending in `tag` completes
+        # with C(larger[tag], k - |partial|) tag sets.
+        larger = {tag: len(tags) - 1 - position for position, tag in enumerate(tags)}
+
+        def completions(partial: Tuple[int, ...]) -> int:
+            return math.comb(larger[partial[-1]] if partial else len(tags), query.k - len(partial))
 
         heap = MaxHeap()
         root_bound, root_edges, root_samples = self._upper_bound(query, ())
@@ -171,61 +173,83 @@ class BestEffortExplorer:
         samples_drawn = root_samples
         evaluations: List[TagSetEvaluation] = []
 
-        # A batched-kernel estimator evaluates runs of complete tag sets popped
-        # from the heap together (one shared event store per drain).  Draining
-        # delays incumbent updates within one run, which can only evaluate
-        # *more* sets than the sequential order (never skip a better one), so
-        # the returned tag set is unaffected; sequential kernels keep the exact
-        # pop-one-evaluate-one reference behavior via a drain limit of 1.
-        drain_limit = 32 if getattr(self.estimator, "kernel", None) == "batched" else 1
+        def beaten(set_bound: float) -> bool:
+            # The bound of a complete set is an upper bound on its own spread,
+            # so a bound at most the incumbent cannot beat it.
+            return set_bound <= best_spread and best_spread > 0.0
+
+        # Complete tag sets at the top of the heap are popped as one run (their
+        # evaluation pushes nothing, so the pop order is the sequential one).
+        # A pure estimator evaluates the whole run in doubling chunks, testing
+        # every set against the incumbent before each chunk, and replays each
+        # chunk in pop order: a set the sequential order would have pruned is
+        # counted as pruned and its estimate dropped uncounted, so every answer
+        # and counter equals pop-one-evaluate-one.  A batched-kernel sampler
+        # drains up to 32 sets into one shared event store with no replay; its
+        # estimates depend on which rows share the store.  Delaying incumbent
+        # updates within one drain can only evaluate *more* sets (never skip a
+        # better one).  Other sequential kernels drain one set at a time.
+        replay = self.estimator.pure_estimates
+        if replay:
+            drain_limit = math.inf
+        elif getattr(self.estimator, "kernel", None) == "batched":
+            drain_limit = 32
+        else:
+            drain_limit = 1
         while heap:
             bound, partial = heap.pop()
             if len(partial) == query.k:
-                drained: List[Tuple[float, Tuple[int, ...]]] = [(bound, partial)]
-                while len(drained) < drain_limit and heap and len(heap.peek()[1]) == query.k:
-                    drained.append(heap.pop())
-                to_evaluate: List[Tuple[int, ...]] = []
-                for set_bound, tag_set in drained:
-                    if set_bound <= best_spread and best_spread > 0.0:
-                        # The bound is an upper bound on this set's own spread,
-                        # so it cannot beat the incumbent; skip the estimation.
-                        pruned += 1
-                    else:
-                        to_evaluate.append(tag_set)
-                if not to_evaluate:
-                    continue
-                estimates = self.estimator.estimate_many(query.user, to_evaluate)
-                for tag_set, estimate in zip(to_evaluate, estimates):
-                    evaluated += 1
-                    edges_visited += estimate.edges_visited
-                    samples_drawn += estimate.num_samples
-                    evaluation = TagSetEvaluation(
-                        tag_ids=tuple(tag_set),
-                        spread=estimate.value,
-                        num_samples=estimate.num_samples,
-                        edges_visited=estimate.edges_visited,
+                run = [(bound, partial)]
+                while (
+                    len(run) < drain_limit
+                    and heap
+                    and len(heap.peek()[1]) == query.k
+                    and not beaten(heap.peek()[0])
+                ):
+                    run.append(heap.pop())
+                chunk_size = 1 if replay else len(run)
+                while run:
+                    live = [entry for entry in run if not beaten(entry[0])]
+                    pruned += len(run) - len(live)
+                    chunk, run = live[:chunk_size], live[chunk_size:]
+                    chunk_size *= 2
+                    if not chunk:
+                        break
+                    estimates = self.estimator.compute_estimates(
+                        query.user, [tag_set for _, tag_set in chunk]
                     )
-                    if self.keep_evaluations:
-                        evaluations.append(evaluation)
-                    if estimate.value > best_spread:
-                        best_spread = estimate.value
-                        best_tags = tuple(tag_set)
+                    kept = []
+                    for (set_bound, tag_set), estimate in zip(chunk, estimates):
+                        if replay and beaten(set_bound):
+                            pruned += 1
+                            continue
+                        kept.append(estimate)
+                        evaluated += 1
+                        edges_visited += estimate.edges_visited
+                        samples_drawn += estimate.num_samples
+                        if self.keep_evaluations:
+                            evaluations.append(
+                                TagSetEvaluation(
+                                    tag_ids=tuple(tag_set),
+                                    spread=estimate.value,
+                                    num_samples=estimate.num_samples,
+                                    edges_visited=estimate.edges_visited,
+                                )
+                            )
+                        if estimate.value > best_spread:
+                            best_spread = estimate.value
+                            best_tags = tuple(tag_set)
+                    self.estimator.count_estimates(kept)
                 continue
             if bound <= best_spread:
-                pruned += self._completions_below(partial, tags, query.k)
+                pruned += completions(partial)
                 continue
-            # Expand: only append tags larger than the current maximum so every
-            # subset is generated exactly once (canonical ascending order).
-            minimum_next = partial[-1] + 1 if partial else tags[0]
-            children: List[Tuple[int, ...]] = []
-            for tag in tags:
-                if tag < minimum_next:
-                    continue
-                child = partial + (tag,)
-                remaining_pool = sum(1 for t in tags if t > tag)
-                if remaining_pool < query.k - len(child):
-                    continue  # not enough tags left to complete the set
-                children.append(child)
+            # Expand: only append tags after the current maximum so every subset
+            # is generated exactly once (canonical ascending order), and only
+            # tags that leave enough larger tags to complete the set.
+            first = len(tags) - larger[partial[-1]] if partial else 0
+            needed_after = query.k - len(partial) - 1
+            children = [partial + (tag,) for tag in tags[first : len(tags) - needed_after]]
             # One batched bound evaluation for the whole expansion: a batched
             # estimator shares one event store across every child's p+ world.
             for child, (child_bound, child_edges, child_samples) in zip(
@@ -236,7 +260,7 @@ class BestEffortExplorer:
                 if child_bound > best_spread or best_spread <= 0.0:
                     heap.push(child_bound, child)
                 else:
-                    pruned += self._completions_below(child, tags, query.k)
+                    pruned += completions(child)
         watch.stop()
         return PitexResult(
             query=query,
@@ -251,16 +275,3 @@ class BestEffortExplorer:
             elapsed_seconds=watch.elapsed,
             evaluations=evaluations,
         )
-
-    @staticmethod
-    def _completions_below(partial: Tuple[int, ...], tags: List[int], k: int) -> int:
-        """Number of complete tag sets represented by a pruned partial set."""
-        from math import comb
-
-        remaining_pool = sum(1 for t in tags if t > (partial[-1] if partial else -1))
-        need = k - len(partial)
-        if need <= 0:
-            return 1
-        if remaining_pool < need:
-            return 0
-        return comb(remaining_pool, need)

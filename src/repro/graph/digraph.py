@@ -287,14 +287,29 @@ class TopicSocialGraph:
         ``topic_posterior`` is the ``p(z|W)`` vector computed by the tag-topic
         model (:meth:`repro.topics.TagTopicModel.topic_posterior`).
         """
-        posterior = np.asarray(topic_posterior, dtype=float)
-        if posterior.shape != (self._num_topics,):
-            raise GraphError(
-                f"topic posterior must have length {self._num_topics}, got {posterior.shape}"
-            )
-        if self.num_edges == 0:
-            return np.zeros(0)
-        return self.probability_matrix @ posterior
+        return self.edge_probabilities_under_many([topic_posterior])[0]
+
+    def edge_probabilities_under_many(
+        self, topic_posteriors: Sequence[Sequence[float]]
+    ) -> np.ndarray:
+        """:meth:`edge_probabilities_under` of several posteriors, as one ``(R, |E|)`` matrix.
+
+        Each row is one ``np.matmul(matrix, posterior, out=row)`` dgemv, the
+        product ``matrix @ posterior`` computes, so row ``i`` equals the
+        one-posterior vector bit for bit.  The rows are never one GEMM over
+        the stacked posteriors: a blocked matrix product may sum the topics
+        in another order and round differently.
+        """
+        matrix = self.probability_matrix
+        rows = np.empty((len(topic_posteriors), self.num_edges))
+        for row, topic_posterior in zip(rows, topic_posteriors):
+            posterior = np.asarray(topic_posterior, dtype=float)
+            if posterior.shape != (self._num_topics,):
+                raise GraphError(
+                    f"topic posterior must have length {self._num_topics}, got {posterior.shape}"
+                )
+            np.matmul(matrix, posterior, out=row)
+        return rows
 
     def edge_probability_under(self, edge_id: int, topic_posterior: Sequence[float]) -> float:
         """``p(e|W)`` for a single edge."""

@@ -239,6 +239,7 @@ class DelayedIndexEstimator(InfluenceEstimator):
     """
 
     name = "delaymat"
+    pure_estimates = True
 
     def __init__(
         self,

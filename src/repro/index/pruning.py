@@ -361,6 +361,7 @@ class PrunedIndexEstimator(InfluenceEstimator):
     """
 
     name = "indexest+"
+    pure_estimates = True
 
     def __init__(
         self,

@@ -279,6 +279,7 @@ class IndexEstimator(InfluenceEstimator):
     """
 
     name = "indexest"
+    pure_estimates = True
 
     def __init__(
         self,

@@ -241,6 +241,11 @@ class InfluenceEstimator(abc.ABC):
     """
 
     name: str = "abstract"
+    #: True when every estimate is a pure function of ``(user, row)``: no
+    #: randomness is drawn per row, so an estimate computed ahead of time
+    #: equals the one a sequential caller gets (the best-effort explorer
+    #: evaluates runs of complete tag sets ahead on such estimators).
+    pure_estimates: bool = False
 
     def __init__(
         self,
@@ -269,47 +274,62 @@ class InfluenceEstimator(abc.ABC):
         """:meth:`estimate` for several tag sets of one user, batched.
 
         Semantically a loop of :meth:`estimate` calls (identical sampling
-        order for the sequential kernels), but the per-row estimations flow
-        through :meth:`estimate_many_with_probabilities`, so a batched-kernel
-        estimator answers all tag sets from one shared event store.  The
-        best-effort explorer drains runs of complete tag sets through this
-        entry point.
+        order for the sequential kernels): :meth:`compute_estimates`, then
+        :meth:`count_estimates` of every estimate.
         """
+        estimates = self.compute_estimates(user, tag_sets)
+        self.count_estimates(estimates)
+        return estimates
+
+    def compute_estimates(self, user: int, tag_sets: Sequence[Iterable]) -> list:
+        """The estimates of :meth:`estimate_many`, counted nowhere.
+
+        The ``p(e|W)`` rows of every supported tag set go into one matrix
+        (:meth:`~repro.graph.digraph.TopicSocialGraph.edge_probabilities_under_many`)
+        and flow through :meth:`estimate_many_with_probabilities`, so a
+        batched-kernel estimator answers all tag sets from one shared event
+        store.  The best-effort explorer evaluates runs of complete tag sets
+        here and counts only the estimates it keeps.
+        """
+        kernel = getattr(self, "kernel", "")
         results: list = [None] * len(tag_sets)
-        rows = []
+        posteriors = []
         slots = []
         for slot, tag_set in enumerate(tag_sets):
             posterior = self.model.topic_posterior(tag_set)
-            if not posterior.any():
+            if posterior.any():
+                posteriors.append(posterior)
+                slots.append(slot)
+            else:
                 results[slot] = InfluenceEstimate(
                     value=1.0,
                     num_samples=0,
                     edges_visited=0,
                     reachable_size=1,
                     method=self.name,
-                    kernel=getattr(self, "kernel", ""),
+                    kernel=kernel,
                 )
-                continue
-            rows.append(self.graph.edge_probabilities_under(posterior))
-            slots.append(slot)
-        batch_edges = 0
-        batch_samples = 0
-        if rows:
-            estimates = self.estimate_many_with_probabilities(user, rows)
-            for slot, estimate in zip(slots, estimates):
+        if posteriors:
+            rows = self.graph.edge_probabilities_under_many(posteriors)
+            for slot, estimate in zip(slots, self.estimate_many_with_probabilities(user, rows)):
                 if not estimate.kernel:
-                    estimate.kernel = getattr(self, "kernel", "")
-                self.total_edges_visited += estimate.edges_visited
-                self.total_samples += estimate.num_samples
-                batch_edges += estimate.edges_visited
-                batch_samples += estimate.num_samples
+                    estimate.kernel = kernel
                 results[slot] = estimate
-        # Per-method work counters: deterministic for a seeded workload, so
-        # the thread and process backends must report identical totals.
-        counter(f"estimator.{self.name}.estimates", len(tag_sets))
-        counter(f"estimator.{self.name}.edges_visited", batch_edges)
-        counter(f"estimator.{self.name}.samples", batch_samples)
         return results
+
+    def count_estimates(self, estimates: Sequence[InfluenceEstimate]) -> None:
+        """Add ``estimates`` to ``total_*`` and the per-method ``estimator.*`` counters.
+
+        The counters are deterministic for a seeded workload, so the thread
+        and process backends must report identical totals.
+        """
+        edges = sum(estimate.edges_visited for estimate in estimates)
+        samples = sum(estimate.num_samples for estimate in estimates)
+        self.total_edges_visited += edges
+        self.total_samples += samples
+        counter(f"estimator.{self.name}.estimates", len(estimates))
+        counter(f"estimator.{self.name}.edges_visited", edges)
+        counter(f"estimator.{self.name}.samples", samples)
 
     @abc.abstractmethod
     def estimate_with_probabilities(

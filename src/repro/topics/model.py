@@ -323,23 +323,44 @@ class TagTopicModel:
         * the *sparse* term ``max_{z in supp(W)} p(e|z)``;
         * the *dense* term ``sum_{z in supp(W)} p(e|z) * bound_z`` where
           ``bound_z`` comes from :meth:`topic_posterior_upper_bound`.
+
+        The one-row case of :meth:`upper_bound_edge_probabilities_many`.
+        """
+        return self.upper_bound_edge_probabilities_many(graph, [partial_tags], k)[0]
+
+    def upper_bound_edge_probabilities_many(
+        self, graph: TopicSocialGraph, partials: Sequence[Iterable], k: int
+    ) -> np.ndarray:
+        """The Lemma 8 ``p+`` rows of several partial sets, as one ``(R, |E|)`` matrix.
+
+        Every row is written in place and equals the one-row bound bit for
+        bit.  The sparse term is a running ``np.maximum`` over the support's
+        columns (a max is exact in any order); the dense term is one
+        ``np.matmul(matrix, bounds, out=row)`` dgemv per row, never one GEMM
+        over all rows (see :meth:`TopicSocialGraph.edge_probabilities_under_many`).
+        A partial set no topic supports keeps a zero row.
         """
         if graph.num_topics != self._num_topics:
             raise ModelError(
                 f"graph has {graph.num_topics} topics but the model has {self._num_topics}"
             )
-        tag_ids = self.resolve_tags(partial_tags)
-        support = self.posterior_support(tag_ids) if tag_ids else self._prior > 0.0
         matrix = graph.probability_matrix
+        rows = np.zeros((len(partials), matrix.shape[0]))
         if matrix.shape[0] == 0:
-            return np.zeros(0)
-        masked = matrix[:, support]
-        if masked.shape[1] == 0:
-            return np.zeros(matrix.shape[0])
-        sparse_term = masked.max(axis=1)
-        posterior_bounds = self.topic_posterior_upper_bound(tag_ids, k)
-        dense_term = matrix @ posterior_bounds
-        return np.minimum(sparse_term, dense_term)
+            return rows
+        sparse_term = np.empty(matrix.shape[0])
+        for row, partial_tags in zip(rows, partials):
+            tag_ids = self.resolve_tags(partial_tags)
+            support = self.posterior_support(tag_ids) if tag_ids else self._prior > 0.0
+            columns = np.flatnonzero(support)
+            if not columns.size:
+                continue
+            np.copyto(sparse_term, matrix[:, columns[0]])
+            for column in columns[1:]:
+                np.maximum(sparse_term, matrix[:, column], out=sparse_term)
+            np.matmul(matrix, self.topic_posterior_upper_bound(tag_ids, k), out=row)
+            np.minimum(sparse_term, row, out=row)
+        return rows
 
     def content_hash(self) -> str:
         """Content hash of the model (matrix, prior and vocabulary).

@@ -1,7 +1,11 @@
 """Tests for the enumeration framework and best-effort exploration."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.best_effort import BestEffortExplorer
 from repro.core.enumeration import EnumerationExplorer
@@ -167,3 +171,148 @@ def test_reach_bounds_equal_per_partial_bfs():
             expected.append((float(size), 0, 0))
         assert explorer._upper_bounds_many(query, partials) == expected
         assert len({bound for bound, _, _ in expected}) > 1
+
+
+# ------------------------------------------- batched runs == sequential order
+#
+# On a pure estimator (estimates a function of (user, row)) the explorer pops
+# every run of complete tag sets at the top of the heap, evaluates it in
+# doubling chunks and replays each chunk in pop order.  The same estimator with
+# `pure_estimates` switched off evaluates one set per pop.  Both must agree on
+# every result field, every kept evaluation in order, and every counter.
+
+
+@functools.lru_cache(maxsize=None)
+def _index_instance():
+    from repro.datasets.synthetic import load_dataset
+    from repro.index.delayed import DelayedMaterializationIndex
+    from repro.index.rr_index import RRGraphIndex
+    from repro.index.tables import build_pruning_tables
+
+    dataset = load_dataset("lastfm", scale=0.07, num_tags=12, seed=2017)
+    graph, model = dataset.graph, dataset.model
+    index = RRGraphIndex(graph, 300, seed=4).build()
+    delayed = DelayedMaterializationIndex(graph, 300, seed=4).build()
+    tables = build_pruning_tables(index, graph.max_edge_probabilities())
+    return graph, model, index, delayed, tables
+
+
+INDEX_ESTIMATORS = ("indexest", "indexest+", "indexest+ tables", "delaymat")
+
+
+def _index_estimator(name, sequential=False):
+    from repro.index.delayed import DelayedIndexEstimator
+    from repro.index.pruning import PrunedIndexEstimator
+    from repro.index.rr_index import IndexEstimator
+
+    graph, model, index, delayed, tables = _index_instance()
+    budget = SampleBudget(num_tags=model.num_tags, k=3, max_samples=200, min_samples=64)
+    estimator = {
+        "indexest": lambda: IndexEstimator(graph, model, index, budget),
+        "indexest+": lambda: PrunedIndexEstimator(graph, model, index, budget),
+        "indexest+ tables": lambda: PrunedIndexEstimator(graph, model, index, budget, shared_structures=tables),
+        "delaymat": lambda: DelayedIndexEstimator(graph, model, delayed, budget, seed=5),
+    }[name]()
+    assert estimator.pure_estimates
+    if sequential:
+        estimator.pure_estimates = False  # pop one complete set, evaluate it
+    return estimator
+
+
+def _explore_recorded(estimator, query, candidate_tags, bound_method="sample"):
+    """``(result fields, evaluations, counter deltas)`` of one exploration."""
+    from repro.obs import telemetry
+
+    previous = telemetry.install(telemetry.Telemetry())
+    try:
+        explorer = BestEffortExplorer(estimator.model, estimator, bound_method=bound_method, keep_evaluations=True)
+        result = explorer.explore(query, candidate_tags)
+        counters = telemetry.get_telemetry().counters()
+    finally:
+        telemetry.install(previous)
+    fields = (
+        result.tag_ids,
+        result.tags,
+        float(result.spread).hex(),
+        result.method,
+        result.evaluated_tag_sets,
+        result.pruned_tag_sets,
+        result.edges_visited,
+        result.samples_drawn,
+    )
+    evaluations = [
+        (e.tag_ids, float(e.spread).hex(), e.num_samples, e.edges_visited) for e in result.evaluations
+    ]
+    totals = (estimator.total_edges_visited, estimator.total_samples, telemetry.deterministic_counters(counters))
+    return fields, evaluations, totals
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    name=st.sampled_from(INDEX_ESTIMATORS),
+    user=st.integers(0, 90),
+    k=st.integers(1, 3),
+    candidates=st.one_of(st.none(), st.sets(st.integers(0, 11), min_size=3, max_size=9)),
+    bound_method=st.sampled_from(["sample", "sample", "reach"]),
+)
+def test_batched_runs_equal_sequential_exploration(name, user, k, candidates, bound_method):
+    query = PitexQuery(user=user, k=k, epsilon=0.7)
+    candidate_tags = sorted(candidates) if candidates is not None else None
+    batched = _explore_recorded(_index_estimator(name), query, candidate_tags, bound_method)
+    sequential = _explore_recorded(_index_estimator(name, sequential=True), query, candidate_tags, bound_method)
+    assert batched == sequential
+
+
+class _ChunkSpy:
+    """Logs the explorer's compute/count calls on one estimator, in call order."""
+
+    def __init__(self, estimator):
+        self.calls = []
+        compute, count = estimator.compute_estimates, estimator.count_estimates
+
+        def compute_estimates(user, tag_sets):
+            estimates = compute(user, tag_sets)
+            self.calls.append(("compute", [tuple(tag_set) for tag_set in tag_sets], estimates))
+            return estimates
+
+        def count_estimates(estimates):
+            self.calls.append(("count", None, list(estimates)))
+            return count(estimates)
+
+        estimator.compute_estimates = compute_estimates
+        estimator.count_estimates = count_estimates
+
+
+@pytest.mark.parametrize("name", INDEX_ESTIMATORS)
+def test_batched_runs_estimate_only_sets_that_beat_the_incumbent(name):
+    """Each chunk is re-tested before it is estimated; replay drops what it prunes.
+
+    Over a sweep of users: the batched path equals the sequential one, every
+    set a chunk estimates has a bound above the incumbent at the start of the
+    chunk, some chunks hold several sets, and some estimates are thrown away
+    (so the rule that only kept estimates are counted is exercised).
+    """
+    graph, model, _, _, _ = _index_instance()
+    thrown_away = 0
+    multi_set_chunks = 0
+    for user in range(0, graph.num_vertices, 3):
+        query = PitexQuery(user=user, k=2, epsilon=0.7)
+        sequential = _explore_recorded(_index_estimator(name, sequential=True), query, None)
+        estimator = _index_estimator(name)
+        spy = _ChunkSpy(estimator)
+        assert _explore_recorded(estimator, query, None) == sequential
+        explorer = BestEffortExplorer(model, _index_estimator(name))
+        incumbent = -1.0
+        for kind, tag_sets, estimates in spy.calls:
+            if kind == "count":
+                incumbent = max([incumbent] + [estimate.value for estimate in estimates])
+                continue
+            multi_set_chunks += len(tag_sets) > 1
+            bounds = explorer._upper_bounds_many(query, tag_sets)
+            for tag_set, (bound, _, _) in zip(tag_sets, bounds):
+                assert bound > incumbent or incumbent <= 0.0, (user, tag_set)
+        computed = sum(len(tag_sets) for kind, tag_sets, _ in spy.calls if kind == "compute")
+        kept = sum(len(estimates) for kind, _, estimates in spy.calls if kind == "count")
+        thrown_away += computed - kept
+    assert multi_set_chunks > 0
+    assert thrown_away > 0

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ModelError, UnknownTagError
 from repro.topics.model import TagTopicModel
@@ -234,3 +236,139 @@ def test_upper_bound_is_memoized_read_only(small_model):
     assert small_model.topic_posterior_upper_bound((0, 2), 2) is not first
     with pytest.raises(ValueError):
         first[0] = 0.5
+
+
+# ------------------------------------------------ batched rows: pinned bits
+#
+# The best-effort explorer builds every p+ row of an expansion, and every
+# p(e|W) row of a run of complete tag sets, into one matrix, one
+# `np.matmul(matrix, vector, out=row)` dgemv per row.  These tests pin that
+# each such row equals the one-row product bit for bit.  One GEMM over the
+# stacked vectors is not used: on OpenBLAS 0.3.31 a (4200, 20) x (20, 200)
+# product differed from the column-by-column dgemv in the last bits of every
+# column, so a GEMM would change estimates and answers.
+
+
+def _reference_upper_bound_row(model, graph, partial, k):
+    """The one-row ``p+`` formula before rows were batched: copy, max, ``@``, minimum."""
+    tag_ids = model.resolve_tags(partial)
+    support = model.posterior_support(tag_ids) if tag_ids else model.topic_prior > 0.0
+    matrix = graph.probability_matrix
+    if matrix.shape[0] == 0:
+        return np.zeros(0)
+    masked = matrix[:, support]
+    if masked.shape[1] == 0:
+        return np.zeros(matrix.shape[0])
+    return np.minimum(masked.max(axis=1), matrix @ model.topic_posterior_upper_bound(tag_ids, k))
+
+
+def _benchmark_instance():
+    """The dataset pitexbench serves: lastfm at scale 0.35 with 25 tags."""
+    from repro.datasets.synthetic import load_dataset
+
+    dataset = load_dataset("lastfm", scale=0.35, num_tags=25, seed=2017)
+    return dataset.graph, dataset.model
+
+
+def test_matmul_with_out_equals_matmul_operator_bits():
+    graph, model = _benchmark_instance()
+    matrix = graph.probability_matrix
+    rng = np.random.default_rng(11)
+    vectors = [model.topic_prior, model.topic_posterior_upper_bound((3,), 2)]
+    vectors += [rng.uniform(size=model.num_topics) * (rng.uniform(size=model.num_topics) < q) for q in (0.2, 0.6, 1.0)]
+    rows = np.empty((len(vectors), matrix.shape[0]))
+    for row, vector in zip(rows, vectors):
+        np.matmul(matrix, vector, out=row)
+        assert row.tobytes() == (matrix @ vector).tobytes()
+
+
+def test_upper_bound_rows_many_equal_one_row_bounds_on_benchmark_model():
+    """All 326 partial sets of k <= 2 of the benchmark model, in one matrix."""
+    from itertools import combinations
+
+    graph, model = _benchmark_instance()
+    partials = [()] + [(t,) for t in range(25)] + list(combinations(range(25), 2))
+    assert len(partials) == 326
+    rows = model.upper_bound_edge_probabilities_many(graph, partials, 2)
+    assert rows.shape == (326, graph.num_edges)
+    for partial, row in zip(partials, rows):
+        expected = _reference_upper_bound_row(model, graph, partial, 2)
+        assert row.tobytes() == expected.tobytes(), partial
+        assert model.upper_bound_edge_probabilities(graph, partial, 2).tobytes() == expected.tobytes()
+    # Both branches occur: supported rows and zero rows of unsupported sets.
+    live = (rows > 0.0).any(axis=1)
+    assert live.any() and not live.all()
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_upper_bound_rows_many_equal_one_row_bounds(data):
+    """Random models: empty supports, zero-edge graphs and k above the remaining tags."""
+    from itertools import combinations
+
+    from repro.graph.generators import random_topic_graph
+
+    num_tags = data.draw(st.integers(1, 5), label="num_tags")
+    num_topics = data.draw(st.integers(1, 4), label="num_topics")
+    values = st.sampled_from([0.0, 0.0, 1e-300, 0.05, 0.3, 0.9, 1.0])
+    matrix = np.array(
+        data.draw(st.lists(st.lists(values, min_size=num_topics, max_size=num_topics), min_size=num_tags, max_size=num_tags))
+    )
+    prior = data.draw(st.lists(st.sampled_from([0.0, 0.2, 1.0]), min_size=num_topics, max_size=num_topics))
+    if sum(prior) == 0.0:
+        prior[0] = 1.0
+    model = TagTopicModel(matrix, topic_prior=prior)
+    num_vertices = data.draw(st.integers(1, 12), label="num_vertices")
+    edge_probability = data.draw(st.sampled_from([0.0, 0.3]), label="edge_probability")
+    graph = random_topic_graph(num_vertices, num_topics, edge_probability=edge_probability, seed=data.draw(st.integers(0, 99)))
+    k = data.draw(st.integers(1, num_tags + 2), label="k")
+    partials = [p for size in range(min(k, num_tags) + 1) for p in combinations(range(num_tags), size)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = model.upper_bound_edge_probabilities_many(graph, partials, k)
+        expected = [_reference_upper_bound_row(model, graph, partial, k) for partial in partials]
+    assert rows.shape == (len(partials), graph.num_edges)
+    for partial, row, reference in zip(partials, rows, expected):
+        assert row.tobytes() == reference.tobytes(), (partial, k)
+
+
+def test_edge_probabilities_under_many_equal_one_row_products():
+    from itertools import combinations
+
+    graph, model = _benchmark_instance()
+    tag_sets = [(t,) for t in range(25)] + list(combinations(range(25), 2))
+    posteriors = [model.topic_posterior(tag_set) for tag_set in tag_sets]
+    posteriors = [posterior for posterior in posteriors if posterior.any()]
+    rows = graph.edge_probabilities_under_many(posteriors)
+    assert rows.shape == (len(posteriors), graph.num_edges)
+    for posterior, row in zip(posteriors, rows):
+        assert row.tobytes() == (graph.probability_matrix @ posterior).tobytes()
+        assert graph.edge_probabilities_under(posterior).tobytes() == row.tobytes()
+
+
+def test_batched_rows_use_one_dgemv_per_row_not_a_gemm():
+    """Every matrix product of the batched row builders is a `np.matmul(..., out=row)`."""
+    import ast
+    import inspect
+    import textwrap
+
+    from repro.graph.digraph import TopicSocialGraph
+
+    for function in (
+        TagTopicModel.upper_bound_edge_probabilities_many,
+        TopicSocialGraph.edge_probabilities_under_many,
+    ):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+        products = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("matmul", "dot", "einsum", "tensordot")
+        ]
+        assert products, function.__qualname__
+        for call in products:
+            assert call.func.attr == "matmul"
+            assert [keyword.arg for keyword in call.keywords] == ["out"]
+            # The output is one row of the result, written inside the row loop.
+            assert isinstance(call.keywords[0].value, ast.Name)
+        assert not any(isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult) for node in ast.walk(tree))
+        loops = [node for node in ast.walk(tree) if isinstance(node, ast.For)]
+        assert any(call in list(ast.walk(loop)) for loop in loops for call in products)

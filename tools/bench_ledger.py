@@ -33,6 +33,17 @@ metrics and the speed-probe readings behind the scaling (``null`` for
 traced runs, which print no such line).
 A pair counts as a win for the change when its value is strictly better in
 the direction ``BENCHMARK.json`` declares.
+
+``--compare A [B]`` runs nothing.  With one ledger it compares that
+ledger's base side with its change side; with two it compares the change
+side of ``A`` with the change side of ``B``.  Workload by workload it
+prints each end-to-end metric's median and quartiles on both sides (untraced
+runs) and each per-layer metric's (traced runs), and flags an end-to-end
+median that got worse by more than its ``BENCHMARK.json`` bound.  Runs of
+the same workload, seed and length must agree on the answers digest, and
+route probes also on every deterministic counter; any difference is an
+error and makes the command exit 1.  Bound flags do not change the exit
+status: across two ledgers they may only show a host that changed speed.
 """
 
 from __future__ import annotations
@@ -260,6 +271,99 @@ def ledger_main(args) -> int:
     return 1 if failed else 0
 
 
+def ledger_sides(ledger: dict, side: str) -> dict:
+    """Per workload, one side's untraced runs, traced runs and route probes.
+
+    Every run carries its ``seed`` and ``seconds``, so runs of two ledgers
+    can be matched.
+    """
+    sides = {}
+    for workload, entry in ledger["workloads"].items():
+        seconds = entry.get("run_seconds")
+        sides[workload] = {
+            "runs": [{**pair[side], "seed": pair["seed"], "seconds": seconds} for pair in entry.get("pairs", [])],
+            "traced": [
+                {**run[side], "seed": run["seed"], "seconds": run["seconds"]} for run in entry.get("traced", [])
+            ],
+            "probes": list(entry.get("route_probe", {}).get(side, [])),
+        }
+    return sides
+
+
+def _spread(values):
+    q1, median, q3 = quartiles(values)
+    return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def compare_sides(a: dict, b: dict, declared: dict) -> dict:
+    """Diff two :func:`ledger_sides` results: ``{"metrics", "flags", "errors"}``.
+
+    ``metrics`` holds one row per workload and metric present on both sides;
+    ``flags`` names each end-to-end median worse than its bound allows;
+    ``errors`` names each answers digest or probe counter that differs
+    between runs of the same workload, seed and length.
+    """
+    report = {"metrics": [], "flags": [], "errors": []}
+    for workload in sorted(set(a) & set(b)):
+        for kind, metrics in (("runs", declared["end_to_end"]), ("traced", declared["per_layer"])):
+            for metric in metrics:
+                name = metric["name"]
+                before = [run["metrics"][name] for run in a[workload][kind] if name in run["metrics"]]
+                after = [run["metrics"][name] for run in b[workload][kind] if name in run["metrics"]]
+                if not before or not after:
+                    continue
+                row = {"workload": workload, "metric": name, "kind": kind}
+                row.update(a=_spread(before), b=_spread(after))
+                base_median = row["a"]["median"]
+                change = row["b"]["median"] - base_median
+                row["relative_change"] = change / base_median if base_median else 0.0
+                report["metrics"].append(row)
+                worse = change if metric["better"] == "lower" else -change
+                if kind == "runs" and worse > metric["bound"] * abs(base_median):
+                    report["flags"].append(
+                        f"{workload} {name}: median {base_median:.4g} -> {row['b']['median']:.4g}, "
+                        f"worse than the {metric['bound']:.0%} bound"
+                    )
+        for kind in ("runs", "traced", "probes"):
+            matched = {(run["seed"], run["seconds"]): run for run in a[workload][kind]}
+            for run in b[workload][kind]:
+                other = matched.get((run["seed"], run["seconds"]))
+                if other is None:
+                    continue
+                where = f"{workload} {kind} seed {run['seed']}"
+                if kind == "probes":
+                    messages = probe_mismatches(other, run)
+                elif other["answers_digest"] != run["answers_digest"]:
+                    messages = [f"answers digest {other['answers_digest']} -> {run['answers_digest']}"]
+                else:
+                    messages = []
+                report["errors"].extend(f"{where}: {message}" for message in messages)
+    return report
+
+
+def compare_main(paths) -> int:
+    """Print the diff of one ledger's two sides, or of two ledgers' change sides."""
+    ledgers = [json.loads(Path(path).read_text()) for path in paths]
+    if len(ledgers) == 1:
+        a, b = ledger_sides(ledgers[0], "base"), ledger_sides(ledgers[0], "change")
+    else:
+        a, b = ledger_sides(ledgers[0], "change"), ledger_sides(ledgers[1], "change")
+    declared = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+    report = compare_sides(a, b, declared)
+    for row in report["metrics"]:
+        before, after = row["a"], row["b"]
+        print(
+            f"{row['workload']:<11} {row['metric']:<34} {before['median']:>10.4g} "
+            f"[{before['q1']:.4g}-{before['q3']:.4g}] -> {after['median']:>10.4g} "
+            f"[{after['q1']:.4g}-{after['q3']:.4g}] {row['relative_change']:+.1%}"
+        )
+    for flag in report["flags"]:
+        print(f"FLAG {flag}")
+    for error in report["errors"]:
+        print(f"ERROR {error}")
+    return 1 if report["errors"] else 0
+
+
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     # Internal: the route probe runs this file again inside each tree.
@@ -274,6 +378,7 @@ def parse_args(argv):
     parser.add_argument("--traced-seconds", type=float, help="run length of traced runs")
     parser.add_argument("--probe-seed", type=int, action="append", default=[])
     parser.add_argument("--out")
+    parser.add_argument("--compare", nargs="+", metavar="LEDGER", help="diff one ledger's sides, or two ledgers")
     return parser.parse_args(argv)
 
 
@@ -281,6 +386,11 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     if args.probe:
         return probe_main(args)
+    if args.compare:
+        if len(args.compare) > 2:
+            print("bench_ledger: --compare takes one or two ledgers", file=sys.stderr)
+            return 2
+        return compare_main(args.compare)
     if not (args.base and args.workload and args.out):
         print("bench_ledger: --base, --workload and --out are required", file=sys.stderr)
         return 2
