@@ -3,7 +3,10 @@
 A base probe and a change probe of one workload and seed must agree on the
 answers digest and on every deterministic counter; any disagreement is
 recorded in the ledger and makes it exit non-zero.  Every run keeps
-pitexbench's raw timing line next to its scaled metrics.
+pitexbench's raw timing line next to its scaled metrics.  ``--compare``
+diffs two sides of ledgers: medians and quartiles per metric, flags for
+moves beyond the ``BENCHMARK.json`` bounds, errors for digest and counter
+differences.
 """
 
 import importlib.util

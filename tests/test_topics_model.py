@@ -275,7 +275,8 @@ def test_matmul_with_out_equals_matmul_operator_bits():
     matrix = graph.probability_matrix
     rng = np.random.default_rng(11)
     vectors = [model.topic_prior, model.topic_posterior_upper_bound((3,), 2)]
-    vectors += [rng.uniform(size=model.num_topics) * (rng.uniform(size=model.num_topics) < q) for q in (0.2, 0.6, 1.0)]
+    for density in (0.2, 0.6, 1.0):
+        vectors.append(rng.uniform(size=model.num_topics) * (rng.uniform(size=model.num_topics) < density))
     rows = np.empty((len(vectors), matrix.shape[0]))
     for row, vector in zip(rows, vectors):
         np.matmul(matrix, vector, out=row)
@@ -311,16 +312,16 @@ def test_upper_bound_rows_many_equal_one_row_bounds(data):
     num_tags = data.draw(st.integers(1, 5), label="num_tags")
     num_topics = data.draw(st.integers(1, 4), label="num_topics")
     values = st.sampled_from([0.0, 0.0, 1e-300, 0.05, 0.3, 0.9, 1.0])
-    matrix = np.array(
-        data.draw(st.lists(st.lists(values, min_size=num_topics, max_size=num_topics), min_size=num_tags, max_size=num_tags))
-    )
+    row = st.lists(values, min_size=num_topics, max_size=num_topics)
+    matrix = np.array(data.draw(st.lists(row, min_size=num_tags, max_size=num_tags), label="matrix"))
     prior = data.draw(st.lists(st.sampled_from([0.0, 0.2, 1.0]), min_size=num_topics, max_size=num_topics))
     if sum(prior) == 0.0:
         prior[0] = 1.0
     model = TagTopicModel(matrix, topic_prior=prior)
     num_vertices = data.draw(st.integers(1, 12), label="num_vertices")
     edge_probability = data.draw(st.sampled_from([0.0, 0.3]), label="edge_probability")
-    graph = random_topic_graph(num_vertices, num_topics, edge_probability=edge_probability, seed=data.draw(st.integers(0, 99)))
+    seed = data.draw(st.integers(0, 99), label="seed")
+    graph = random_topic_graph(num_vertices, num_topics, edge_probability=edge_probability, seed=seed)
     k = data.draw(st.integers(1, num_tags + 2), label="k")
     partials = [p for size in range(min(k, num_tags) + 1) for p in combinations(range(num_tags), size)]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -361,7 +362,8 @@ def test_batched_rows_use_one_dgemv_per_row_not_a_gemm():
         products = [
             node
             for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("matmul", "dot", "einsum", "tensordot")
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) in ("matmul", "dot", "einsum", "tensordot")
         ]
         assert products, function.__qualname__
         for call in products:
@@ -369,6 +371,6 @@ def test_batched_rows_use_one_dgemv_per_row_not_a_gemm():
             assert [keyword.arg for keyword in call.keywords] == ["out"]
             # The output is one row of the result, written inside the row loop.
             assert isinstance(call.keywords[0].value, ast.Name)
-        assert not any(isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult) for node in ast.walk(tree))
+        assert not any(isinstance(getattr(node, "op", None), ast.MatMult) for node in ast.walk(tree))
         loops = [node for node in ast.walk(tree) if isinstance(node, ast.For)]
         assert any(call in list(ast.walk(loop)) for loop in loops for call in products)
