@@ -64,7 +64,7 @@ from repro.sampling.base import (
     InfluenceEstimate,
     InfluenceEstimator,
     SampleBudget,
-    probability_rows,
+    probability_matrix,
 )
 from repro.topics.model import TagTopicModel
 from repro.utils.heap import BatchedEventQueue, LazyEdgeHeap
@@ -216,10 +216,9 @@ class LazyPropagationEstimator(InfluenceEstimator):
         :class:`LazyEdgeHeap` schedules of the sequential kernels.
         """
         num_vertices = self.graph.num_vertices
-        worlds = np.asarray(worlds, dtype=np.int64)
         sizes = np.asarray(sizes, dtype=np.int64)
         num_rows = int(sizes.sum())
-        world_of_row = np.repeat(worlds, sizes)
+        world_of_row = np.asarray(worlds, dtype=np.int64).repeat(sizes)
         single_world = queue.num_worlds == 1
         # Flat (instance-row x vertex) visited bitmap, indexed by row*V + vertex.
         visited = np.zeros(num_rows * num_vertices, dtype=bool)
@@ -228,27 +227,30 @@ class LazyPropagationEstimator(InfluenceEstimator):
         visited[rows * num_vertices + user] = True
         activations = np.zeros(queue.num_worlds, dtype=np.int64)
         while rows.size:
+            world_ids = world_of_row[rows]
             if single_world:
                 activations[0] += rows.size
             else:
-                activations += np.bincount(world_of_row[rows], minlength=queue.num_worlds)
-            fired_rows, fired_targets = queue.advance(world_of_row[rows], rows, vertices)
-            if not fired_rows.size:
+                activations += np.bincount(world_ids, minlength=queue.num_worlds)
+            keys, fired_targets = queue.advance(world_ids, rows, vertices)
+            if not keys.size:
                 break
-            keys = fired_rows * num_vertices + fired_targets
+            keys *= num_vertices
+            keys += fired_targets
             # Distinct edges can fire into the same (instance, target) pair in
             # one round; dedupe on the flattened pair key.  Sorting in place
             # and keeping the first of each run yields the sorted distinct
             # keys, so the next round's frontier order is deterministic.
-            keys = keys[~visited[keys]]
+            fresh = visited[keys]
+            np.logical_not(fresh, out=fresh)
+            keys = keys[fresh]
             keys.sort()
             distinct = np.empty(keys.size, dtype=bool)
             distinct[:1] = True
             np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
             keys = keys[distinct]
             visited[keys] = True
-            rows = keys // num_vertices
-            vertices = keys - rows * num_vertices
+            rows, vertices = np.divmod(keys, num_vertices)
         return activations
 
     def _estimate_batched(
@@ -275,14 +277,11 @@ class LazyPropagationEstimator(InfluenceEstimator):
         this for the upper bounds of all children of one expansion); other
         kernels fall back to one independent estimation per row.
         """
-        checked = probability_rows(self.graph, edge_probability_rows)
+        # A float matrix is used in place; a list of rows is stacked once.
+        rows = probability_matrix(self.graph, edge_probability_rows)
         if self.kernel != "batched":
-            return super().estimate_many_with_probabilities(user, checked, num_samples)
-        num_worlds = len(checked)
-        # A matrix argument is used in place; a list of rows is stacked once.
-        rows = np.asarray(edge_probability_rows, dtype=float).reshape(
-            num_worlds, self.graph.num_edges
-        )
+            return super().estimate_many_with_probabilities(user, rows, num_samples)
+        num_worlds = len(rows)
         reachable = reachable_counts(self.graph, user, rows)
         budgets = np.array(
             [

@@ -25,6 +25,8 @@ from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.utils.rng import draw_geometric, geometric_from_uniforms
+
 
 class MinHeap:
     """A binary min-heap keyed by a float priority with stable ordering."""
@@ -227,7 +229,7 @@ class BatchedEventQueue:
         _ev_target : (num_events,) int64   edge target vertex
         _ev_prob   : (num_events,) float   activation probability p(e|W)
 
-    plus ``_sched_start`` / ``_sched_count`` / ``_visits`` arrays indexed by
+    plus ``_sched_end`` / ``_sched_count`` / ``_visits`` arrays indexed by
     ``world * num_vertices + vertex`` mapping each lazily-initialized schedule
     to its contiguous run of events.  Zero-probability edges are never stored
     (Lemma 5: only ``R_W(u)``'s positive-probability out-edges are scheduled).
@@ -247,11 +249,13 @@ class BatchedEventQueue:
         "num_worlds",
         "num_vertices",
         "_indptr",
+        "_degree",
+        "_csr_end",
         "_targets",
         "_edge_ids",
         "_world_probs",
         "_rng",
-        "_sched_start",
+        "_sched_end",
         "_sched_count",
         "_visits",
         "_ev_fire",
@@ -278,17 +282,19 @@ class BatchedEventQueue:
         self._world_probs = probs
         self.num_worlds = int(probs.shape[0])
         self.num_vertices = int(len(self._indptr) - 1)
+        self._degree = self._indptr[1:] - self._indptr[:-1]
+        self._csr_end = self._indptr[1:]
         self._rng = rng
         size = self.num_worlds * self.num_vertices
-        self._sched_start = np.full(size, -1, dtype=np.int64)
+        # Exclusive end of each schedule's run of events; -1 until scheduled.
+        self._sched_end = np.full(size, -1, dtype=np.int64)
         self._sched_count = np.zeros(size, dtype=np.int64)
         self._visits = np.zeros(size, dtype=np.int64)
         self._ev_fire = np.empty(64, dtype=np.int64)
         self._ev_target = np.empty(64, dtype=np.int64)
         self._ev_prob = np.empty(64, dtype=float)
-        # Precomputed ln(1 - p) per event (-inf for p >= 1): the redraw of a
-        # fired event is one inverse-CDF division instead of a full
-        # geometric_array call with its extremes bookkeeping.
+        # ln(1 - p) per event (-inf for p >= 1), computed once when the event
+        # is scheduled: a redraw is one inverse-CDF division.
         self._ev_log1mp = np.empty(64, dtype=float)
         self._ev_len = 0
         #: Per-world number of events ever scheduled (the Lemma 5 term of the
@@ -300,7 +306,9 @@ class BatchedEventQueue:
         self.fired_events = np.zeros(self.num_worlds, dtype=np.int64)
 
     # -------------------------------------------------------------- internals
-    def _append_events(self, fires: np.ndarray, targets: np.ndarray, probs: np.ndarray) -> int:
+    def _append_events(
+        self, fires: np.ndarray, targets: np.ndarray, probs: np.ndarray, log1mp: np.ndarray
+    ) -> int:
         """Append events to the flat store (geometric growth); return the base slot."""
         base = self._ev_len
         needed = base + len(fires)
@@ -314,56 +322,46 @@ class BatchedEventQueue:
         self._ev_fire[base:needed] = fires
         self._ev_target[base:needed] = targets
         self._ev_prob[base:needed] = probs
-        certain = probs >= 1.0
-        self._ev_log1mp[base:needed] = np.where(
-            certain, -np.inf, np.log1p(-np.where(certain, 0.0, probs))
-        )
+        self._ev_log1mp[base:needed] = log1mp
         self._ev_len = needed
         return base
 
-    def _redraw(self, slots: np.ndarray) -> np.ndarray:
-        """One geometric redraw per slot via the precomputed ``ln(1 - p)``.
+    def _schedule(self, keys: np.ndarray) -> None:
+        """Create the schedules of ``world * V + vertex`` keys seen for the first time.
 
-        ``ceil(ln(1 - u) / ln(1 - p))`` with the same clamping as
-        :meth:`repro.utils.rng.RandomSource.geometric_array`; ``p >= 1`` slots
-        (``ln(1 - p) = -inf``) divide to ``-0`` and clamp up to 1.
+        The whole batch is initialized with CSR gathers and one
+        :func:`~repro.utils.rng.draw_geometric` call over every
+        positive-probability out-edge of every new vertex, in key order then
+        CSR order: the multi-world counterpart of building one
+        :class:`LazyEdgeHeap` from ``initial_fires``.  A new schedule has no
+        visits yet, so its first fires are the draws themselves.
         """
-        uniforms = self._rng.generator.random(len(slots))
-        draws = np.ceil(np.log1p(-uniforms) / self._ev_log1mp[slots])
-        draws = np.where(np.isfinite(draws), draws, float(2**62))
-        return np.clip(draws, 1.0, float(2**62)).astype(np.int64)
-
-    def _ensure_scheduled(self, keys: np.ndarray) -> None:
-        """Create schedules for the ``world * V + vertex`` keys not yet seen.
-
-        The whole batch is initialized with two CSR gathers and a single
-        vectorized geometric draw over every positive-probability out-edge of
-        every new vertex, the multi-world counterpart of building one
-        :class:`LazyEdgeHeap` from ``initial_fires``.
-        """
-        new = keys[self._sched_start[keys] < 0]
-        if not new.size:
-            return
-        vertices = new % self.num_vertices
-        worlds = new // self.num_vertices
-        starts = self._indptr[vertices]
-        counts = self._indptr[vertices + 1] - starts
-        positions = concat_ranges(starts, counts)
-        owner = np.repeat(np.arange(len(new), dtype=np.int64), counts)
-        probs = self._world_probs[worlds[owner], self._edge_ids[positions]]
-        positive = probs > 0.0
-        positive_counts = np.bincount(owner[positive], minlength=len(new)).astype(np.int64)
+        single_world = self.num_worlds == 1
+        if single_world:
+            vertices = keys
+        else:
+            worlds, vertices = np.divmod(keys, self.num_vertices)
+        counts = self._degree[vertices]
+        ends = counts.cumsum()
+        owner = np.arange(len(keys), dtype=np.int64).repeat(counts)
+        positions = (self._csr_end[vertices] - ends)[owner]
+        positions += np.arange(int(ends[-1]), dtype=np.int64)
+        edges = self._edge_ids[positions]
+        if single_world:
+            probs = self._world_probs[0][edges]
+        else:
+            probs = self._world_probs[worlds[owner], edges]
+        positive = (probs > 0.0).nonzero()[0]
         probs = probs[positive]
-        fires = self._rng.geometric_array(probs)
-        # Offset by the current visit count so late-initialized schedules stay
-        # correct (first activation always has visits == 0, but stay general).
-        fires = fires + np.repeat(self._visits[new], positive_counts)
-        base = self._append_events(fires, self._targets[positions][positive], probs)
-        run_starts = np.zeros(len(new), dtype=np.int64)
-        np.cumsum(positive_counts[:-1], out=run_starts[1:])
-        self._sched_start[new] = base + run_starts
-        self._sched_count[new] = positive_counts
-        np.add.at(self.scheduled_events, worlds, positive_counts)
+        fires, log1mp = draw_geometric(self._rng.generator, probs)
+        base = self._append_events(fires, self._targets[positions[positive]], probs, log1mp)
+        scheduled = np.bincount(owner[positive], minlength=len(keys))
+        self._sched_end[keys] = scheduled.cumsum() + base
+        self._sched_count[keys] = scheduled
+        if single_world:
+            self.scheduled_events[0] += len(probs)
+        else:
+            np.add.at(self.scheduled_events, worlds, scheduled)
 
     # ----------------------------------------------------------------- public
     def advance(
@@ -378,8 +376,8 @@ class BatchedEventQueue:
         ----------
         world_ids, instance_ids, vertex_ids:
             Parallel arrays, one entry per activation event ``(world, instance,
-            vertex)`` of the round.  A vertex activated by ``m`` instances of
-            one world advances that schedule by ``m`` visits.
+            vertex)`` of the round, in any order.  A vertex activated by ``m``
+            instances of one world advances that schedule by ``m`` visits.
         Returns
         -------
         ``(instances, targets)``: parallel arrays with one entry per fired
@@ -392,66 +390,93 @@ class BatchedEventQueue:
         of the geometric schedule: an edge whose pending fire ``t0`` falls
         inside the round's visit window ``(visits, visits + m]`` fires at
         ``t0``, every later visit of the window is an independent
-        ``Bernoulli(p)`` trial (one batched uniform draw), and the fire after
-        the window is ``window_end + Geometric(p)`` (one batched geometric
-        redraw) -- the same process :meth:`LazyEdgeHeap.visit` realizes one
-        heap operation at a time.  Edges whose pending fire lies beyond the
-        window are not touched at all (the Lemma 7 saving).
+        ``Bernoulli(p)`` trial, and the fire after the window is
+        ``window_end + Geometric(p)`` -- the same process
+        :meth:`LazyEdgeHeap.visit` realizes one heap operation at a time.
+        Edges whose pending fire lies beyond the window are not touched at
+        all (the Lemma 7 saving).
+
+        Random draws, in this order: the first-fire geometrics of new
+        schedules (:meth:`_schedule`), then one ``generator.random`` call
+        whose leading entries are the window trials (slot order, visits
+        ascending) and whose tail is one redraw uniform per fired slot.
         """
-        world_ids = np.asarray(world_ids, dtype=np.int64)
         instance_ids = np.asarray(instance_ids, dtype=np.int64)
         vertex_ids = np.asarray(vertex_ids, dtype=np.int64)
-        empty = np.empty(0, dtype=np.int64)
-        if not world_ids.size:
-            return empty, empty
-        if self.num_worlds == 1:
+        size = len(vertex_ids)
+        if not size:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        num_vertices = self.num_vertices
+        single_world = self.num_worlds == 1
+        if single_world:
             keys = vertex_ids
         else:
-            keys = world_ids * self.num_vertices + vertex_ids
+            keys = np.asarray(world_ids, dtype=np.int64) * num_vertices + vertex_ids
         order = np.lexsort((instance_ids, keys))
-        sorted_instances = instance_ids[order]
-        sorted_keys = keys[order]
-        # Group boundaries of the (now sorted) keys; np.unique would sort again.
-        group_first = np.flatnonzero(
-            np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
-        )
-        group_keys = sorted_keys[group_first]
-        group_mult = np.diff(np.append(group_first, len(sorted_keys)))
-        self._ensure_scheduled(group_keys)
-        visits_before = self._visits[group_keys]
-        window_end = visits_before + group_mult
-        sched_counts = self._sched_count[group_keys]
-        slots = concat_ranges(self._sched_start[group_keys], sched_counts)
-        groups = np.repeat(np.arange(len(group_keys), dtype=np.int64), sched_counts)
-        live = self._ev_fire[slots] <= window_end[groups]
-        slots, groups = slots[live], groups[live]
+        keys = keys[order]
+        instances = instance_ids[order]
+        # Groups are the runs of equal keys: one (world, vertex) schedule
+        # each, its activations ordered by ascending instance id.
+        last = np.empty(size, dtype=bool)
+        last[-1] = True
+        np.not_equal(keys[1:], keys[:-1], out=last[:-1])
+        group_last = last.nonzero()[0]
+        group_keys = keys[group_last]
+        mult = np.empty_like(group_last)
+        mult[0] = group_last[0] + 1
+        np.subtract(group_last[1:], group_last[:-1], out=mult[1:])
+        sched_end = self._sched_end[group_keys]
+        new = (sched_end < 0).nonzero()[0]
+        if new.size:
+            self._schedule(group_keys[new])
+            sched_end = self._sched_end[group_keys]
+        counts = self._sched_count[group_keys]
+        window_end = self._visits[group_keys] + mult
         self._visits[group_keys] = window_end
-        if not slots.size:
-            return empty, empty
-        first_fire = self._ev_fire[slots]
-        probabilities = self._ev_prob[slots]
+        # Visit t of group g is the activation at sorted position
+        # t + shift[g] (instances take the window's visits in order).
+        shift = group_last - window_end
+        # Every event slot of the round's schedules, and its group.
+        ends = counts.cumsum()
+        total = int(ends[-1])
+        groups = np.arange(len(group_keys), dtype=np.int64).repeat(counts)
+        slots = (sched_end - ends)[groups]
+        slots += np.arange(total, dtype=np.int64)
+        fires = self._ev_fire[slots]
+        live = (fires <= window_end[groups]).nonzero()[0]
+        if not live.size:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        slots = slots[live]
+        first_fire = fires[live]
+        groups = groups[live]
+        window_end = window_end[groups]
+        fired_at = shift[groups] + first_fire
+        targets = self._ev_target[slots]
         # Bernoulli trials for the window visits after each slot's first fire.
-        remaining = window_end[groups] - first_fire
-        trial_visits = concat_ranges(first_fire + 1, remaining)
-        trial_owner = np.repeat(np.arange(len(slots), dtype=np.int64), remaining)
-        hits = self._rng.uniforms(len(trial_owner)) < probabilities[trial_owner]
-        fire_times = np.concatenate([first_fire, trial_visits[hits]])
-        fire_owner = np.concatenate(
-            [np.arange(len(slots), dtype=np.int64), trial_owner[hits]]
+        remaining = window_end - first_fire
+        trial_ends = remaining.cumsum()
+        trials = int(trial_ends[-1])
+        uniforms = self._rng.generator.random(trials + len(slots))
+        if trials:
+            owner = np.arange(len(slots), dtype=np.int64).repeat(remaining)
+            hits = (uniforms[:trials] < self._ev_prob[slots][owner]).nonzero()[0]
+            hit_owner = owner[hits]
+            # Trial j of slot o is visit first_fire[o] + 1 + j - trial start[o].
+            hit_at = (fired_at + remaining - trial_ends)[hit_owner]
+            hit_at += hits + 1
+            fired_at = np.concatenate((fired_at, hit_at))
+            targets = np.concatenate((targets, targets[hit_owner]))
+        if single_world:
+            self.fired_events[0] += len(fired_at)
+        else:
+            self.fired_events += np.bincount(
+                keys[fired_at] // num_vertices, minlength=self.num_worlds
+            )
+        # One redraw past the window per fired slot (memoryless restart).
+        self._ev_fire[slots] = window_end + geometric_from_uniforms(
+            uniforms[trials:], self._ev_log1mp[slots]
         )
-        # fire_times lie in (visits, visits + mult]; attribute each fire to the
-        # (fire_time - visits - 1)-th instance of its group, instances ordered
-        # by ascending id (deterministic, and exchangeable by symmetry).
-        fire_groups = groups[fire_owner]
-        offsets = fire_times - visits_before[fire_groups] - 1
-        fired_instance = sorted_instances[group_first[fire_groups] + offsets]
-        fired_target = self._ev_target[slots][fire_owner]
-        self.fired_events += np.bincount(
-            group_keys[fire_groups] // self.num_vertices, minlength=self.num_worlds
-        )
-        # One batched redraw past the window (memoryless restart).
-        self._ev_fire[slots] = window_end[groups] + self._redraw(slots)
-        return fired_instance, fired_target
+        return instances[fired_at], targets
 
     # ------------------------------------------------------------ inspection
     def visit_count(self, world: int, vertex: int) -> int:
@@ -460,16 +485,15 @@ class BatchedEventQueue:
 
     def pending(self, world: int, vertex: int) -> int:
         """Scheduled events of ``(world, vertex)``; 0 if never activated."""
-        count = self._sched_count[world * self.num_vertices + vertex]
-        return int(count) if self._sched_start[world * self.num_vertices + vertex] >= 0 else 0
+        return int(self._sched_count[world * self.num_vertices + vertex])
 
     def next_fires(self, world: int, vertex: int) -> np.ndarray:
         """Current next-fire visit index of each scheduled event (test hook)."""
         key = world * self.num_vertices + vertex
-        start = int(self._sched_start[key])
-        if start < 0:
+        end = int(self._sched_end[key])
+        if end < 0:
             return np.empty(0, dtype=np.int64)
-        return self._ev_fire[start : start + int(self._sched_count[key])].copy()
+        return self._ev_fire[end - int(self._sched_count[key]) : end].copy()
 
     def edge_visits(self, world: Optional[int] = None) -> int:
         """Edge-visit count of ``world`` (or all worlds): scheduled + fired.

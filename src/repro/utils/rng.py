@@ -9,11 +9,59 @@ sub-components without correlated sequences.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 SeedLike = Union[None, int, np.random.Generator, "RandomSource"]
+
+
+#: The geometric draw of a zero probability: the edge never fires.
+NEVER_FIRES = int(np.iinfo(np.int64).max)
+#: Cap of an inverse-CDF geometric draw.  Tiny probabilities push
+#: ``ln(1 - u) / ln(1 - p)`` past the int64 range (or to inf); 2^62 visits is
+#: as good as never for any realistic sample budget.
+GEOMETRIC_CAP = float(2**62)
+
+
+def geometric_from_uniforms(uniforms: np.ndarray, log1mp: np.ndarray) -> np.ndarray:
+    """Inverse-CDF geometric draws ``ceil(ln(1 - u) / ln(1 - p))`` as int64.
+
+    ``log1mp`` holds ``ln(1 - p)`` per draw; ``-inf`` (``p >= 1``) divides to
+    zero.  Draws are clamped into ``[1, 2^62]`` (a NaN quotient clamps to
+    ``2^62``).  ``uniforms`` is used as scratch space and overwritten.
+    """
+    draws = np.log1p(np.negative(uniforms, out=uniforms), out=uniforms)
+    np.divide(draws, log1mp, out=draws)
+    np.ceil(draws, out=draws)
+    np.fmin(draws, GEOMETRIC_CAP, out=draws)
+    np.fmax(draws, 1.0, out=draws)
+    return draws.astype(np.int64)
+
+
+def draw_geometric(
+    generator: np.random.Generator, probabilities: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(draws, log1mp)``: one geometric draw per positive probability.
+
+    The one geometric helper of the lazy kernels.  ``ln(1 - p)`` is computed
+    once per entry and returned, so a schedule can keep it for its redraws.
+    Entries with ``p >= 1`` draw 1 (``ln(1 - p) = -inf``) and consume no
+    uniform; every other entry consumes one ``generator.random`` draw, in
+    order.  Entries must be positive (see :meth:`RandomSource.geometric_array`
+    for zeros).
+    """
+    certain = probabilities >= 1.0
+    if not np.count_nonzero(certain):
+        log1mp = np.log1p(-probabilities)
+        return geometric_from_uniforms(generator.random(len(log1mp)), log1mp), log1mp
+    uncertain = ~certain
+    drawn = np.log1p(-probabilities[uncertain])
+    log1mp = np.full(len(probabilities), -np.inf)
+    log1mp[uncertain] = drawn
+    draws = np.ones(len(probabilities), dtype=np.int64)
+    draws[uncertain] = geometric_from_uniforms(generator.random(len(drawn)), drawn)
+    return draws, log1mp
 
 
 class RandomSource:
@@ -89,7 +137,7 @@ class RandomSource:
         if probability >= 1.0:
             return 1
         if probability <= 0.0:
-            return np.iinfo(np.int64).max
+            return NEVER_FIRES
         return int(self._generator.geometric(probability))
 
     def geometrics(self, probability: float, size: int) -> np.ndarray:
@@ -97,34 +145,25 @@ class RandomSource:
         if probability >= 1.0:
             return np.ones(size, dtype=np.int64)
         if probability <= 0.0:
-            return np.full(size, np.iinfo(np.int64).max, dtype=np.int64)
+            return np.full(size, NEVER_FIRES, dtype=np.int64)
         return self._generator.geometric(probability, size=size).astype(np.int64)
 
     def geometric_array(self, probabilities: Sequence[float]) -> np.ndarray:
         """One geometric draw per (heterogeneous) success probability.
 
         The vectorized counterpart of calling :meth:`geometric` once per entry,
-        via inverse-CDF sampling ``ceil(ln(1 - u) / ln(1 - p))``; used by the
-        lazy sampler to initialize a whole vertex schedule with a single
-        batched draw.  Zero probabilities map to the never-fires sentinel,
-        probabilities >= 1 fire on the first visit.
+        via :func:`draw_geometric`; used by the lazy sampler to initialize a
+        whole vertex schedule with a single batched draw.  Zero probabilities
+        map to the never-fires sentinel, probabilities >= 1 fire on the first
+        visit; neither consumes a uniform.
         """
         probs = np.asarray(probabilities, dtype=float)
-        draws = np.empty(probs.shape, dtype=np.int64)
-        ones = probs >= 1.0
         zeros = probs <= 0.0
-        middle = ~(ones | zeros)
-        draws[ones] = 1
-        draws[zeros] = np.iinfo(np.int64).max
-        count = int(np.count_nonzero(middle))
-        if count:
-            uniforms = self._generator.random(count)
-            sampled = np.ceil(np.log1p(-uniforms) / np.log1p(-probs[middle]))
-            # Tiny probabilities can push the draw past int64 range (or to inf);
-            # clamp into [1, 2^62] before the cast -- 2^62 visits is as good as
-            # the never-fires sentinel for any realistic sample budget.
-            sampled = np.where(np.isfinite(sampled), sampled, float(2**62))
-            draws[middle] = np.clip(sampled, 1.0, float(2**62)).astype(np.int64)
+        if not np.count_nonzero(zeros):
+            return draw_geometric(self._generator, probs)[0]
+        draws = np.full(probs.shape, NEVER_FIRES, dtype=np.int64)
+        drawn = ~zeros
+        draws[drawn] = draw_geometric(self._generator, probs[drawn])[0]
         return draws
 
     def uniforms_upto(self, highs: Sequence[float]) -> np.ndarray:

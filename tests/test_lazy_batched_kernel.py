@@ -25,9 +25,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import PitexEngine
+from repro.exceptions import InvalidParameterError
 from repro.graph.generators import random_topic_graph
 from repro.index.rr_index import RRGraphIndex
 from repro.propagation.exact import exact_influence_spread
+from repro.sampling import base as sampling_base
 from repro.sampling.base import SampleBudget
 from repro.sampling.instrumentation import EstimatorInstrumentation
 from repro.sampling.lazy import LazyPropagationEstimator
@@ -435,3 +437,36 @@ def test_lazy_batched_method_works_under_enumeration():
     result = engine.query(user=0, k=2, method="lazy-batched", exploration="enumeration")
     assert len(result.tag_ids) == 2
     assert result.method == "enumeration:lazy-batched"
+
+
+def test_estimate_many_validates_its_rows_once(small_graph, small_model, tiny_budget, monkeypatch):
+    conversions = []
+    per_row = sampling_base.probability_rows
+    monkeypatch.setattr(
+        sampling_base,
+        "probability_rows",
+        lambda graph, rows: conversions.append(len(rows)) or per_row(graph, rows),
+    )
+    probabilities = small_graph.max_edge_probabilities()
+    matrix = np.stack([probabilities, probabilities * 0.5])
+
+    def estimates(rows):
+        estimator = LazyPropagationEstimator(
+            small_graph, small_model, tiny_budget, seed=9, kernel="batched"
+        )
+        return [_estimate_tuple(e) for e in estimator.estimate_many_with_probabilities(0, rows)]
+
+    # A float matrix is read in place; a list of rows is checked and stacked once.
+    from_matrix = estimates(matrix)
+    assert conversions == []
+    assert estimates([row.tolist() for row in matrix]) == from_matrix
+    assert conversions == [2]
+    assert estimates([]) == []
+    width = small_graph.num_edges
+    for bad in (
+        probabilities,  # one 1-D row passed as a batch
+        [probabilities, probabilities[:-1]],  # a short row
+        np.full((2, width - 1), 0.3),
+    ):
+        with pytest.raises(InvalidParameterError):
+            estimates(bad)

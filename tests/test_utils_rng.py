@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import RandomSource, spawn_rng
+from repro.utils.rng import NEVER_FIRES, RandomSource, spawn_rng
 
 
 def test_same_seed_gives_same_stream():
@@ -194,3 +194,58 @@ def test_uniforms_and_generator_random_draw_identical_bits(seed):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         # Interleaved scalar draws stay in step too.
         assert via_uniforms.integer(0, 100) == via_random.integer(0, 100)
+
+
+def earlier_geometric_array(generator, probabilities):
+    """The inverse-CDF geometric formula that ``geometric_array`` must keep."""
+    probs = np.asarray(probabilities, dtype=float)
+    draws = np.empty(probs.shape, dtype=np.int64)
+    ones = probs >= 1.0
+    zeros = probs <= 0.0
+    middle = ~(ones | zeros)
+    draws[ones] = 1
+    draws[zeros] = np.iinfo(np.int64).max
+    count = int(np.count_nonzero(middle))
+    if count:
+        uniforms = generator.random(count)
+        sampled = np.ceil(np.log1p(-uniforms) / np.log1p(-probs[middle]))
+        sampled = np.where(np.isfinite(sampled), sampled, float(2**62))
+        draws[middle] = np.clip(sampled, 1.0, float(2**62)).astype(np.int64)
+    return draws
+
+
+EXTREME_ROWS = [
+    [],
+    [0.0, 5e-324, 0.5, 1.0],
+    [1.0, 0.5, 0.0, 5e-324, 0.5, 1e-300, 1.0, 0.0],
+    [0.5] * 9,
+    [5e-324, 1e-300, 1e-18],
+    [1.0, 1.0],
+    [0.0, -0.25],
+    [2.0, 0.5, 0.0],
+]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("seed", [0, 3, 2017])
+def test_geometric_array_keeps_the_inverse_cdf_bits_on_extreme_inputs(seed):
+    source, reference = RandomSource(seed), np.random.default_rng(seed)
+    for row in EXTREME_ROWS * 2:
+        draws = source.geometric_array(row)
+        expected = earlier_geometric_array(reference, row)
+        assert draws.dtype == np.int64
+        assert draws.tolist() == expected.tolist()
+        assert source.generator.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_geometric_array_draws_one_uniform_per_probability_strictly_between_0_and_1():
+    source = RandomSource(5)
+    untouched = source.generator.bit_generator.state
+    draws = source.geometric_array([0.0, 1.0, -0.5, 2.0, 1.0])
+    assert draws.tolist() == [NEVER_FIRES, 1, NEVER_FIRES, 1, 1]
+    assert source.generator.bit_generator.state == untouched
+    twin = np.random.default_rng(5)
+    source.geometric_array([0.0, 0.5, 1.0, 5e-324, 1.0, 0.0])
+    twin.random(2)
+    assert source.generator.bit_generator.state == twin.bit_generator.state
