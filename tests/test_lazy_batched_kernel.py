@@ -442,11 +442,12 @@ def test_lazy_batched_method_works_under_enumeration():
 def test_estimate_many_validates_its_rows_once(small_graph, small_model, tiny_budget, monkeypatch):
     conversions = []
     per_row = sampling_base.probability_rows
-    monkeypatch.setattr(
-        sampling_base,
-        "probability_rows",
-        lambda graph, rows: conversions.append(len(rows)) or per_row(graph, rows),
-    )
+
+    def counted(graph, rows):
+        conversions.append(len(rows))
+        return per_row(graph, rows)
+
+    monkeypatch.setattr(sampling_base, "probability_rows", counted)
     probabilities = small_graph.max_edge_probabilities()
     matrix = np.stack([probabilities, probabilities * 0.5])
 
