@@ -232,7 +232,7 @@ def test_batched_queue_empty_round_is_a_noop():
 # ReferenceQueue is the event queue's round as it stood before the round was
 # trimmed to fewer numpy calls per BFS level (the code of __init__,
 # _append_events, _redraw, _ensure_scheduled and advance is copied verbatim;
-# docstrings are shortened).  Its schedules draw their first fires through
+# docstrings and most comments are dropped).  Its schedules draw their first fires through
 # ReferenceSource.geometric_array, the inverse-CDF formula of that time.  The
 # queue must reproduce it bit for bit: same fires, same schedules, same
 # counters and the same generator state after every round.
