@@ -46,12 +46,12 @@ from repro.bench.reporting import format_table
 from repro.core.engine import PitexEngine
 from repro.datasets.synthetic import load_dataset
 from repro.index.rr_index import RRGraphIndex
+from repro.obs.clock import monotonic
 from repro.obs.trace import TraceRecorder, install_recorder
 from repro.serve.replay import replay_stream
 from repro.serve.service import PitexService
 from repro.serve.sharded import ProcessShardedService, publish_engine_spec
 from repro.serve.store import IndexStore
-from repro.utils.timer import Stopwatch
 
 REPLAY_QUERIES = 50
 INDEX_SAMPLES = 800
@@ -95,16 +95,14 @@ def report_payload():
 def test_store_load_is_5x_faster_than_rebuild(serving_dataset, serving_store, report_payload):
     graph, model = serving_dataset.graph, serving_dataset.model
 
-    watch = Stopwatch().start()
+    started = monotonic()
     built = RRGraphIndex(graph, INDEX_SAMPLES, seed=harness_seed(serving_dataset)).build()
-    watch.stop()
-    build_seconds = watch.elapsed
+    build_seconds = monotonic() - started
 
     serving_store.save_rr_index(built, model)
-    watch = Stopwatch().start()
+    started = monotonic()
     loaded = serving_store.load_rr_index(graph, model, INDEX_SAMPLES)
-    watch.stop()
-    load_seconds = watch.elapsed
+    load_seconds = monotonic() - started
 
     assert loaded is not None and loaded.is_built
     probabilities = model.edge_probabilities(graph, [0, 1])

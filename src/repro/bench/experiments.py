@@ -22,6 +22,7 @@ from repro.core.engine import PitexEngine
 from repro.index.delayed import DelayedMaterializationIndex
 from repro.index.rr_index import RRGraphIndex
 from repro.index.sizing import measure_data_size, measure_delayed_index, measure_rr_index
+from repro.obs.clock import monotonic
 from repro.sampling.lazy import LazyPropagationEstimator
 from repro.sampling.monte_carlo import MonteCarloEstimator
 from repro.sampling.reverse_reachable import ReverseReachableEstimator
@@ -301,8 +302,6 @@ def experiment_lazy_kernels(
     Feeds the >=3x batched-vs-sequential speedup gate of ``bench_fig11`` and
     the cross-kernel estimate agreement check.
     """
-    from repro.utils.timer import Stopwatch
-
     result = ExperimentResult(
         experiment="lazykernels",
         title="Lazy propagation kernel throughput (one estimation, theta samples)",
@@ -333,10 +332,9 @@ def experiment_lazy_kernels(
             best_seconds = math.inf
             value = 0.0
             for _ in range(repetitions):
-                watch = Stopwatch().start()
+                started = monotonic()
                 estimate = estimator.estimate_with_probabilities(user, probabilities, theta)
-                watch.stop()
-                best_seconds = min(best_seconds, watch.elapsed)
+                best_seconds = min(best_seconds, monotonic() - started)
                 value = estimate.value
             result.add_row(name, kernel, theta, round(best_seconds, 6), round(value, 4))
     result.add_note("expected shape: batched >= 3x faster than csr/dict; estimates agree within eps")

@@ -15,7 +15,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.bench.config import BenchmarkConfig
 from repro.core.engine import PitexEngine
 from repro.datasets.synthetic import SyntheticDataset, load_dataset
-from repro.utils.timer import Stopwatch, TimingRecord
+from repro.obs.clock import monotonic
+
+
+def _mean(values: Sequence[float]) -> float:
+    """Arithmetic mean of ``values`` (0.0 when empty)."""
+    return sum(values) / len(values) if values else 0.0
 
 
 @dataclass
@@ -105,14 +110,14 @@ class BenchmarkHarness:
     ) -> QueryBatchResult:
         """Run one PITEX query per user and aggregate time / spread / counters."""
         engine = engine if engine is not None else self.engine(dataset_name)
-        times = TimingRecord(label=f"{dataset_name}:{method}")
-        spreads = TimingRecord(label="spread")
-        edges = TimingRecord(label="edges")
-        evaluated = TimingRecord(label="evaluated")
-        pruned = TimingRecord(label="pruned")
+        times: List[float] = []
+        spreads: List[float] = []
+        edges: List[int] = []
+        evaluated: List[int] = []
+        pruned: List[int] = []
         candidate_list = list(candidate_tags) if candidate_tags is not None else None
         for user in users:
-            watch = Stopwatch().start()
+            started = monotonic()
             result = engine.query(
                 user=user,
                 k=k if k is not None else self.config.k,
@@ -122,21 +127,20 @@ class BenchmarkHarness:
                 delta=delta,
                 candidate_tags=candidate_list,
             )
-            watch.stop()
-            times.add(watch.elapsed)
-            spreads.add(result.spread)
-            edges.add(result.edges_visited)
-            evaluated.add(result.evaluated_tag_sets)
-            pruned.add(result.pruned_tag_sets)
+            times.append(monotonic() - started)
+            spreads.append(result.spread)
+            edges.append(result.edges_visited)
+            evaluated.append(result.evaluated_tag_sets)
+            pruned.append(result.pruned_tag_sets)
         return QueryBatchResult(
             method=method,
             dataset=dataset_name,
             group=group,
-            mean_seconds=times.mean,
-            mean_spread=spreads.mean,
-            mean_edges_visited=edges.mean,
-            mean_evaluated=evaluated.mean,
-            mean_pruned=pruned.mean,
+            mean_seconds=_mean(times),
+            mean_spread=_mean(spreads),
+            mean_edges_visited=_mean(edges),
+            mean_evaluated=_mean(evaluated),
+            mean_pruned=_mean(pruned),
             num_queries=len(users),
         )
 
@@ -155,14 +159,13 @@ class BenchmarkHarness:
         per-estimation cost differences.
         """
         engine = engine if engine is not None else self.engine(dataset_name)
-        times = TimingRecord(label="time")
-        values = TimingRecord(label="value")
-        edges = TimingRecord(label="edges")
+        times: List[float] = []
+        values: List[float] = []
+        edges: List[int] = []
         for user in users:
-            watch = Stopwatch().start()
+            started = monotonic()
             estimate = engine.estimate_influence(user, tag_set, method=method)
-            watch.stop()
-            times.add(watch.elapsed)
-            values.add(estimate.value)
-            edges.add(estimate.edges_visited)
-        return times.mean, values.mean, edges.mean
+            times.append(monotonic() - started)
+            values.append(estimate.value)
+            edges.append(estimate.edges_visited)
+        return _mean(times), _mean(values), _mean(edges)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.bench.config import BenchmarkConfig
 from repro.bench.experiments import EXPERIMENTS
@@ -30,7 +30,7 @@ from repro.bench.reporting import format_table
 from repro.core.engine import METHODS, PitexEngine, resolved_kernel
 from repro.datasets.profiles import profile_names
 from repro.datasets.synthetic import load_dataset
-from repro.sampling.instrumentation import EstimatorInstrumentation
+from repro.obs.telemetry import get_telemetry
 
 INDEX_METHODS_RR = ("indexest", "indexest+")
 
@@ -162,6 +162,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _query_counters(before: Dict[str, int], after: Dict[str, int]) -> dict:
+    """Per-method work of a run: the registry's ``query.<method>.*`` deltas."""
+
+    def delta(name: str) -> int:
+        return after.get(name, 0) - before.get(name, 0)
+
+    counters = {}
+    for name in sorted(after):
+        parts = name.split(".")
+        if len(parts) != 3 or parts[0] != "query" or parts[2] != "count":
+            continue
+        queries = delta(name)
+        if queries == 0:
+            continue
+        method = parts[1]
+        edge_visits = delta(f"query.{method}.edges_visited")
+        counters[method] = {
+            "edge_visits": edge_visits,
+            "mean_edge_visits": edge_visits / queries,
+            "samples": delta(f"query.{method}.samples"),
+            "queries": queries,
+        }
+    return counters
+
+
 def _run_query(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
     engine = PitexEngine(
@@ -182,18 +207,16 @@ def _run_query(args: argparse.Namespace) -> int:
         for user in users:
             print(engine.query(user=user, k=args.k, method=args.method).describe())
         return 0
+    telemetry = get_telemetry()
+    before = telemetry.counters()
     results = [engine.query(user=user, k=args.k, method=args.method) for user in users]
-    instrumentation = EstimatorInstrumentation()
-    for result in results:
-        instrumentation.record_query_result(
-            result.method, result.edges_visited, result.samples_drawn
-        )
+    after = telemetry.counters()
     document = {
         "dataset": dataset.describe(),
         "method": args.method,
         "kernel": resolved_kernel(args.method, args.kernel),
         "k": args.k,
-        "counters": instrumentation.as_dict(),
+        "counters": _query_counters(before, after),
         "results": [
             {
                 "user": result.query.user,

@@ -27,10 +27,10 @@ import numpy as np
 from repro.core.query import PitexQuery, PitexResult, TagSetEvaluation
 from repro.exceptions import InvalidParameterError
 from repro.graph.algorithms import reachable_counts
+from repro.obs.clock import monotonic
 from repro.sampling.base import InfluenceEstimator
 from repro.topics.model import TagTopicModel
 from repro.utils.heap import MaxHeap
-from repro.utils.timer import Stopwatch
 
 BOUND_METHODS = ("reach", "sample")
 
@@ -145,7 +145,7 @@ class BestEffortExplorer:
             raise InvalidParameterError(
                 f"k={query.k} exceeds the tag vocabulary size {self.model.num_tags}"
             )
-        watch = Stopwatch().start()
+        started = monotonic()
         tags = (
             sorted(self.model.resolve_tags(candidate_tags))
             if candidate_tags is not None
@@ -261,7 +261,7 @@ class BestEffortExplorer:
                     heap.push(child_bound, child)
                 else:
                     pruned += completions(child)
-        watch.stop()
+        elapsed = monotonic() - started
         return PitexResult(
             query=query,
             tag_ids=best_tags,
@@ -272,6 +272,6 @@ class BestEffortExplorer:
             pruned_tag_sets=pruned,
             edges_visited=edges_visited,
             samples_drawn=samples_drawn,
-            elapsed_seconds=watch.elapsed,
+            elapsed_seconds=elapsed,
             evaluations=evaluations,
         )

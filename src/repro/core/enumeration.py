@@ -13,9 +13,9 @@ from typing import Iterable, List, Optional, Tuple
 
 from repro.core.query import PitexQuery, PitexResult, TagSetEvaluation
 from repro.exceptions import InvalidParameterError
+from repro.obs.clock import monotonic
 from repro.sampling.base import InfluenceEstimator
 from repro.topics.model import TagTopicModel
-from repro.utils.timer import Stopwatch
 
 
 class EnumerationExplorer:
@@ -60,7 +60,7 @@ class EnumerationExplorer:
             raise InvalidParameterError(
                 f"k={query.k} exceeds the tag vocabulary size {self.model.num_tags}"
             )
-        watch = Stopwatch().start()
+        started = monotonic()
         candidates = (
             candidate_tag_sets
             if candidate_tag_sets is not None
@@ -88,7 +88,7 @@ class EnumerationExplorer:
             if estimate.value > best_spread:
                 best_spread = estimate.value
                 best_tags = tuple(tag_set)
-        watch.stop()
+        elapsed = monotonic() - started
         return PitexResult(
             query=query,
             tag_ids=best_tags,
@@ -99,6 +99,6 @@ class EnumerationExplorer:
             pruned_tag_sets=0,
             edges_visited=edges_visited,
             samples_drawn=samples_drawn,
-            elapsed_seconds=watch.elapsed,
+            elapsed_seconds=elapsed,
             evaluations=evaluations,
         )

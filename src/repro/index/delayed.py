@@ -31,6 +31,7 @@ from repro.graph.csr import csr_order, slice_positions
 from repro.graph.digraph import TopicSocialGraph
 from repro.index.pruning import _UserFilterStructures, build_filter_structures
 from repro.index.rr_graph import RRBlock, RRGraph, sample_rr_arrays
+from repro.obs.clock import monotonic
 from repro.sampling.base import (
     InfluenceEstimate,
     InfluenceEstimator,
@@ -40,7 +41,6 @@ from repro.sampling.base import (
 from repro.topics.model import TagTopicModel
 from repro.utils.freeze import guard_check
 from repro.utils.rng import RandomSource, SeedLike, spawn_rng
-from repro.utils.timer import Stopwatch
 
 SAMPLES_PER_CHUNK = 1024
 """RR-Graphs drawn per chunk while :meth:`DelayedMaterializationIndex.build` counts containment."""
@@ -61,7 +61,7 @@ class DelayedMaterializationIndex:
     def build(self) -> "DelayedMaterializationIndex":
         """Sample ``theta`` RR-Graphs, record only per-user containment counts."""
         guard_check(self, "rebuild a frozen delayed-materialization index")
-        watch = Stopwatch().start()
+        started = monotonic()
         max_probabilities = self.graph.max_edge_probabilities()
         counts = np.zeros(self.graph.num_vertices, dtype=np.int64)
         # Samples are drawn in bounded chunks: the RNG runs in the same order
@@ -74,8 +74,7 @@ class DelayedMaterializationIndex:
         self.containment_counts = dict(zip(users.tolist(), counts[users].tolist()))
         self._built = True
         self._built_version = self.graph.version
-        watch.stop()
-        self.build_seconds = watch.elapsed
+        self.build_seconds = monotonic() - started
         return self
 
     @property

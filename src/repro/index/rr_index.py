@@ -38,6 +38,7 @@ from repro.index.rr_graph import (
     rr_graphs_from_arrays,
     sample_rr_arrays,
 )
+from repro.obs.clock import monotonic
 from repro.sampling.base import (
     InfluenceEstimate,
     InfluenceEstimator,
@@ -47,7 +48,6 @@ from repro.sampling.base import (
 from repro.topics.model import TagTopicModel
 from repro.utils.freeze import guard_check
 from repro.utils.rng import SeedLike, spawn_rng
-from repro.utils.timer import Stopwatch
 
 
 class RRGraphIndex:
@@ -84,13 +84,12 @@ class RRGraphIndex:
     def build(self) -> "RRGraphIndex":
         """Materialize ``num_samples`` RR-Graphs (offline phase of Algorithm 3)."""
         guard_check(self, "rebuild a frozen RR-Graph index")
-        watch = Stopwatch().start()
+        started = monotonic()
         max_probabilities = self.graph.max_edge_probabilities()
         self._adopt(sample_rr_arrays(self.graph, self.num_samples, self._rng, max_probabilities))
         self._built = True
         self._built_version = self.graph.version
-        watch.stop()
-        self.build_seconds = watch.elapsed
+        self.build_seconds = monotonic() - started
         return self
 
     def _adopt(self, arrays: Dict[str, np.ndarray]) -> None:

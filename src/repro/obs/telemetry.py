@@ -2,12 +2,11 @@
 
 One :class:`Telemetry` instance per process collects every named counter the
 library increments -- engine cache hits, store load-or-build outcomes, frozen
-guard trips, per-method estimator work (edge visits, sample counts: the
-registry-shaped successor of
-:class:`~repro.sampling.instrumentation.EstimatorInstrumentation`), worker
-deaths.  The active instance is a module global reachable through
-:func:`get_telemetry` / the :func:`counter` and :func:`gauge` conveniences, so
-instrumentation points need no plumbing; worker processes
+guard trips, per-method query work (``query.<method>.*`` edge visits and
+sample counts, which ``pitex query --json`` reports), worker deaths.  The
+active instance is a module global reachable through :func:`get_telemetry` /
+the :func:`counter` and :func:`gauge` conveniences, so instrumentation
+points need no plumbing; worker processes
 (:mod:`repro.serve.sharded`) :func:`install` a **fresh** instance right after
 fork -- a forked child inherits the parent's counts, and shipping those back
 in the shutdown shard would double-count them.

@@ -11,8 +11,10 @@ Three estimators implement the paper's Sec. 4-5 machinery behind a common
   propagation sampling (Algorithm 2) which probes edges only when a geometric
   schedule says they fire.
 
-The module also exposes the sample-size formulas of Lemma 2 / Lemma 3 and the
-edge-visit instrumentation used by Fig. 13.
+The module also exposes the sample-size formulas of Lemma 2 / Lemma 3.  Each
+:class:`~repro.sampling.base.InfluenceEstimate` carries its own edge visits
+and sample count (Fig. 13); per-method totals over queries are the
+``query.<method>.*`` counters of the :mod:`repro.obs.telemetry` registry.
 """
 
 from repro.sampling.base import (
@@ -25,7 +27,6 @@ from repro.sampling.base import (
 from repro.sampling.monte_carlo import MonteCarloEstimator
 from repro.sampling.reverse_reachable import ReverseReachableEstimator
 from repro.sampling.lazy import LazyPropagationEstimator
-from repro.sampling.instrumentation import EstimatorInstrumentation, ConvergenceTrace
 
 __all__ = [
     "InfluenceEstimate",
@@ -36,6 +37,4 @@ __all__ = [
     "MonteCarloEstimator",
     "ReverseReachableEstimator",
     "LazyPropagationEstimator",
-    "EstimatorInstrumentation",
-    "ConvergenceTrace",
 ]

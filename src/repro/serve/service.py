@@ -85,7 +85,14 @@ class QueryResponse:
 
 
 class ServiceMetrics:
-    """Thread-safe request/latency instrumentation for the service."""
+    """Thread-safe request/latency instrumentation for the service.
+
+    Every latency series is recorded here, in the serving process, from the
+    finished :class:`QueryResponse` objects; on the process backend
+    ``worker_shards`` splits ``execution`` by :attr:`QueryResponse.worker`.
+    Only the workers' telemetry shards come from the workers themselves,
+    at their shutdown.
+    """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -97,13 +104,11 @@ class ServiceMetrics:
         # meaningless, so the split keeps `execution` engine-work-only.
         self.answer_hits = LatencyAccumulator(label="answer-hit")
         self.by_group: Dict[str, LatencyAccumulator] = {}
-        # Per-worker-process execution shards (process backend only): each
-        # worker measures its own execute latencies and ships the accumulator
-        # at shutdown; merged here via the exact Chan/reservoir merge.
+        # Per-worker-process execute series (process backend only), keyed
+        # "worker-N" by the response's worker id: a split of `execution`.
         self.worker_shards: Dict[str, LatencyAccumulator] = {}
-        self.worker_execution = LatencyAccumulator(label="worker-execute")
         # Per-worker-process telemetry shards (process backend): snapshot
-        # dicts shipped alongside the latency shards, merged by sum/max.
+        # dicts shipped at worker shutdown, merged by sum/max.
         self.worker_telemetry: Dict[str, dict] = {}
         self.completed = 0
         self.failed = 0
@@ -128,6 +133,12 @@ class ServiceMetrics:
                 self.answer_hits.add(response.execute_seconds)
             else:
                 self.execution.add(response.execute_seconds)
+            if response.worker is not None:
+                label = f"worker-{response.worker}"
+                shard = self.worker_shards.get(label)
+                if shard is None:
+                    shard = self.worker_shards[label] = LatencyAccumulator(label=label)
+                shard.add(response.execute_seconds)
             group = response.request.group or "all"
             accumulator = self.by_group.get(group)
             if accumulator is None:
@@ -139,20 +150,6 @@ class ServiceMetrics:
         """Count one drained batch."""
         with self._lock:
             self.batches += 1
-
-    def record_worker_shard(self, shard: LatencyAccumulator) -> None:
-        """Merge one worker process's execution-latency shard.
-
-        Kept separate from :attr:`execution` (which the parent records from
-        its own clock as responses arrive) so worker- and parent-side views
-        never double count; :meth:`snapshot` reports both.  The merge is
-        exact for the moments (Chan's parallel formula) and
-        reservoir-weighted for the percentile samples --
-        :meth:`repro.utils.stats.LatencyAccumulator.merge`.
-        """
-        with self._lock:
-            self.worker_shards[shard.label] = shard
-            self.worker_execution.merge(shard)
 
     def record_worker_telemetry(self, label: str, snapshot: dict) -> None:
         """Store one worker process's telemetry shard.
@@ -204,13 +201,12 @@ class ServiceMetrics:
         """A JSON-friendly snapshot: counts, tails, throughput and telemetry."""
         with self._lock:
             elapsed = time.monotonic() - self._started_monotonic
-            total = self.completed + self.failed
             return {
                 "completed": self.completed,
                 "failed": self.failed,
                 "batches": self.batches,
                 "elapsed_seconds": elapsed,
-                "throughput_qps": (total / elapsed) if elapsed > 0 else 0.0,
+                "throughput_qps": (self.completed / elapsed) if elapsed > 0 else 0.0,
                 "latency": self.latency.summary(),
                 "queue": self.queue_wait.summary(),
                 "execute": self.execution.summary(),
@@ -219,7 +215,6 @@ class ServiceMetrics:
                 "worker_shards": {
                     name: acc.summary() for name, acc in sorted(self.worker_shards.items())
                 },
-                "worker_execute": self.worker_execution.summary(),
                 "telemetry": self._telemetry_locked(),
             }
 

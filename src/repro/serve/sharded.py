@@ -23,9 +23,10 @@ it into a frozen replica; :class:`ProcessShardedService` forks N workers,
 sends each request to the live worker with the fewest requests in flight
 (ties go to the user's ``crc32(engine_key | user)`` affinity shard -- stable
 across processes, never builtin ``hash()``), speaks a tuple protocol over
-per-worker pipes, and merges each worker's
-:class:`~repro.utils.stats.LatencyAccumulator` shard into the parent's
-:class:`~repro.serve.service.ServiceMetrics` on shutdown.  Because every
+per-worker pipes, and records every reply in the parent's
+:class:`~repro.serve.service.ServiceMetrics` (per-worker execute series are
+keyed by the reply's worker id); each worker ships only its telemetry and
+trace spans at shutdown.  Because every
 replica answers bitwise alike, the route can follow load without changing
 an answer; only per-worker answer caches pin requests to their affinity
 shard.
@@ -57,7 +58,6 @@ from repro.obs.trace import TraceRecorder, get_recorder, install_recorder, traci
 from repro.serve.answers import DEFAULT_ANSWER_CAPACITY, AnswerCache
 from repro.serve.service import QueryRequest, QueryResponse, ServiceMetrics, execute_request
 from repro.serve.store import IndexStore, seed_tag
-from repro.utils.stats import LatencyAccumulator
 
 RR_METHODS = ("indexest", "indexest+")
 DELAYED_METHODS = ("delaymat",)
@@ -205,7 +205,7 @@ def _serve_requests(
     replies,
     answer_cache: Optional[AnswerCache] = None,
 ):
-    """Drain the request pipe until EOF/stop; returns the latency shard.
+    """Drain the request pipe until EOF/stop, replying to each request.
 
     Factored out of :func:`_worker_main` so the loop is unit-testable
     in-process (the fork-safety tests drive it with plain ``Pipe`` ends).
@@ -215,14 +215,10 @@ def _serve_requests(
     ``answer_cache`` (when given) memoizes frozen answers per worker; with
     caches on, the parent routes every request to its affinity shard, so
     each fingerprint reaches exactly one worker and the per-worker caches
-    behave like one shared cache.  Hits skip the engine, the execute span
-    and the shard accumulator (hits must not drag the engine-execute
-    percentiles down), and are flagged in the reply tuple.
+    behave like one shared cache.  Hits skip the engine and the execute
+    span, and are flagged in the reply tuple so the parent keeps them out
+    of the engine-execute percentiles.
     """
-    shard = LatencyAccumulator(label=f"worker-{worker_id}")
-    completed = 0
-    failed = 0
-
     while True:
         try:
             message = requests.recv()
@@ -240,12 +236,6 @@ def _serve_requests(
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
         execute_seconds = time.monotonic() - started
-        if not cache_hit:
-            shard.add(execute_seconds)
-        if error is None:
-            completed += 1
-        else:
-            failed += 1
         try:
             replies.send(
                 ("result", worker_id, request_id, error, result, execute_seconds, cache_hit)
@@ -253,9 +243,6 @@ def _serve_requests(
         except OSError:
             break  # parent is gone; nothing left to answer to
         except Exception as exc:  # unpicklable result: degrade, don't die
-            if error is None:
-                completed -= 1
-                failed += 1
             try:
                 replies.send(
                     (
@@ -271,7 +258,6 @@ def _serve_requests(
                 )
             except (OSError, ValueError):
                 break
-    return shard, completed, failed
 
 
 def _worker_main(
@@ -315,23 +301,11 @@ def _worker_main(
         answer_cache = (
             AnswerCache(capacity=answer_cache_capacity) if answer_cache_capacity > 0 else None
         )
-        shard, completed, failed = _serve_requests(
-            engine, worker_id, requests, replies, answer_cache=answer_cache
-        )
+        _serve_requests(engine, worker_id, requests, replies, answer_cache=answer_cache)
         recorder = get_recorder()
         spans = recorder.spans() if recorder is not None else []
         try:
-            replies.send(
-                (
-                    "shard",
-                    worker_id,
-                    shard,
-                    completed,
-                    failed,
-                    get_telemetry().snapshot(),
-                    spans,
-                )
-            )
+            replies.send(("shard", worker_id, get_telemetry().snapshot(), spans))
         except (OSError, ValueError):
             pass
         replies.close()
@@ -607,8 +581,7 @@ class ProcessShardedService:
         Parent and workers always run the same code, so each reply kind has
         one fixed shape: ``("ready", worker)``, ``("fatal", worker, error)``,
         ``("result", worker, request_id, error, result, execute_seconds,
-        cache_hit)`` and ``("shard", worker, shard, completed, failed,
-        telemetry_snapshot, spans)``.
+        cache_hit)`` and ``("shard", worker, telemetry_snapshot, spans)``.
         """
         kind = message[0]
         if kind == "ready":
@@ -620,11 +593,10 @@ class ProcessShardedService:
                 self._fatal[worker_id] = message[2]
                 self._condition.notify_all()
         elif kind == "shard":
-            _, _, shard, _, _, telemetry_snapshot, spans = message
-            self.metrics.record_worker_shard(shard)
+            _, _, telemetry_snapshot, spans = message
             with self._condition:
                 self._shard_received[worker_id] = True
-            self.metrics.record_worker_telemetry(shard.label, telemetry_snapshot)
+            self.metrics.record_worker_telemetry(f"worker-{worker_id}", telemetry_snapshot)
             if spans:
                 recorder = get_recorder()
                 if recorder is not None:

@@ -63,11 +63,10 @@ from repro.exceptions import InvalidParameterError, StoreError
 from repro.graph.digraph import TopicSocialGraph
 from repro.index.delayed import DelayedMaterializationIndex
 from repro.index.rr_index import RRGraphIndex
-from repro.obs.clock import wall_clock
+from repro.obs.clock import monotonic, wall_clock
 from repro.obs.telemetry import counter
 from repro.topics.model import TagTopicModel
 from repro.utils.rng import SeedLike
-from repro.utils.timer import Stopwatch
 
 FORMAT_VERSION = 1
 KIND_RR = "rr-graphs"
@@ -353,7 +352,11 @@ class IndexStore:
             else:
                 with np.load(arrays_path) as payload:
                     arrays = {name: payload[name] for name in payload.files}
-        except (OSError, ValueError, StoreError):
+        except Exception:
+            # A damaged payload fails in whichever reader meets the damage
+            # first: OSError, EOFError, zipfile.BadZipFile, zlib.error,
+            # NotImplementedError (a flipped zip flag), ValueError or a
+            # tokenizer error (an .npy header).  Every one of them is a miss.
             return None
         return arrays, manifest
 
@@ -430,17 +433,17 @@ class IndexStore:
         compares.  An integer ``seed`` loads only an index drawn from that
         seed; ``None`` accepts whatever the slot holds.
         """
-        watch = Stopwatch().start()
+        started = monotonic()
         index = self.load_rr_index(graph, model, num_samples, index_seed=seed_tag(seed))
         if index is not None:
-            watch.stop()
+            seconds = monotonic() - started
             counter("store.load_or_build.loaded")
-            return index, True, watch.elapsed
+            return index, True, seconds
         index = RRGraphIndex(graph, num_samples, seed=seed).build()
         self.save_rr_index(index, model, index_seed=seed_tag(seed))
-        watch.stop()
+        seconds = monotonic() - started
         counter("store.load_or_build.built")
-        return index, False, watch.elapsed
+        return index, False, seconds
 
     def load_or_build_delayed(
         self,
@@ -453,19 +456,19 @@ class IndexStore:
 
         Seed matching works as in :meth:`load_or_build_rr`.
         """
-        watch = Stopwatch().start()
+        started = monotonic()
         index = self.load_delayed_index(
             graph, model, num_samples, seed=seed, index_seed=seed_tag(seed)
         )
         if index is not None:
-            watch.stop()
+            seconds = monotonic() - started
             counter("store.load_or_build.loaded")
-            return index, True, watch.elapsed
+            return index, True, seconds
         index = DelayedMaterializationIndex(graph, num_samples, seed=seed).build()
         self.save_delayed_index(index, model, index_seed=seed_tag(seed))
-        watch.stop()
+        seconds = monotonic() - started
         counter("store.load_or_build.built")
-        return index, False, watch.elapsed
+        return index, False, seconds
 
     # --------------------------------------------------- shared graph bundles
     def save_graph_bundle(self, graph: TopicSocialGraph, model: TagTopicModel) -> StoreEntry:

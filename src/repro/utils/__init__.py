@@ -1,14 +1,14 @@
 """Shared utilities used across the PITEX reproduction.
 
-The utilities are intentionally small and dependency free (only ``numpy``):
+The utilities are intentionally small and dependency free (only ``numpy``).
+Durations are read from :func:`repro.obs.clock.monotonic` and work is counted
+in the :mod:`repro.obs.telemetry` registry; neither lives here.
 
 * :mod:`repro.utils.rng` -- deterministic random number management.
 * :mod:`repro.utils.heap` -- indexed and plain binary heaps used by the lazy
   propagation sampler and best-effort exploration.
-* :mod:`repro.utils.timer` -- wall-clock timers and counters used by the
-  benchmark harness.
 * :mod:`repro.utils.stats` -- Chernoff/Hoeffding bounds, running statistics and
-  confidence helpers used by sample-size derivations.
+  the latency accumulator behind the serving metrics.
 * :mod:`repro.utils.validation` -- argument checking helpers shared by public
   API entry points.
 * :mod:`repro.utils.freeze` -- the frozen-engine mutation tripwire backing
@@ -18,7 +18,6 @@ The utilities are intentionally small and dependency free (only ``numpy``):
 from repro.utils.freeze import FrozenGuard, attach_freeze_guard, guard_check
 from repro.utils.rng import RandomSource, spawn_rng
 from repro.utils.heap import BatchedEventQueue, MinHeap, MaxHeap, LazyEdgeHeap
-from repro.utils.timer import Stopwatch, Counter, TimingRecord
 from repro.utils.stats import (
     LatencyAccumulator,
     RunningMean,
@@ -45,9 +44,6 @@ __all__ = [
     "MaxHeap",
     "LazyEdgeHeap",
     "BatchedEventQueue",
-    "Stopwatch",
-    "Counter",
-    "TimingRecord",
     "LatencyAccumulator",
     "RunningMean",
     "chernoff_upper_tail",

@@ -145,19 +145,6 @@ class RunningMean:
         for value in values:
             self.add(value)
 
-    def merge(self, other: "RunningMean") -> None:
-        """Fold another accumulator's moments in exactly (Chan's formula)."""
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count, self.mean, self._m2 = other.count, other.mean, other._m2
-            return
-        total = self.count + other.count
-        delta = other.mean - self.mean
-        self.mean += delta * other.count / total
-        self._m2 += other._m2 + delta * delta * self.count * other.count / total
-        self.count = total
-
     @property
     def variance(self) -> float:
         """Sample variance (0.0 with fewer than two observations)."""
@@ -222,27 +209,6 @@ class LatencyAccumulator:
         for value in values:
             self.add(value)
 
-    def merge(self, other: "LatencyAccumulator") -> None:
-        """Fold another accumulator into this one.
-
-        Count, mean, std and min/max combine exactly (Welford moments merge
-        via Chan's formula); the percentile reservoir absorbs the other's
-        reservoir samples, so tails stay representative but -- as always once
-        a reservoir overflows -- approximate.
-        """
-        if other._running.count == 0:
-            return
-        self._running.merge(other._running)
-        self._min = min(self._min, other._min)
-        self._max = max(self._max, other._max)
-        for value in other._samples:
-            if len(self._samples) < self.max_samples:
-                self._samples.append(value)
-            else:
-                slot = self._reservoir_rng.integer(0, self._running.count)
-                if slot < self.max_samples:
-                    self._samples[slot] = value
-
     @property
     def count(self) -> int:
         """Number of recorded observations."""
@@ -284,21 +250,3 @@ class LatencyAccumulator:
             "min": self._min,
             "max": self._max,
         }
-
-
-@dataclass
-class Series:
-    """A labelled (x, y) series used by the reporting helpers."""
-
-    label: str
-    xs: List[float] = field(default_factory=list)
-    ys: List[float] = field(default_factory=list)
-
-    def add(self, x: float, y: float) -> None:
-        """Append one point."""
-        self.xs.append(float(x))
-        self.ys.append(float(y))
-
-    def as_rows(self) -> List[tuple]:
-        """Rows of ``(label, x, y)`` suitable for tabular printing."""
-        return [(self.label, x, y) for x, y in zip(self.xs, self.ys)]

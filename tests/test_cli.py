@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.obs.telemetry import Telemetry, get_telemetry, install
 
 
 def test_cli_requires_a_command(capsys):
@@ -122,6 +123,45 @@ def test_cli_query_batched_kernel_and_method(capsys):
     assert document["kernel"] == "batched"
     counters = document["counters"]
     assert any("lazy-batched" in key for key in counters)
+
+
+@pytest.mark.parametrize("method", ["lazy", "lazy-batched"])
+def test_cli_query_json_counters_are_the_registry_query_delta(capsys, method):
+    """``--json`` counters: sums over ``results`` and the ``query.*`` registry delta."""
+    import json
+
+    args = [a if a != "lazy" else method for a in QUERY_SMOKE_ARGS]
+    args[args.index("--num-queries") + 1] = "3"
+    previous = install(Telemetry())
+    try:
+        before = get_telemetry().counters()
+        exit_code = main(args + ["--json"])
+        after = get_telemetry().counters()
+    finally:
+        install(previous)
+    assert exit_code == 0
+    document = json.loads(capsys.readouterr().out)
+    results = document["results"]
+    assert len(results) == 3
+
+    def delta(name):
+        return after.get(name, 0) - before.get(name, 0)
+
+    edge_visits = sum(result["edges_visited"] for result in results)
+    assert document["counters"] == {
+        method: {
+            "edge_visits": edge_visits,
+            "mean_edge_visits": edge_visits / 3,
+            "samples": sum(result["samples_drawn"] for result in results),
+            "queries": 3,
+        }
+    }
+    assert document["counters"][method] == {
+        "edge_visits": delta(f"query.{method}.edges_visited"),
+        "mean_edge_visits": delta(f"query.{method}.edges_visited") / delta(f"query.{method}.count"),
+        "samples": delta(f"query.{method}.samples"),
+        "queries": delta(f"query.{method}.count"),
+    }
 
 
 def test_cli_query_rejects_unknown_kernel():

@@ -14,8 +14,7 @@ Three layers of guarantees, mirroring :mod:`tests.test_csr_kernels`:
   ``attach_*_index`` (index attachment must not perturb the sampling streams).
 * **Edge-visit accounting**: the batched kernel books edge visits exactly like
   the sequential kernels (schedule size at creation + one per fire), so
-  :class:`~repro.sampling.instrumentation.EstimatorInstrumentation` counters
-  agree across lazy kernels and exhibit the Lemma 5 vs Lemma 7 gap against
+  per-method edge-visit totals agree across lazy kernels and exhibit the Lemma 5 vs Lemma 7 gap against
   Monte-Carlo probing (the Fig. 13 shape).
 """
 
@@ -31,7 +30,6 @@ from repro.index.rr_index import RRGraphIndex
 from repro.propagation.exact import exact_influence_spread
 from repro.sampling import base as sampling_base
 from repro.sampling.base import SampleBudget
-from repro.sampling.instrumentation import EstimatorInstrumentation
 from repro.sampling.lazy import LazyPropagationEstimator
 from repro.sampling.monte_carlo import MonteCarloEstimator
 from repro.utils.heap import BatchedEventQueue
@@ -273,7 +271,7 @@ def test_instrumentation_counters_agree_between_batched_and_dict_lazy(
     """
     probabilities = small_graph.max_edge_probabilities()
     samples = 2000
-    instrumentation = EstimatorInstrumentation()
+    edge_visits, sample_counts, query_counts = {}, {}, {}
     users = [0, 2, 4]
     estimators = {
         "mc": MonteCarloEstimator(small_graph, small_model, tiny_budget, seed=5, kernel="csr"),
@@ -286,21 +284,22 @@ def test_instrumentation_counters_agree_between_batched_and_dict_lazy(
     }
     for estimator in estimators.values():
         for user in users:
-            instrumentation.record(
-                estimator.estimate_with_probabilities(user, probabilities, samples)
-            )
-    assert instrumentation.query_counts == {"mc": 3, "lazy": 3, "lazy-batched": 3}
-    batched_mean = instrumentation.mean_edge_visits("lazy-batched")
-    dict_mean = instrumentation.mean_edge_visits("lazy")
+            estimate = estimator.estimate_with_probabilities(user, probabilities, samples)
+            method = estimate.method
+            edge_visits[method] = edge_visits.get(method, 0) + estimate.edges_visited
+            sample_counts[method] = sample_counts.get(method, 0) + estimate.num_samples
+            query_counts[method] = query_counts.get(method, 0) + 1
+    assert query_counts == {"mc": 3, "lazy": 3, "lazy-batched": 3}
+    batched_mean = edge_visits["lazy-batched"] / query_counts["lazy-batched"]
+    dict_mean = edge_visits["lazy"] / query_counts["lazy"]
     assert batched_mean == pytest.approx(dict_mean, rel=0.15)
     # Lemma 5 vs Lemma 7: lazy propagation (any kernel) touches strictly fewer
     # edges than Bernoulli-probing every positive out-edge per activation.
-    mc_mean = instrumentation.mean_edge_visits("mc")
+    mc_mean = edge_visits["mc"] / query_counts["mc"]
     assert batched_mean < mc_mean
     assert dict_mean < mc_mean
-    assert instrumentation.mean_samples("mc") == samples
-    rows = {row[0]: row for row in instrumentation.rows()}
-    assert set(rows) == {"mc", "lazy", "lazy-batched"}
+    assert sample_counts["mc"] / query_counts["mc"] == samples
+    assert set(edge_visits) == {"mc", "lazy", "lazy-batched"}
 
 
 def test_estimate_stamps_kernel_and_accumulates_totals(small_graph, small_model, tiny_budget):
@@ -398,30 +397,6 @@ def test_unknown_kernel_is_rejected(small_graph, small_model, tiny_budget):
         )
     with pytest.raises(InvalidParameterError):
         PitexEngine(small_graph, small_model, kernel="sparse")
-
-
-def test_instrumentation_query_results_and_dict_round_trip():
-    from repro.sampling.instrumentation import ConvergenceTrace
-
-    instrumentation = EstimatorInstrumentation()
-    instrumentation.record_query_result("best-effort:lazy-batched", edges_visited=120)
-    instrumentation.record_query_result("best-effort:lazy-batched", edges_visited=80)
-    instrumentation.record_query_result("", edges_visited=5)  # falls back to "unknown"
-    as_dict = instrumentation.as_dict()
-    assert as_dict["best-effort:lazy-batched"]["edge_visits"] == 200
-    assert as_dict["best-effort:lazy-batched"]["mean_edge_visits"] == 100.0
-    assert as_dict["best-effort:lazy-batched"]["queries"] == 2
-    assert as_dict["unknown"]["edge_visits"] == 5
-    assert instrumentation.mean_edge_visits("missing") == 0.0
-    assert instrumentation.mean_samples("missing") == 0.0
-
-    trace = ConvergenceTrace(method="lazy-batched")
-    assert trace.final_estimate() == 0.0 and trace.relative_spread() == 0.0
-    trace.add(10, 4.0)
-    trace.add(20, 5.0)
-    assert trace.final_estimate() == 5.0
-    assert trace.relative_spread() == pytest.approx(0.2)
-    assert trace.rows() == [("lazy-batched", 10, 4.0), ("lazy-batched", 20, 5.0)]
 
 
 def test_lazy_batched_method_works_under_enumeration():

@@ -140,13 +140,17 @@ def test_wall_clock_scoped_to_compute_core_and_serving():
 
 def test_obs001_perf_counter_scoped_to_serving_and_core():
     source = "import time\n\n\ndef measure():\n    return time.perf_counter()\n"
-    for scoped in ("src/repro/serve/scratch.py", "src/repro/core/scratch.py"):
+    for scoped in (
+        "src/repro/serve/scratch.py",
+        "src/repro/core/scratch.py",
+        "src/repro/index/scratch.py",
+    ):
         assert [f.rule for f in lint_scratch(source, scoped)] == ["OBS001"]
-    # The sanctioned timing homes (and the compute core's Stopwatch users)
-    # are outside the OBS001 scope.
+    # The sanctioned timing home and the layers that do no timing of their
+    # own are outside the OBS001 scope.
     for exempt in (
         "src/repro/obs/clock.py",
-        "src/repro/utils/timer.py",
+        "src/repro/utils/scratch.py",
         "src/repro/sampling/scratch.py",
         "benchmarks/bench_scratch.py",
     ):

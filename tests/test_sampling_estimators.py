@@ -17,7 +17,6 @@ from repro.graph.generators import (
 )
 from repro.propagation.exact import exact_influence_spread
 from repro.sampling.base import SampleBudget
-from repro.sampling.instrumentation import ConvergenceTrace, EstimatorInstrumentation
 from repro.sampling.lazy import LazyPropagationEstimator
 from repro.sampling.monte_carlo import MonteCarloEstimator
 from repro.sampling.reverse_reachable import ReverseReachableEstimator
@@ -166,26 +165,3 @@ def test_rr_scaling_uses_reachable_set_size():
     estimate = estimator.estimate_with_probabilities(0, probabilities, num_samples=200)
     assert estimate.reachable_size == 3
     assert estimate.value == pytest.approx(3.0)
-
-
-def test_convergence_trace_helpers():
-    trace = ConvergenceTrace(method="mc")
-    trace.add(10, 2.0)
-    trace.add(20, 2.5)
-    assert trace.final_estimate() == 2.5
-    assert trace.relative_spread() == pytest.approx(0.2)
-    assert trace.rows() == [("mc", 10, 2.0), ("mc", 20, 2.5)]
-
-
-def test_estimator_instrumentation_aggregates():
-    from repro.sampling.base import InfluenceEstimate
-
-    instrumentation = EstimatorInstrumentation()
-    instrumentation.record(InfluenceEstimate(value=2.0, num_samples=10, edges_visited=100, method="mc"))
-    instrumentation.record(InfluenceEstimate(value=3.0, num_samples=10, edges_visited=300, method="mc"))
-    instrumentation.record(InfluenceEstimate(value=3.0, num_samples=5, edges_visited=40, method="lazy"))
-    assert instrumentation.mean_edge_visits("mc") == 200.0
-    assert instrumentation.mean_edge_visits("lazy") == 40.0
-    assert instrumentation.mean_edge_visits("unknown") == 0.0
-    rows = instrumentation.rows()
-    assert ("lazy", 40, 40.0, 5) in rows

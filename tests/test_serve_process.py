@@ -14,8 +14,9 @@ Three failure families are pinned alongside the happy path:
 * *death*: a killed worker surfaces a clean ``WorkerError``-tagged response
   (never a hang), in-flight and after the fact, while surviving shards keep
   serving; a broken spec fails construction with the worker's real error;
-* *accounting*: per-worker latency shards merge into the parent metrics on
-  close, and replay reports carry ``backend`` + ``host_cores``;
+* *accounting*: the parent's per-worker execute series follow the
+  responses' worker ids, worker telemetry shards merge into the parent
+  metrics on close, and replay reports carry ``backend`` + ``host_cores``;
 * *dispatch*: a request runs on the least-loaded live worker unless answer
   caches pin it to its affinity shard, and the per-worker in-flight counts
   return to zero however a request ends.
@@ -33,6 +34,7 @@ import dataclasses
 import os
 import signal
 import threading
+from collections import Counter
 
 import multiprocessing
 import numpy as np
@@ -54,6 +56,7 @@ from repro.serve.sharded import (
     publish_engine_spec,
 )
 from repro.serve.store import IndexStore, graph_bundle_key
+from repro.utils.stats import LatencyAccumulator
 
 METHODS = ("indexest", "indexest+", "delaymat")
 ENGINE_SEED = 7
@@ -210,10 +213,10 @@ def test_process_replay_bitwise_equals_thread_oracle(
     ]
     assert facets(report) == facets(oracle)
 
-    # Worker latency shards ship at shutdown and must cover every query once.
+    # The per-worker execute series split the parent's: every query once.
     shards = snapshot["worker_shards"]
     assert sum(shard["count"] for shard in shards.values()) == len(stream)
-    assert snapshot["worker_execute"]["count"] == len(stream)
+    assert snapshot["execute"]["count"] == len(stream)
 
     # The tentpole invariant: the deterministic counter subset is *exactly*
     # equal across backends -- not approximately, not modulo worker counters.
@@ -237,6 +240,34 @@ def test_process_replay_bitwise_equals_thread_oracle(
     assert document["backend"] == "process"
     assert document["host_cores"] == int(os.cpu_count() or 1)
     assert document["telemetry"]["deterministic"] == deterministic
+
+
+def test_worker_shards_are_the_responses_execute_series_split_by_worker(dataset, spec):
+    """``worker_shards`` is ``execute`` split by :attr:`QueryResponse.worker`.
+
+    One client submits in stream order and each worker answers its pipe in
+    order, so every shard saw exactly its responses' ``execute_seconds`` in
+    response order and must summarize to the same numbers, bit for bit.
+    """
+    stream = dataset.query_workload.query_stream(16, seed=5)
+    with ProcessShardedService(spec, num_workers=2) as service:
+        report = replay_stream(service, stream, method="indexest+", k=2)
+    snapshot = service.metrics.snapshot()
+    assert report.failures == 0
+    by_worker = Counter(response.worker for response in report.responses)
+    assert None not in by_worker
+    shards = snapshot["worker_shards"]
+    assert set(shards) == {f"worker-{worker}" for worker in by_worker}
+    for worker, count in by_worker.items():
+        label = f"worker-{worker}"
+        assert shards[label]["count"] == count
+        fresh = LatencyAccumulator(label=label)
+        fresh.extend(
+            response.execute_seconds
+            for response in report.responses
+            if response.worker == worker
+        )
+        assert shards[label] == fresh.summary()
 
 
 def test_process_answer_cache_bitwise_equals_thread_cached_oracle(
@@ -519,12 +550,9 @@ def drive_serve_requests(engine, messages):
     context = multiprocessing.get_context()
     request_recv, request_send = context.Pipe(duplex=False)
     reply_recv, reply_send = context.Pipe(duplex=False)
-    outcome = {}
 
     def run():
-        outcome["shard"], outcome["completed"], outcome["failed"] = _serve_requests(
-            engine, 9, request_recv, reply_send
-        )
+        _serve_requests(engine, 9, request_recv, reply_send)
         reply_send.close()
 
     thread = threading.Thread(target=run)
@@ -540,35 +568,31 @@ def drive_serve_requests(engine, messages):
             break
     thread.join(timeout=30.0)
     assert not thread.is_alive()
-    return replies, outcome
+    return replies
 
 
 def test_serve_requests_happy_error_and_unpicklable_paths():
     request = QueryRequest(user=3, k=2, method="indexest+")
 
-    replies, outcome = drive_serve_requests(
+    replies = drive_serve_requests(
         _StubEngine(lambda kwargs: ("answer", kwargs["user"])),
         [("query", 0, request), ("stop",)],
     )
     assert replies[0][:4] == ("result", 9, 0, None)
     assert replies[0][4] == ("answer", 3)
-    assert (outcome["completed"], outcome["failed"]) == (1, 0)
-    assert outcome["shard"].count == 1
 
     def boom(kwargs):
         raise ValueError("bad query")
 
-    replies, outcome = drive_serve_requests(_StubEngine(boom), [("query", 1, request)])
+    replies = drive_serve_requests(_StubEngine(boom), [("query", 1, request)])
     assert replies[0][3] == "ValueError: bad query"
-    assert (outcome["completed"], outcome["failed"]) == (0, 1)
 
-    replies, outcome = drive_serve_requests(
+    replies = drive_serve_requests(
         _StubEngine(lambda kwargs: lambda: None),  # a lambda cannot pickle
         [("query", 2, request), ("stop",)],
     )
     assert replies[0][0] == "result"
     assert "could not serialize" in replies[0][3]
-    assert (outcome["completed"], outcome["failed"]) == (0, 1)
 
 
 def test_worker_main_in_process_reports_ready_results_and_shard(spec, dataset):
@@ -592,7 +616,7 @@ def test_worker_main_in_process_reports_ready_results_and_shard(spec, dataset):
     kinds = [message[0] for message in messages]
     assert kinds == ["ready", "result", "shard"]
     assert messages[1][3] is None and messages[1][4] is not None
-    assert messages[2][2].count == 1  # the latency shard saw the one query
+    assert messages[2][2]["counters"]["query.count"] == 1  # the shipped telemetry
 
 
 def test_worker_main_reports_fatal_on_broken_spec(spec):

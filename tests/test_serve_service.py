@@ -347,6 +347,20 @@ def test_service_answers_queries_and_records_metrics(dataset):
     assert snapshot["throughput_qps"] > 0.0
 
 
+def test_service_throughput_counts_completed_requests_only():
+    """A service that fails every request reports 0 qps, not its failure rate."""
+
+    def provider(key):
+        raise RuntimeError("no engine")
+
+    with PitexService(provider, num_workers=2) as service:
+        responses = [service.submit(QueryRequest(user=user, k=2)).result() for user in range(5)]
+    assert not any(response.ok for response in responses)
+    snapshot = service.metrics.snapshot()
+    assert (snapshot["completed"], snapshot["failed"]) == (0, 5)
+    assert snapshot["throughput_qps"] == 0.0
+
+
 def test_service_snapshot_carries_telemetry_deltas(dataset):
     """The metrics snapshot grows a telemetry section scoped to the service.
 

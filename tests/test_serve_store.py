@@ -234,3 +234,84 @@ def test_prebuilt_index_must_match_engine_theta(dataset):
     index = RRGraphIndex(graph, 20, seed=1).build()
     with pytest.raises(InvalidParameterError, match="index_samples"):
         PitexEngine(graph, model, index_samples=50, rr_index=index)
+
+
+def _truncate(path):
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+CORRUPTIONS = {
+    "truncated": _truncate,
+    "empty": lambda path: path.write_bytes(b""),
+    "garbage": lambda path: path.write_bytes(b"not an npz archive" * 8),
+}
+INDEX_KINDS = {
+    "rr": (RRGraphIndex, "save_rr_index", "load_rr_index", "load_or_build_rr"),
+    "delayed": (
+        DelayedMaterializationIndex,
+        "save_delayed_index",
+        "load_delayed_index",
+        "load_or_build_delayed",
+    ),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+@pytest.mark.parametrize("kind", sorted(INDEX_KINDS))
+def test_damaged_arrays_load_as_a_miss_and_rebuild(dataset, store, kind, corruption):
+    """A truncated, empty or garbage ``arrays.npz`` is a miss, never a raise."""
+    graph, model = dataset.graph, dataset.model
+    index_class, save, load, load_or_build = INDEX_KINDS[kind]
+    entry = getattr(store, save)(index_class(graph, 30, seed=3).build(), model, index_seed=3)
+    CORRUPTIONS[corruption](entry.path / "arrays.npz")
+    assert getattr(store, load)(graph, model, 30) is None
+    assert getattr(store, load)(graph, model, 30, mmap=True) is None
+
+    rebuilt, loaded, _ = getattr(store, load_or_build)(graph, model, 30, seed=3)
+    assert not loaded and rebuilt.is_built
+    assert getattr(store, load)(graph, model, 30) is not None
+    assert getattr(store, load)(graph, model, 30, mmap=True) is not None
+    _, loaded_again, _ = getattr(store, load_or_build)(graph, model, 30, seed=3)
+    assert loaded_again
+
+
+@pytest.mark.parametrize("kind", sorted(INDEX_KINDS))
+def test_bit_flipped_arrays_never_raise(dataset, store, kind):
+    """Flipped bytes anywhere in ``arrays.npz`` load as a miss or as the index.
+
+    Depending on where they land they break the deflate stream, a CRC, a
+    zip header or an ``.npy`` header, each with its own exception type;
+    flips in fields nothing verifies leave the payload readable.
+    """
+    import shutil
+
+    graph, model = dataset.graph, dataset.model
+    index_class, save, load, _ = INDEX_KINDS[kind]
+    entry = getattr(store, save)(index_class(graph, 30, seed=3).build(), model)
+    arrays_path = entry.path / "arrays.npz"
+    pristine = arrays_path.read_bytes()
+    for offset in range(0, len(pristine), max(1, len(pristine) // 64)):
+        damaged = bytearray(pristine)
+        for position in range(offset, min(offset + 8, len(damaged))):
+            damaged[position] ^= 0xFF
+        arrays_path.write_bytes(bytes(damaged))
+        shutil.rmtree(entry.path / "mapped", ignore_errors=True)
+        for mmap in (False, True):
+            loaded = getattr(store, load)(graph, model, 30, mmap=mmap)
+            assert loaded is None or loaded.is_built
+
+
+@pytest.mark.parametrize("kind", sorted(INDEX_KINDS))
+def test_truncated_mapped_sidecar_loads_as_a_miss(dataset, store, kind):
+    graph, model = dataset.graph, dataset.model
+    index_class, save, load, _ = INDEX_KINDS[kind]
+    entry = getattr(store, save)(index_class(graph, 30, seed=3).build(), model)
+    assert getattr(store, load)(graph, model, 30, mmap=True) is not None
+    sidecars = sorted((entry.path / "mapped").glob("*.npy"))
+    assert sidecars
+    for sidecar in sidecars:
+        _truncate(sidecar)
+    assert getattr(store, load)(graph, model, 30, mmap=True) is None
+    # The compressed arrays are intact, so the in-memory path still loads.
+    assert getattr(store, load)(graph, model, 30) is not None

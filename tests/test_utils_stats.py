@@ -3,13 +3,10 @@
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.utils.stats import (
     LatencyAccumulator,
     RunningMean,
-    Series,
     chernoff_failure_probability,
     chernoff_lower_tail,
     chernoff_upper_tail,
@@ -95,13 +92,6 @@ def test_running_mean_confidence_shrinks_with_samples():
     assert large.confidence_halfwidth() < small.confidence_halfwidth()
 
 
-def test_series_rows():
-    series = Series(label="lazy")
-    series.add(1, 2.0)
-    series.add(2, 3.0)
-    assert series.as_rows() == [("lazy", 1.0, 2.0), ("lazy", 2.0, 3.0)]
-
-
 def test_percentiles_match_numpy_linear_interpolation():
     np = pytest.importorskip("numpy")
     values = [5.0, 1.0, 9.0, 3.0, 7.0, 2.0, 8.0]
@@ -129,90 +119,12 @@ def test_latency_accumulator_summary_and_merge():
     assert summary["p50"] == pytest.approx(0.025)
     assert summary["min"] == 0.010 and summary["max"] == 0.040
     assert accumulator.total == pytest.approx(0.100)
-    other = LatencyAccumulator(label="other")
-    other.add(0.100)
-    accumulator.merge(other)
-    assert accumulator.count == 5
-    assert accumulator.percentile(100.0) == pytest.approx(0.100)
 
 
 def test_latency_accumulator_empty_summary_is_zeroed():
     summary = LatencyAccumulator().summary()
     assert summary["count"] == 0
     assert summary["p99"] == 0.0 and summary["mean"] == 0.0
-
-
-# One latency observation: non-negative, finite, service-scale seconds.
-_latency = st.floats(min_value=0.0, max_value=100.0, allow_nan=False, allow_infinity=False)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    shards=st.lists(
-        st.lists(_latency, min_size=0, max_size=40), min_size=1, max_size=6
-    )
-)
-def test_latency_merge_of_per_thread_shards_matches_global_accumulator(shards):
-    """Per-worker accumulators merged == one global accumulator over all obs.
-
-    This is the invariant concurrent serving relies on: each worker records
-    into its own (unlocked) accumulator and the service merges at snapshot
-    time.  Below the reservoir cap the merge must be *exact* -- count, moments,
-    min/max and every percentile -- regardless of how observations were
-    sharded across workers.
-    """
-    merged = LatencyAccumulator(label="merged")
-    for shard in shards:
-        worker = LatencyAccumulator(label="worker")
-        worker.extend(shard)
-        merged.merge(worker)
-
-    flat = [value for shard in shards for value in shard]
-    global_accumulator = LatencyAccumulator(label="global")
-    global_accumulator.extend(flat)
-
-    assert merged.count == global_accumulator.count == len(flat)
-    if not flat:
-        return
-    assert merged.mean == pytest.approx(global_accumulator.mean, rel=1e-9, abs=1e-12)
-    assert merged._running.std == pytest.approx(
-        global_accumulator._running.std, rel=1e-9, abs=1e-9
-    )
-    merged_summary = merged.summary()
-    global_summary = global_accumulator.summary()
-    assert merged_summary["min"] == global_summary["min"]
-    assert merged_summary["max"] == global_summary["max"]
-    # Below the reservoir cap both hold the same multiset of samples, so the
-    # percentile snapshots agree exactly (sorting removes shard order).
-    for q in (50.0, 95.0, 99.0):
-        assert merged.percentile(q) == pytest.approx(
-            global_accumulator.percentile(q), rel=1e-12, abs=1e-12
-        )
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    left=st.lists(_latency, min_size=1, max_size=30),
-    right=st.lists(_latency, min_size=1, max_size=30),
-)
-def test_latency_merge_is_commutative_in_moments(left, right):
-    """merge(a, b) and merge(b, a) agree on count/mean/std/min/max."""
-    ab = LatencyAccumulator()
-    ab.extend(left)
-    other = LatencyAccumulator()
-    other.extend(right)
-    ab.merge(other)
-
-    ba = LatencyAccumulator()
-    ba.extend(right)
-    other = LatencyAccumulator()
-    other.extend(left)
-    ba.merge(other)
-
-    assert ab.count == ba.count
-    assert ab.mean == pytest.approx(ba.mean, rel=1e-9, abs=1e-12)
-    assert ab._running.variance == pytest.approx(ba._running.variance, rel=1e-9, abs=1e-9)
-    assert ab._min == ba._min and ab._max == ba._max
 
 
 def test_latency_accumulator_reservoir_bounds_memory():

@@ -1,11 +1,8 @@
-"""Tests for repro.utils.timer and repro.utils.validation."""
-
-import time
+"""Tests for repro.utils.validation."""
 
 import pytest
 
 from repro.exceptions import InvalidParameterError
-from repro.utils.timer import Counter, Stopwatch, TimingRecord
 from repro.utils.validation import (
     ensure_in_range,
     ensure_non_empty,
@@ -14,71 +11,6 @@ from repro.utils.validation import (
     ensure_probability,
     ensure_unique,
 )
-
-
-def test_stopwatch_measures_elapsed_time():
-    watch = Stopwatch()
-    with watch:
-        time.sleep(0.01)
-    assert watch.elapsed >= 0.005
-
-
-def test_stopwatch_accumulates_over_multiple_intervals():
-    watch = Stopwatch()
-    with watch:
-        time.sleep(0.005)
-    first = watch.elapsed
-    with watch:
-        time.sleep(0.005)
-    assert watch.elapsed > first
-
-
-def test_stopwatch_stop_before_start_raises():
-    with pytest.raises(RuntimeError):
-        Stopwatch().stop()
-
-
-def test_counter_increment_and_reset():
-    counter = Counter()
-    counter.increment("edges")
-    counter.increment("edges", 4)
-    assert counter["edges"] == 5
-    assert counter.get("missing") == 0
-    counter.reset("edges")
-    assert counter["edges"] == 0
-    counter.increment("a")
-    counter.increment("b")
-    counter.reset()
-    assert counter.as_dict() == {}
-
-
-def test_timing_record_statistics():
-    record = TimingRecord(label="x")
-    for value in (1.0, 2.0, 3.0, 4.0):
-        record.add(value)
-    assert record.count == 4
-    assert record.mean == 2.5
-    assert record.minimum == 1.0
-    assert record.maximum == 4.0
-    assert record.percentile(50) == 2.5
-    assert record.percentile(0) == 1.0
-    assert record.percentile(100) == 4.0
-
-
-def test_timing_record_empty_defaults():
-    record = TimingRecord(label="empty")
-    assert record.mean == 0.0
-    assert record.percentile(50) == 0.0
-
-
-def test_timing_record_merge():
-    a = TimingRecord(label="a")
-    a.add(1.0)
-    b = TimingRecord(label="a")
-    b.add(3.0)
-    merged = a.merge(b)
-    assert merged.count == 2
-    assert merged.mean == 2.0
 
 
 def test_ensure_positive_int_accepts_and_rejects():

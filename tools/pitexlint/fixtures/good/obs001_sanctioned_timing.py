@@ -1,7 +1,7 @@
 """GOOD fixture: serving-layer timing through the sanctioned seams.
 
-OBS001 stays quiet when durations come from the obs clock, a Stopwatch, or
-plain ``time.monotonic()`` (queue timestamps -- no clock-seam hazard, and
+OBS001 stays quiet when durations come from the obs clock or plain
+``time.monotonic()`` (queue timestamps -- no clock-seam hazard, and
 reproducibility is not at stake for a duration).
 """
 
@@ -10,20 +10,12 @@ reproducibility is not at stake for a duration).
 import time
 
 from repro.obs.clock import monotonic
-from repro.utils.timer import Stopwatch
 
 
 def span_seconds(fn):
     started = monotonic()
     fn()
     return monotonic() - started
-
-
-def stopwatch_seconds(fn):
-    watch = Stopwatch().start()
-    fn()
-    watch.stop()
-    return watch.elapsed
 
 
 def queue_age(enqueued_monotonic):

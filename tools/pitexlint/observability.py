@@ -1,22 +1,20 @@
 """Observability rule (OBS001).
 
-The obs subsystem (PR 8) gives the serving layer exactly two sanctioned ways
-to measure a duration: the swappable monotonic seam in ``repro.obs.clock``
-(``Clock`` / ``monotonic()``, which trace spans use) and the accumulating
-``repro.utils.timer.Stopwatch``.  A serving/core module that calls
-``time.perf_counter()`` directly bypasses both -- its timings can't be faked
-in tests, don't show up in spans, and fragment the "one clock" story the
-telemetry determinism contract documents.
+The obs subsystem (PR 8) gives the library one sanctioned way to measure a
+duration: the swappable monotonic seam in ``repro.obs.clock`` (``Clock`` /
+``monotonic()``, which trace spans use).  A serving/core/index module that
+calls ``time.perf_counter()`` directly bypasses it -- its timings can't be
+faked in tests, don't show up in spans, and fragment the "one clock" story
+the telemetry determinism contract documents.
 
 **OBS001** flags direct ``time.perf_counter()`` calls (including
 ``from time import perf_counter`` aliases) in modules under
 :data:`~pitexlint.registry.OBS_TIMER_SCOPE`.  Raw ``time.time()`` in the same
 modules is already DET004's business (the serving layer joined
-``WALL_CLOCK_SCOPE`` in the same PR), so together the two rules enforce the
-satellite requirement: serve/ and core/ may not call ``time.perf_counter()``
-or ``time.time()`` directly.  ``time.monotonic()`` stays legal -- the service
-queue timestamps lean on it and it carries no reproducibility or clock-seam
-hazard.
+``WALL_CLOCK_SCOPE`` in the same PR), so together the two rules keep serve/,
+core/ and index/ from calling ``time.perf_counter()`` or ``time.time()``
+directly.  ``time.monotonic()`` stays legal -- the service queue timestamps
+lean on it and it carries no reproducibility or clock-seam hazard.
 """
 
 from __future__ import annotations

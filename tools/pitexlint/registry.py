@@ -26,7 +26,7 @@ RULES = {
     ),
     "DET004": (
         "wall clock time.time() in a compute path; use a caller-supplied "
-        "timestamp or utils.timer.Stopwatch for durations"
+        "timestamp, or repro.obs.clock.monotonic() for durations"
     ),
     "FRZ001": (
         "guard-wired class mutates shared state without a guard_check "
@@ -37,10 +37,10 @@ RULES = {
         "<lock>` block"
     ),
     "OBS001": (
-        "direct time.perf_counter() timing in the serving/core layer; time "
-        "through repro.obs.clock (Clock/monotonic) or utils.timer.Stopwatch "
-        "so spans and benchmarks share one clock seam (raw time.time() in "
-        "the same modules is DET004)"
+        "direct time.perf_counter() timing in the serving/core/index layer; "
+        "time through repro.obs.clock (Clock/monotonic) so spans and "
+        "benchmarks share one clock seam (raw time.time() in the same "
+        "modules is DET004)"
     ),
     "SUP001": "malformed pitexlint pragma (missing reason or unknown rule)",
     "PARSE001": "file could not be parsed",
@@ -73,12 +73,11 @@ WALL_CLOCK_ALLOW = ("src/repro/obs/clock.py",)
 FREEZE_SCOPE = ("src/repro/",)
 LOCK_SCOPE = ("src/repro/serve/",)
 
-# OBS001: serving/core modules must not grab time.perf_counter() directly --
-# durations flow through the obs clock seam or utils.timer.Stopwatch, so
-# trace spans, ServiceMetrics and benchmarks are all timed by one swappable
-# source.  (repro.obs.clock and utils/timer.py are outside the scope: they
-# ARE the sanctioned homes.)
-OBS_TIMER_SCOPE = ("src/repro/serve/", "src/repro/core/")
+# OBS001: serving/core/index modules must not grab time.perf_counter()
+# directly -- durations flow through the obs clock seam, so trace spans,
+# ServiceMetrics, build times and benchmarks are all timed by one swappable
+# source.  (repro.obs.clock is outside the scope: it IS the sanctioned home.)
+OBS_TIMER_SCOPE = ("src/repro/serve/", "src/repro/core/", "src/repro/index/")
 
 # ------------------------------------------------------- determinism details
 # numpy.random attributes whose direct use bypasses RandomSource.  Covers the
