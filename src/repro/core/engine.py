@@ -404,6 +404,7 @@ class PitexEngine:
         # Warm the shared lazily-built read-only structures.
         _ = self.graph.csr
         _ = self.graph.probability_matrix
+        _ = self.graph.probability_columns
         max_probabilities = self.graph.max_edge_probabilities()
         self.graph.fingerprint()
         self.model.jensen_ratios()
@@ -618,7 +619,9 @@ class PitexEngine:
             extra=repr(tag_ids),
         )
         estimator = self.estimator(method, epsilon, delta, seed=RandomSource(seed))
-        return estimator.estimate(user, tag_ids)
+        [estimate] = estimator.compute_estimates(user, [tag_ids])
+        estimator.count_estimates([estimate])
+        return estimate
 
     # ------------------------------------------------------------------ info
     def describe(self) -> str:

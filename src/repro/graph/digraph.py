@@ -80,6 +80,7 @@ class TopicSocialGraph:
         self._edge_lookup: Dict[Tuple[int, int], int] = {}
         self._edge_probs: List[np.ndarray] = []
         self._prob_matrix: Optional[np.ndarray] = None
+        self._prob_columns: Optional[np.ndarray] = None
         self._max_probs: Optional[np.ndarray] = None
         self._csr: Optional[CSRAdjacency] = None
         self._version = 0
@@ -134,7 +135,7 @@ class TopicSocialGraph:
             raise GraphError(
                 f"expected {self._num_topics} topic probabilities, got shape {probs.shape}"
             )
-        if np.any(probs < 0.0) or np.any(probs > 1.0):
+        if not np.all((probs >= 0.0) & (probs <= 1.0)):
             raise GraphError(f"edge probabilities must lie in [0, 1], got {probs}")
         edge_id = len(self._edge_source)
         self._edge_source.append(source)
@@ -144,6 +145,7 @@ class TopicSocialGraph:
         self._out[source].append(edge_id)
         self._in[target].append(edge_id)
         self._prob_matrix = None
+        self._prob_columns = None
         self._max_probs = None
         self._csr = None
         self._version += 1
@@ -270,6 +272,24 @@ class TopicSocialGraph:
                 self._prob_matrix = np.vstack(self._edge_probs)
         return self._prob_matrix
 
+    @property
+    def probability_columns(self) -> np.ndarray:
+        """The probability matrix in column-major order: row ``z`` is ``p(e|z)`` of every edge.
+
+        A read-only ``(|Z|, |E|)`` copy, built on first access and dropped by
+        :meth:`add_edge` (never kept beside a newer matrix).  A column of the
+        C-order :attr:`probability_matrix` is a strided read; here it is
+        contiguous, which is what the single-topic rows and the sparse
+        ``p+`` term read.  Adding ``0.0`` turns a ``-0.0`` entry into the
+        ``+0.0`` a dgemv would produce for it, so a scaled column equals the
+        dgemv bit for bit; every other entry is copied unchanged.
+        """
+        if self._prob_columns is None:
+            columns = np.add(self.probability_matrix.T, 0.0, order="C")
+            columns.flags.writeable = False
+            self._prob_columns = columns
+        return self._prob_columns
+
     def max_edge_probabilities(self) -> np.ndarray:
         """``p(e) = max_z p(e|z)`` per edge (Definition 2 uses this bound)."""
         if self._max_probs is None or self._max_probs.shape[0] != self.num_edges:
@@ -294,13 +314,22 @@ class TopicSocialGraph:
     ) -> np.ndarray:
         """:meth:`edge_probabilities_under` of several posteriors, as one ``(R, |E|)`` matrix.
 
-        Each row is one ``np.matmul(matrix, posterior, out=row)`` dgemv, the
-        product ``matrix @ posterior`` computes, so row ``i`` equals the
-        one-posterior vector bit for bit.  The rows are never one GEMM over
-        the stacked posteriors: a blocked matrix product may sum the topics
-        in another order and round differently.
+        Row ``i`` equals the one-posterior vector ``matrix @ posterior`` bit
+        for bit, built from the posterior's topic support:
+
+        * exactly one nonzero weight ``w``, and ``w > 0``: the dgemv sums
+          ``round(p(e|z) * w)`` with exact zeros, so the row is the contiguous
+          column ``z`` of :attr:`probability_columns` times ``w``.  A negative
+          ``w`` is left to the dgemv: ``0 * w`` is ``-0.0``, while the dgemv's
+          zero accumulator returns ``+0.0``;
+        * otherwise one ``np.matmul(matrix, posterior, out=row)`` dgemv on the
+          C-order matrix.  A dgemv on the transposed copy could sum the topics
+          in another order, and so could one GEMM over the stacked
+          posteriors (a blocked product rounds differently), so neither is
+          used.
         """
         matrix = self.probability_matrix
+        columns = self.probability_columns
         rows = np.empty((len(topic_posteriors), self.num_edges))
         for row, topic_posterior in zip(rows, topic_posteriors):
             posterior = np.asarray(topic_posterior, dtype=float)
@@ -308,7 +337,11 @@ class TopicSocialGraph:
                 raise GraphError(
                     f"topic posterior must have length {self._num_topics}, got {posterior.shape}"
                 )
-            np.matmul(matrix, posterior, out=row)
+            support = posterior.nonzero()[0]
+            if len(support) == 1 and posterior[support[0]] > 0.0:
+                np.multiply(columns[support[0]], posterior[support[0]], out=row)
+            else:
+                np.matmul(matrix, posterior, out=row)
         return rows
 
     def edge_probability_under(self, edge_id: int, topic_posterior: Sequence[float]) -> float:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -274,17 +274,22 @@ class InfluenceEstimator(abc.ABC):
         """:meth:`estimate` for several tag sets of one user, batched.
 
         Semantically a loop of :meth:`estimate` calls (identical sampling
-        order for the sequential kernels): :meth:`compute_estimates`, then
-        :meth:`count_estimates` of every estimate.
+        order for the sequential kernels): every tag set is resolved once,
+        then :meth:`compute_estimates`, then :meth:`count_estimates` of every
+        estimate.
         """
-        estimates = self.compute_estimates(user, tag_sets)
+        estimates = self.compute_estimates(
+            user, [self.model.resolve_tags(tag_set) for tag_set in tag_sets]
+        )
         self.count_estimates(estimates)
         return estimates
 
-    def compute_estimates(self, user: int, tag_sets: Sequence[Iterable]) -> list:
+    def compute_estimates(self, user: int, tag_sets: Sequence[Tuple[int, ...]]) -> list:
         """The estimates of :meth:`estimate_many`, counted nowhere.
 
-        The ``p(e|W)`` rows of every supported tag set go into one matrix
+        Every tag set is a sorted tag-id tuple
+        (:meth:`~repro.topics.model.TagTopicModel.resolve_tags` form).  The
+        ``p(e|W)`` rows of every supported tag set go into one matrix
         (:meth:`~repro.graph.digraph.TopicSocialGraph.edge_probabilities_under_many`)
         and flow through :meth:`estimate_many_with_probabilities`, so a
         batched-kernel estimator answers all tag sets from one shared event
@@ -296,7 +301,7 @@ class InfluenceEstimator(abc.ABC):
         posteriors = []
         slots = []
         for slot, tag_set in enumerate(tag_sets):
-            posterior = self.model.topic_posterior(tag_set)
+            posterior = self.model.posterior_of_ids(tag_set)
             if posterior.any():
                 posteriors.append(posterior)
                 slots.append(slot)

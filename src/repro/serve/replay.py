@@ -12,12 +12,12 @@ table helper.  This is the measurement loop behind ``pitex serve-replay`` and
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.bench.reporting import ExperimentResult, latency_result
 from repro.exceptions import InvalidParameterError
+from repro.obs.clock import monotonic
 from repro.serve.answers import answer_digest
 from repro.serve.service import DEFAULT_ENGINE_KEY, PitexService, QueryRequest, QueryResponse
 from repro.utils.stats import LatencyAccumulator
@@ -139,7 +139,7 @@ def replay_stream(
         raise InvalidParameterError("replay_stream needs a non-empty query stream")
     if max_in_flight is not None and max_in_flight <= 0:
         raise InvalidParameterError(f"max_in_flight must be positive, got {max_in_flight}")
-    started = time.monotonic()
+    started = monotonic()
     futures = []
     responses: List[QueryResponse] = []
     for group, user in stream:
@@ -149,7 +149,7 @@ def replay_stream(
             responses.append(futures.pop(0).result())
     for future in futures:
         responses.append(future.result())
-    wall = time.monotonic() - started
+    wall = monotonic() - started
     report = ReplayReport(
         method=method,
         num_queries=len(stream),

@@ -15,7 +15,6 @@ what ``pitex serve-replay`` and ``bench_serving`` report.
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
@@ -25,6 +24,7 @@ from repro.core.engine import PitexEngine
 from repro.core.query import PitexResult
 from repro.exceptions import InvalidParameterError
 from repro.serve.answers import AnswerCache, answer_key
+from repro.obs.clock import monotonic
 from repro.obs.telemetry import deterministic_counters, get_telemetry, merge_snapshots
 from repro.obs.trace import trace_span
 from repro.utils.stats import LatencyAccumulator
@@ -113,7 +113,7 @@ class ServiceMetrics:
         self.completed = 0
         self.failed = 0
         self.batches = 0
-        self._started_monotonic = time.monotonic()
+        self._started_monotonic = monotonic()
         # Counter deltas, not absolutes: the process-wide registry outlives
         # any one service (engine builds, earlier services, test pollution),
         # so remember what it held at construction and report growth since.
@@ -200,7 +200,7 @@ class ServiceMetrics:
     def snapshot(self) -> dict:
         """A JSON-friendly snapshot: counts, tails, throughput and telemetry."""
         with self._lock:
-            elapsed = time.monotonic() - self._started_monotonic
+            elapsed = monotonic() - self._started_monotonic
             return {
                 "completed": self.completed,
                 "failed": self.failed,
@@ -263,7 +263,7 @@ def execute_request(
 class _Pending:
     request: QueryRequest
     future: "Future[QueryResponse]"
-    enqueued_monotonic: float = field(default_factory=time.monotonic)
+    enqueued_monotonic: float = field(default_factory=monotonic)
 
 
 class PitexService:
@@ -413,7 +413,7 @@ class PitexService:
         request = pending.request
         if not pending.future.set_running_or_notify_cancel():
             return  # client cancelled while queued; nothing to run or record
-        started = time.monotonic()
+        started = monotonic()
         queue_seconds = started - pending.enqueued_monotonic
         try:
             result, cache_hit = execute_request(
@@ -423,7 +423,7 @@ class PitexService:
                 request=request,
                 result=result,
                 queue_seconds=queue_seconds,
-                execute_seconds=time.monotonic() - started,
+                execute_seconds=monotonic() - started,
                 batch_size=batch_size,
                 cache_hit=cache_hit,
             )
@@ -432,14 +432,14 @@ class PitexService:
                 request=request,
                 error=f"{type(exc).__name__}: {exc}",
                 queue_seconds=queue_seconds,
-                execute_seconds=time.monotonic() - started,
+                execute_seconds=monotonic() - started,
                 batch_size=batch_size,
             )
         self.metrics.record(response)
         pending.future.set_result(response)
 
     def _fail_batch(self, batch: List[_Pending], message: str) -> None:
-        now = time.monotonic()
+        now = monotonic()
         for pending in batch:
             if not pending.future.set_running_or_notify_cancel():
                 continue  # cancelled while queued

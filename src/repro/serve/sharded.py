@@ -53,6 +53,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.engine import PitexEngine
 from repro.exceptions import InvalidParameterError, StoreError, WorkerError
+from repro.obs.clock import monotonic
 from repro.obs.telemetry import Telemetry, counter, get_telemetry, install
 from repro.obs.trace import TraceRecorder, get_recorder, install_recorder, tracing_enabled
 from repro.serve.answers import DEFAULT_ANSWER_CAPACITY, AnswerCache
@@ -227,7 +228,7 @@ def _serve_requests(
         if message[0] == "stop":
             break
         _, request_id, request = message
-        started = time.monotonic()
+        started = monotonic()
         error: Optional[str] = None
         result = None
         cache_hit = False
@@ -235,7 +236,7 @@ def _serve_requests(
             result, cache_hit = execute_request(engine, request, answer_cache, worker=worker_id)
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
-        execute_seconds = time.monotonic() - started
+        execute_seconds = monotonic() - started
         try:
             replies.send(
                 ("result", worker_id, request_id, error, result, execute_seconds, cache_hit)
@@ -322,7 +323,7 @@ class _ProcPending:
     request: QueryRequest
     future: "Future[QueryResponse]"
     worker_id: int
-    enqueued_monotonic: float = field(default_factory=time.monotonic)
+    enqueued_monotonic: float = field(default_factory=monotonic)
 
 
 class ProcessShardedService:
@@ -434,6 +435,7 @@ class ProcessShardedService:
 
     # ------------------------------------------------------------- lifecycle
     def _wait_until_ready(self, timeout: float) -> None:
+        # pitexlint: ignore[OBS001] -- a startup deadline, not a duration: a scripted test clock must never stall it
         deadline = time.monotonic() + timeout
         with self._condition:
             while True:
@@ -446,6 +448,7 @@ class ProcessShardedService:
                     break
                 if all(self._ready):
                     return
+                # pitexlint: ignore[OBS001] -- the startup deadline's own clock (see above)
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     failures = [f"startup timed out after {timeout:.0f}s"]
@@ -610,7 +613,7 @@ class ProcessShardedService:
                 return
             queue_seconds = max(
                 0.0,
-                (time.monotonic() - pending.enqueued_monotonic) - execute_seconds,
+                (monotonic() - pending.enqueued_monotonic) - execute_seconds,
             )
             response = QueryResponse(
                 request=pending.request,

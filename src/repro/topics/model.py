@@ -11,12 +11,16 @@ from __future__ import annotations
 
 import hashlib
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import ModelError, UnknownTagError
 from repro.graph.digraph import TopicSocialGraph
+
+#: A ``p+`` row plan (:meth:`TagTopicModel._row_plan`): support topics, the
+#: Lemma 8 topic bound, and its one positive topic or ``-1``.
+_RowPlan = Tuple[Tuple[int, ...], np.ndarray, int]
 
 
 class TagTopicModel:
@@ -72,8 +76,8 @@ class TagTopicModel:
                 raise ModelError("tag names must be unique")
             self._tags = list(tags)
         self._tag_index: Dict[str, int] = {tag: i for i, tag in enumerate(self._tags)}
-        self._posterior_cache: Dict[FrozenSet[int], np.ndarray] = {}
-        self._upper_bound_cache: Dict[Tuple[Tuple[int, ...], int], np.ndarray] = {}
+        self._posterior_cache: Dict[Tuple[int, ...], np.ndarray] = {}
+        self._plan_cache: Dict[Tuple[Tuple[int, ...], int], _RowPlan] = {}
         self._jensen_ratios: Optional[np.ndarray] = None
         self._content_hash: Optional[str] = None
 
@@ -170,6 +174,15 @@ class TagTopicModel:
         posterior is defined as the all-zero vector, which makes every edge
         probability -- and therefore the influence beyond the seed -- zero.
         An empty tag set returns the prior.
+        """
+        return self.posterior_of_ids(self.resolve_tags(tag_set))
+
+    def posterior_of_ids(self, tag_ids: Tuple[int, ...]) -> np.ndarray:
+        """:meth:`topic_posterior` of a sorted tag-id tuple, without resolving it.
+
+        ``tag_ids`` must be in :meth:`resolve_tags` form.  Queries resolve their
+        tags once at the engine boundary; the explorer and the estimators read
+        posteriors here.
 
         The cache insert uses ``setdefault`` so concurrent readers (frozen
         engines answer queries from several threads) racing on a miss all end
@@ -178,9 +191,7 @@ class TagTopicModel:
         bitwise identical to every loser's -- an idempotent, benign race under
         the GIL's atomic dict operations.
         """
-        tag_ids = self.resolve_tags(tag_set)
-        key = frozenset(tag_ids)
-        cached = self._posterior_cache.get(key)
+        cached = self._posterior_cache.get(tag_ids)
         if cached is not None:
             return cached
         if not tag_ids:
@@ -192,7 +203,7 @@ class TagTopicModel:
             weighted = likelihood * self._prior
             total = weighted.sum()
             posterior = weighted / total if total > 0.0 else np.zeros(self._num_topics)
-        return self._posterior_cache.setdefault(key, posterior)
+        return self._posterior_cache.setdefault(tag_ids, posterior)
 
     def posterior_support(self, tag_set: Iterable) -> np.ndarray:
         """Boolean mask of topics with ``p(z|W) > 0``."""
@@ -282,18 +293,29 @@ class TagTopicModel:
         turns non-finite stops multiplying (so ``inf * 0`` never yields
         ``nan``) and is clamped to the trivial bound 1.  The result is a pure
         function of the immutable model, memoized read-only per
-        ``(tag_ids, k)`` with the same benign ``setdefault`` race as
-        :meth:`topic_posterior`.
+        ``(tag_ids, k)`` beside the row plan (see :meth:`_row_plan`).
         """
-        tag_ids = self.resolve_tags(partial_tags)
+        return self._row_plan(self.resolve_tags(partial_tags), k)[1]
+
+    def _row_plan(self, tag_ids: Tuple[int, ...], k: int) -> _RowPlan:
+        """The topic support of a partial set's ``p+`` row, memoized per ``(tag_ids, k)``.
+
+        ``tag_ids`` is a sorted id tuple.  The plan is ``(columns, bound,
+        topic)``: the support topics (the sparse term's columns), the
+        read-only :meth:`topic_posterior_upper_bound` vector (the dense
+        term's weights) and the one topic whose bound is positive, or ``-1``
+        when none or several are.  At most one plan per partial set and
+        ``k`` exists, and the insert has the benign ``setdefault`` race of
+        :meth:`posterior_of_ids`.
+        """
+        key = (tag_ids, k)
+        plan = self._plan_cache.get(key)
+        if plan is not None:
+            return plan
         if len(tag_ids) > k:
             raise ModelError(f"partial tag set of size {len(tag_ids)} exceeds k={k}")
-        key = (tag_ids, k)
-        cached = self._upper_bound_cache.get(key)
-        if cached is not None:
-            return cached
         remaining = k - len(tag_ids)
-        support = self.posterior_support(tag_ids) if tag_ids else self._prior > 0.0
+        support = self.posterior_of_ids(tag_ids) > 0.0 if tag_ids else self._prior > 0.0
         ratios = self.jensen_ratios()[:, support]
         bound = self._prior[support]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -311,7 +333,10 @@ class TagTopicModel:
         bounds = np.zeros(self._num_topics)
         bounds[support] = np.where(np.isfinite(bound), np.minimum(1.0, bound), 1.0)
         bounds.flags.writeable = False
-        return self._upper_bound_cache.setdefault(key, bounds)
+        positive = np.flatnonzero(bounds)
+        topic = int(positive[0]) if positive.size == 1 else -1
+        columns = tuple(np.flatnonzero(support).tolist())
+        return self._plan_cache.setdefault(key, (columns, bounds, topic))
 
     def upper_bound_edge_probabilities(
         self, graph: TopicSocialGraph, partial_tags: Iterable, k: int
@@ -326,19 +351,27 @@ class TagTopicModel:
 
         The one-row case of :meth:`upper_bound_edge_probabilities_many`.
         """
-        return self.upper_bound_edge_probabilities_many(graph, [partial_tags], k)[0]
+        partial = self.resolve_tags(partial_tags)
+        return self.upper_bound_edge_probabilities_many(graph, [partial], k)[0]
 
     def upper_bound_edge_probabilities_many(
-        self, graph: TopicSocialGraph, partials: Sequence[Iterable], k: int
+        self, graph: TopicSocialGraph, partials: Sequence[Tuple[int, ...]], k: int
     ) -> np.ndarray:
         """The Lemma 8 ``p+`` rows of several partial sets, as one ``(R, |E|)`` matrix.
 
-        Every row is written in place and equals the one-row bound bit for
-        bit.  The sparse term is a running ``np.maximum`` over the support's
-        columns (a max is exact in any order); the dense term is one
-        ``np.matmul(matrix, bounds, out=row)`` dgemv per row, never one GEMM
-        over all rows (see :meth:`TopicSocialGraph.edge_probabilities_under_many`).
-        A partial set no topic supports keeps a zero row.
+        Each partial set is a sorted tag-id tuple (:meth:`resolve_tags` form).
+        Every row is written in place from the set's memoized topic support
+        and equals the one-row bound bit for bit:
+
+        * no supported topic: the row stays zero;
+        * the sparse term is a running ``np.maximum`` over the support's
+          contiguous :attr:`~repro.graph.digraph.TopicSocialGraph.probability_columns`
+          (a max is exact in any order);
+        * a dense term with one positive weight is that column times the
+          weight, which is what the dgemv returns (see
+          :meth:`~repro.graph.digraph.TopicSocialGraph.edge_probabilities_under_many`);
+          any other dense term is one ``np.matmul(matrix, bounds, out=row)``
+          dgemv per row, never one GEMM over all rows.
         """
         if graph.num_topics != self._num_topics:
             raise ModelError(
@@ -348,18 +381,23 @@ class TagTopicModel:
         rows = np.zeros((len(partials), matrix.shape[0]))
         if matrix.shape[0] == 0:
             return rows
+        columns = graph.probability_columns
         sparse_term = np.empty(matrix.shape[0])
-        for row, partial_tags in zip(rows, partials):
-            tag_ids = self.resolve_tags(partial_tags)
-            support = self.posterior_support(tag_ids) if tag_ids else self._prior > 0.0
-            columns = np.flatnonzero(support)
-            if not columns.size:
+        for row, tag_ids in zip(rows, partials):
+            support, bounds, topic = self._row_plan(tag_ids, k)
+            if not support:
                 continue
-            np.copyto(sparse_term, matrix[:, columns[0]])
-            for column in columns[1:]:
-                np.maximum(sparse_term, matrix[:, column], out=sparse_term)
-            np.matmul(matrix, self.topic_posterior_upper_bound(tag_ids, k), out=row)
-            np.minimum(sparse_term, row, out=row)
+            if topic >= 0:
+                np.multiply(columns[topic], bounds[topic], out=row)
+            else:
+                np.matmul(matrix, bounds, out=row)
+            if len(support) == 1:
+                sparse = columns[support[0]]
+            else:
+                sparse = np.maximum(columns[support[0]], columns[support[1]], out=sparse_term)
+                for column in support[2:]:
+                    np.maximum(sparse, columns[column], out=sparse)
+            np.minimum(sparse, row, out=row)
         return rows
 
     def content_hash(self) -> str:

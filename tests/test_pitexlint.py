@@ -42,6 +42,7 @@ BAD_EXPECTATIONS = {
     "frz001_mutation_escape.py": "FRZ001",
     "lck001_unlocked_write.py": "LCK001",
     "obs001_direct_timer.py": "OBS001",
+    "obs001_monotonic_in_serve.py": "OBS001",
     "sup001_bad_pragmas.py": "SUP001",
     "parse001_syntax_error.py": "PARSE001",
 }
@@ -158,9 +159,24 @@ def test_obs001_perf_counter_scoped_to_serving_and_core():
     # from-import aliases are caught too.
     aliased = "from time import perf_counter as tick\n\n\ndef measure():\n    return tick()\n"
     assert [f.rule for f in lint_scratch(aliased, "src/repro/serve/scratch.py")] == ["OBS001"]
-    # time.monotonic() stays legal in the serving layer (queue timestamps).
-    monotonic = "import time\n\n\ndef age(t0):\n    return time.monotonic() - t0\n"
-    assert lint_scratch(monotonic, "src/repro/serve/scratch.py") == []
+
+
+def test_obs001_monotonic_scoped_to_serving():
+    """Serving-layer durations read obs.clock; core/ and index/ may still read time.monotonic()."""
+    called = "import time\n\n\ndef age(t0):\n    return time.monotonic() - t0\n"
+    passed = "import time\nfrom dataclasses import field\n\nstamp = field(default_factory=time.monotonic)\n"
+    aliased = "from time import monotonic as now\n\n\ndef age(t0):\n    return now() - t0\n"
+    for source in (called, passed, aliased):
+        assert [f.rule for f in lint_scratch(source, "src/repro/serve/scratch.py")] == ["OBS001"]
+        for exempt in ("src/repro/core/scratch.py", "src/repro/index/scratch.py", "src/repro/utils/scratch.py"):
+            assert lint_scratch(source, exempt) == []
+    # The obs clock's own monotonic() is the sanctioned seam.
+    sanctioned = "from repro.obs.clock import monotonic\n\n\ndef age(t0):\n    return monotonic() - t0\n"
+    assert lint_scratch(sanctioned, "src/repro/serve/scratch.py") == []
+    # A deadline that a scripted test clock must not stall keeps time.monotonic() under a pragma.
+    deadline = "import time\n\n\ndef deadline(timeout):\n    return time.monotonic() + timeout  {pragma}\n"
+    findings = lint_scratch(deadline.format(pragma="# pitexlint: ignore[OBS001] -- a deadline"), "src/repro/serve/s.py")
+    assert [(f.rule, f.suppressed) for f in findings] == [("OBS001", True)]
 
 
 def test_same_line_suppression_requires_reason():

@@ -48,7 +48,6 @@ from repro.obs.telemetry import Telemetry, get_telemetry, install
 from repro.serve.replay import replay_stream
 from repro.serve.service import PitexService, QueryRequest
 from repro.serve.sharded import (
-    EngineSpec,
     ProcessShardedService,
     _serve_requests,
     _worker_main,

@@ -361,6 +361,41 @@ def test_service_throughput_counts_completed_requests_only():
     assert snapshot["throughput_qps"] == 0.0
 
 
+def test_service_durations_read_the_obs_clock(dataset, monkeypatch):
+    """A scripted obs clock reaches the execute, queue and uptime figures exactly."""
+    import repro.obs.clock as clock_module
+
+    class ScriptedClock(clock_module.Clock):
+        now = 100.0
+
+        def monotonic(self):
+            return self.now
+
+    scripted = ScriptedClock()
+    monkeypatch.setattr(clock_module, "DEFAULT_CLOCK", scripted)
+    engine = make_engine(dataset)
+    durations = iter([0.125, 0.5, 0.25])
+    query = engine.query
+
+    def timed_query(**kwargs):
+        result = query(**kwargs)
+        scripted.now += next(durations)
+        return result
+
+    engine.query = timed_query
+    with PitexService.for_engine(engine, num_workers=1) as service:
+        responses = [
+            service.submit(QueryRequest(user=user, k=2, method="lazy")).result()
+            for user in dataset.workload("mid", 3)
+        ]
+        snapshot = service.metrics.snapshot()
+    assert [response.execute_seconds for response in responses] == [0.125, 0.5, 0.25]
+    assert [response.queue_seconds for response in responses] == [0.0, 0.0, 0.0]
+    execute = snapshot["execute"]
+    assert (execute["count"], execute["p50"], execute["min"], execute["max"]) == (3, 0.25, 0.125, 0.5)
+    assert snapshot["elapsed_seconds"] == 0.875
+
+
 def test_service_snapshot_carries_telemetry_deltas(dataset):
     """The metrics snapshot grows a telemetry section scoped to the service.
 

@@ -241,12 +241,15 @@ def test_upper_bound_is_memoized_read_only(small_model):
 # ------------------------------------------------ batched rows: pinned bits
 #
 # The best-effort explorer builds every p+ row of an expansion, and every
-# p(e|W) row of a run of complete tag sets, into one matrix, one
-# `np.matmul(matrix, vector, out=row)` dgemv per row.  These tests pin that
-# each such row equals the one-row product bit for bit.  One GEMM over the
-# stacked vectors is not used: on OpenBLAS 0.3.31 a (4200, 20) x (20, 200)
-# product differed from the column-by-column dgemv in the last bits of every
-# column, so a GEMM would change estimates and answers.
+# p(e|W) row of a run of complete tag sets, into one matrix, each row from its
+# topic support.  A p+ row with an empty support stays zero.  A row whose
+# weights have exactly one nonzero entry, and that entry positive, is the
+# contiguous probability column times the weight.  Every other row is one
+# `np.matmul(matrix, vector, out=row)` dgemv.  These tests pin that each row
+# equals the one-row product bit for bit.  One GEMM over the stacked vectors
+# is not used: on OpenBLAS 0.3.31 a (4200, 20) x (20, 200) product differed
+# from the column-by-column dgemv in the last bits of every column, so a GEMM
+# would change estimates and answers.
 
 
 def _reference_upper_bound_row(model, graph, partial, k):
@@ -374,3 +377,144 @@ def test_batched_rows_use_one_dgemv_per_row_not_a_gemm():
         assert not any(isinstance(getattr(node, "op", None), ast.MatMult) for node in ast.walk(tree))
         loops = [node for node in ast.walk(tree) if isinstance(node, ast.For)]
         assert any(call in list(ast.walk(loop)) for loop in loops for call in products)
+
+
+# ------------------------------------------- single-topic rows: dgemv bits
+#
+# With one positive weight `w` at topic `z`, the dgemv sums round(p(e|z) * w)
+# with exact zeros, so the scaled column is the dgemv bit for bit.  The pins
+# below feed both builders rows of every support size, over matrices holding
+# zeros, -0.0, 1e-300 and subnormals, and weights from 1.0 down to 1e-320.
+
+
+def _graph_of(matrix):
+    """A graph whose probability matrix is ``matrix``, edges in row order."""
+    from repro.graph.digraph import TopicSocialGraph
+
+    num_edges, num_topics = matrix.shape
+    num_vertices = 2
+    while num_vertices * (num_vertices - 1) < num_edges:
+        num_vertices += 1
+    graph = TopicSocialGraph(num_vertices, num_topics)
+    pairs = ((s, t) for s in range(num_vertices) for t in range(num_vertices) if s != t)
+    for probabilities, (source, target) in zip(matrix, pairs):
+        graph.add_edge(source, target, probabilities)
+    return graph
+
+
+def _dgemv(matrix, vector):
+    row = np.empty(matrix.shape[0])
+    np.matmul(matrix, vector, out=row)
+    return row
+
+
+ENTRIES = [0.0, -0.0, 1e-300, 1e-310, 5e-324, 0.3, 1.0]
+WEIGHTS = [1.0, 0.7, 1e-300, 1e-308, 1e-310, 1e-320]
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_rows_of_every_support_size_equal_the_dgemv_bits(data):
+    """Both builders, shapes (0, 1) to (4200, 32); a negative single weight takes the dgemv."""
+    num_edges = data.draw(st.one_of(st.sampled_from([0, 1, 4200]), st.integers(0, 300)), label="edges")
+    num_topics = data.draw(st.one_of(st.sampled_from([1, 32]), st.integers(1, 8)), label="topics")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    matrix = np.where(
+        rng.uniform(size=(num_edges, num_topics)) < 0.5,
+        np.array(ENTRIES)[rng.integers(len(ENTRIES), size=(num_edges, num_topics))],
+        rng.uniform(size=(num_edges, num_topics)),
+    )
+    graph = _graph_of(matrix)
+    assert graph.probability_matrix.tobytes() == matrix.tobytes()
+    weight = st.one_of(st.sampled_from(WEIGHTS), st.floats(1e-320, 1.0))
+    vectors = []
+    for _ in range(data.draw(st.integers(1, 6), label="rows")):
+        vector = np.zeros(num_topics)
+        support = data.draw(
+            st.lists(st.integers(0, num_topics - 1), max_size=3, unique=True), label="support"
+        )
+        for topic in support:
+            vector[topic] = data.draw(weight, label="weight")
+        if support and data.draw(st.booleans(), label="negative"):
+            vector[support[0]] = -vector[support[0]]
+        vectors.append(vector)
+    rows = graph.edge_probabilities_under_many(vectors)
+    for vector, row in zip(vectors, rows):
+        assert row.tobytes() == _dgemv(matrix, vector).tobytes(), vector
+
+    # The p+ builder on plans with the same weights: row = min(sparse term, dgemv).
+    # A bound above 1 (which Lemma 8's clamp never yields) keeps the min observable.
+    model = TagTopicModel(np.ones((1, num_topics)))
+    vectors.append(np.eye(num_topics)[0] * 4.0)
+    for vector in vectors:
+        vector = np.abs(vector)
+        support = tuple(np.flatnonzero(vector).tolist())
+        topic = support[0] if len(support) == 1 else -1
+        model._row_plan = lambda tag_ids, k, plan=(support, vector, topic): plan
+        [row] = model.upper_bound_edge_probabilities_many(graph, [()], 1)
+        if not support or not num_edges:
+            assert row.tobytes() == np.zeros(num_edges).tobytes()
+            continue
+        sparse = matrix[:, list(support)].max(axis=1)
+        assert row.tobytes() == np.minimum(sparse, _dgemv(matrix, vector)).tobytes(), vector
+
+
+def test_benchmark_rows_take_the_single_topic_path():
+    """The benchmark model's rows do hold one topic, so the pins above cover served rows."""
+    from itertools import combinations
+
+    graph, model = _benchmark_instance()
+    partials = [()] + [(t,) for t in range(25)] + list(combinations(range(25), 2))
+    plans = [model._row_plan(partial, 2) for partial in partials]
+    assert sum(topic >= 0 for _, _, topic in plans) > 0
+    assert sum(len(support) >= 2 for support, _, _ in plans) > 0
+    assert sum(not support for support, _, _ in plans) > 0
+    for support, bound, topic in plans:
+        assert not bound.flags.writeable
+        assert topic == (int(np.flatnonzero(bound)[0]) if np.count_nonzero(bound) == 1 else -1)
+    posteriors = [model.topic_posterior(tag_set) for tag_set in combinations(range(25), 2)]
+    assert sum(np.count_nonzero(posterior) == 1 for posterior in posteriors) > 0
+
+
+def test_add_edge_rejects_nan_probabilities(small_graph):
+    """A NaN weight would poison the dgemv's zero products but not a scaled column."""
+    from repro.exceptions import GraphError
+
+    source, target = next(
+        (s, t) for s in small_graph.vertices() for t in small_graph.vertices()
+        if s != t and not small_graph.has_edge(s, t)
+    )
+    with pytest.raises(GraphError):
+        small_graph.add_edge(source, target, [float("nan")] * small_graph.num_topics)
+
+
+def test_probability_columns_follow_add_edge_and_freeze():
+    """freeze() warms the column copy, a query trips nothing, add_edge after thaw() drops it."""
+    from itertools import combinations
+
+    from repro.core.engine import PitexEngine
+    from repro.datasets.synthetic import load_dataset
+
+    dataset = load_dataset("lastfm", scale=0.08, seed=11)
+    graph, model = dataset.graph.copy(), dataset.model
+    engine = PitexEngine(graph, model, max_samples=40, index_samples=40, default_k=2, seed=7)
+    engine.freeze(methods=["indexest+"], ks=[2])
+    columns = graph._prob_columns
+    assert columns is not None and graph.probability_columns is columns
+    assert columns.shape == (graph.num_topics, graph.num_edges) and not columns.flags.writeable
+    engine.query(user=dataset.workload("mid", 1)[0], k=2, method="indexest+")
+    assert engine.freeze_guard.violations == []
+    engine.thaw()
+    source, target = next(
+        (s, t) for s in graph.vertices() for t in graph.vertices() if s != t and not graph.has_edge(s, t)
+    )
+    graph.add_edge(source, target, np.linspace(0.05, 0.9, graph.num_topics))
+    assert graph.probability_columns.shape == (graph.num_topics, graph.num_edges)
+    matrix = graph.probability_matrix
+    assert graph.probability_columns.tobytes() == np.ascontiguousarray(matrix.T).tobytes()
+    vectors = list(np.eye(graph.num_topics) * 0.375) + [model.topic_prior]
+    for vector, row in zip(vectors, graph.edge_probabilities_under_many(vectors)):
+        assert row.tobytes() == _dgemv(matrix, vector).tobytes()
+    partials = [()] + [(t,) for t in range(model.num_tags)] + list(combinations(range(model.num_tags), 2))
+    for partial, row in zip(partials, model.upper_bound_edge_probabilities_many(graph, partials, 2)):
+        assert row.tobytes() == _reference_upper_bound_row(model, graph, partial, 2).tobytes(), partial

@@ -1,15 +1,19 @@
 """GOOD fixture: serving-layer timing through the sanctioned seams.
 
-OBS001 stays quiet when durations come from the obs clock or plain
-``time.monotonic()`` (queue timestamps -- no clock-seam hazard, and
-reproducibility is not at stake for a duration).
+OBS001 stays quiet when durations, queue stamps included, come from the obs
+clock.
 """
 
 # pitexlint: path=src/repro/serve/good_timer.py
 
-import time
+from dataclasses import dataclass, field
 
 from repro.obs.clock import monotonic
+
+
+@dataclass
+class Pending:
+    enqueued: float = field(default_factory=monotonic)
 
 
 def span_seconds(fn):
@@ -18,5 +22,5 @@ def span_seconds(fn):
     return monotonic() - started
 
 
-def queue_age(enqueued_monotonic):
-    return time.monotonic() - enqueued_monotonic
+def queue_age(pending):
+    return monotonic() - pending.enqueued

@@ -13,8 +13,12 @@ the telemetry determinism contract documents.
 modules is already DET004's business (the serving layer joined
 ``WALL_CLOCK_SCOPE`` in the same PR), so together the two rules keep serve/,
 core/ and index/ from calling ``time.perf_counter()`` or ``time.time()``
-directly.  ``time.monotonic()`` stays legal -- the service queue timestamps
-lean on it and it carries no reproducibility or clock-seam hazard.
+directly.  Under :data:`~pitexlint.registry.OBS_MONOTONIC_SCOPE` (serve/) it
+also flags every use of ``time.monotonic`` -- a call, or the function passed
+as a value (``default_factory=time.monotonic``): a request's queue wait and
+execute time are subtracted from each other and sit beside the ``execute``
+span, so they must read the span's clock.  A deadline that a scripted test
+clock must never stall keeps ``time.monotonic()`` under a justified pragma.
 """
 
 from __future__ import annotations
@@ -24,15 +28,16 @@ from typing import Iterator, List, Optional, Set
 
 from pitexlint.core import Finding, SourceModule
 from pitexlint.determinism import dotted_name
-from pitexlint.registry import OBS_TIMER_SCOPE, RULES, in_scope
+from pitexlint.registry import OBS_MONOTONIC_SCOPE, OBS_TIMER_SCOPE, RULES, in_scope
 
 
 class _TimeImports(ast.NodeVisitor):
-    """Bindings through which ``time.perf_counter`` can be reached."""
+    """Bindings through which ``time.perf_counter`` and ``time.monotonic`` can be reached."""
 
     def __init__(self) -> None:
         self.time_aliases: Set[str] = set()
         self.perf_counter_names: Set[str] = set()  # from time import perf_counter
+        self.monotonic_names: Set[str] = set()  # from time import monotonic
 
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
@@ -40,9 +45,13 @@ class _TimeImports(ast.NodeVisitor):
                 self.time_aliases.add(alias.asname or "time")
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        if node.module != "time":
+            return
         for alias in node.names:
-            if node.module == "time" and alias.name == "perf_counter":
+            if alias.name == "perf_counter":
                 self.perf_counter_names.add(alias.asname or alias.name)
+            elif alias.name == "monotonic":
+                self.monotonic_names.add(alias.asname or alias.name)
 
 
 def _finding(module: SourceModule, node: ast.AST, detail: str) -> Finding:
@@ -61,6 +70,14 @@ def check(module: SourceModule) -> Iterator[Finding]:
         return
     imports = _TimeImports()
     imports.visit(module.tree)
+    if in_scope(module.scope_path, OBS_MONOTONIC_SCOPE):
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.Name) and node.id in imports.monotonic_names:
+                yield _finding(module, node, "direct monotonic() timing")
+            elif isinstance(node, ast.Attribute) and node.attr == "monotonic":
+                chain = dotted_name(node)
+                if chain and len(chain) == 2 and chain[0] in imports.time_aliases:
+                    yield _finding(module, node, "direct time.monotonic() timing")
     for node in ast.walk(module.tree):
         if not isinstance(node, ast.Call):
             continue

@@ -37,7 +37,8 @@ RULES = {
         "<lock>` block"
     ),
     "OBS001": (
-        "direct time.perf_counter() timing in the serving/core/index layer; "
+        "direct time.perf_counter() timing in the serving/core/index layer "
+        "(or time.monotonic() in the serving layer); "
         "time through repro.obs.clock (Clock/monotonic) so spans and "
         "benchmarks share one clock seam (raw time.time() in the same "
         "modules is DET004)"
@@ -78,6 +79,9 @@ LOCK_SCOPE = ("src/repro/serve/",)
 # ServiceMetrics, build times and benchmarks are all timed by one swappable
 # source.  (repro.obs.clock is outside the scope: it IS the sanctioned home.)
 OBS_TIMER_SCOPE = ("src/repro/serve/", "src/repro/core/", "src/repro/index/")
+# OBS001 also flags time.monotonic in the serving layer: queue waits, execute
+# seconds and uptime there sit beside trace spans and must read their clock.
+OBS_MONOTONIC_SCOPE = ("src/repro/serve/",)
 
 # ------------------------------------------------------- determinism details
 # numpy.random attributes whose direct use bypasses RandomSource.  Covers the
@@ -164,6 +168,9 @@ GUARDED_CLASSES = {
             # invalidator) is guard-checked.
             "csr",
             "probability_matrix",
+            # The column-major copy of the probability matrix: add_edge
+            # drops it together with the matrix, so it never outlives it.
+            "probability_columns",
             "max_edge_probabilities",
             "fingerprint",
         }
