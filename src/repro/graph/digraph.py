@@ -456,6 +456,8 @@ class TopicSocialGraph:
                 f"{num_topics} topics, got {len(sources)} endpoints and "
                 f"probability matrix {matrix.shape}"
             )
+        if not np.all((matrix >= 0.0) & (matrix <= 1.0)):
+            raise GraphError("shared probability matrix has entries outside [0, 1] (or NaN)")
         graph._edge_source = sources.tolist()
         graph._edge_target = targets.tolist()
         graph._edge_lookup = {

@@ -476,9 +476,10 @@ def test_benchmark_rows_take_the_single_topic_path():
     assert sum(np.count_nonzero(posterior) == 1 for posterior in posteriors) > 0
 
 
-def test_add_edge_rejects_nan_probabilities(small_graph):
-    """A NaN weight would poison the dgemv's zero products but not a scaled column."""
+def test_graphs_reject_nan_probabilities(small_graph):
+    """A NaN entry would poison the dgemv's zero products but not a scaled column."""
     from repro.exceptions import GraphError
+    from repro.graph.digraph import TopicSocialGraph
 
     source, target = next(
         (s, t) for s in small_graph.vertices() for t in small_graph.vertices()
@@ -486,6 +487,11 @@ def test_add_edge_rejects_nan_probabilities(small_graph):
     )
     with pytest.raises(GraphError):
         small_graph.add_edge(source, target, [float("nan")] * small_graph.num_topics)
+    arrays = dict(small_graph.to_shared_arrays())
+    arrays["probability_matrix"] = arrays["probability_matrix"].copy()
+    arrays["probability_matrix"][0, -1] = float("nan")
+    with pytest.raises(GraphError):
+        TopicSocialGraph.from_shared_arrays(arrays)
 
 
 def test_probability_columns_follow_add_edge_and_freeze():
