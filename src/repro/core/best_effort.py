@@ -20,7 +20,7 @@ set found so far, which removes entire sub-trees of the enumeration.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -29,10 +29,14 @@ from repro.exceptions import InvalidParameterError
 from repro.graph.algorithms import reachable_counts
 from repro.obs.clock import monotonic
 from repro.sampling.base import InfluenceEstimator
-from repro.topics.model import TagTopicModel
+from repro.topics.model import RowKey, TagTopicModel
 from repro.utils.heap import MaxHeap
+from repro.utils.memo import memoized_many
 
 BOUND_METHODS = ("reach", "sample")
+
+#: An upper bound with its cost: ``(bound, edges_visited, samples_drawn)``.
+Bound = Tuple[float, int, int]
 
 
 class BestEffortExplorer:
@@ -85,19 +89,44 @@ class BestEffortExplorer:
             ),
         )
 
-    def _upper_bound(
-        self, query: PitexQuery, partial_tags: Tuple[int, ...]
-    ) -> Tuple[float, int, int]:
-        """Upper bound on the spread of any size-``k`` completion of ``partial_tags``.
-
-        Returns ``(bound, edges_visited, samples_drawn)``.
-        """
-        return self._upper_bounds_many(query, [partial_tags])[0]
-
     def _upper_bounds_many(
-        self, query: PitexQuery, partials: List[Tuple[int, ...]]
-    ) -> List[Tuple[float, int, int]]:
-        """Upper bounds for a batch of partial tag sets (one expansion's children).
+        self,
+        query: PitexQuery,
+        partials: List[Tuple[int, ...]],
+        memo: Optional[Dict[RowKey, Bound]] = None,
+        num_samples: Optional[int] = None,
+    ) -> List[Bound]:
+        """Upper bounds ``(bound, edges_visited, samples_drawn)`` of partial tag sets.
+
+        When the bound is a pure function of the ``p+`` row -- the reach
+        bound, or a sampled bound on a :attr:`pure_estimates` estimator --
+        partial sets with one row key
+        (:meth:`~repro.topics.model.TagTopicModel._row_key`: the row's support
+        and Lemma 8 bound bytes) share one bound, and only the keys missing
+        from ``memo`` are built and scored, one row each.  ``explore`` passes
+        one ``memo`` for the whole query; without one, the keys are shared
+        within this call.  A memo-served bound reports the edges and samples
+        of the evaluation that produced it.  A sampled bound on any other
+        estimator draws fresh samples for every partial set.
+
+        ``num_samples`` is the sampled bound's sample count
+        (:meth:`_bound_samples` when omitted; ``explore`` computes it once).
+        """
+        if num_samples is None:
+            num_samples = self._bound_samples()
+        if self.bound_method != "reach" and not self.estimator.pure_estimates:
+            return self._row_bounds(query, partials, num_samples)
+        return memoized_many(
+            {} if memo is None else memo,
+            [self.model._row_key(partial, query.k) for partial in partials],
+            partials,
+            lambda missing: self._row_bounds(query, missing, num_samples),
+        )
+
+    def _row_bounds(
+        self, query: PitexQuery, partials: List[Tuple[int, ...]], num_samples: int
+    ) -> List[Bound]:
+        """One bound per partial set, all rows built and scored in one batch.
 
         The ``p+`` rows of all partial sets are built as one matrix
         (:meth:`~repro.topics.model.TagTopicModel.upper_bound_edge_probabilities_many`);
@@ -111,7 +140,7 @@ class BestEffortExplorer:
         rows = self.model.upper_bound_edge_probabilities_many(graph, partials, query.k)
         # A row without a positive p+ edge cannot activate anyone beyond the seed.
         live = (rows > 0.0).any(axis=1)
-        bounds: List[Tuple[float, int, int]] = [(1.0, 0, 0)] * len(partials)
+        bounds: List[Bound] = [(1.0, 0, 0)] * len(partials)
         slots = np.flatnonzero(live).tolist()
         if not slots:
             return bounds
@@ -123,7 +152,7 @@ class BestEffortExplorer:
                 bounds[slot] = (float(size), 0, 0)
             return bounds
         estimates = self.estimator.estimate_many_with_probabilities(
-            query.user, rows, num_samples=self._bound_samples()
+            query.user, rows, num_samples=num_samples
         )
         for slot, estimate in zip(slots, estimates):
             inflated = estimate.value * (1.0 + query.epsilon)
@@ -162,8 +191,13 @@ class BestEffortExplorer:
         def completions(partial: Tuple[int, ...]) -> int:
             return math.comb(larger[partial[-1]] if partial else len(tags), query.k - len(partial))
 
+        # One bound memo and one bound sample count for the whole query.
+        memo: Dict[RowKey, Bound] = {}
+        bound_samples = self._bound_samples()
         heap = MaxHeap()
-        root_bound, root_edges, root_samples = self._upper_bound(query, ())
+        [(root_bound, root_edges, root_samples)] = self._upper_bounds_many(
+            query, [()], memo, bound_samples
+        )
         heap.push(root_bound, ())
         best_tags: Tuple[int, ...] = ()
         best_spread = -1.0
@@ -253,7 +287,7 @@ class BestEffortExplorer:
             # One batched bound evaluation for the whole expansion: a batched
             # estimator shares one event store across every child's p+ world.
             for child, (child_bound, child_edges, child_samples) in zip(
-                children, self._upper_bounds_many(query, children)
+                children, self._upper_bounds_many(query, children, memo, bound_samples)
             ):
                 edges_visited += child_edges
                 samples_drawn += child_samples

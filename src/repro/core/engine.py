@@ -256,9 +256,13 @@ class PitexEngine:
         Without ``seed`` the estimator draws from the engine's stream for
         ``(method, epsilon, delta, k)``, which depends on neither process nor
         call order.  Construction is cheap -- estimators hold references to
-        the graph, model and indexes, never copies -- and nothing is cached,
-        so two calls return two independent instances.  A frozen engine
-        refuses methods :meth:`freeze` did not warm.
+        the graph, model and indexes, never copies -- and the engine caches
+        nothing across queries, so two calls return two independent
+        instances.  An instance does memoize for as long as it lives: a
+        pure estimator its estimates per ``(user, posterior)``, a lazy one
+        its ``|R_W(u)|`` sizes per ``(user, open-edge pattern)``
+        (:meth:`query` builds one per query).  A frozen engine refuses
+        methods :meth:`freeze` did not warm.
         """
         method = method.lower()
         if method not in METHODS:

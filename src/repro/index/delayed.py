@@ -367,6 +367,11 @@ class DelayedIndexEstimator(InfluenceEstimator):
         return estimates
 
     def clear_cache(self) -> None:
-        """Drop recovered graphs (e.g. between unrelated query batches)."""
+        """Drop recovered graphs (e.g. between unrelated query batches).
+
+        The memoized estimates go too: they were matched against the dropped
+        graphs, and the next recovery draws new ones.
+        """
         self._recovered.clear()
         self._filters.clear()
+        self._estimates.clear()

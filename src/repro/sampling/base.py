@@ -16,9 +16,10 @@ over that many sample instances.  This module defines:
 from __future__ import annotations
 
 import abc
+import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from repro.exceptions import InvalidParameterError
 from repro.graph.digraph import TopicSocialGraph
 from repro.obs.telemetry import counter
 from repro.topics.model import TagTopicModel
+from repro.utils.memo import memoized_many
 from repro.utils.stats import log_binomial, log_sum_binomials
 from repro.utils.validation import ensure_in_range, ensure_positive_int
 
@@ -202,9 +204,13 @@ def probability_matrix(
     return np.array(rows) if rows else np.empty((0, graph.num_edges))
 
 
-@dataclass
+@dataclass(frozen=True)
 class InfluenceEstimate:
     """The result of one influence estimation.
+
+    Frozen: a pure estimator hands one estimate to every tag set with the
+    same ``(user, row)`` (see :meth:`InfluenceEstimator.compute_estimates`),
+    so no holder may change it for the others.
 
     Attributes
     ----------
@@ -244,7 +250,8 @@ class InfluenceEstimator(abc.ABC):
     #: True when every estimate is a pure function of ``(user, row)``: no
     #: randomness is drawn per row, so an estimate computed ahead of time
     #: equals the one a sequential caller gets (the best-effort explorer
-    #: evaluates runs of complete tag sets ahead on such estimators).
+    #: evaluates runs of complete tag sets ahead on such estimators, and
+    #: :meth:`compute_estimates` memoizes them).
     pure_estimates: bool = False
 
     def __init__(
@@ -258,6 +265,8 @@ class InfluenceEstimator(abc.ABC):
         self.budget = budget if budget is not None else SampleBudget(num_tags=model.num_tags)
         self.total_edges_visited = 0
         self.total_samples = 0
+        # (user, graph version, posterior bytes) -> estimate, on pure estimators.
+        self._estimates: Dict[Tuple[int, int, bytes], InfluenceEstimate] = {}
 
     # ----------------------------------------------------------------- public
     def estimate(self, user: int, tag_set: Iterable) -> InfluenceEstimate:
@@ -295,6 +304,15 @@ class InfluenceEstimator(abc.ABC):
         batched-kernel estimator answers all tag sets from one shared event
         store.  The best-effort explorer evaluates runs of complete tag sets
         here and counts only the estimates it keeps.
+
+        On a :attr:`pure_estimates` estimator the row is a function of the
+        posterior ``p(z|W)``, and the estimate a function of ``(user, row)``,
+        so every estimate is memoized for the life of the instance, keyed by
+        ``(user, graph.version, posterior bytes)``: only the posteriors not
+        seen before are built and matched, in one call, and tag sets that
+        share a posterior share one (frozen) estimate.  A shared estimate
+        still reports the samples and edges of the evaluation that produced
+        it, so the counters summed from estimates do not depend on the memo.
         """
         kernel = getattr(self, "kernel", "")
         results: list = [None] * len(tag_sets)
@@ -314,13 +332,29 @@ class InfluenceEstimator(abc.ABC):
                     method=self.name,
                     kernel=kernel,
                 )
-        if posteriors:
-            rows = self.graph.edge_probabilities_under_many(posteriors)
-            for slot, estimate in zip(slots, self.estimate_many_with_probabilities(user, rows)):
-                if not estimate.kernel:
-                    estimate.kernel = kernel
-                results[slot] = estimate
+        if not posteriors:
+            return results
+        if self.pure_estimates:
+            version = self.graph.version
+            estimates = memoized_many(
+                self._estimates,
+                [(user, version, posterior.tobytes()) for posterior in posteriors],
+                posteriors,
+                lambda missing: self._estimates_under(user, missing, kernel),
+            )
+        else:
+            estimates = self._estimates_under(user, posteriors, kernel)
+        for slot, estimate in zip(slots, estimates):
+            results[slot] = estimate
         return results
+
+    def _estimates_under(self, user: int, posteriors: list, kernel: str) -> list:
+        """The estimates of the ``p(e|W)`` rows of ``posteriors``, in one call."""
+        rows = self.graph.edge_probabilities_under_many(posteriors)
+        return [
+            dataclasses.replace(estimate, kernel=kernel) if kernel and not estimate.kernel else estimate
+            for estimate in self.estimate_many_with_probabilities(user, rows)
+        ]
 
     def count_estimates(self, estimates: Sequence[InfluenceEstimate]) -> None:
         """Add ``estimates`` to ``total_*`` and the per-method ``estimator.*`` counters.

@@ -38,17 +38,17 @@ Before the batched kernel draws a sample it sizes every world's budget by
 ``theta_W(|R_W(u)|)``.  The ``|R_W(u)|`` of all worlds come from
 :func:`~repro.graph.algorithms.reachable_counts`, a bit-parallel BFS with one
 ``uint64`` world mask per edge and per vertex (64 worlds per pass, memory
-``O(|V| + |E|)``).  Within a chunk, the ``(instance, vertex)`` keys that fire
-in one round are deduplicated by an in-place sort plus an adjacent-difference
-mask, which yields the same sorted keys as ``np.unique``.  Neither step draws
-a random number.
+``O(|V| + |E|)``); an estimator sizes each open-edge pattern once.  Within a
+chunk, the ``(instance, vertex)`` keys that fire in one round are deduplicated
+by an in-place sort plus an adjacent-difference mask, which yields the same
+sorted keys as ``np.unique``.  Neither step draws a random number.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,6 +68,7 @@ from repro.sampling.base import (
 )
 from repro.topics.model import TagTopicModel
 from repro.utils.heap import BatchedEventQueue, LazyEdgeHeap
+from repro.utils.memo import memoized_many
 from repro.utils.rng import RandomSource, SeedLike, spawn_rng
 from repro.utils.stats import log_binomial
 
@@ -130,6 +131,8 @@ class LazyPropagationEstimator(InfluenceEstimator):
         self.early_stopping = early_stopping
         self.kernel = kernel
         self.batch_size = max(1, int(batch_size)) if batch_size is not None else None
+        # (user, packed open-edge bits) -> |R_W(user)|.
+        self._sizes: Dict[Tuple[int, bytes], int] = {}
         if kernel == "batched":
             # Distinct method label so Fig. 13-style instrumentation and the
             # engine can track the batched series next to the csr/dict lazy one.
@@ -191,6 +194,25 @@ class LazyPropagationEstimator(InfluenceEstimator):
         if self.kernel == "dict":
             return len(reachable_with_probabilities(self.graph, user, probabilities, kernel="dict"))
         return int(reachable_mask(self.graph, user, probabilities).sum())
+
+    def _reachable_sizes(self, user: int, rows: np.ndarray) -> np.ndarray:
+        """``|R_W(user)|`` of every row, each open-edge pattern sized once per instance.
+
+        A size is structural reachability over the row's open (``> 0``)
+        edges, so it is a pure function of the user and the packed pattern,
+        and is memoized by ``(user, np.packbits(rows > 0))``.  ``add_edge``
+        appends edge ids, so after an insert an old pattern packs to the same
+        bytes only with the new edges closed, which leaves its size as it was.
+        The patterns not sized before go to one
+        :func:`~repro.graph.algorithms.reachable_counts` call.
+        """
+        sizes = memoized_many(
+            self._sizes,
+            [(user, bits.tobytes()) for bits in np.packbits(rows > 0.0, axis=1)],
+            range(len(rows)),
+            lambda missing: reachable_counts(self.graph, user, rows[missing]).tolist(),
+        )
+        return np.array(sizes, dtype=np.int64)
 
     # ------------------------------------------------------------ batched core
     def _make_queue(self, world_probabilities: np.ndarray) -> BatchedEventQueue:
@@ -282,7 +304,7 @@ class LazyPropagationEstimator(InfluenceEstimator):
         if self.kernel != "batched":
             return super().estimate_many_with_probabilities(user, rows, num_samples)
         num_worlds = len(rows)
-        reachable = reachable_counts(self.graph, user, rows)
+        reachable = self._reachable_sizes(user, rows)
         budgets = np.array(
             [
                 num_samples if num_samples is not None else self.budget.online_samples(int(size))

@@ -21,6 +21,8 @@ from repro.graph.digraph import TopicSocialGraph
 #: A ``p+`` row plan (:meth:`TagTopicModel._row_plan`): support topics, the
 #: Lemma 8 topic bound, and its one positive topic or ``-1``.
 _RowPlan = Tuple[Tuple[int, ...], np.ndarray, int]
+#: What fixes a ``p+`` row on a given graph (:meth:`TagTopicModel._row_key`).
+RowKey = Tuple[Tuple[int, ...], bytes]
 
 
 class TagTopicModel:
@@ -337,6 +339,17 @@ class TagTopicModel:
         topic = int(positive[0]) if positive.size == 1 else -1
         columns = tuple(np.flatnonzero(support).tolist())
         return self._plan_cache.setdefault(key, (columns, bounds, topic))
+
+    def _row_key(self, tag_ids: Tuple[int, ...], k: int) -> RowKey:
+        """The support and Lemma 8 bound bytes of the ``p+`` row plan of ``tag_ids``.
+
+        The row is built from the support and the bound alone (the plan's
+        topic follows from the bound), so partial sets with one key have
+        bitwise-equal rows on a given graph and the best-effort explorer
+        builds and scores one row per key.
+        """
+        support, bounds, _ = self._row_plan(tag_ids, k)
+        return support, bounds.tobytes()
 
     def upper_bound_edge_probabilities(
         self, graph: TopicSocialGraph, partial_tags: Iterable, k: int

@@ -13,6 +13,7 @@ in the :mod:`repro.obs.telemetry` registry; neither lives here.
   API entry points.
 * :mod:`repro.utils.freeze` -- the frozen-engine mutation tripwire backing
   :meth:`repro.core.engine.PitexEngine.freeze`.
+* :mod:`repro.utils.memo` -- the batch fill of the query-local row memos.
 """
 
 from repro.utils.freeze import FrozenGuard, attach_freeze_guard, guard_check

@@ -1,5 +1,6 @@
 """Tests for repro.sampling.base: sample sizes and the SampleBudget."""
 
+import dataclasses
 import math
 
 import pytest
@@ -122,3 +123,13 @@ def test_influence_estimate_dataclass_defaults():
     estimate = InfluenceEstimate(value=2.5, num_samples=10)
     assert estimate.edges_visited == 0
     assert estimate.method == ""
+
+
+def test_influence_estimate_is_frozen():
+    """Pure estimators share one estimate between tag sets, so no holder may edit it."""
+    estimate = InfluenceEstimate(value=2.5, num_samples=10)
+    for field in ("value", "num_samples", "edges_visited", "kernel"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(estimate, field, 0)
+    assert dataclasses.replace(estimate, kernel="csr").kernel == "csr"
+    assert estimate.kernel == ""
