@@ -194,40 +194,39 @@ def test_each_bound_row_key_is_built_once_per_query(monkeypatch, name, bound_met
         assert built and len(built) == len(set(built)), user
 
 
+def _dense_instance():
+    """A model without zeros: every partial set has the full topic support."""
+    from repro.graph.generators import random_topic_graph
+    from repro.index.rr_index import RRGraphIndex
+
+    graph = random_topic_graph(40, 2, edge_probability=0.12, base_probability=0.6, seed=17)
+    model = TagTopicModel(0.2 + 0.7 * ((np.arange(16).reshape(8, 2) * 7) % 10) / 10)
+    return graph, model, RRGraphIndex(graph, 300, seed=4).build()
+
+
 @pytest.mark.parametrize("bound_method", ["sample", "reach"])
-def test_shared_bound_keys_give_each_partial_its_own_bound(bound_method):
-    """Bounds served by row key equal one unshared evaluation per partial set."""
-    graph, model, _, _ = _instance()
-    explorer = BestEffortExplorer(model, _index_estimator("indexest+"), bound_method=bound_method)
+@pytest.mark.parametrize("dense", [False, True])
+def test_shared_bound_keys_give_each_partial_its_own_bound(dense, bound_method):
+    """Bounds served by row key equal one unshared evaluation per partial set.
+
+    On the dense model all partial sets share one support, so only the
+    Lemma 8 bound bytes of the key tell their rows apart.
+    """
+    from repro.index.pruning import PrunedIndexEstimator
+
+    graph, model, index = _dense_instance() if dense else _instance()[:3]
+    estimator = PrunedIndexEstimator(graph, model, index, _budget(model))
+    explorer = BestEffortExplorer(model, estimator, bound_method=bound_method)
     tags = range(model.num_tags)
     partials = [()] + [(t,) for t in tags] + list(combinations(tags, 2))
+    if dense:
+        assert {model._row_key(partial, 3)[0] for partial in partials} == {(0, 1)}
     samples = explorer._bound_samples()
     for user in _users(graph, 4):
         query = PitexQuery(user=user, k=3, epsilon=0.7)
         memo = {}
         shared = explorer._upper_bounds_many(query, partials, memo, samples)
-        assert len(memo) < len(partials)
-        assert shared == [explorer._row_bounds(query, [partial], samples)[0] for partial in partials]
-
-
-def test_bounds_of_one_support_differ_by_their_bound_bytes():
-    """On a dense model every partial set has the full support, so only the
-    Lemma 8 bound bytes of the key tell the partial sets' rows apart."""
-    from repro.graph.generators import random_topic_graph
-    from repro.index.rr_index import IndexEstimator, RRGraphIndex
-
-    graph = random_topic_graph(40, 2, edge_probability=0.12, base_probability=0.6, seed=17)
-    model = TagTopicModel(0.2 + 0.7 * ((np.arange(16).reshape(8, 2) * 7) % 10) / 10)
-    index = RRGraphIndex(graph, 300, seed=4).build()
-    explorer = BestEffortExplorer(model, IndexEstimator(graph, model, index, _budget(model)))
-    partials = [()] + [(t,) for t in range(8)] + list(combinations(range(8), 2))
-    assert {model._row_key(partial, 3)[0] for partial in partials} == {(0, 1)}
-    samples = explorer._bound_samples()
-    for user in range(0, 40, 5):
-        query = PitexQuery(user=user, k=3, epsilon=0.7)
-        memo = {}
-        shared = explorer._upper_bounds_many(query, partials, memo, samples)
-        assert len(memo) > 1
+        assert 1 < len(memo) <= len(partials)
         assert shared == [explorer._row_bounds(query, [partial], samples)[0] for partial in partials]
 
 
