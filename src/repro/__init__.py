@@ -2,7 +2,7 @@
 Social Influential Tags Exploration" (Li, Tan, Fan, Zhang; SIGMOD 2017).
 
 The top-level package re-exports the most commonly used entry points; see
-``README.md`` for a quickstart and ``DESIGN.md`` for the full system inventory.
+``README.md`` for a quickstart and ``docs/architecture.md`` for the dataflow.
 
 Typical usage::
 

@@ -3,8 +3,9 @@
 * :mod:`repro.bench.config` -- sizing knobs (scale, sample caps, query counts)
   with ``smoke`` / ``default`` / ``full`` presets.
 * :mod:`repro.bench.harness` -- engine/dataset caching and query-batch runners.
-* :mod:`repro.bench.experiments` -- one driver per table / figure (E1..E12 of
-  DESIGN.md), each returning an :class:`~repro.bench.reporting.ExperimentResult`.
+* :mod:`repro.bench.experiments` -- one driver per table / figure (its
+  ``EXPERIMENTS`` registry), each returning an
+  :class:`~repro.bench.reporting.ExperimentResult`.
 * :mod:`repro.bench.reporting` -- plain-text table formatting used by the
   benchmark scripts, the examples and the CLI.
 """

@@ -45,9 +45,6 @@ class BenchmarkConfig:
         Online sampling methods compared by Fig. 6 / Fig. 13.
     seed:
         Base random seed.
-    kernel:
-        Sampling kernel for the engines: ``"csr"`` (vectorized, default) or
-        ``"dict"`` (per-edge reference walkers).
     """
 
     datasets: Tuple[str, ...] = ("lastfm", "diggs", "dblp", "twitter")
@@ -72,7 +69,6 @@ class BenchmarkConfig:
     )
     online_methods: Tuple[str, ...] = ("mc", "rr", "lazy", "lazy-batched")
     seed: int = 2017
-    kernel: str = "csr"
 
     def scale_of(self, dataset: str) -> float:
         """Scale factor for ``dataset`` (1.0 when not listed)."""

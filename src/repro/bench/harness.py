@@ -84,7 +84,6 @@ class BenchmarkHarness:
                 index_samples=self.config.index_samples,
                 default_k=self.config.k,
                 seed=self.config.seed,
-                kernel=self.config.kernel,
             )
         return self._engines[key]
 

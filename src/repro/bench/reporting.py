@@ -15,7 +15,8 @@ class ExperimentResult:
     Attributes
     ----------
     experiment:
-        Experiment id from DESIGN.md (e.g. ``"fig7"``).
+        Experiment id, a key of ``repro.bench.experiments.EXPERIMENTS``
+        (e.g. ``"fig7"``).
     title:
         Human-readable title (what the paper's table/figure caption says).
     columns:

@@ -27,7 +27,7 @@ from repro.bench.config import BenchmarkConfig
 from repro.bench.experiments import EXPERIMENTS
 from repro.bench.harness import BenchmarkHarness
 from repro.bench.reporting import format_table
-from repro.core.engine import METHODS, PitexEngine, resolved_kernel
+from repro.core.engine import KERNELS, METHODS, PitexEngine, resolved_kernel
 from repro.datasets.profiles import profile_names
 from repro.datasets.synthetic import load_dataset
 from repro.obs.telemetry import get_telemetry
@@ -49,9 +49,10 @@ def _build_parser() -> argparse.ArgumentParser:
     query.add_argument("--num-queries", type=int, default=3)
     query.add_argument("--k", type=int, default=3)
     query.add_argument("--method", choices=METHODS, default="indexest+")
-    query.add_argument("--kernel", choices=("batched", "csr", "dict"), default="csr",
-                       help="sampling kernel: multi-instance batched event queue, "
-                            "vectorized CSR (default), or per-edge dict reference")
+    query.add_argument("--kernel", choices=KERNELS, default="csr",
+                       help="sampling kernel: vectorized CSR (default) or per-edge dict "
+                            "reference; method lazy-batched always runs the batched "
+                            "event queue")
     query.add_argument("--epsilon", type=float, default=0.7)
     query.add_argument("--delta", type=float, default=1000.0)
     query.add_argument("--max-samples", type=int, default=300)

@@ -9,8 +9,7 @@ carry topic-aware influence probabilities ``p(e|z)``.  This package provides:
   power-law generator used by the dataset profiles and the star / celebrity
   counterexample graphs of Fig. 3.
 * :mod:`~repro.graph.algorithms` -- BFS reachability (forward and reverse),
-  vectorized live-edge possible-world kernels, strongly connected components
-  and degree-based user grouping.
+  vectorized live-edge possible-world kernels and degree-based user grouping.
 * :mod:`~repro.graph.csr` -- the compressed-sparse-row adjacency view cached
   on every graph (``graph.csr``) that carries the sampling hot paths.
 * :mod:`~repro.graph.io` -- plain-text edge-list serialization.
@@ -34,7 +33,6 @@ from repro.graph.algorithms import (
     reachable_vertices,
     live_edge_world,
     reverse_live_edge_world,
-    strongly_connected_components,
     out_degree_groups,
 )
 from repro.graph.io import save_edge_list, load_edge_list
@@ -56,7 +54,6 @@ __all__ = [
     "reachable_vertices",
     "live_edge_world",
     "reverse_live_edge_world",
-    "strongly_connected_components",
     "out_degree_groups",
     "save_edge_list",
     "load_edge_list",

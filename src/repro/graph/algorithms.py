@@ -405,58 +405,6 @@ def reverse_live_edge_world(
     return reached, probes
 
 
-def strongly_connected_components(graph: TopicSocialGraph) -> List[List[int]]:
-    """Strongly connected components via Tarjan's algorithm (iterative).
-
-    Used by dataset diagnostics and tests; not on any query hot path.
-    """
-    index_counter = [0]
-    stack: List[int] = []
-    lowlink: Dict[int, int] = {}
-    index: Dict[int, int] = {}
-    on_stack: Dict[int, bool] = {}
-    components: List[List[int]] = []
-
-    for root in graph.vertices():
-        if root in index:
-            continue
-        work = [(root, iter(graph.out_neighbors(root)))]
-        index[root] = lowlink[root] = index_counter[0]
-        index_counter[0] += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            vertex, neighbors = work[-1]
-            advanced = False
-            for neighbor in neighbors:
-                if neighbor not in index:
-                    index[neighbor] = lowlink[neighbor] = index_counter[0]
-                    index_counter[0] += 1
-                    stack.append(neighbor)
-                    on_stack[neighbor] = True
-                    work.append((neighbor, iter(graph.out_neighbors(neighbor))))
-                    advanced = True
-                    break
-                if on_stack.get(neighbor, False):
-                    lowlink[vertex] = min(lowlink[vertex], index[neighbor])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[vertex])
-            if lowlink[vertex] == index[vertex]:
-                component = []
-                while True:
-                    node = stack.pop()
-                    on_stack[node] = False
-                    component.append(node)
-                    if node == vertex:
-                        break
-                components.append(component)
-    return components
-
-
 def out_degree_groups(
     graph: TopicSocialGraph,
     high_fraction: float = 0.01,

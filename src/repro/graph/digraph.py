@@ -370,15 +370,6 @@ class TopicSocialGraph:
             clone.add_edge(edge.source, edge.target, self._edge_probs[edge.edge_id])
         return clone
 
-    def subgraph_with_min_probability(self, threshold: float) -> "TopicSocialGraph":
-        """A copy keeping only edges whose max probability exceeds ``threshold``."""
-        clone = TopicSocialGraph(self._num_vertices, self._num_topics, self.vertex_labels)
-        max_probs = self.max_edge_probabilities()
-        for edge in self.edges():
-            if max_probs[edge.edge_id] > threshold:
-                clone.add_edge(edge.source, edge.target, self._edge_probs[edge.edge_id])
-        return clone
-
     def memory_bytes(self) -> int:
         """Approximate in-memory footprint, used for index-size accounting."""
         adjacency = sum(len(adj) for adj in self._out) + sum(len(adj) for adj in self._in)

@@ -201,8 +201,7 @@ class DelayedMaterializationIndex:
         #    conditional distribution of "an offline RR-Graph containing u"
         #    weights forward worlds proportionally to their activated size,
         #    while the Algorithm 4 proposal draws every world with its plain
-        #    probability, so the self-normalized weight |V'| corrects the gap
-        #    (see DESIGN.md, "DelayMat recovery weighting").
+        #    probability, so the self-normalized weight |V'| corrects the gap.
         rr_graph = RRGraph(root=root, vertices=members, recovery_weight=float(len(activated)))
         keep = member_mask[live_sources] & member_mask[live_targets]
         kept_edges = live_edges[keep]

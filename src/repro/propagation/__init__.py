@@ -1,26 +1,18 @@
 """Propagation model substrate.
 
-The paper evaluates PITEX under the Independent Cascade (IC) model and notes
-(footnote 1) that the approaches also support the Linear Threshold (LT) model
-and the more general triggering model.  This package implements all three plus
-an exact possible-world influence oracle used to validate the samplers on
-small graphs.
+The paper evaluates PITEX under the topic-aware Independent Cascade (IC)
+model; this package implements IC only, plus an exact possible-world
+influence oracle used to validate the samplers on small graphs.
 """
 
 from repro.propagation.cascade import CascadeTrace
 from repro.propagation.ic import IndependentCascadeModel, simulate_ic_cascade
-from repro.propagation.lt import LinearThresholdModel, simulate_lt_cascade
-from repro.propagation.triggering import TriggeringModel, simulate_triggering_cascade
 from repro.propagation.exact import exact_influence_spread, exact_activation_probabilities
 
 __all__ = [
     "CascadeTrace",
     "IndependentCascadeModel",
     "simulate_ic_cascade",
-    "LinearThresholdModel",
-    "simulate_lt_cascade",
-    "TriggeringModel",
-    "simulate_triggering_cascade",
     "exact_influence_spread",
     "exact_activation_probabilities",
 ]

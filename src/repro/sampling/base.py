@@ -398,8 +398,3 @@ class InfluenceEstimator(abc.ABC):
             self.estimate_with_probabilities(user, row, num_samples)
             for row in probability_rows(self.graph, edge_probability_rows)
         ]
-
-    def reset_counters(self) -> None:
-        """Zero the cumulative edge / sample counters."""
-        self.total_edges_visited = 0
-        self.total_samples = 0

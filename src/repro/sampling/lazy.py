@@ -53,7 +53,6 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.graph.algorithms import (
-    live_edge_world,
     reachable_counts,
     reachable_mask,
     reachable_with_probabilities,
@@ -480,34 +479,3 @@ class LazyPropagationEstimator(InfluenceEstimator):
                 drawn += 1
             results.append(total_activations / float(drawn))
         return results
-
-    def sample_live_subgraph(self, user: int, edge_probabilities: Sequence[float]):
-        """One lazy sample instance returning ``(activated_vertices, live_edges)``.
-
-        Used by the delayed-materialization index (Algorithm 4) which needs the
-        live edges of a forward sample, not just the activation count.  Fresh
-        coins are used so the draw is independent of previous estimations; on
-        the CSR kernel the world is realized with batched coin flips.
-        """
-        probabilities = np.asarray(edge_probabilities, dtype=float)
-        if self.kernel == "dict":
-            visited = {user}
-            live_edges = []
-            frontier = deque([user])
-            while frontier:
-                vertex = frontier.popleft()
-                for edge_id in self.graph.out_edges(vertex):
-                    probability = probabilities[edge_id]
-                    if probability <= 0.0:
-                        continue
-                    _, target = self.graph.edge_endpoints(edge_id)
-                    if self._rng.uniform() < probability:
-                        live_edges.append(edge_id)
-                        if target not in visited:
-                            visited.add(target)
-                            frontier.append(target)
-            return visited, live_edges
-        activated, live_edges, _ = live_edge_world(
-            self.graph, user, probabilities, self._rng, collect_edges=True
-        )
-        return set(np.flatnonzero(activated).tolist()), live_edges.tolist()

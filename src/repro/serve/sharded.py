@@ -84,7 +84,6 @@ class EngineSpec:
     max_samples: Optional[int] = 2000
     index_samples: int = 100
     default_k: int = 3
-    kernel: str = "csr"
     methods: Tuple[str, ...] = ("indexest",)
     ks: Tuple[int, ...] = ()
     mmap: bool = True
@@ -110,7 +109,6 @@ def publish_engine_spec(
     delta: float = 1000.0,
     max_samples: Optional[int] = 2000,
     default_k: int = 3,
-    kernel: str = "csr",
     index_seed=None,
     mmap: bool = True,
     precompute_tables: bool = True,
@@ -137,7 +135,6 @@ def publish_engine_spec(
         max_samples=max_samples,
         index_samples=int(index_samples),
         default_k=int(default_k),
-        kernel=kernel,
         methods=lowered,
         ks=tuple(int(k) for k in ks),
         mmap=mmap,
@@ -188,7 +185,6 @@ def build_engine_from_spec(spec: EngineSpec) -> PitexEngine:
         index_samples=spec.index_samples,
         default_k=spec.default_k,
         seed=spec.engine_seed,
-        kernel=spec.kernel,
         rr_index=rr_index,
         delayed_index=delayed_index,
     )

@@ -7,8 +7,9 @@ in the :mod:`repro.obs.telemetry` registry; neither lives here.
 * :mod:`repro.utils.rng` -- deterministic random number management.
 * :mod:`repro.utils.heap` -- indexed and plain binary heaps used by the lazy
   propagation sampler and best-effort exploration.
-* :mod:`repro.utils.stats` -- Chernoff/Hoeffding bounds, running statistics and
-  the latency accumulator behind the serving metrics.
+* :mod:`repro.utils.stats` -- the ``log_binomial`` terms from which the
+  samplers' budgets are computed in closed form, running statistics and the
+  latency accumulator behind the serving metrics.
 * :mod:`repro.utils.validation` -- argument checking helpers shared by public
   API entry points.
 * :mod:`repro.utils.freeze` -- the frozen-engine mutation tripwire backing
@@ -22,11 +23,7 @@ from repro.utils.heap import BatchedEventQueue, MinHeap, MaxHeap, LazyEdgeHeap
 from repro.utils.stats import (
     LatencyAccumulator,
     RunningMean,
-    chernoff_upper_tail,
-    chernoff_lower_tail,
-    hoeffding_sample_size,
     percentiles,
-    relative_error,
 )
 from repro.utils.validation import (
     ensure_positive_int,
@@ -47,11 +44,7 @@ __all__ = [
     "BatchedEventQueue",
     "LatencyAccumulator",
     "RunningMean",
-    "chernoff_upper_tail",
-    "chernoff_lower_tail",
-    "hoeffding_sample_size",
     "percentiles",
-    "relative_error",
     "ensure_positive_int",
     "ensure_probability",
     "ensure_in_range",

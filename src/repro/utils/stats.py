@@ -1,10 +1,10 @@
-"""Concentration bounds and running statistics.
+"""Log-binomial terms of the sample budgets, and running latency statistics.
 
 The sample-size expressions of the paper (Lemma 2, Lemma 3, Eqn. 2 and Eqn. 7)
-are instances of the Chernoff/Hoeffding bounds reproduced in Appendix B.2.
-This module implements those bounds directly so the samplers and the index can
-derive their sample budgets from first principles, and exposes the small
-running-statistics helpers used by the convergence experiment (Fig. 6).
+follow from the Chernoff bounds of Appendix B.2; the samplers evaluate them as
+closed forms whose only non-elementary terms are the ``log C(n, k)`` sums
+below.  The running statistics back the serving and benchmark latency
+accounting.
 """
 
 from __future__ import annotations
@@ -14,54 +14,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Sequence
 
 from repro.utils.rng import RandomSource
-
-
-def chernoff_upper_tail(delta: float) -> float:
-    """Upper-tail Chernoff exponent bound ``exp(-delta^2 / (2 + delta))``.
-
-    For ``X`` the sum of ``theta`` i.i.d. random variables in ``[0, 1]`` with
-    mean ``p``: ``Pr[X - theta*p >= delta*theta*p] <= exp(-delta^2/(2+delta) * theta*p)``.
-    This helper returns the per-unit exponent factor used in those products.
-    """
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
-    return math.exp(-(delta * delta) / (2.0 + delta))
-
-
-def chernoff_lower_tail(delta: float) -> float:
-    """Lower-tail Chernoff exponent bound ``exp(-delta^2 / 2)``."""
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
-    return math.exp(-(delta * delta) / 2.0)
-
-
-def chernoff_failure_probability(theta: float, mean: float, epsilon: float) -> float:
-    """Two-sided failure probability of an ``theta``-sample estimate.
-
-    Probability that the empirical mean of ``theta`` i.i.d. variables in
-    ``[0, 1]`` with true mean ``mean`` deviates from ``mean`` by more than a
-    relative ``epsilon``, bounded by the sum of both Chernoff tails.
-    """
-    if theta <= 0 or mean <= 0:
-        return 1.0
-    exponent = theta * mean
-    upper = math.exp(-(epsilon * epsilon) / (2.0 + epsilon) * exponent)
-    lower = math.exp(-(epsilon * epsilon) / 2.0 * exponent)
-    return min(1.0, upper + lower)
-
-
-def hoeffding_sample_size(epsilon: float, delta: float) -> int:
-    """Classic Hoeffding sample size for an additive ``epsilon`` error.
-
-    ``theta >= ln(2/delta) / (2 epsilon^2)`` guarantees the empirical mean of
-    bounded variables deviates from the true mean by at most ``epsilon`` with
-    probability at least ``1 - delta``.  Used by tests as a reference point.
-    """
-    if not 0 < epsilon < 1:
-        raise ValueError("epsilon must lie in (0, 1)")
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
-    return int(math.ceil(math.log(2.0 / delta) / (2.0 * epsilon * epsilon)))
 
 
 def log_binomial(n: int, k: int) -> float:
@@ -114,19 +66,12 @@ def percentiles(values: Iterable[float], qs: Sequence[float]) -> List[float]:
 LATENCY_PERCENTILES = (50.0, 95.0, 99.0)
 
 
-def relative_error(estimate: float, truth: float) -> float:
-    """``|estimate - truth| / truth`` with a guard for a zero ground truth."""
-    if truth == 0:
-        return abs(estimate)
-    return abs(estimate - truth) / abs(truth)
-
-
 @dataclass
 class RunningMean:
     """Streaming mean / variance via Welford's algorithm.
 
-    Used by the convergence experiment to track the influence estimate as a
-    function of the number of samples without storing every sample.
+    Holds the exact moments behind :class:`LatencyAccumulator` without
+    storing every observation.
     """
 
     count: int = 0
@@ -156,12 +101,6 @@ class RunningMean:
     def std(self) -> float:
         """Sample standard deviation."""
         return math.sqrt(self.variance)
-
-    def confidence_halfwidth(self, z: float = 1.96) -> float:
-        """Normal-approximation confidence half-width around the mean."""
-        if self.count == 0:
-            return float("inf")
-        return z * self.std / math.sqrt(self.count)
 
 
 @dataclass

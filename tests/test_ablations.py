@@ -1,4 +1,4 @@
-"""Ablation tests for the design choices called out in DESIGN.md.
+"""Ablation tests for the design choices of the paper's methods.
 
 These are small, deterministic studies rather than benchmarks: they check that
 each optimization actually contributes what the paper claims it contributes,

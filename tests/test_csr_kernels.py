@@ -222,17 +222,6 @@ def test_lazy_estimator_matches_mc_with_csr_kernels(small_graph, small_model, ti
     assert lazy_value == pytest.approx(mc_value, rel=0.10, abs=0.25)
 
 
-def test_lazy_sample_live_subgraph_consistency(small_graph, small_model, tiny_budget):
-    lazy = LazyPropagationEstimator(small_graph, small_model, tiny_budget, seed=10)
-    probabilities = small_graph.max_edge_probabilities()
-    visited, live_edges = lazy.sample_live_subgraph(0, probabilities)
-    assert 0 in visited
-    for edge_id in live_edges:
-        source, target = small_graph.edge_endpoints(edge_id)
-        assert source in visited and target in visited
-        assert probabilities[edge_id] > 0.0
-
-
 # --------------------------------------------------------------- RR-Graphs
 
 

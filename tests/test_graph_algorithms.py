@@ -12,7 +12,6 @@ from repro.graph.algorithms import (
     reverse_live_edge_reachable,
     reverse_reachable,
     single_source_max_probability_paths,
-    strongly_connected_components,
 )
 from repro.graph.digraph import TopicSocialGraph
 from repro.graph.generators import line_graph, power_law_topic_graph
@@ -74,26 +73,6 @@ def test_reverse_live_edge_reachable_extremes():
     assert all_live == {0, 1, 2, 3}
     none_live, _ = reverse_live_edge_reachable(graph, 3, np.zeros(4), lambda: 0.5)
     assert none_live == {3}
-
-
-def test_strongly_connected_components_cycle_plus_tail():
-    graph = TopicSocialGraph(4, 1)
-    graph.add_edge(0, 1, [1.0])
-    graph.add_edge(1, 2, [1.0])
-    graph.add_edge(2, 0, [1.0])
-    graph.add_edge(2, 3, [1.0])
-    components = strongly_connected_components(graph)
-    sizes = sorted(len(c) for c in components)
-    assert sizes == [1, 3]
-    big = next(c for c in components if len(c) == 3)
-    assert set(big) == {0, 1, 2}
-
-
-def test_strongly_connected_components_cover_all_vertices():
-    graph = power_law_topic_graph(60, 3.0, 2, seed=3)
-    components = strongly_connected_components(graph)
-    covered = sorted(v for component in components for v in component)
-    assert covered == list(range(60))
 
 
 def test_out_degree_groups_partition_and_order():

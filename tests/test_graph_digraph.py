@@ -114,15 +114,6 @@ def test_copy_is_deep():
     assert clone.num_edges == graph.num_edges + 1
 
 
-def test_subgraph_with_min_probability():
-    graph = make_triangle()
-    filtered = graph.subgraph_with_min_probability(0.4)
-    # only edges with max prob > 0.4 survive: (0,1) max 0.5 and (1,2) max 0.9
-    assert filtered.num_edges == 2
-    assert filtered.has_edge(0, 1)
-    assert filtered.has_edge(1, 2)
-
-
 def test_from_edges_builder_and_memory():
     graph = TopicSocialGraph.from_edges(3, 1, [(0, 1, [0.5]), (1, 2, [0.5])])
     assert graph.num_edges == 2

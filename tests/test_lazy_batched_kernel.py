@@ -217,9 +217,7 @@ def _fresh_engine(seed=5):
     from repro.topics.model import TagTopicModel
 
     model = TagTopicModel(matrix)
-    return PitexEngine(
-        graph, model, max_samples=200, index_samples=40, seed=seed, kernel="batched"
-    )
+    return PitexEngine(graph, model, max_samples=200, index_samples=40, seed=seed)
 
 
 def test_engine_lazy_batched_estimates_are_seed_deterministic():
@@ -343,18 +341,16 @@ def test_best_effort_queries_agree_across_kernels():
     from repro.topics.model import TagTopicModel
 
     model = TagTopicModel(matrix)
+    engine = PitexEngine(graph, model, max_samples=400, index_samples=40, seed=13)
     spreads = {}
-    for kernel in ("batched", "csr"):
-        engine = PitexEngine(
-            graph, model, max_samples=400, index_samples=40, seed=13, kernel=kernel
-        )
-        result = engine.query(user=0, k=2, method="lazy")
+    for method in ("lazy-batched", "lazy"):
+        result = engine.query(user=0, k=2, method=method)
         assert len(result.tag_ids) == 2
         assert result.evaluated_tag_sets + result.pruned_tag_sets > 0
-        spreads[kernel] = result.spread
-    # Different kernels pick possibly different (tied) tag sets, but the
-    # reported spreads stay within the accuracy band of each other.
-    assert spreads["batched"] == pytest.approx(spreads["csr"], rel=0.35, abs=0.6)
+        spreads[method] = result.spread
+    # The batched and sequential kernels pick possibly different (tied) tag
+    # sets, but the reported spreads stay within the accuracy band of each other.
+    assert spreads["lazy-batched"] == pytest.approx(spreads["lazy"], rel=0.35, abs=0.6)
 
 
 def test_running_estimates_batched_matches_sequential_convergence(
@@ -374,20 +370,6 @@ def test_running_estimates_batched_matches_sequential_convergence(
     assert series["batched"][-1] == pytest.approx(series["csr"][-1], rel=0.15, abs=0.3)
 
 
-def test_sample_live_subgraph_consistent_on_all_kernels(small_graph, small_model, tiny_budget):
-    probabilities = small_graph.max_edge_probabilities()
-    for kernel in ("batched", "csr", "dict"):
-        estimator = LazyPropagationEstimator(
-            small_graph, small_model, tiny_budget, seed=10, kernel=kernel
-        )
-        visited, live_edges = estimator.sample_live_subgraph(0, probabilities)
-        assert 0 in visited
-        for edge_id in live_edges:
-            source, target = small_graph.edge_endpoints(edge_id)
-            assert source in visited and target in visited
-            assert probabilities[edge_id] > 0.0
-
-
 def test_unknown_kernel_is_rejected(small_graph, small_model, tiny_budget):
     from repro.exceptions import InvalidParameterError
 
@@ -395,8 +377,10 @@ def test_unknown_kernel_is_rejected(small_graph, small_model, tiny_budget):
         LazyPropagationEstimator(
             small_graph, small_model, tiny_budget, seed=1, kernel="sparse"
         )
-    with pytest.raises(InvalidParameterError):
-        PitexEngine(small_graph, small_model, kernel="sparse")
+    # "batched" is an estimator kernel only; lazy-batched is its engine method.
+    for kernel in ("sparse", "batched"):
+        with pytest.raises(InvalidParameterError):
+            PitexEngine(small_graph, small_model, kernel=kernel)
 
 
 def test_lazy_batched_method_works_under_enumeration():

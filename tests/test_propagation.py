@@ -1,4 +1,4 @@
-"""Tests for the propagation models (IC, LT, triggering) and the exact oracle."""
+"""Tests for the IC propagation model and the exact oracle."""
 
 import numpy as np
 import pytest
@@ -13,12 +13,6 @@ from repro.propagation.exact import (
     exact_influence_spread,
 )
 from repro.propagation.ic import IndependentCascadeModel, simulate_ic_cascade
-from repro.propagation.lt import LinearThresholdModel, simulate_lt_cascade
-from repro.propagation.triggering import (
-    TriggeringModel,
-    exclusive_triggering_sampler,
-    simulate_triggering_cascade,
-)
 from repro.topics.model import TagTopicModel
 from repro.utils.rng import RandomSource
 
@@ -99,47 +93,7 @@ def test_exact_best_tag_set_tiny_instance():
     assert best_tags in ((0,), (1,))
 
 
-def test_lt_deterministic_when_weights_saturate():
-    graph = line_graph(4, probability=1.0)
-    probabilities = np.ones(3)
-    trace = simulate_lt_cascade(graph, [0], probabilities, RandomSource(5))
-    assert trace.size == 4
-
-
-def test_lt_weight_normalization_keeps_incoming_mass_bounded():
-    graph = TopicSocialGraph(4, 1)
-    graph.add_edge(0, 3, [0.9])
-    graph.add_edge(1, 3, [0.9])
-    graph.add_edge(2, 3, [0.9])
-    model = LinearThresholdModel(graph, seed=11)
-    spread = model.estimate_spread([0], np.full(3, 0.9), num_samples=4000)
-    # Only vertex 0 is seeded; normalized weight of (0,3) is 0.3, so the spread
-    # should hover around 1.3 rather than 1.9.
-    assert 1.15 <= spread <= 1.45
-
-
-def test_triggering_ic_sampler_matches_ic_distribution():
-    graph = line_graph(3, probability=0.5)
-    probabilities = np.full(2, 0.5)
-    model = TriggeringModel(graph, seed=13)
-    spread = model.estimate_spread([0], probabilities, num_samples=8000)
-    exact = exact_influence_spread(graph, 0, probabilities)
-    assert spread == pytest.approx(exact, rel=0.06)
-
-
-def test_triggering_exclusive_sampler_runs():
-    graph = random_topic_graph(15, 2, edge_probability=0.3, seed=2)
-    probabilities = graph.max_edge_probabilities()
-    trace = simulate_triggering_cascade(
-        graph, [0], probabilities, RandomSource(3), sampler=exclusive_triggering_sampler
-    )
-    assert 0 in trace.activated
-    assert trace.size >= 1
-
-
 def test_models_record_edge_probes(deterministic_line):
     probabilities = np.ones(deterministic_line.num_edges)
     ic_trace = simulate_ic_cascade(deterministic_line, [0], probabilities, RandomSource(1))
-    lt_trace = simulate_lt_cascade(deterministic_line, [0], probabilities, RandomSource(1))
     assert ic_trace.edges_probed == deterministic_line.num_edges
-    assert lt_trace.edges_probed == deterministic_line.num_edges

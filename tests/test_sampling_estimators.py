@@ -137,15 +137,6 @@ def test_lazy_early_stopping_reduces_samples():
     assert estimate.value == pytest.approx(5.0)
 
 
-def test_lazy_sample_live_subgraph_consistency():
-    graph = line_graph(4, probability=1.0)
-    model = single_topic_model()
-    estimator = LazyPropagationEstimator(graph, model, SampleBudget(num_tags=3, k=1), seed=1)
-    activated, live_edges = estimator.sample_live_subgraph(0, np.ones(3))
-    assert activated == {0, 1, 2, 3}
-    assert len(live_edges) == 3
-
-
 def test_running_estimates_are_monotone_in_information():
     """Running estimates share samples: later checkpoints reuse earlier draws."""
     graph = random_topic_graph(30, 1, edge_probability=0.15, seed=5)

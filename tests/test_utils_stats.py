@@ -7,50 +7,10 @@ import pytest
 from repro.utils.stats import (
     LatencyAccumulator,
     RunningMean,
-    chernoff_failure_probability,
-    chernoff_lower_tail,
-    chernoff_upper_tail,
-    hoeffding_sample_size,
     log_binomial,
     log_sum_binomials,
     percentiles,
-    relative_error,
 )
-
-
-def test_chernoff_tails_decrease_with_delta():
-    assert chernoff_upper_tail(0.5) > chernoff_upper_tail(1.0)
-    assert chernoff_lower_tail(0.5) > chernoff_lower_tail(1.0)
-
-
-def test_chernoff_tails_reject_negative_delta():
-    with pytest.raises(ValueError):
-        chernoff_upper_tail(-0.1)
-    with pytest.raises(ValueError):
-        chernoff_lower_tail(-0.1)
-
-
-def test_chernoff_failure_probability_decreases_with_samples():
-    p_small = chernoff_failure_probability(100, 0.5, 0.2)
-    p_large = chernoff_failure_probability(1000, 0.5, 0.2)
-    assert p_large < p_small <= 1.0
-
-
-def test_chernoff_failure_probability_degenerate_inputs():
-    assert chernoff_failure_probability(0, 0.5, 0.2) == 1.0
-    assert chernoff_failure_probability(100, 0.0, 0.2) == 1.0
-
-
-def test_hoeffding_sample_size_monotone_in_accuracy():
-    assert hoeffding_sample_size(0.05, 0.05) > hoeffding_sample_size(0.1, 0.05)
-    assert hoeffding_sample_size(0.1, 0.01) > hoeffding_sample_size(0.1, 0.1)
-
-
-def test_hoeffding_sample_size_validates_inputs():
-    with pytest.raises(ValueError):
-        hoeffding_sample_size(1.5, 0.1)
-    with pytest.raises(ValueError):
-        hoeffding_sample_size(0.1, 0.0)
 
 
 def test_log_binomial_matches_math_comb():
@@ -68,11 +28,6 @@ def test_log_sum_binomials_matches_direct_sum():
     assert abs(log_sum_binomials(20, 3) - math.log(direct)) < 1e-9
 
 
-def test_relative_error_handles_zero_truth():
-    assert relative_error(0.5, 0.0) == 0.5
-    assert relative_error(5.0, 4.0) == 0.25
-
-
 def test_running_mean_matches_batch_statistics():
     values = [1.0, 2.0, 3.0, 4.0, 10.0]
     running = RunningMean()
@@ -82,14 +37,6 @@ def test_running_mean_matches_batch_statistics():
     expected_variance = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
     assert abs(running.variance - expected_variance) < 1e-12
     assert running.std == pytest.approx(expected_variance**0.5)
-
-
-def test_running_mean_confidence_shrinks_with_samples():
-    small = RunningMean()
-    small.extend([1.0, 2.0, 3.0])
-    large = RunningMean()
-    large.extend([1.0, 2.0, 3.0] * 50)
-    assert large.confidence_halfwidth() < small.confidence_halfwidth()
 
 
 def test_percentiles_match_numpy_linear_interpolation():
