@@ -28,6 +28,11 @@ class UnknownEdgeError(GraphError, KeyError):
     """The requested edge does not exist in the graph."""
 
 
+class ReadOnlyGraphError(GraphError):
+    """An edge was added to a graph snapshot
+    (:meth:`~repro.graph.digraph.TopicSocialGraph.snapshot`), which is read-only."""
+
+
 class ModelError(PitexError):
     """The topic/tag model is inconsistent with the graph or the query."""
 

@@ -17,19 +17,24 @@ adjacency.  The CSR cache is built once on first access and dropped whenever
 adjacency.  Accessors such as :meth:`TopicSocialGraph.out_edges` return
 *copies* of the internal lists -- mutating a returned list can never corrupt
 the graph or desynchronize the CSR cache.
+
+Every ``add_edge`` makes a new *version*; :meth:`TopicSocialGraph.snapshot`
+is a read-only graph of one version.  Engines, indexes and estimators read
+only the snapshot they were built on, so a write never reaches a running query.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
+import threading
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.exceptions import GraphError, UnknownEdgeError, UnknownVertexError
+from repro.exceptions import GraphError, ReadOnlyGraphError, UnknownEdgeError, UnknownVertexError
 from repro.graph.csr import CSRAdjacency
-from repro.utils.freeze import guard_check
 
 
 @dataclass(frozen=True)
@@ -85,6 +90,10 @@ class TopicSocialGraph:
         self._csr: Optional[CSRAdjacency] = None
         self._version = 0
         self._fingerprint: Optional[Tuple[int, str]] = None
+        # add_edge and snapshot() hold the lock; _snapshot is the current version's.
+        self._lock = threading.Lock()
+        self._snapshot: Optional[TopicSocialGraph] = None
+        self._read_only = False
         if vertex_labels is not None:
             if len(vertex_labels) != num_vertices:
                 raise GraphError(
@@ -122,34 +131,71 @@ class TopicSocialGraph:
 
     # --------------------------------------------------------------- mutation
     def add_edge(self, source: int, target: int, topic_probabilities: Sequence[float]) -> int:
-        """Add a directed edge with its ``p(e|z)`` vector and return its id."""
-        guard_check(self, "add_edge while a frozen engine serves this graph")
-        self._check_vertex(source)
-        self._check_vertex(target)
-        if source == target:
-            raise GraphError(f"self loop ({source}, {target}) is not allowed")
-        if (source, target) in self._edge_lookup:
-            raise GraphError(f"edge ({source}, {target}) already exists")
-        probs = np.asarray(topic_probabilities, dtype=float)
-        if probs.shape != (self._num_topics,):
-            raise GraphError(
-                f"expected {self._num_topics} topic probabilities, got shape {probs.shape}"
+        """Add a directed edge with its ``p(e|z)`` vector and return its id.
+
+        Raises :class:`~repro.exceptions.ReadOnlyGraphError` on a snapshot.
+        """
+        if self._read_only:
+            raise ReadOnlyGraphError(
+                "a graph snapshot is read-only; add the edge to the graph it was taken from"
             )
-        if not np.all((probs >= 0.0) & (probs <= 1.0)):
-            raise GraphError(f"edge probabilities must lie in [0, 1], got {probs}")
-        edge_id = len(self._edge_source)
-        self._edge_source.append(source)
-        self._edge_target.append(target)
-        self._edge_lookup[(source, target)] = edge_id
-        self._edge_probs.append(probs)
-        self._out[source].append(edge_id)
-        self._in[target].append(edge_id)
-        self._prob_matrix = None
-        self._prob_columns = None
-        self._max_probs = None
-        self._csr = None
-        self._version += 1
-        return edge_id
+        with self._lock:
+            self._check_vertex(source)
+            self._check_vertex(target)
+            if source == target:
+                raise GraphError(f"self loop ({source}, {target}) is not allowed")
+            if (source, target) in self._edge_lookup:
+                raise GraphError(f"edge ({source}, {target}) already exists")
+            probs = np.asarray(topic_probabilities, dtype=float)
+            if probs.shape != (self._num_topics,):
+                raise GraphError(
+                    f"expected {self._num_topics} topic probabilities, got shape {probs.shape}"
+                )
+            if not np.all((probs >= 0.0) & (probs <= 1.0)):
+                raise GraphError(f"edge probabilities must lie in [0, 1], got {probs}")
+            if self._snapshot is not None:
+                # The snapshot shares these containers: write to copies.
+                self._out = [list(edges) for edges in self._out]
+                self._in = [list(edges) for edges in self._in]
+                self._edge_source = list(self._edge_source)
+                self._edge_target = list(self._edge_target)
+                self._edge_lookup = dict(self._edge_lookup)
+                self._edge_probs = list(self._edge_probs)
+                self._snapshot = None
+            edge_id = len(self._edge_source)
+            self._edge_source.append(source)
+            self._edge_target.append(target)
+            self._edge_lookup[(source, target)] = edge_id
+            self._edge_probs.append(probs)
+            self._out[source].append(edge_id)
+            self._in[target].append(edge_id)
+            self._prob_matrix = None
+            self._prob_columns = None
+            self._max_probs = None
+            self._csr = None
+            self._version += 1
+            return edge_id
+
+    def snapshot(self) -> "TopicSocialGraph":
+        """A read-only graph of the current version: the same object until the next ``add_edge``.
+
+        A shallow copy sharing this version's adjacency lists, CSR arrays and
+        probability matrix; the next ``add_edge`` writes to copies of the
+        lists, so the snapshot never changes.  Its ``add_edge`` raises
+        :class:`~repro.exceptions.ReadOnlyGraphError` and its snapshot is
+        itself.  ``snapshot`` and ``add_edge`` hold one lock, so a snapshot
+        taken during a write is the version before it or after it.
+        """
+        if self._read_only:
+            return self
+        with self._lock:
+            if self._snapshot is None:
+                _ = self.csr  # built here, so the snapshot shares them
+                _ = self.probability_matrix
+                snapshot = copy.copy(self)
+                snapshot._read_only = True
+                self._snapshot = snapshot
+            return self._snapshot
 
     # ----------------------------------------------------------------- access
     def has_edge(self, source: int, target: int) -> bool:
@@ -232,8 +278,8 @@ class TopicSocialGraph:
     def version(self) -> int:
         """Mutation counter; increments on every :meth:`add_edge`.
 
-        Long-lived consumers (indexes, estimators) can compare versions to
-        detect that a cached derived structure refers to an older graph.
+        A :meth:`snapshot` keeps the version it was taken at, so comparing it
+        with its source graph's version tells whether writes landed since.
         """
         return self._version
 

@@ -50,13 +50,13 @@ class DelayedMaterializationIndex:
     """Offline phase of ``DelayMat``: count containment, store no graphs."""
 
     def __init__(self, graph: TopicSocialGraph, num_samples: int, seed: SeedLike = None) -> None:
-        self.graph = graph
+        # The index reads only this version of the graph (see RRGraphIndex).
+        self.graph = graph.snapshot()
         self.num_samples = int(num_samples)
         self._rng = spawn_rng(seed)
         self.containment_counts: Dict[int, int] = {}
         self.build_seconds: float = 0.0
         self._built = False
-        self._built_version: Optional[int] = None
 
     def build(self) -> "DelayedMaterializationIndex":
         """Sample ``theta`` RR-Graphs, record only per-user containment counts."""
@@ -73,26 +73,17 @@ class DelayedMaterializationIndex:
         users = np.flatnonzero(counts)
         self.containment_counts = dict(zip(users.tolist(), counts[users].tolist()))
         self._built = True
-        self._built_version = self.graph.version
         self.build_seconds = monotonic() - started
         return self
 
     @property
     def is_built(self) -> bool:
-        """Whether :meth:`build` has completed for the graph's *current* state.
-
-        As for :class:`~repro.index.rr_index.RRGraphIndex`, a graph mutation
-        after the build marks the counts stale and the index reports unbuilt.
-        """
-        return self._built and self._built_version == self.graph.version
+        """Whether :meth:`build` (or :meth:`from_arrays`) has completed."""
+        return self._built
 
     def _require_built(self) -> None:
         if not self._built:
             raise IndexNotBuiltError("DelayedMaterializationIndex.build() must be called first")
-        if self._built_version != self.graph.version:
-            raise IndexNotBuiltError(
-                "the graph was mutated after DelayedMaterializationIndex.build(); rebuild the index"
-            )
 
     def containment_count(self, user: int) -> int:
         """``theta(u)``: number of offline RR-Graphs that contained ``user``."""
@@ -125,11 +116,10 @@ class DelayedMaterializationIndex:
         cls,
         graph: TopicSocialGraph,
         arrays: Dict[str, np.ndarray],
-        built_version: Optional[int] = None,
         build_seconds: float = 0.0,
         seed: SeedLike = None,
     ) -> "DelayedMaterializationIndex":
-        """Reassemble an index from :meth:`to_arrays` output.
+        """Reassemble an index of ``graph``'s current version from :meth:`to_arrays` output.
 
         ``seed`` feeds the recovery RNG of the reloaded index.  Note that a
         *built* index's own RNG has already consumed draws during
@@ -151,7 +141,6 @@ class DelayedMaterializationIndex:
         counts = np.asarray(arrays["containment_counts"], dtype=np.int64)
         index.containment_counts = {int(u): int(c) for u, c in zip(users, counts)}
         index._built = True
-        index._built_version = graph.version if built_version is None else int(built_version)
         index.build_seconds = float(build_seconds)
         return index
 
@@ -251,8 +240,8 @@ class DelayedIndexEstimator(InfluenceEstimator):
         shared_filters: Optional[Dict[int, _UserFilterStructures]] = None,
     ) -> None:
         super().__init__(graph, model, budget)
-        if index.graph is not graph:
-            raise IndexNotBuiltError("the index was built for a different graph instance")
+        if index.graph is not self.graph:
+            raise IndexNotBuiltError("the index was built for another graph or graph version")
         self.index = index
         self.use_pruning = use_pruning
         self._rng = spawn_rng(seed)

@@ -372,8 +372,8 @@ class PrunedIndexEstimator(InfluenceEstimator):
         shared_structures: Optional[Dict[int, _UserFilterStructures]] = None,
     ) -> None:
         super().__init__(graph, model, budget)
-        if index.graph is not graph:
-            raise IndexNotBuiltError("the index was built for a different graph instance")
+        if index.graph is not self.graph:
+            raise IndexNotBuiltError("the index was built for another graph or graph version")
         self.index = index
         self._shared_structures = shared_structures
         self._user_structures: Dict[int, _UserFilterStructures] = {}

@@ -56,7 +56,9 @@ class RRGraphIndex:
     Parameters
     ----------
     graph:
-        The social graph the index is built for.
+        The social graph the index is built for; the index keeps its
+        :meth:`~repro.graph.digraph.TopicSocialGraph.snapshot`, so later
+        writes to ``graph`` never reach it.
     num_samples:
         Number of RR-Graphs to materialize (``theta``).  The theoretical value
         of Eqn. 7 can be obtained from
@@ -68,7 +70,7 @@ class RRGraphIndex:
     """
 
     def __init__(self, graph: TopicSocialGraph, num_samples: int, seed: SeedLike = None) -> None:
-        self.graph = graph
+        self.graph = graph.snapshot()
         self.num_samples = int(num_samples)
         self._rng = spawn_rng(seed)
         self._arrays: Dict[str, np.ndarray] = {}
@@ -76,7 +78,6 @@ class RRGraphIndex:
         self.containment: Dict[int, Tuple[int, ...]] = {}
         self.build_seconds: float = 0.0
         self._built = False
-        self._built_version: Optional[int] = None
         self._block: Optional[RRBlock] = None
         self._block_lock = threading.Lock()
 
@@ -88,7 +89,6 @@ class RRGraphIndex:
         max_probabilities = self.graph.max_edge_probabilities()
         self._adopt(sample_rr_arrays(self.graph, self.num_samples, self._rng, max_probabilities))
         self._built = True
-        self._built_version = self.graph.version
         self.build_seconds = monotonic() - started
         return self
 
@@ -118,22 +118,12 @@ class RRGraphIndex:
 
     @property
     def is_built(self) -> bool:
-        """Whether :meth:`build` has completed for the graph's *current* state.
-
-        Mutating the graph (``add_edge``) after a build marks the index stale:
-        the stored RR-Graphs describe the pre-mutation graph, so querying them
-        would silently mix snapshots.  A stale index reports ``False`` here
-        and must be rebuilt.
-        """
-        return self._built and self._built_version == self.graph.version
+        """Whether :meth:`build` (or :meth:`from_arrays`) has completed."""
+        return self._built
 
     def _require_built(self) -> None:
         if not self._built:
             raise IndexNotBuiltError("RRGraphIndex.build() must be called before querying")
-        if self._built_version != self.graph.version:
-            raise IndexNotBuiltError(
-                "the graph was mutated after RRGraphIndex.build(); rebuild the index"
-            )
 
     # ------------------------------------------------------------------ query
     def graphs_containing(self, user: int) -> Tuple[int, ...]:
@@ -210,16 +200,12 @@ class RRGraphIndex:
         cls,
         graph: TopicSocialGraph,
         arrays: Dict[str, np.ndarray],
-        built_version: Optional[int] = None,
         build_seconds: float = 0.0,
     ) -> "RRGraphIndex":
-        """Reassemble an index from :meth:`to_arrays` output.
+        """Reassemble an index of ``graph``'s current version from :meth:`to_arrays` output.
 
-        ``built_version`` is the ``graph.version`` recorded at save time; the
-        reconstructed index is only usable while the graph still has that
-        version (the usual staleness rule of :attr:`is_built`).  The rebuilt
-        containment lists are identical to the originals because graphs are
-        rebuilt from the same flat arrays.
+        The rebuilt containment lists are identical to the originals because
+        graphs are rebuilt from the same flat arrays.
 
         The arrays are adopted as they are (no per-graph Python objects).
         They may be read-only ``numpy.memmap`` views (what
@@ -232,7 +218,6 @@ class RRGraphIndex:
             {name: np.asarray(arrays[name], dtype=dtype) for name, dtype in RR_ARRAY_LAYOUT.items()}
         )
         index._built = True
-        index._built_version = graph.version if built_version is None else int(built_version)
         index.build_seconds = float(build_seconds)
         return index
 
@@ -288,8 +273,8 @@ class IndexEstimator(InfluenceEstimator):
         budget: Optional[SampleBudget] = None,
     ) -> None:
         super().__init__(graph, model, budget)
-        if index.graph is not graph:
-            raise IndexNotBuiltError("the index was built for a different graph instance")
+        if index.graph is not self.graph:
+            raise IndexNotBuiltError("the index was built for another graph or graph version")
         self.index = index
 
     def estimate_with_probabilities(

@@ -243,7 +243,9 @@ class InfluenceEstimator(abc.ABC):
 
     Concrete estimators hold the graph, the tag-topic model and a
     :class:`SampleBudget`; the engine calls :meth:`estimate` once per candidate
-    tag set.
+    tag set.  The graph an estimator holds is the
+    :meth:`~repro.graph.digraph.TopicSocialGraph.snapshot` of the one it was
+    given: it answers on that version for as long as it lives.
     """
 
     name: str = "abstract"
@@ -260,13 +262,13 @@ class InfluenceEstimator(abc.ABC):
         model: TagTopicModel,
         budget: Optional[SampleBudget] = None,
     ) -> None:
-        self.graph = graph
+        self.graph = graph.snapshot()
         self.model = model
         self.budget = budget if budget is not None else SampleBudget(num_tags=model.num_tags)
         self.total_edges_visited = 0
         self.total_samples = 0
-        # (user, graph version, posterior bytes) -> estimate, on pure estimators.
-        self._estimates: Dict[Tuple[int, int, bytes], InfluenceEstimate] = {}
+        # (user, posterior bytes) -> estimate, on pure estimators.
+        self._estimates: Dict[Tuple[int, bytes], InfluenceEstimate] = {}
 
     # ----------------------------------------------------------------- public
     def estimate(self, user: int, tag_set: Iterable) -> InfluenceEstimate:
@@ -308,7 +310,7 @@ class InfluenceEstimator(abc.ABC):
         On a :attr:`pure_estimates` estimator the row is a function of the
         posterior ``p(z|W)``, and the estimate a function of ``(user, row)``,
         so every estimate is memoized for the life of the instance, keyed by
-        ``(user, graph.version, posterior bytes)``: only the posteriors not
+        ``(user, posterior bytes)``: only the posteriors not
         seen before are built and matched, in one call, and tag sets that
         share a posterior share one (frozen) estimate.  A shared estimate
         still reports the samples and edges of the evaluation that produced
@@ -335,10 +337,9 @@ class InfluenceEstimator(abc.ABC):
         if not posteriors:
             return results
         if self.pure_estimates:
-            version = self.graph.version
             estimates = memoized_many(
                 self._estimates,
-                [(user, version, posterior.tobytes()) for posterior in posteriors],
+                [(user, posterior.tobytes()) for posterior in posteriors],
                 posteriors,
                 lambda missing: self._estimates_under(user, missing, kernel),
             )

@@ -16,8 +16,10 @@ lock.  :class:`~repro.serve.answers.AnswerCache` is the epoch policy;
 :class:`EngineCache` below keeps warm :class:`~repro.core.engine.PitexEngine`
 instances keyed by engine configuration.  An engine is cheap to build, but
 its offline indexes and freeze-time per-user tables are not.  Each lookup
-re-validates the entry against the engine's graph ``version``: an engine
-whose graph mutated after caching is dropped (an invalidation) and rebuilt.
+compares the engine's pinned graph version (``engine.graph.version``) with
+its source graph's current one: an engine whose source graph took a write
+is dropped (an invalidation) and rebuilt, while requests already running on
+it finish on the version they started on.
 ``get_or_create`` freezes every factory-built engine inside the gate
 (:meth:`PitexEngine.freeze`; opt out with ``freeze=False``, narrow it with
 ``freeze_methods``); ``put`` never freezes.
@@ -71,11 +73,10 @@ class CacheStats:
 
 @dataclass
 class _Entry:
-    """One resident value, its size in bytes and a policy-defined stamp."""
+    """One resident value and its size in bytes."""
 
     value: Any
     num_bytes: int = 0
-    stamp: Any = None
 
 
 @dataclass
@@ -299,12 +300,8 @@ class EngineCache(SingleFlightLRU):
 
         return self._get_or_compute(key, build)[0]
 
-    def _entry(self, engine: PitexEngine) -> _Entry:
-        """Stamp the engine with the graph version it was cached at."""
-        return _Entry(engine, stamp=engine.graph.version)
-
     def _superseded(self, key: Hashable) -> List[Hashable]:
-        """``[key]`` when its engine's graph mutated after caching."""
+        """``[key]`` when its engine's source graph moved past the pinned version."""
         entry = self._entries.get(key)
-        stale = entry is not None and entry.value.graph.version != entry.stamp
+        stale = entry is not None and entry.value.source_graph.version != entry.value.graph.version
         return [key] if stale else []

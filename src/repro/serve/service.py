@@ -227,8 +227,8 @@ def execute_request(
 ) -> Tuple[PitexResult, bool]:
     """``(result, cache_hit)``: answer ``request`` on ``engine``, both backends' one path.
 
-    The answer cache fronts *frozen* engines only: their graph cannot change
-    under the query, so the answer is a pure function of
+    The answer cache fronts *frozen* engines only: their indexes cannot be
+    rebuilt under the query (and no engine's pinned graph version changes), so the answer is a pure function of
     :func:`~repro.serve.answers.answer_key`, and a hit returns it without
     touching the engine -- no ``query.*`` telemetry, no execute span.  The
     engine runs inside the ``execute`` trace span, which carries
@@ -284,8 +284,8 @@ class PitexService:
         requests of the oldest key.
     answer_cache:
         Optional :class:`~repro.serve.answers.AnswerCache` consulted before
-        executing requests against *frozen* engines, whose graph cannot
-        change under a running query; unfrozen engines always execute.
+        executing requests against *frozen* engines, whose indexes cannot
+        be rebuilt under a running query; unfrozen engines always execute.
         Hits skip the engine, the execute trace span and the ``query.*``
         telemetry, and are recorded as ``cache_hit`` responses.
     """

@@ -376,6 +376,7 @@ class IndexStore:
         buffers; the reconstructed index answers bitwise-identically either
         way (covered by ``tests/test_serve_process.py``).
         """
+        graph = graph.snapshot()  # the version the manifest is checked against
         loaded = self._load_arrays(
             KIND_RR, graph, model, num_samples, mmap=mmap, index_seed=index_seed
         )
@@ -383,10 +384,7 @@ class IndexStore:
             return None
         arrays, manifest = loaded
         return RRGraphIndex.from_arrays(
-            graph,
-            arrays,
-            built_version=manifest["graph_version"],
-            build_seconds=manifest.get("build_seconds", 0.0),
+            graph, arrays, build_seconds=manifest.get("build_seconds", 0.0)
         )
 
     def load_delayed_index(
@@ -403,6 +401,7 @@ class IndexStore:
         ``seed`` feeds the reloaded index's recovery RNG; ``index_seed``, when
         set, admits only an index drawn from exactly that seed.
         """
+        graph = graph.snapshot()  # the version the manifest is checked against
         loaded = self._load_arrays(
             KIND_DELAYED, graph, model, num_samples, mmap=mmap, index_seed=index_seed
         )
@@ -410,11 +409,7 @@ class IndexStore:
             return None
         arrays, manifest = loaded
         return DelayedMaterializationIndex.from_arrays(
-            graph,
-            arrays,
-            built_version=manifest["graph_version"],
-            build_seconds=manifest.get("build_seconds", 0.0),
-            seed=seed,
+            graph, arrays, build_seconds=manifest.get("build_seconds", 0.0), seed=seed
         )
 
     # --------------------------------------------------------- load or build

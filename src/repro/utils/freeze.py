@@ -1,15 +1,12 @@
-"""The frozen-engine tripwire: detect shared-state mutation after warm-up.
+"""The frozen-engine tripwire: detect index rebuilds after warm-up.
 
 Every query derives all randomness statelessly and builds its own estimator,
-so the structures queries share -- the graph and the offline indexes -- must
-not change while an engine serves.  :meth:`repro.core.engine.PitexEngine.freeze`
-builds them eagerly and then guards them.  That contract is easy to break
-silently -- a lazily built cache, a graph mutation, a rebuilt index -- and the
-GIL usually hides the race instead of failing it.
-
-:class:`FrozenGuard` makes the contract executable.  One guard instance is
-shared by the engine and every structure it froze (graph, offline
-indexes); the known mutators of those structures call
+so the structures queries share must not change while an engine serves.  The
+graph cannot (engines read a read-only
+:meth:`~repro.graph.digraph.TopicSocialGraph.snapshot`), but whoever holds an
+offline index can call ``build()`` again.  :meth:`repro.core.engine.PitexEngine.freeze`
+builds the indexes eagerly and then guards them: one :class:`FrozenGuard` is
+shared by the engine and every index it froze, the known index mutators call
 :func:`guard_check` on entry, and once the guard is engaged any such call
 records a violation and raises :class:`~repro.exceptions.EngineFrozenError`.
 The concurrency harness (``tests/test_serve_concurrency.py``) asserts that a
@@ -32,9 +29,9 @@ from repro.obs.telemetry import counter
 _GUARDS_ATTR = "_freeze_guards"
 
 # Serializes attach/detach/prune of any object's guard list: two engines
-# freezing concurrently over one shared graph must both land their guards
+# freezing concurrently over one shared index must both land their guards
 # (an unsynchronized read-modify-write could silently drop one, leaving an
-# engine that believes it is guarded while its graph accepts mutations).
+# engine that believes it is guarded while its index accepts rebuilds).
 _registry_lock = threading.Lock()
 
 
@@ -77,12 +74,12 @@ def attach_freeze_guard(obj: object, guard: FrozenGuard) -> None:
     """Register ``guard`` on ``obj`` so its mutators start honouring it.
 
     Attaching is idempotent per guard instance.  An object may carry several
-    guards (e.g. one graph shared by two frozen engines); a mutation is
-    rejected while *any* of them is engaged.
+    guards (e.g. one prebuilt index shared by two frozen engines); a mutation
+    is rejected while *any* of them is engaged.
 
     Guards are held through **weak references**: a guard lives exactly as
     long as the engine that owns it, so an engine dropped without ``thaw()``
-    (e.g. evicted from an ``EngineCache``) stops guarding its shared graph as
+    (e.g. evicted from an ``EngineCache``) stops guarding a shared index as
     soon as it is collected, instead of blocking mutation forever.  Dead
     references are pruned on every attach/check, bounding the list.
     """

@@ -85,11 +85,6 @@ class RunningMean:
         self.mean += delta / self.count
         self._m2 += delta * (value - self.mean)
 
-    def extend(self, values: Iterable[float]) -> None:
-        """Incorporate several observations."""
-        for value in values:
-            self.add(value)
-
     @property
     def variance(self) -> float:
         """Sample variance (0.0 with fewer than two observations)."""
@@ -142,11 +137,6 @@ class LatencyAccumulator:
             slot = self._reservoir_rng.integer(0, self._running.count)
             if slot < self.max_samples:
                 self._samples[slot] = value
-
-    def extend(self, values: Iterable[float]) -> None:
-        """Record several observations."""
-        for value in values:
-            self.add(value)
 
     @property
     def count(self) -> int:

@@ -41,7 +41,7 @@ class LRUModel:
     def __init__(self, capacity, prefix):
         self.capacity = capacity
         self.prefix = prefix
-        self.entries = {}  # key -> (value, num_bytes, stamp), LRU first
+        self.entries = {}  # key -> (value, num_bytes), LRU first
         self.stats = {
             "hits": 0,
             "misses": 0,
@@ -69,9 +69,9 @@ class LRUModel:
         self.stats["misses"] += 1
         self._send("miss")
 
-    def insert(self, key, value, num_bytes=0, stamp=None):
+    def insert(self, key, value, num_bytes=0):
         replaced = self.entries.pop(key, None)
-        self.entries[key] = (value, num_bytes, stamp)
+        self.entries[key] = (value, num_bytes)
         self.stats["bytes_cached"] += num_bytes
         if num_bytes:
             self._send("bytes", num_bytes)
@@ -263,7 +263,7 @@ class AnswerCacheMachine(_CacheMachine):
 
 
 class EngineCacheMachine(_CacheMachine):
-    """:class:`EngineCache` over stub engines whose graphs can mutate."""
+    """:class:`EngineCache` over stub engines whose source graphs can take writes."""
 
     def __init__(self):
         super().__init__()
@@ -272,7 +272,11 @@ class EngineCacheMachine(_CacheMachine):
 
     @staticmethod
     def new_engine():
-        return SimpleNamespace(graph=SimpleNamespace(version=0), is_frozen=False)
+        return SimpleNamespace(
+            graph=SimpleNamespace(version=0),
+            source_graph=SimpleNamespace(version=0),
+            is_frozen=False,
+        )
 
     def fresh_key(self):
         self.fresh += 1
@@ -283,12 +287,12 @@ class EngineCacheMachine(_CacheMachine):
 
     def drop_if_stale(self, key):
         entry = self.model.entries.get(key)
-        if entry is not None and entry[0].graph.version != entry[2]:
+        if entry is not None and entry[0].source_graph.version != entry[0].graph.version:
             self.model.drop([key])
 
     def expect_compute(self, key, engine):
         self.model.miss()
-        self.model.insert(key, engine, stamp=engine.graph.version)
+        self.model.insert(key, engine)
 
     @rule(key=st.sampled_from("abc"))
     def get_or_create(self, key):
@@ -315,7 +319,7 @@ class EngineCacheMachine(_CacheMachine):
     def put(self, key):
         engine = self.new_engine()
         self.cache.put(key, engine)
-        self.model.insert(key, engine, stamp=0)
+        self.model.insert(key, engine)
 
     @rule(key=st.sampled_from("abc"))
     def invalidate(self, key):
@@ -327,7 +331,7 @@ class EngineCacheMachine(_CacheMachine):
     @rule(data=st.data())
     def bump_graph_version(self, data):
         key = data.draw(st.sampled_from(sorted(self.model.entries)))
-        self.model.entries[key][0].graph.version += 1  # the cache holds the same engine
+        self.model.entries[key][0].source_graph.version += 1  # a write to its source graph
 
     @rule(key=st.sampled_from("abc"))
     def failing_factory(self, key):

@@ -287,13 +287,13 @@ def test_tag_aware_reachable_kernels_agree():
 
 
 def test_indexes_go_stale_when_graph_mutates(small_graph):
-    from repro.exceptions import IndexNotBuiltError
+    """A built index keeps answering the graph version it pinned; a new one sees the write."""
     from repro.index.rr_index import RRGraphIndex
 
     graph = small_graph.copy()
     index = RRGraphIndex(graph, num_samples=40, seed=2).build()
-    assert index.is_built
-    index.estimate(0, graph.max_edge_probabilities())  # queryable while fresh
+    pinned = index.graph
+    before = index.estimate(0, pinned.max_edge_probabilities())
     free_pair = next(
         (s, t)
         for s in graph.vertices()
@@ -301,11 +301,11 @@ def test_indexes_go_stale_when_graph_mutates(small_graph):
         if s != t and not graph.has_edge(s, t)
     )
     graph.add_edge(*free_pair, [0.5] * graph.num_topics)
-    assert not index.is_built  # stale: stored RR-Graphs describe the old graph
-    with pytest.raises(IndexNotBuiltError):
-        index.estimate(0, graph.max_edge_probabilities())
-    index.build()  # rebuild clears the staleness
-    assert index.is_built
+    assert index.is_built and index.graph is pinned
+    assert not pinned.has_edge(*free_pair) and pinned.version == graph.version - 1
+    assert index.estimate(0, pinned.max_edge_probabilities()) == before
+    fresh = RRGraphIndex(graph, num_samples=40, seed=2).build()
+    assert fresh.graph is graph.snapshot() and fresh.graph.has_edge(*free_pair)
 
 
 def test_delayed_recovery_invariants(small_graph):

@@ -1,9 +1,11 @@
 """Tests for repro.graph.digraph."""
 
+import threading
+
 import numpy as np
 import pytest
 
-from repro.exceptions import GraphError, UnknownEdgeError, UnknownVertexError
+from repro.exceptions import GraphError, ReadOnlyGraphError, UnknownEdgeError, UnknownVertexError
 from repro.graph.digraph import TopicSocialGraph
 
 
@@ -147,3 +149,88 @@ def test_fingerprint_changes_on_mutation():
     graph.add_edge(0, 2, [0.1, 0.1])
     assert graph.version == version + 1
     assert graph.fingerprint() != before
+
+
+# ---------------------------------------------------------------- snapshots
+def test_snapshot_is_one_object_per_version():
+    graph = make_triangle()
+    first = graph.snapshot()
+    assert graph.snapshot() is first
+    assert first.snapshot() is first  # a snapshot's snapshot is itself
+    assert first.version == graph.version
+    fingerprint = first.fingerprint()
+    graph.add_edge(0, 2, [0.1, 0.1])
+    second = graph.snapshot()
+    assert second is not first and second.version == graph.version == first.version + 1
+    assert second.has_edge(0, 2) and not first.has_edge(0, 2)
+    # The write went to copies: the first snapshot still is the old version.
+    assert first.num_edges == 3 and first.out_edges(0) == [0] and first.in_edges(2) == [1]
+    assert first.fingerprint() == fingerprint != second.fingerprint()
+
+
+def test_snapshot_shares_the_version_arrays_bit_for_bit():
+    graph = make_triangle()
+    snapshot = graph.snapshot()
+    assert snapshot.fingerprint() == graph.fingerprint()
+    assert snapshot.vertex_labels == graph.vertex_labels
+    assert snapshot.probability_matrix.tobytes() == graph.probability_matrix.tobytes()
+    assert np.shares_memory(snapshot.probability_matrix, graph.probability_matrix)
+    for name in (
+        "edge_sources",
+        "edge_targets",
+        "out_indptr",
+        "out_targets",
+        "out_edge_ids",
+        "in_indptr",
+        "in_sources",
+        "in_edge_ids",
+    ):
+        ours, theirs = getattr(snapshot.csr, name), getattr(graph.csr, name)
+        assert ours.tobytes() == theirs.tobytes(), name
+        assert np.shares_memory(ours, theirs), name
+    for vertex in graph.vertices():
+        assert snapshot.out_edges(vertex) == graph.out_edges(vertex)
+        assert snapshot.in_edges(vertex) == graph.in_edges(vertex)
+
+
+def test_snapshot_is_read_only():
+    graph = make_triangle()
+    snapshot = graph.snapshot()
+    with pytest.raises(ReadOnlyGraphError):
+        snapshot.add_edge(0, 2, [0.1, 0.1])
+    assert snapshot.num_edges == graph.num_edges == 3
+    assert snapshot.copy().add_edge(0, 2, [0.1, 0.1]) == 3  # a copy is writable
+
+
+def test_snapshot_taken_during_add_edge_is_one_whole_version():
+    """``snapshot`` waits for a running ``add_edge``, so it never sees half an edge."""
+    graph = make_triangle()
+    before = graph.snapshot()
+    entered, release = threading.Event(), threading.Event()
+
+    class SlowProbabilities:
+        """Blocks ``add_edge`` after it has taken the lock, until released."""
+
+        def __array__(self, dtype=None, copy=None):
+            entered.set()
+            release.wait(5.0)
+            return np.array([0.1, 0.4], dtype=dtype)
+
+    writer = threading.Thread(target=graph.add_edge, args=(0, 2, SlowProbabilities()))
+    writer.start()
+    assert entered.wait(5.0)
+    taken = []
+    reader = threading.Thread(target=lambda: taken.append(graph.snapshot()))
+    reader.start()
+    reader.join(0.05)
+    assert reader.is_alive()  # blocked behind the write
+    release.set()
+    writer.join()
+    reader.join()
+    [during] = taken
+    expected = make_triangle()
+    expected.add_edge(0, 2, [0.1, 0.4])
+    assert during.version == before.version + 1
+    assert during.fingerprint() == expected.fingerprint()
+    assert during.num_edges == during.csr.num_edges == len(during.probability_matrix) == 4
+    assert before.num_edges == before.csr.num_edges == len(before.probability_matrix) == 3

@@ -225,6 +225,7 @@ def test_exact_influence_bounds_and_monotonicity(graph, data):
 @settings(max_examples=50, deadline=None)
 def test_running_mean_matches_numpy(values):
     running = RunningMean()
-    running.extend(values)
+    for value in values:
+        running.add(value)
     assert running.mean == pytest.approx(float(np.mean(values)), abs=1e-9)
     assert running.variance == pytest.approx(float(np.var(values, ddof=1)), abs=1e-6)

@@ -21,7 +21,6 @@ import pytest
 
 from repro.core.best_effort import BestEffortExplorer
 from repro.core.query import PitexQuery
-from repro.exceptions import IndexNotBuiltError
 from repro.graph.algorithms import reachable_counts
 from repro.graph.digraph import TopicSocialGraph
 from repro.sampling.base import SampleBudget
@@ -139,19 +138,25 @@ def test_sampling_estimators_draw_every_row_they_are_given():
 
 
 def test_estimate_memo_follows_graph_mutation():
-    """A mutated graph is never answered from the memo: the stale index still raises."""
+    """An estimator keeps answering its pinned graph version; a new one sees the write."""
     from repro.index.rr_index import IndexEstimator, RRGraphIndex
 
     graph = TopicSocialGraph(4, 2)
     graph.add_edge(0, 1, [0.9, 0.0])
     graph.add_edge(1, 2, [0.0, 0.8])
     model = TagTopicModel(np.array([[0.9, 0.1], [0.2, 0.8]]))
-    estimator = IndexEstimator(graph, model, RRGraphIndex(graph, 200, seed=1).build(), _budget(model))
-    first = estimator.compute_estimates(0, [(0,)])
-    assert estimator.compute_estimates(0, [(0,)]) == first
+
+    def estimator():
+        return IndexEstimator(graph, model, RRGraphIndex(graph, 200, seed=1).build(), _budget(model))
+
+    old = estimator()
+    first = old.compute_estimates(2, [(0,)])
     graph.add_edge(2, 3, [0.5, 0.5])
-    with pytest.raises(IndexNotBuiltError):
-        estimator.compute_estimates(0, [(0,)])
+    assert old.compute_estimates(2, [(0,)]) == first
+    assert not old.graph.has_edge(2, 3)
+    new = estimator()
+    assert new.graph.has_edge(2, 3)
+    assert new.compute_estimates(2, [(0,)])[0].value > first[0].value
 
 
 def test_delaymat_clear_cache_drops_memoized_estimates():
@@ -262,10 +267,11 @@ def test_each_open_edge_pattern_is_sized_once_per_estimator(monkeypatch):
 
 
 def test_memoized_sizes_equal_reachable_counts():
-    """Sizes served by one estimator across users, and after an edge insert, are exact.
+    """Sizes served by one estimator across users, and across an edge insert, are exact.
 
-    Inserted edges get new ids, so an old pattern padded with closed new
-    edges packs to the same bytes and still has the same size.
+    An estimator sizes rows of the graph version it pinned, so after an
+    insert the old estimator keeps its sizes and a new one sizes the new
+    version.
     """
     chain = TopicSocialGraph(5, 2)
     for source, probabilities in enumerate([[0.5, 0.0], [0.5, 0.5], [0.0, 0.5], [0.5, 0.5]]):
@@ -282,5 +288,7 @@ def test_memoized_sizes_equal_reachable_counts():
     estimator = _lazy_batched(small, TagTopicModel(np.ones((2, 1))))
     assert estimator._reachable_sizes(0, np.array([[0.5]])).tolist() == [2]
     small.add_edge(1, 2, [0.5])
+    assert estimator._reachable_sizes(0, np.array([[0.5]])).tolist() == [2]
+    estimator = _lazy_batched(small, TagTopicModel(np.ones((2, 1))))
     assert estimator._reachable_sizes(0, np.array([[0.5, 0.0]])).tolist() == [2]
     assert estimator._reachable_sizes(0, np.array([[0.5, 0.5]])).tolist() == [3]

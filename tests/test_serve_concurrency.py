@@ -21,6 +21,7 @@ itself: answers are independent of arrival order, and fingerprints/seeds are
 pure functions of the query configuration.
 """
 
+import sys
 import threading
 import time
 
@@ -30,7 +31,7 @@ from hypothesis import strategies as st
 
 from repro.core.engine import METHODS, PitexEngine
 from repro.datasets.synthetic import load_dataset
-from repro.exceptions import EngineFrozenError
+from repro.exceptions import EngineFrozenError, ReadOnlyGraphError
 from repro.index.delayed import DelayedMaterializationIndex
 from repro.index.rr_index import RRGraphIndex
 from repro.serve.answers import answer_digest
@@ -328,23 +329,32 @@ def test_frozen_engine_rejects_unwarmed_methods_without_guard_trips(dataset):
 
 # ------------------------------------------------- guard / lifecycle behaviour
 def test_guard_trips_on_post_freeze_mutation(dataset):
+    source = dataset.graph.copy()
     engine = PitexEngine(
-        dataset.graph.copy(), dataset.model, max_samples=40, index_samples=40, default_k=2, seed=5
+        source, dataset.model, max_samples=40, index_samples=40, default_k=2, seed=5
     )
     engine.freeze(methods=["indexest", "lazy"])
     graph = engine.graph
+    before = engine.query(user=0, k=2, method="lazy")
 
-    with pytest.raises(EngineFrozenError):
+    with pytest.raises(ReadOnlyGraphError):  # the pinned snapshot: no guard, no trip
         graph.add_edge(0, graph.num_vertices - 1, [0.1] * graph.num_topics)
     with pytest.raises(EngineFrozenError):  # unwarmed offline index
         _ = engine.delayed_index
+    with pytest.raises(EngineFrozenError):  # rebuilding a warmed one
+        engine.rr_index.build()
     assert len(engine.freeze_guard.violations) == 2
     with pytest.raises(EngineFrozenError):  # unwarmed method: a routing error, no trip
         engine.estimator("mc", epsilon=0.5)
     assert len(engine.freeze_guard.violations) == 2
 
+    # A write lands on the source graph; the frozen engine keeps its version.
+    source.add_edge(0, source.num_vertices - 1, [0.1] * source.num_topics)
+    assert engine.graph is graph and graph.version == source.version - 1
+    after = engine.query(user=0, k=2, method="lazy")
+    assert answer_digest([after]) == answer_digest([before])
+
     engine.thaw()
-    graph.add_edge(0, graph.num_vertices - 1, [0.1] * graph.num_topics)  # mutable again
     assert engine.query(user=0, k=2, method="lazy").tag_ids
     assert len(engine.freeze_guard.violations) == 2  # history preserved
 
@@ -389,17 +399,24 @@ def test_refreeze_rejects_a_different_precompute_tables(dataset):
 
 
 def test_concurrent_freezes_over_one_graph_both_land_their_guards(dataset):
-    """Two engines freezing in parallel on a shared graph must both guard it.
+    """Engines freezing in parallel over one shared prebuilt index must all guard it.
 
     The guard registry's attach is a read-modify-write on the shared object;
-    without serialization one racing freeze could silently drop the other's
-    guard, leaving an engine that believes it is frozen while its graph
-    accepts mutations.
+    without serialization one racing freeze could silently drop another's
+    guard, leaving an engine that believes it is frozen while its index
+    accepts rebuilds.
     """
     graph = dataset.graph.copy()
+    index = RRGraphIndex(graph, 40, seed=3).build()
     engines = [
         PitexEngine(
-            graph, dataset.model, max_samples=40, index_samples=40, default_k=2, seed=seed
+            graph,
+            dataset.model,
+            max_samples=40,
+            index_samples=40,
+            default_k=2,
+            seed=seed,
+            rr_index=index,
         )
         for seed in (1, 2, 3, 4)
     ]
@@ -407,7 +424,7 @@ def test_concurrent_freezes_over_one_graph_both_land_their_guards(dataset):
 
     def freeze(engine):
         barrier.wait()
-        engine.freeze(methods=["lazy"])
+        engine.freeze(methods=["indexest"])
 
     threads = [threading.Thread(target=freeze, args=(engine,)) for engine in engines]
     for thread in threads:
@@ -415,41 +432,136 @@ def test_concurrent_freezes_over_one_graph_both_land_their_guards(dataset):
     for thread in threads:
         thread.join()
 
-    # Every engine's guard must be armed on the graph: thawing all but one
-    # must still leave the graph read-only, and thawing the last frees it.
+    # Every engine's guard must be armed on the index: thawing all but one
+    # must still refuse a rebuild, and thawing the last frees it.
     for engine in engines[:-1]:
         engine.thaw()
     with pytest.raises(EngineFrozenError):
-        graph.add_edge(0, graph.num_vertices - 1, [0.1] * graph.num_topics)
+        index.build()
     engines[-1].thaw()
-    graph.add_edge(0, graph.num_vertices - 1, [0.1] * graph.num_topics)
+    index.build()
 
 
 def test_thaw_and_garbage_collection_release_shared_graph_guards(dataset):
-    """A dropped or thawed engine must not keep a shared graph read-only."""
+    """A dropped or thawed engine must not keep a shared prebuilt index frozen."""
     import gc
 
     graph = dataset.graph.copy()
-    first = PitexEngine(
-        graph, dataset.model, max_samples=40, index_samples=40, default_k=2, seed=5
-    ).freeze(methods=["indexest"])
-    second = PitexEngine(
-        graph, dataset.model, max_samples=40, index_samples=40, default_k=2, seed=6
-    ).freeze(methods=["indexest"])
+    index = RRGraphIndex(graph, 40, seed=3).build()
+    first, second = (
+        PitexEngine(
+            graph,
+            dataset.model,
+            max_samples=40,
+            index_samples=40,
+            default_k=2,
+            seed=seed,
+            rr_index=index,
+        ).freeze(methods=["indexest"])
+        for seed in (5, 6)
+    )
 
     with pytest.raises(EngineFrozenError):
-        graph.add_edge(0, graph.num_vertices - 1, [0.1] * graph.num_topics)
+        index.build()
 
     # thaw() detaches only the thawing engine's guard; the other stays armed.
     first.thaw()
     with pytest.raises(EngineFrozenError):
-        graph.add_edge(0, graph.num_vertices - 1, [0.1] * graph.num_topics)
+        index.build()
 
     # Dropping the remaining frozen engine without thaw() (the EngineCache
     # eviction path) releases its weakly-held guard once collected.
     del second
     gc.collect()
-    graph.add_edge(0, graph.num_vertices - 1, [0.1] * graph.num_topics)  # mutable again
+    index.build()  # rebuildable again
+
+
+# ------------------------------------------------------ snapshot isolation
+ISOLATION_METHODS = ("indexest+", "lazy-batched")
+ISOLATION_PARAMS = dict(max_samples=40, index_samples=50, default_k=2, seed=7)
+
+
+def test_readers_finish_on_their_pinned_version_while_writes_land(dataset):
+    """Readers racing writes answer exactly as a single-threaded oracle at their engine's version.
+
+    Three reader threads alternate between one thawed engine and the engines
+    an :class:`EngineCache` serves, while a writer adds edges to the source
+    graph and refreshes the cache after each.  No request may raise, and
+    every answer must equal an oracle engine built on a copy of the graph
+    version the answering engine pinned.
+    """
+    from repro.serve.cache import EngineCache
+
+    source = dataset.graph.copy()
+    users = dataset.workload("mid", 2) + dataset.workload("low", 1)
+    low = dataset.workload("low", 6)
+    writes = [
+        (s, t) for s in low for t in low if s != t and not source.has_edge(s, t)
+    ][:8]
+    thawed = PitexEngine(source, dataset.model, **ISOLATION_PARAMS)
+    thawed.freeze(methods=ISOLATION_METHODS).thaw()
+    cache = EngineCache(capacity=2, freeze=True, freeze_methods=ISOLATION_METHODS)
+
+    def served():
+        return cache.get_or_create(
+            "k", lambda: PitexEngine(source, dataset.model, **ISOLATION_PARAMS)
+        )
+
+    served()
+    barrier = threading.Barrier(4)
+    writing = threading.Event()
+    writing.set()
+    answers, errors = [], []
+
+    def reader(slot):
+        barrier.wait()
+        count = 0
+        while count < 6 or (writing.is_set() and count < 40):
+            user = users[(slot + count) % len(users)]
+            method = ISOLATION_METHODS[count % len(ISOLATION_METHODS)]
+            try:
+                engine = thawed if count % 2 == 0 else served()
+                result = engine.query(user=user, k=2, method=method)
+                answers.append((engine.graph, user, method, answer_digest([result])))
+            except Exception as exc:  # every failure is reported below
+                errors.append(f"{type(exc).__name__}: {exc}")
+            count += 1
+
+    def writer():
+        barrier.wait()
+        try:
+            for source_vertex, target in writes:
+                time.sleep(0.02)
+                source.add_edge(source_vertex, target, [0.02] * source.num_topics)
+                served()
+        except Exception as exc:
+            errors.append(f"write: {type(exc).__name__}: {exc}")
+        finally:
+            writing.clear()
+
+    threads = [threading.Thread(target=reader, args=(slot,)) for slot in range(3)]
+    threads.append(threading.Thread(target=writer))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, mid-query and mid-write
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert source.version == thawed.graph.version + len(writes)
+    oracles, expected = {}, {}
+    for pinned, user, method, digest in answers:
+        if id(pinned) not in oracles:
+            oracles[id(pinned)] = PitexEngine(pinned.copy(), dataset.model, **ISOLATION_PARAMS)
+        key = (id(pinned), user, method)
+        if key not in expected:
+            expected[key] = answer_digest([oracles[id(pinned)].query(user=user, k=2, method=method)])
+        assert digest == expected[key], (pinned.version, user, method)
+    assert len(oracles) > 2  # the readers saw several versions
 
 
 # --------------------------------------------- stateless derivation properties

@@ -505,8 +505,8 @@ def test_probability_columns_follow_add_edge_and_freeze():
     graph, model = dataset.graph.copy(), dataset.model
     engine = PitexEngine(graph, model, max_samples=40, index_samples=40, default_k=2, seed=7)
     engine.freeze(methods=["indexest+"], ks=[2])
-    columns = graph._prob_columns
-    assert columns is not None and graph.probability_columns is columns
+    columns = engine.graph._prob_columns  # warmed on the engine's pinned snapshot
+    assert columns is not None and engine.graph.probability_columns is columns
     assert columns.shape == (graph.num_topics, graph.num_edges) and not columns.flags.writeable
     engine.query(user=dataset.workload("mid", 1)[0], k=2, method="indexest+")
     assert engine.freeze_guard.violations == []

@@ -31,7 +31,8 @@ def test_log_sum_binomials_matches_direct_sum():
 def test_running_mean_matches_batch_statistics():
     values = [1.0, 2.0, 3.0, 4.0, 10.0]
     running = RunningMean()
-    running.extend(values)
+    for value in values:
+        running.add(value)
     assert abs(running.mean - sum(values) / len(values)) < 1e-12
     mean = sum(values) / len(values)
     expected_variance = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
@@ -58,7 +59,8 @@ def test_percentiles_reject_empty_and_out_of_range():
 
 def test_latency_accumulator_summary_and_merge():
     accumulator = LatencyAccumulator(label="svc")
-    accumulator.extend([0.010, 0.020, 0.030, 0.040])
+    for value in [0.010, 0.020, 0.030, 0.040]:
+        accumulator.add(value)
     summary = accumulator.summary()
     assert summary["label"] == "svc"
     assert summary["count"] == 4
@@ -76,7 +78,8 @@ def test_latency_accumulator_empty_summary_is_zeroed():
 
 def test_latency_accumulator_reservoir_bounds_memory():
     accumulator = LatencyAccumulator(max_samples=16)
-    accumulator.extend(float(i) for i in range(1000))
+    for i in range(1000):
+        accumulator.add(float(i))
     assert accumulator.count == 1000
     assert len(accumulator._samples) == 16  # reservoir never exceeds the cap
     summary = accumulator.summary()

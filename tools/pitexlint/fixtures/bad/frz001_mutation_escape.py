@@ -1,23 +1,23 @@
 """BAD fixture: a guard-wired class grows a mutating method with no tripwire.
 
-Must fire FRZ001 -- ``TopicSocialGraph`` is registered as guard-wired, and
-``add_edge_unchecked`` mutates self-reachable state without calling
+Must fire FRZ001 -- ``RRGraphIndex`` is registered as guard-wired, and
+``adopt_unchecked`` mutates self-reachable state without calling
 ``guard_check``, silently re-opening the frozen-engine hole.
 """
 
-# pitexlint: path=src/repro/graph/fixture_frz001.py
+# pitexlint: path=src/repro/index/fixture_frz001.py
 
 
-class TopicSocialGraph:
-    def __init__(self, num_vertices):
-        self.num_vertices = num_vertices
-        self._edges = []
+class RRGraphIndex:
+    def __init__(self, num_samples):
+        self.num_samples = num_samples
+        self._graphs = []
         self._dirty = False
 
-    def add_edge_unchecked(self, source, target, probabilities):
-        self._edges.append((source, target, probabilities))
+    def adopt_unchecked(self, graphs):
+        self._graphs.extend(graphs)
         self._dirty = True
 
-    def reset_probabilities(self, value):
-        for index in range(len(self._edges)):
-            self._edges[index] = (*self._edges[index][:2], value)
+    def reset_thresholds(self, value):
+        for index in range(len(self._graphs)):
+            self._graphs[index] = (*self._graphs[index][:2], value)

@@ -3,35 +3,35 @@
 FRZ001 must stay quiet -- mutating methods either call the ``guard_check``
 tripwire (free-function or ``self._guard.check`` idiom), are lifecycle
 methods (``__init__``/``thaw``), or are per-class allowlisted lazy cache
-builders (``csr`` on ``TopicSocialGraph``).
+builders (``block`` on ``RRGraphIndex``).
 """
 
-# pitexlint: path=src/repro/graph/fixture_frz001_ok.py
+# pitexlint: path=src/repro/index/fixture_frz001_ok.py
 
 from repro.utils.freeze import guard_check
 
 
-class TopicSocialGraph:
-    def __init__(self, num_vertices):
-        self.num_vertices = num_vertices
-        self._edges = []
-        self._csr_cache = None
+class RRGraphIndex:
+    def __init__(self, num_samples):
+        self.num_samples = num_samples
+        self._graphs = []
+        self._block = None
 
-    def add_edge(self, source, target, probabilities):
-        guard_check(self, "add_edge")
-        self._edges.append((source, target, probabilities))
-        self._csr_cache = None
+    def build(self, graphs):
+        guard_check(self, "build")
+        self._graphs.extend(graphs)
+        self._block = None
 
-    def csr(self):
-        if self._csr_cache is None:
-            self._csr_cache = tuple(self._edges)
-        return self._csr_cache
+    def block(self):
+        if self._block is None:
+            self._block = tuple(self._graphs)
+        return self._block
 
     def thaw(self):
-        self._csr_cache = None
+        self._block = None
 
-    def neighbors(self, vertex):
-        return [edge for edge in self._edges if edge[0] == vertex]
+    def graphs_containing(self, vertex):
+        return [graph for graph in self._graphs if vertex in graph]
 
 
 class PitexEngine:

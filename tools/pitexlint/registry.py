@@ -155,26 +155,14 @@ STDLIB_RANDOM_ATTRS = frozenset(
 # window -- freeze() engages the guard only after warming).
 FREEZE_GLOBAL_ALLOW = frozenset({"__init__", "__post_init__", "freeze", "thaw"})
 
-# The guard-wired classes -- the graph, the offline indexes and the engine --
-# and their per-class allowlists.  Estimators are not listed: every query
-# builds its own, so none is shared.  An entry is a *justified* mutation
-# escape: each listed method builds a lazy cache that PitexEngine.freeze()
-# warms before engaging the guard.
+# The guard-wired classes -- the offline indexes and the engine -- and their
+# per-class allowlists.  Estimators are not listed: every query builds its
+# own, so none is shared.  The graph is not listed either: engines read a
+# read-only snapshot of it (TopicSocialGraph.snapshot), whose add_edge
+# raises.  An entry is a *justified* mutation escape: each listed method
+# builds a lazy cache that PitexEngine.freeze() warms before engaging the
+# guard.
 GUARDED_CLASSES = {
-    "TopicSocialGraph": frozenset(
-        {
-            # Lazy caches warmed by freeze() before the guard engages; they
-            # cannot be invalidated afterwards because add_edge (the only
-            # invalidator) is guard-checked.
-            "csr",
-            "probability_matrix",
-            # The column-major copy of the probability matrix: add_edge
-            # drops it together with the matrix, so it never outlives it.
-            "probability_columns",
-            "max_edge_probabilities",
-            "fingerprint",
-        }
-    ),
     "RRGraphIndex": frozenset(
         {
             # Lazy block CSR of the RR-Graphs: a pure function of the built
