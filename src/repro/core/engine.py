@@ -399,8 +399,7 @@ class PitexEngine:
                     "thaw() before freezing a different configuration"
                 )
             return self
-        # Warm the shared lazily-built read-only structures (a snapshot
-        # already holds its CSR view and probability matrix).
+        # Warm the shared lazily-built read-only structures (beyond the snapshot's CSR and matrix).
         _ = self.graph.probability_columns
         max_probabilities = self.graph.max_edge_probabilities()
         self.graph.fingerprint()

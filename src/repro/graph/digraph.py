@@ -21,6 +21,8 @@ the graph or desynchronize the CSR cache.
 Every ``add_edge`` makes a new *version*; :meth:`TopicSocialGraph.snapshot`
 is a read-only graph of one version.  Engines, indexes and estimators read
 only the snapshot they were built on, so a write never reaches a running query.
+The edge lists only grow, so each lazy cache checks its edge count: one a
+reader built while an edge was being added comes out short and is rebuilt.
 """
 
 from __future__ import annotations
@@ -268,7 +270,7 @@ class TopicSocialGraph:
         reference keep a consistent snapshot of the pre-mutation graph while
         new calls observe the new edge.
         """
-        if self._csr is None:
+        if self._csr is None or self._csr.num_edges != self.num_edges:
             self._csr = CSRAdjacency.from_edges(
                 self._num_vertices, self._edge_source, self._edge_target
             )
@@ -292,13 +294,14 @@ class TopicSocialGraph:
         regenerated dataset.  The hash is cached per :attr:`version` so
         repeated store lookups do not rehash an unchanged graph.
         """
-        if self._fingerprint is None or self._fingerprint[0] != self._version:
+        version = self._version  # read first: a hash overlapping a write is stamped stale
+        if self._fingerprint is None or self._fingerprint[0] != version:
             digest = hashlib.sha256()
             digest.update(f"v{self._num_vertices}:z{self._num_topics}:".encode())
             digest.update(np.asarray(self._edge_source, dtype=np.int64).tobytes())
             digest.update(np.asarray(self._edge_target, dtype=np.int64).tobytes())
             digest.update(np.ascontiguousarray(self.probability_matrix, dtype=float).tobytes())
-            self._fingerprint = (self._version, digest.hexdigest())
+            self._fingerprint = (version, digest.hexdigest())
         return self._fingerprint[1]
 
     # ----------------------------------------------------------- probabilities
@@ -330,7 +333,7 @@ class TopicSocialGraph:
         ``+0.0`` a dgemv would produce for it, so a scaled column equals the
         dgemv bit for bit; every other entry is copied unchanged.
         """
-        if self._prob_columns is None:
+        if self._prob_columns is None or self._prob_columns.shape[1] != self.num_edges:
             columns = np.add(self.probability_matrix.T, 0.0, order="C")
             columns.flags.writeable = False
             self._prob_columns = columns

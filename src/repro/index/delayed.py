@@ -50,7 +50,6 @@ class DelayedMaterializationIndex:
     """Offline phase of ``DelayMat``: count containment, store no graphs."""
 
     def __init__(self, graph: TopicSocialGraph, num_samples: int, seed: SeedLike = None) -> None:
-        # The index reads only this version of the graph (see RRGraphIndex).
         self.graph = graph.snapshot()
         self.num_samples = int(num_samples)
         self._rng = spawn_rng(seed)

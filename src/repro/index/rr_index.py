@@ -56,9 +56,8 @@ class RRGraphIndex:
     Parameters
     ----------
     graph:
-        The social graph the index is built for; the index keeps its
-        :meth:`~repro.graph.digraph.TopicSocialGraph.snapshot`, so later
-        writes to ``graph`` never reach it.
+        The social graph; the index reads only its version at construction
+        (``graph.snapshot()``), so later writes to ``graph`` never reach it.
     num_samples:
         Number of RR-Graphs to materialize (``theta``).  The theoretical value
         of Eqn. 7 can be obtained from

@@ -243,9 +243,8 @@ class InfluenceEstimator(abc.ABC):
 
     Concrete estimators hold the graph, the tag-topic model and a
     :class:`SampleBudget`; the engine calls :meth:`estimate` once per candidate
-    tag set.  The graph an estimator holds is the
-    :meth:`~repro.graph.digraph.TopicSocialGraph.snapshot` of the one it was
-    given: it answers on that version for as long as it lives.
+    tag set.  An estimator holds ``graph.snapshot()`` of the graph it was
+    given, so it answers on that version for as long as it lives.
     """
 
     name: str = "abstract"

@@ -234,3 +234,17 @@ def test_snapshot_taken_during_add_edge_is_one_whole_version():
     assert during.fingerprint() == expected.fingerprint()
     assert during.num_edges == during.csr.num_edges == len(during.probability_matrix) == 4
     assert before.num_edges == before.csr.num_edges == len(before.probability_matrix) == 3
+
+
+def test_snapshot_rebuilds_a_cache_a_reader_stored_after_a_write():
+    """A reader of the graph can store a cache after ``add_edge`` reset it; it is short, so it is rebuilt."""
+    graph = make_triangle()
+    csr, columns = graph.csr, graph.probability_columns
+    graph.add_edge(0, 2, [0.1, 0.1])
+    graph._csr, graph._prob_columns = csr, columns  # the late store of a reader that began before the write
+    snapshot = graph.snapshot()
+    expected = make_triangle()
+    expected.add_edge(0, 2, [0.1, 0.1])
+    assert snapshot.csr.num_edges == snapshot.probability_columns.shape[1] == 4
+    assert snapshot.csr.in_edge_ids.tobytes() == expected.csr.in_edge_ids.tobytes()
+    assert snapshot.probability_columns.tobytes() == expected.probability_columns.tobytes()
