@@ -32,10 +32,11 @@ never of call order or thread interleaving.  ``engine.graph`` is the
 read-only :meth:`~repro.graph.digraph.TopicSocialGraph.snapshot` of the graph
 it was given.  Queries share only structures that are built once and then
 only read: the offline indexes (built lazily, once, under the engine's build
-lock) and the graph/model caches.  :meth:`PitexEngine.freeze` builds all of
-them eagerly for the listed methods, optionally adds read-only per-user
-tables, and engages a :class:`~repro.utils.freeze.FrozenGuard` that raises on
-any rebuild of the indexes; ``thaw`` disengages it.
+lock, or handed to the constructor) and the graph/model caches.  An index
+fills once and cannot be rebuilt, so nothing a query shares can change under
+it.  :meth:`PitexEngine.freeze` builds all of them eagerly for the listed
+methods, optionally adds read-only per-user tables, and from then on refuses
+methods it did not warm; ``thaw`` lifts that restriction.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ from repro.sampling.lazy import LazyPropagationEstimator
 from repro.sampling.monte_carlo import MonteCarloEstimator
 from repro.sampling.reverse_reachable import ReverseReachableEstimator
 from repro.topics.model import TagTopicModel
-from repro.utils.freeze import FrozenGuard, attach_freeze_guard, detach_freeze_guard
 from repro.utils.rng import RandomSource, SeedLike, spawn_rng
 
 METHODS = ("mc", "rr", "lazy", "lazy-batched", "tim", "indexest", "indexest+", "delaymat")
@@ -113,7 +113,8 @@ class PitexEngine:
         :class:`repro.serve.store.IndexStore`).  A supplied index must have
         been built on the same version of this ``graph`` instance; the
         engine then skips the corresponding offline build entirely, which is
-        the serving layer's warm-start path.
+        the serving layer's warm-start path.  The constructor is the only
+        way to hand an engine an index.
     """
 
     def __init__(
@@ -156,8 +157,12 @@ class PitexEngine:
         if index_samples is None:
             index_samples = self.budget.offline_samples(graph.num_vertices)
         self.index_samples = int(index_samples)
-        self._rr_index: Optional[RRGraphIndex] = None
-        self._delayed_index: Optional[DelayedMaterializationIndex] = None
+        if rr_index is not None:
+            self._check_prebuilt(rr_index, "rr_index")
+        if delayed_index is not None:
+            self._check_prebuilt(delayed_index, "delayed_index")
+        self._rr_index = rr_index
+        self._delayed_index = delayed_index
         # Serializes the lazy index builds, so concurrent first queries build
         # each index once.
         self._build_lock = threading.Lock()
@@ -166,12 +171,6 @@ class PitexEngine:
         self._frozen_ks: Tuple[int, ...] = ()
         self._frozen_tables = False
         self._user_tables: Optional[FrozenUserTables] = None
-        self._guard = FrozenGuard(owner=f"PitexEngine@{id(self):x}")
-        self._guarded_objects: list = []
-        if rr_index is not None:
-            self.attach_rr_index(rr_index)
-        if delayed_index is not None:
-            self.attach_delayed_index(delayed_index)
 
     def _stream(self, label: str) -> RandomSource:
         """A reproducible child stream for ``label`` (order-independent)."""
@@ -183,8 +182,7 @@ class PitexEngine:
     def rr_index(self) -> RRGraphIndex:
         """The materialized RR-Graph index, built once on first access."""
         with self._build_lock:
-            if self._rr_index is None or not self._rr_index.is_built:
-                self._guard.check("build the RR-Graph index after freeze()")
+            if self._rr_index is None:
                 self._rr_index = RRGraphIndex(
                     self.graph, self.index_samples, seed=self._stream("rr-index")
                 ).build()
@@ -194,24 +192,11 @@ class PitexEngine:
     def delayed_index(self) -> DelayedMaterializationIndex:
         """The delayed-materialization index, built once on first access."""
         with self._build_lock:
-            if self._delayed_index is None or not self._delayed_index.is_built:
-                self._guard.check("build the delayed-materialization index after freeze()")
+            if self._delayed_index is None:
                 self._delayed_index = DelayedMaterializationIndex(
                     self.graph, self.index_samples, seed=self._stream("delayed-index")
                 ).build()
             return self._delayed_index
-
-    def attach_rr_index(self, index: RRGraphIndex) -> None:
-        """Adopt a prebuilt RR-Graph index (the load-from-store warm path)."""
-        self._guard.check("attach an RR-Graph index after freeze()")
-        self._check_prebuilt(index, "rr_index")
-        self._rr_index = index
-
-    def attach_delayed_index(self, index: DelayedMaterializationIndex) -> None:
-        """Adopt a prebuilt delayed-materialization index."""
-        self._guard.check("attach a delayed-materialization index after freeze()")
-        self._check_prebuilt(index, "delayed_index")
-        self._delayed_index = index
 
     def _check_prebuilt(self, index, name: str) -> None:
         if index.graph is not self.graph:
@@ -257,8 +242,6 @@ class PitexEngine:
         if method not in METHODS:
             raise InvalidParameterError(f"unknown method {method!r}; choose from {METHODS}")
         if self._frozen and method not in self._frozen_methods:
-            # A routing error by the caller, not a shared-state mutation, so
-            # it raises directly instead of tripping the guard.
             raise EngineFrozenError(
                 f"frozen engine cannot serve unwarmed method {method!r} "
                 f"(warmed: {self._frozen_methods}); include it in "
@@ -314,11 +297,6 @@ class PitexEngine:
         return self._frozen
 
     @property
-    def freeze_guard(self) -> FrozenGuard:
-        """The engine's mutation tripwire (``violations`` lists every trip)."""
-        return self._guard
-
-    @property
     def frozen_methods(self) -> Tuple[str, ...]:
         """The methods warmed by :meth:`freeze` (empty while unfrozen)."""
         return self._frozen_methods
@@ -334,7 +312,7 @@ class PitexEngine:
         ks: Optional[Iterable[int]] = None,
         precompute_tables: bool = True,
     ) -> "PitexEngine":
-        """Warm every configured method eagerly, then engage the guard.
+        """Warm every configured method eagerly, then refuse every other method.
 
         Warming builds the offline indexes the listed ``methods`` need and
         materializes the lazily cached graph/model structures (CSR view,
@@ -351,10 +329,10 @@ class PitexEngine:
         label-derived streams shared by every same-seed replica; these change
         ``delaymat`` answers).
 
-        After ``freeze()`` the :class:`~repro.utils.freeze.FrozenGuard`
-        raises :class:`~repro.exceptions.EngineFrozenError` on any rebuild
-        of the indexes, and :meth:`estimator` (so also :meth:`query`)
-        refuses methods that were not warmed.
+        After ``freeze()``, :meth:`estimator` (so also :meth:`query`)
+        raises :class:`~repro.exceptions.EngineFrozenError` for methods that
+        were not warmed.  The indexes need no guarding: each one fills once
+        and a second ``build()`` raises.
 
         ``methods`` defaults to every method; ``ks`` (default: the engine's
         ``default_k``) names the ``k`` values the deployment serves.  No
@@ -429,27 +407,16 @@ class PitexEngine:
         self._frozen_ks = tuple(k_list)
         self._frozen_tables = precompute_tables
         self._frozen = True
-        self._guarded_objects = [
-            index for index in (self._rr_index, self._delayed_index) if index is not None
-        ]
-        for obj in self._guarded_objects:
-            attach_freeze_guard(obj, self._guard)
-        self._guard.engage()
         counter("engine.freeze")
         return self
 
     def thaw(self) -> "PitexEngine":
-        """Return a frozen engine to the mutable phase.
+        """Return a frozen engine to the warm-up phase.
 
-        Disengages the guard and detaches it from every structure it froze
-        (shared objects -- e.g. an index served by several engines -- keep any
-        *other* engine's guard) and drops the per-user tables.  Past guard
-        violations are preserved for inspection.
+        Forgets the warmed configuration and drops the per-user tables, so
+        every method serves again and the next :meth:`freeze` may name a
+        different configuration.  The indexes stay: they are built once.
         """
-        self._guard.disengage()
-        for obj in self._guarded_objects:
-            detach_freeze_guard(obj, self._guard)
-        self._guarded_objects = []
         self._frozen = False
         self._frozen_methods = ()
         self._frozen_ks = ()

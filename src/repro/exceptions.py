@@ -42,7 +42,9 @@ class UnknownTagError(ModelError, KeyError):
 
 
 class IndexError_(PitexError):
-    """An index structure was used before being built or with the wrong graph."""
+    """An index structure was used before being built or with the wrong graph,
+    or filled a second time (an index builds once, by ``build()`` or
+    ``from_arrays()``)."""
 
 
 class IndexNotBuiltError(IndexError_):
@@ -54,8 +56,9 @@ class EstimationError(PitexError):
 
 
 class EngineFrozenError(PitexError, RuntimeError):
-    """A mutation was attempted on an engine (or a structure it owns) after
-    :meth:`~repro.core.engine.PitexEngine.freeze` flipped it read-only."""
+    """A frozen engine (:meth:`~repro.core.engine.PitexEngine.freeze`) was asked
+    for a method it did not warm, or re-frozen with a configuration its
+    freeze does not cover."""
 
 
 class StoreError(PitexError):

@@ -21,11 +21,12 @@ Algorithm 3 guarantee while the stored index shrinks to one counter per user.
 from __future__ import annotations
 
 import itertools
+import threading
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.exceptions import IndexNotBuiltError
+from repro.exceptions import IndexError_, IndexNotBuiltError
 from repro.graph.algorithms import live_edge_world
 from repro.graph.csr import csr_order, slice_positions
 from repro.graph.digraph import TopicSocialGraph
@@ -39,7 +40,6 @@ from repro.sampling.base import (
     probability_matrix,
 )
 from repro.topics.model import TagTopicModel
-from repro.utils.freeze import guard_check
 from repro.utils.rng import RandomSource, SeedLike, spawn_rng
 
 SAMPLES_PER_CHUNK = 1024
@@ -56,10 +56,17 @@ class DelayedMaterializationIndex:
         self.containment_counts: Dict[int, int] = {}
         self.build_seconds: float = 0.0
         self._built = False
+        # Held for good by the one build() or from_arrays() that fills the index.
+        self._fill_once = threading.Lock()
 
     def build(self) -> "DelayedMaterializationIndex":
-        """Sample ``theta`` RR-Graphs, record only per-user containment counts."""
-        guard_check(self, "rebuild a frozen delayed-materialization index")
+        """Sample ``theta`` RR-Graphs, record only per-user containment counts.
+
+        An index is filled once: a second ``build()``, or one on an index
+        from :meth:`from_arrays`, raises :class:`~repro.exceptions.IndexError_`.
+        """
+        if not self._fill_once.acquire(blocking=False):
+            raise IndexError_("a DelayedMaterializationIndex builds once; this one is already built or loaded")
         started = monotonic()
         max_probabilities = self.graph.max_edge_probabilities()
         counts = np.zeros(self.graph.num_vertices, dtype=np.int64)
@@ -99,7 +106,8 @@ class DelayedMaterializationIndex:
         """The per-user containment counters as two parallel arrays.
 
         Users are sorted so the serialized form is canonical; the counts are
-        the index's entire state (recovery is re-randomized at query time).
+        the index's entire state (recovery draws from the caller's stream at
+        query time).
         """
         self._require_built()
         users = np.array(sorted(self.containment_counts), dtype=np.int64)
@@ -116,26 +124,21 @@ class DelayedMaterializationIndex:
         graph: TopicSocialGraph,
         arrays: Dict[str, np.ndarray],
         build_seconds: float = 0.0,
-        seed: SeedLike = None,
     ) -> "DelayedMaterializationIndex":
         """Reassemble an index of ``graph``'s current version from :meth:`to_arrays` output.
 
-        ``seed`` feeds the recovery RNG of the reloaded index.  Note that a
-        *built* index's own RNG has already consumed draws during
-        :meth:`build`, so same-seed built and loaded indexes do NOT recover
-        identical RR-Graphs through their internal streams.  For bitwise
-        reproducibility, pass an explicit seed at the estimator level
-        instead: two :class:`DelayedIndexEstimator` instances constructed
-        with the same ``seed`` over equal containment counts produce
-        identical estimates (this is what the serving layer and the
-        roundtrip tests rely on).
+        Recovery draws only from the stream each caller passes, so two
+        :class:`DelayedIndexEstimator` instances with the same ``seed`` over
+        equal containment counts produce identical estimates, whether their
+        index was built or loaded.
 
         ``arrays`` may be read-only ``numpy.memmap`` views (what
         :meth:`IndexStore.open_mapped` hands a process replica): the counts
         are copied into a plain dict and the mapped arrays are never
         mutated, so one mapped file can back many worker processes.
         """
-        index = cls(graph, int(arrays["num_samples"][0]), seed=seed)
+        index = cls(graph, int(arrays["num_samples"][0]))
+        index._fill_once.acquire()
         users = np.asarray(arrays["containment_users"], dtype=np.int64)
         counts = np.asarray(arrays["containment_counts"], dtype=np.int64)
         index.containment_counts = {int(u): int(c) for u, c in zip(users, counts)}
@@ -144,8 +147,8 @@ class DelayedMaterializationIndex:
         return index
 
     # ----------------------------------------------------------------- recover
-    def recover_rr_graph(self, user: int, rng: Optional[RandomSource] = None) -> RRGraph:
-        """Algorithm 4: recover one RR-Graph containing ``user``.
+    def recover_rr_graph(self, user: int, rng: RandomSource) -> RRGraph:
+        """Algorithm 4: recover one RR-Graph containing ``user``, drawing from ``rng``.
 
         All four steps run on the CSR arrays: the forward possible world is
         realized with one batched coin flip per frontier, the live edges are
@@ -153,9 +156,6 @@ class DelayedMaterializationIndex:
         reverse membership BFS, and the surviving ``c(e)`` values are re-drawn
         in a single batched uniform call.
         """
-        if rng is None:
-            guard_check(self, "draw from a frozen index's shared recovery RNG")
-            rng = self._rng
         csr = self.graph.csr
         max_probabilities = self.graph.max_edge_probabilities()
         # 1) forward live-edge sample from the user under p(e).
@@ -200,7 +200,7 @@ class DelayedMaterializationIndex:
             )
         return rr_graph
 
-    def recover_for_user(self, user: int, rng: Optional[RandomSource] = None) -> List[RRGraph]:
+    def recover_for_user(self, user: int, rng: RandomSource) -> List[RRGraph]:
         """Recover ``theta(u)`` RR-Graphs for ``user`` (query phase of DelayMat)."""
         count = self.containment_count(user)
         return [self.recover_rr_graph(user, rng) for _ in range(count)]

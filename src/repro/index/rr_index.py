@@ -19,7 +19,9 @@ The index keeps its RR-Graphs only as the flat arrays of :meth:`to_arrays`:
 layout, :meth:`from_arrays` adopts stored (possibly memory-mapped) arrays as
 they are, the block and the containment lists are built from them, and
 :attr:`RRGraphIndex.rr_graphs` is a lazy read-only view of
-:class:`~repro.index.rr_graph.RRGraph` objects.
+:class:`~repro.index.rr_graph.RRGraph` objects.  An index is filled once, by
+``build()`` or ``from_arrays()``, and only read afterwards, so the lazy views
+never go stale.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.exceptions import IndexNotBuiltError
+from repro.exceptions import IndexError_, IndexNotBuiltError
 from repro.graph.digraph import TopicSocialGraph
 from repro.index.rr_graph import (
     RR_ARRAY_LAYOUT,
@@ -46,7 +48,6 @@ from repro.sampling.base import (
     probability_matrix,
 )
 from repro.topics.model import TagTopicModel
-from repro.utils.freeze import guard_check
 from repro.utils.rng import SeedLike, spawn_rng
 
 
@@ -77,27 +78,28 @@ class RRGraphIndex:
         self.containment: Dict[int, Tuple[int, ...]] = {}
         self.build_seconds: float = 0.0
         self._built = False
+        # Held for good by the one build() or from_arrays() that fills the index.
+        self._fill_once = threading.Lock()
         self._block: Optional[RRBlock] = None
         self._block_lock = threading.Lock()
 
     # ------------------------------------------------------------------ build
     def build(self) -> "RRGraphIndex":
-        """Materialize ``num_samples`` RR-Graphs (offline phase of Algorithm 3)."""
-        guard_check(self, "rebuild a frozen RR-Graph index")
+        """Materialize ``num_samples`` RR-Graphs (offline phase of Algorithm 3).
+
+        An index is filled once: a second ``build()``, or one on an index
+        from :meth:`from_arrays`, raises :class:`~repro.exceptions.IndexError_`.
+        """
+        if not self._fill_once.acquire(blocking=False):
+            raise IndexError_("an RRGraphIndex builds once; this one is already built or loaded")
         started = monotonic()
         max_probabilities = self.graph.max_edge_probabilities()
-        self._adopt(sample_rr_arrays(self.graph, self.num_samples, self._rng, max_probabilities))
+        arrays = sample_rr_arrays(self.graph, self.num_samples, self._rng, max_probabilities)
+        self._arrays = arrays
+        self.containment = _containment(arrays["vertex_ids"], arrays["vertex_indptr"])
         self._built = True
         self.build_seconds = monotonic() - started
         return self
-
-    def _adopt(self, arrays: Dict[str, np.ndarray]) -> None:
-        """Take ``arrays`` (the flat layout) as the index's RR-Graphs."""
-        guard_check(self, "replace a frozen RR-Graph index's graphs")
-        self._arrays = arrays
-        self._rr_graphs = None
-        self._block = None
-        self.containment = _containment(arrays["vertex_ids"], arrays["vertex_indptr"])
 
     @property
     def rr_graphs(self) -> Tuple[RRGraph, ...]:
@@ -106,12 +108,12 @@ class RRGraphIndex:
         The index itself keeps only the flat arrays; this view exists for
         tests and callers that walk single graphs.
         """
+        self._require_built()
         graphs = self._rr_graphs
         if graphs is None:
             with self._block_lock:
                 if self._rr_graphs is None:
-                    built = rr_graphs_from_arrays(self._arrays) if self._arrays else ()
-                    self._rr_graphs = tuple(built)
+                    self._rr_graphs = tuple(rr_graphs_from_arrays(self._arrays))
                 graphs = self._rr_graphs
         return graphs
 
@@ -139,8 +141,8 @@ class RRGraphIndex:
 
         A pure function of the built index, so building it lazily (under a
         lock, so concurrent first queries build it once) is invisible to
-        answers; :meth:`build` resets it.  Neither ``build()`` nor a freeze
-        builds it, so an index refresh leaves the cost to the first read.
+        answers.  Neither ``build()`` nor a freeze builds it, so an index
+        refresh leaves the cost to the first read.
         """
         self._require_built()
         block = self._block
@@ -213,9 +215,9 @@ class RRGraphIndex:
         processes at once without copy-on-write faults.
         """
         index = cls(graph, int(arrays["num_samples"][0]))
-        index._adopt(
-            {name: np.asarray(arrays[name], dtype=dtype) for name, dtype in RR_ARRAY_LAYOUT.items()}
-        )
+        index._fill_once.acquire()
+        index._arrays = {name: np.asarray(arrays[name], dtype=dtype) for name, dtype in RR_ARRAY_LAYOUT.items()}
+        index.containment = _containment(index._arrays["vertex_ids"], index._arrays["vertex_indptr"])
         index._built = True
         index.build_seconds = float(build_seconds)
         return index

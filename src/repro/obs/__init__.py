@@ -15,7 +15,7 @@ incremental index maintenance, SLO gates) needs to gate on:
   durations; pitexlint's DET004/OBS001 rules allowlist exactly this module.
 
 Determinism contract (asserted by tests, benchmarks and CI): counters that
-describe *work* -- cache hits, guard trips, edge visits, sample counts -- are
+describe *work* -- cache hits, edge visits, sample counts -- are
 deterministic functions of a seeded workload, so the thread and process
 backends must report **exactly equal** values for them
 (:func:`deterministic_counters`); wall-clock durations are the only fields

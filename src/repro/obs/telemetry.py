@@ -1,8 +1,8 @@
 """Process-wide registry of named counters and gauges with exact merging.
 
 One :class:`Telemetry` instance per process collects every named counter the
-library increments -- engine cache hits, store load-or-build outcomes, frozen
-guard trips, per-method query work (``query.<method>.*`` edge visits and
+library increments -- engine cache hits, store load-or-build outcomes,
+engine freezes, per-method query work (``query.<method>.*`` edge visits and
 sample counts, which ``pitex query --json`` reports), worker deaths.  The
 active instance is a module global reachable through :func:`get_telemetry` /
 the :func:`counter` and :func:`gauge` conveniences, so instrumentation
@@ -37,7 +37,7 @@ from typing import Dict, Mapping, Optional
 # its seat through single-flight miss accounting plus per-user request
 # sharding (see repro.serve.answers); scheduling-dependent wait counts stay
 # out of telemetry entirely.
-DETERMINISTIC_PREFIXES = ("query.", "estimator.", "guard.", "engine_cache.", "answer_cache.")
+DETERMINISTIC_PREFIXES = ("query.", "estimator.", "engine_cache.", "answer_cache.")
 
 
 class Telemetry:

@@ -28,8 +28,8 @@ Safety contracts (details in each module's docstring): the store is safe to
 share across threads *and* processes; both caches, both services and the
 metrics objects are thread-safe; engines answer concurrent queries on one
 stateless query path over a read-only snapshot of one graph version (writes
-to the source graph reach only engines built after them), and a frozen
-engine additionally guards its indexes against rebuilds while it serves.
+to the source graph reach only engines built after them) and over indexes
+that fill once and are only read afterwards.
 """
 
 from repro.serve.store import (

@@ -118,8 +118,11 @@ def publish_engine_spec(
     Saves the shared graph+model bundle and load-or-builds the offline
     indexes the listed ``methods`` require, so a worker's
     :func:`build_engine_from_spec` is guaranteed to find every entry.
+    Everything is published from one ``graph.snapshot()``, so the bundle and
+    the indexes name the same version even when a write lands mid-publish.
     Idempotent: re-publishing identical content lands on the same store keys.
     """
+    graph = graph.snapshot()
     entry = store.save_graph_bundle(graph, model)
     lowered = tuple(method.lower() for method in methods)
     if any(method in RR_METHODS for method in lowered):

@@ -123,7 +123,12 @@ def seed_tag(seed: SeedLike) -> Optional[int]:
 
 
 def graph_bundle_key(graph: TopicSocialGraph, model: TagTopicModel) -> str:
-    """The store key of the shared graph+model bundle for (graph, model)."""
+    """The store key of the shared graph+model bundle for (graph, model).
+
+    Reads one version: the fingerprint and the version come from the same
+    ``graph.snapshot()``.
+    """
+    graph = graph.snapshot()
     digest = sha256()
     digest.update(f"format={FORMAT_VERSION};kind={KIND_SHARED_GRAPH};".encode())
     digest.update(f"graph={graph.fingerprint()};version={graph.version};".encode())
@@ -392,14 +397,13 @@ class IndexStore:
         graph: TopicSocialGraph,
         model: TagTopicModel,
         num_samples: int,
-        seed: SeedLike = None,
         mmap: bool = False,
         index_seed: Optional[int] = None,
     ) -> Optional[DelayedMaterializationIndex]:
         """The stored delayed index for (graph, model, theta), or ``None``.
 
-        ``seed`` feeds the reloaded index's recovery RNG; ``index_seed``, when
-        set, admits only an index drawn from exactly that seed.
+        ``index_seed``, when set, admits only an index drawn from exactly
+        that seed.
         """
         graph = graph.snapshot()  # the version the manifest is checked against
         loaded = self._load_arrays(
@@ -409,7 +413,7 @@ class IndexStore:
             return None
         arrays, manifest = loaded
         return DelayedMaterializationIndex.from_arrays(
-            graph, arrays, build_seconds=manifest.get("build_seconds", 0.0), seed=seed
+            graph, arrays, build_seconds=manifest.get("build_seconds", 0.0)
         )
 
     # --------------------------------------------------------- load or build
@@ -452,9 +456,7 @@ class IndexStore:
         Seed matching works as in :meth:`load_or_build_rr`.
         """
         started = monotonic()
-        index = self.load_delayed_index(
-            graph, model, num_samples, seed=seed, index_seed=seed_tag(seed)
-        )
+        index = self.load_delayed_index(graph, model, num_samples, index_seed=seed_tag(seed))
         if index is not None:
             seconds = monotonic() - started
             counter("store.load_or_build.loaded")
@@ -472,8 +474,11 @@ class IndexStore:
         The bundle holds :meth:`TopicSocialGraph.to_shared_arrays` plus the
         model's matrix / prior / tag vocabulary, and is keyed by
         :func:`graph_bundle_key`.  Saving is idempotent: re-saving identical
-        content lands on the same key.
+        content lands on the same key.  Arrays, key and manifest all come
+        from one ``graph.snapshot()``, so a write that lands mid-save never
+        mixes two versions in one bundle.
         """
+        graph = graph.snapshot()
         arrays: Dict[str, np.ndarray] = dict(graph.to_shared_arrays())
         arrays["model_matrix"] = np.ascontiguousarray(model.tag_topic_matrix, dtype=float)
         arrays["model_prior"] = np.ascontiguousarray(model.topic_prior, dtype=float)

@@ -12,12 +12,9 @@ in the :mod:`repro.obs.telemetry` registry; neither lives here.
   latency accumulator behind the serving metrics.
 * :mod:`repro.utils.validation` -- argument checking helpers shared by public
   API entry points.
-* :mod:`repro.utils.freeze` -- the frozen-engine mutation tripwire backing
-  :meth:`repro.core.engine.PitexEngine.freeze`.
 * :mod:`repro.utils.memo` -- the batch fill of the query-local row memos.
 """
 
-from repro.utils.freeze import FrozenGuard, attach_freeze_guard, guard_check
 from repro.utils.rng import RandomSource, spawn_rng
 from repro.utils.heap import BatchedEventQueue, MinHeap, MaxHeap, LazyEdgeHeap
 from repro.utils.stats import (
@@ -33,9 +30,6 @@ from repro.utils.validation import (
 )
 
 __all__ = [
-    "FrozenGuard",
-    "attach_freeze_guard",
-    "guard_check",
     "RandomSource",
     "spawn_rng",
     "MinHeap",

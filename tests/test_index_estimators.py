@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.engine import PitexEngine
-from repro.exceptions import IndexNotBuiltError
+from repro.exceptions import IndexError_, IndexNotBuiltError
 from repro.graph.generators import line_graph, random_topic_graph
 from repro.index.delayed import DelayedIndexEstimator, DelayedMaterializationIndex
 from repro.index.pruning import PrunedIndexEstimator, build_edge_cut, choose_edge_cut
@@ -164,6 +164,20 @@ def test_delayed_index_requires_build():
     delayed = DelayedMaterializationIndex(graph, num_samples=10, seed=1)
     with pytest.raises(IndexNotBuiltError):
         delayed.containment_count(0)
+
+
+@pytest.mark.parametrize("index_class", [RRGraphIndex, DelayedMaterializationIndex])
+def test_an_index_builds_once(index_class):
+    """A second build(), or a build() on a loaded index, raises and changes nothing."""
+    graph = random_topic_graph(30, 2, edge_probability=0.15, base_probability=0.6, seed=3)
+    built = index_class(graph, num_samples=60, seed=4).build()
+    loaded = index_class.from_arrays(graph, built.to_arrays())
+    for index in (built, loaded):
+        before = {name: array.tobytes() for name, array in index.to_arrays().items()}
+        with pytest.raises(IndexError_):
+            index.build()
+        assert index.is_built
+        assert {name: array.tobytes() for name, array in index.to_arrays().items()} == before
 
 
 def test_delayed_recovered_graphs_contain_user(indexed_instance):

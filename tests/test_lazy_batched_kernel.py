@@ -208,7 +208,7 @@ def test_estimate_many_is_deterministic_per_seed(small_graph, small_model, tiny_
     assert outcomes[0] == outcomes[1]
 
 
-def _fresh_engine(seed=5):
+def _fresh_engine(seed=5, index_seed=None):
     graph = random_topic_graph(14, 3, edge_probability=0.25, base_probability=0.5, seed=77)
     rng = np.random.default_rng(9)
     matrix = rng.uniform(0.0, 1.0, size=(6, 3))
@@ -217,7 +217,10 @@ def _fresh_engine(seed=5):
     from repro.topics.model import TagTopicModel
 
     model = TagTopicModel(matrix)
-    return PitexEngine(graph, model, max_samples=200, index_samples=40, seed=seed)
+    rr_index = None
+    if index_seed is not None:
+        rr_index = RRGraphIndex(graph, num_samples=40, seed=index_seed).build()
+    return PitexEngine(graph, model, max_samples=200, index_samples=40, seed=seed, rr_index=rr_index)
 
 
 def test_engine_lazy_batched_estimates_are_seed_deterministic():
@@ -230,14 +233,12 @@ def test_engine_lazy_batched_estimates_are_seed_deterministic():
 def test_attach_index_does_not_perturb_batched_sampling_stream():
     """Adopting a prebuilt index must not shift the lazy-batched seed path.
 
-    Mirrors the ``attach_*_index`` warm-start of the serving layer: an engine
-    that attaches a store-loaded index answers batched lazy estimations
+    Mirrors the ``rr_index=`` warm-start of the serving layer: an engine
+    handed a store-loaded index answers batched lazy estimations
     bitwise-identically to a cold engine with the same seed.
     """
     cold = _fresh_engine()
-    warm = _fresh_engine()
-    index = RRGraphIndex(warm.graph, num_samples=40, seed=9).build()
-    warm.attach_rr_index(index)
+    warm = _fresh_engine(index_seed=9)
     for user in (0, 3):
         cold_estimate = cold.estimate_influence(user, [0, 1], method="lazy-batched")
         warm_estimate = warm.estimate_influence(user, [0, 1], method="lazy-batched")

@@ -122,7 +122,7 @@ class TestTelemetry:
             "worker.deaths": 1,
             "store.load_or_build.built": 1,
             "estimator.lazy.samples": 9,
-            "guard.trips": 0,
+            "answer_cache.hit": 0,
         }
         filtered = deterministic_counters(counters)
         assert list(filtered) == sorted(filtered)
@@ -130,7 +130,7 @@ class TestTelemetry:
             "query.count",
             "engine_cache.hit",
             "estimator.lazy.samples",
-            "guard.trips",
+            "answer_cache.hit",
         }
         assert all(name.startswith(DETERMINISTIC_PREFIXES) for name in filtered)
 

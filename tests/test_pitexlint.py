@@ -27,7 +27,7 @@ if str(TOOLS_DIR) not in sys.path:  # tests run with PYTHONPATH=src only
 
 from pitexlint.cli import main  # noqa: E402
 from pitexlint.core import lint_file, lint_paths, lint_source  # noqa: E402
-from pitexlint.registry import GUARDED_CLASSES, RULES  # noqa: E402
+from pitexlint.registry import RULES  # noqa: E402
 
 FIXTURES = TOOLS_DIR / "pitexlint" / "fixtures"
 BAD = FIXTURES / "bad"
@@ -39,7 +39,6 @@ BAD_EXPECTATIONS = {
     "det002_stdlib_random.py": "DET002",
     "det003_hash_salted_seed.py": "DET003",
     "det004_wall_clock.py": "DET004",
-    "frz001_mutation_escape.py": "FRZ001",
     "lck001_unlocked_write.py": "LCK001",
     "obs001_direct_timer.py": "OBS001",
     "obs001_monotonic_in_serve.py": "OBS001",
@@ -235,28 +234,6 @@ def test_sup001_cannot_be_suppressed():
 def test_pragma_inside_string_literal_is_inert():
     source = 'DOC = "# pitexlint: ignore[DET002]"\n'
     assert lint_scratch(source) == []
-
-
-def test_frz001_guard_idioms_accepted():
-    template = (
-        "class RRGraphIndex:\n"
-        "    def rebuild(self):\n"
-        "{body}"
-        "        self._tables = []\n"
-    )
-    flagged = lint_scratch(template.format(body=""), "src/repro/index/scratch.py")
-    assert [f.rule for f in flagged] == ["FRZ001"]
-    free_fn = template.format(body='        guard_check(self, "rebuild")\n')
-    assert lint_scratch(free_fn, "src/repro/index/scratch.py") == []
-    method = template.format(body='        self._guard.check("rebuild")\n')
-    assert lint_scratch(method, "src/repro/index/scratch.py") == []
-
-
-def test_frz001_registry_covers_engine_classes():
-    for expected in ("PitexEngine", "RRGraphIndex", "DelayedMaterializationIndex"):
-        assert expected in GUARDED_CLASSES
-    # Engines read a read-only graph snapshot, so the graph needs no guard.
-    assert "TopicSocialGraph" not in GUARDED_CLASSES
 
 
 def test_lck001_requires_lock_ownership():

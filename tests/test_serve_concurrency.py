@@ -3,13 +3,12 @@
 The contract under test (``PitexEngine.query``): a query touches **no shared
 mutable state** -- every query runs on a query-local estimator whose RNG root
 is derived statelessly from ``(engine seed, query fingerprint)``, and the
-shared indexes are built once under the engine's lock.  ``freeze`` only
-builds everything up front and guards it.  If the contract holds, then
+shared indexes are built once under the engine's lock and never rebuilt.
+``freeze`` only builds everything up front.  If the contract holds, then
 
 (a) any number of concurrent threads hammering one engine return answers
-    *bitwise identical* to a single-threaded oracle replay,
-(b) the engine's :class:`~repro.utils.freeze.FrozenGuard` never trips, and
-(c) the served latency distribution stays sane (p99 >= p95 >= p50 > 0).
+    *bitwise identical* to a single-threaded oracle replay, and
+(b) the served latency distribution stays sane (p99 >= p95 >= p50 > 0).
 
 The stress tests are barrier-synchronized so all workers enter the query loop
 together (maximizing interleaving even under the GIL), and every thread runs
@@ -31,7 +30,7 @@ from hypothesis import strategies as st
 
 from repro.core.engine import METHODS, PitexEngine
 from repro.datasets.synthetic import load_dataset
-from repro.exceptions import EngineFrozenError, ReadOnlyGraphError
+from repro.exceptions import EngineFrozenError, IndexError_, ReadOnlyGraphError
 from repro.index.delayed import DelayedMaterializationIndex
 from repro.index.rr_index import RRGraphIndex
 from repro.serve.answers import answer_digest
@@ -86,7 +85,6 @@ def run_plan(engine, plan):
 def test_concurrent_stress_bitwise_matches_serial_oracle(frozen_engine, query_plan):
     """N threads x the full plan == the single-threaded oracle, bit for bit."""
     oracle = run_plan(frozen_engine, query_plan)
-    violations_before = len(frozen_engine.freeze_guard.violations)
 
     barrier = threading.Barrier(NUM_THREADS)
     outcomes = [None] * NUM_THREADS
@@ -107,10 +105,6 @@ def test_concurrent_stress_bitwise_matches_serial_oracle(frozen_engine, query_pl
     for slot, outcome in enumerate(outcomes):
         assert not isinstance(outcome, Exception), f"thread {slot} raised: {outcome!r}"
         assert outcome == oracle, f"thread {slot} diverged from the serial oracle"
-    assert len(frozen_engine.freeze_guard.violations) == violations_before, (
-        "the frozen guard tripped during the stress run: "
-        f"{frozen_engine.freeze_guard.violations[violations_before:]}"
-    )
 
 
 def test_service_parallel_replay_matches_oracle_with_sane_tails(
@@ -122,7 +116,6 @@ def test_service_parallel_replay_matches_oracle_with_sane_tails(
         user: frozen_engine.query(user=user, k=2, method="indexest+").spread
         for user in {user for _, user in stream}
     }
-    violations_before = len(frozen_engine.freeze_guard.violations)
 
     with PitexService.for_engine(frozen_engine, num_workers=4, max_batch=4) as service:
         report = replay_stream(service, stream, method="indexest+", k=2)
@@ -133,9 +126,8 @@ def test_service_parallel_replay_matches_oracle_with_sane_tails(
     for response in report.responses:
         assert response.ok
         assert response.result.spread == oracle[response.request.user]
-    assert len(frozen_engine.freeze_guard.violations) == violations_before
 
-    # (c) latency sanity: a real distribution, ordered tails, sub-second p95
+    # (b) latency sanity: a real distribution, ordered tails, sub-second p95
     # for 24 tiny index-backed queries even on a loaded CI box.
     p50 = report.overall.percentile(50.0)
     p95 = report.overall.percentile(95.0)
@@ -297,14 +289,13 @@ def test_frozen_fanout_is_not_capped_by_max_batch(dataset, frozen_engine):
 
 
 def test_frozen_engine_rejects_unwarmed_methods_without_guard_trips(dataset):
-    """Unwarmed-method queries raise up front and never trip the guard.
+    """Unwarmed-method queries raise up front.
 
-    A mis-routed request is a caller error, not a shared-state mutation --
-    it must not poison the zero-violations invariant the stress asserts, and
-    the outcome must not depend on whether the method happens to need an
-    offline index.  ``k`` / ``epsilon`` / ``delta`` overrides, by contrast,
-    serve fine: the query-local estimator derives its budget and RNG
-    statelessly from the request, so no warmed structure depends on them.
+    A mis-routed request is a caller error; the outcome must not depend on
+    whether the method happens to need an offline index.  ``k`` /
+    ``epsilon`` / ``delta`` overrides, by contrast, serve fine: the
+    query-local estimator derives its budget and RNG statelessly from the
+    request, so no warmed structure depends on them.
     """
     engine = PitexEngine(
         dataset.graph, dataset.model, max_samples=40, index_samples=40, default_k=2, seed=9
@@ -316,19 +307,18 @@ def test_frozen_engine_rejects_unwarmed_methods_without_guard_trips(dataset):
         engine.query(user=user, k=2, method="lazy")
     with pytest.raises(EngineFrozenError):
         engine.estimate_influence(user, [0, 1], method="lazy")
-    assert engine.freeze_guard.violations == []
 
-    # Warmed method with arbitrary accuracy/k overrides: served statelessly,
-    # reproducibly, with zero guard trips.
+    # Warmed method with arbitrary accuracy/k overrides: served statelessly
+    # and reproducibly.
     first = engine.query(user=user, k=3, method="indexest", epsilon=0.3)
     second = engine.query(user=user, k=3, method="indexest", epsilon=0.3)
     assert (first.tag_ids, first.spread) == (second.tag_ids, second.spread)
     assert engine.estimate_influence(user, [0, 1], method="indexest").value >= 1.0
-    assert engine.freeze_guard.violations == []
 
 
-# ------------------------------------------------- guard / lifecycle behaviour
+# ------------------------------------------------------ lifecycle behaviour
 def test_guard_trips_on_post_freeze_mutation(dataset):
+    """What a frozen engine refuses: graph writes, index rebuilds, unwarmed methods."""
     source = dataset.graph.copy()
     engine = PitexEngine(
         source, dataset.model, max_samples=40, index_samples=40, default_k=2, seed=5
@@ -337,16 +327,12 @@ def test_guard_trips_on_post_freeze_mutation(dataset):
     graph = engine.graph
     before = engine.query(user=0, k=2, method="lazy")
 
-    with pytest.raises(ReadOnlyGraphError):  # the pinned snapshot: no guard, no trip
+    with pytest.raises(ReadOnlyGraphError):  # the pinned snapshot
         graph.add_edge(0, graph.num_vertices - 1, [0.1] * graph.num_topics)
-    with pytest.raises(EngineFrozenError):  # unwarmed offline index
-        _ = engine.delayed_index
-    with pytest.raises(EngineFrozenError):  # rebuilding a warmed one
+    with pytest.raises(IndexError_):  # an index builds once
         engine.rr_index.build()
-    assert len(engine.freeze_guard.violations) == 2
-    with pytest.raises(EngineFrozenError):  # unwarmed method: a routing error, no trip
+    with pytest.raises(EngineFrozenError):  # unwarmed method
         engine.estimator("mc", epsilon=0.5)
-    assert len(engine.freeze_guard.violations) == 2
 
     # A write lands on the source graph; the frozen engine keeps its version.
     source.add_edge(0, source.num_vertices - 1, [0.1] * source.num_topics)
@@ -356,7 +342,6 @@ def test_guard_trips_on_post_freeze_mutation(dataset):
 
     engine.thaw()
     assert engine.query(user=0, k=2, method="lazy").tag_ids
-    assert len(engine.freeze_guard.violations) == 2  # history preserved
 
 
 def test_freeze_is_idempotent_and_validates_arguments(dataset):
@@ -396,84 +381,6 @@ def test_refreeze_rejects_a_different_precompute_tables(dataset):
     assert engine.freeze(methods=["delaymat"]) is engine
     with pytest.raises(EngineFrozenError):
         engine.freeze(methods=["delaymat"], precompute_tables=False)
-
-
-def test_concurrent_freezes_over_one_graph_both_land_their_guards(dataset):
-    """Engines freezing in parallel over one shared prebuilt index must all guard it.
-
-    The guard registry's attach is a read-modify-write on the shared object;
-    without serialization one racing freeze could silently drop another's
-    guard, leaving an engine that believes it is frozen while its index
-    accepts rebuilds.
-    """
-    graph = dataset.graph.copy()
-    index = RRGraphIndex(graph, 40, seed=3).build()
-    engines = [
-        PitexEngine(
-            graph,
-            dataset.model,
-            max_samples=40,
-            index_samples=40,
-            default_k=2,
-            seed=seed,
-            rr_index=index,
-        )
-        for seed in (1, 2, 3, 4)
-    ]
-    barrier = threading.Barrier(len(engines))
-
-    def freeze(engine):
-        barrier.wait()
-        engine.freeze(methods=["indexest"])
-
-    threads = [threading.Thread(target=freeze, args=(engine,)) for engine in engines]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-
-    # Every engine's guard must be armed on the index: thawing all but one
-    # must still refuse a rebuild, and thawing the last frees it.
-    for engine in engines[:-1]:
-        engine.thaw()
-    with pytest.raises(EngineFrozenError):
-        index.build()
-    engines[-1].thaw()
-    index.build()
-
-
-def test_thaw_and_garbage_collection_release_shared_graph_guards(dataset):
-    """A dropped or thawed engine must not keep a shared prebuilt index frozen."""
-    import gc
-
-    graph = dataset.graph.copy()
-    index = RRGraphIndex(graph, 40, seed=3).build()
-    first, second = (
-        PitexEngine(
-            graph,
-            dataset.model,
-            max_samples=40,
-            index_samples=40,
-            default_k=2,
-            seed=seed,
-            rr_index=index,
-        ).freeze(methods=["indexest"])
-        for seed in (5, 6)
-    )
-
-    with pytest.raises(EngineFrozenError):
-        index.build()
-
-    # thaw() detaches only the thawing engine's guard; the other stays armed.
-    first.thaw()
-    with pytest.raises(EngineFrozenError):
-        index.build()
-
-    # Dropping the remaining frozen engine without thaw() (the EngineCache
-    # eviction path) releases its weakly-held guard once collected.
-    del second
-    gc.collect()
-    index.build()  # rebuildable again
 
 
 # ------------------------------------------------------ snapshot isolation

@@ -180,13 +180,54 @@ def test_mmap_and_in_memory_replicas_match_reference(reference_engine, spec, dat
     in_memory = build_engine_from_spec(dataclasses.replace(spec, mmap=False))
     assert answer_plan(mapped, users) == oracle
     assert answer_plan(in_memory, users) == oracle
-    assert mapped.freeze_guard.violations == []
 
 
 def test_build_engine_from_spec_missing_index_raises(spec):
     broken = dataclasses.replace(spec, index_samples=51)  # never persisted
     with pytest.raises(StoreError):
         build_engine_from_spec(broken)
+
+
+@pytest.mark.parametrize("step", ["to_shared_arrays", "save_graph_bundle"])
+def test_a_write_mid_publish_leaves_one_whole_version(dataset, tmp_path, monkeypatch, step):
+    """A write that lands partway through publishing never splits the published version.
+
+    ``step`` adds an edge to the source graph right after it runs: inside the
+    bundle save (after the graph's arrays are read) or between the bundle and
+    the index build.  The replica must rebuild the version that was current
+    when publishing began.
+    """
+    source = dataset.graph.copy()
+    published = source.snapshot().fingerprint()
+    vertices = list(source.vertices())
+    write = next((s, t) for s in vertices for t in vertices if s != t and not source.has_edge(s, t))
+    owner = TopicSocialGraph if step == "to_shared_arrays" else IndexStore
+    original = getattr(owner, step)
+
+    def step_then_write(self, *args, **kwargs):
+        result = original(self, *args, **kwargs)
+        if not source.has_edge(*write):
+            source.add_edge(*write, [0.5] * source.num_topics)
+        return result
+
+    monkeypatch.setattr(owner, step, step_then_write)
+    spec = publish_engine_spec(
+        IndexStore(tmp_path),
+        source,
+        dataset.model,
+        engine_seed=ENGINE_SEED,
+        index_samples=20,
+        methods=("indexest",),
+        ks=(2,),
+        max_samples=40,
+        default_k=2,
+        index_seed=3,
+    )
+    monkeypatch.undo()
+    assert source.has_edge(*write)  # the write did land mid-publish
+    replica = build_engine_from_spec(spec)
+    assert replica.graph.fingerprint() == published
+    assert replica.rr_index.graph is replica.graph
 
 
 # ------------------------------------------------------------- full service

@@ -417,7 +417,7 @@ def test_service_snapshot_carries_telemetry_deltas(dataset):
         assert telemetry["counters"]["query.lazy.samples"] > 0
         assert telemetry["deterministic"]["query.count"] == 3
         assert all(
-            name.startswith(("query.", "estimator.", "guard.", "engine_cache."))
+            name.startswith(("query.", "estimator.", "engine_cache."))
             for name in telemetry["deterministic"]
         )
         assert telemetry["workers"] == {}  # thread backend: no process shards

@@ -25,7 +25,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pitexlint",
         description=(
             "AST-based invariant checks for the PITEX reproduction: "
-            "determinism (DET*), freeze-safety (FRZ*), lock discipline (LCK*)."
+            "determinism (DET*), lock discipline (LCK*), observability (OBS*)."
         ),
     )
     parser.add_argument(

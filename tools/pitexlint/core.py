@@ -218,9 +218,9 @@ class LintReport:
 
 def _rule_checkers():
     # Imported lazily: the rule modules import Finding from here.
-    from pitexlint import determinism, freeze_safety, lock_discipline, observability
+    from pitexlint import determinism, lock_discipline, observability
 
-    return (determinism.check, freeze_safety.check, lock_discipline.check, observability.check)
+    return (determinism.check, lock_discipline.check, observability.check)
 
 
 def lint_source(

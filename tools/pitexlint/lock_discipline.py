@@ -12,8 +12,7 @@ The check is lexical, not an escape analysis: a helper that is *always
 called* under the caller's lock still gets flagged and needs an inline
 ``# pitexlint: ignore[LCK001] -- <why>`` stating that contract -- which is
 exactly the documentation the next reader needs.  Classes without a lock
-attribute are exempt (they make no concurrency claim; the freeze-safety rule
-covers the engine-side structures instead).
+attribute are exempt (they make no concurrency claim).
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Shared AST helpers: detecting ``self``-rooted mutations.
 
-Both the freeze-safety and the lock-discipline rules reduce to the same
-question -- *does this statement mutate state reachable from ``self``?* -- so
-the answer lives in one place.  A mutation is:
+The lock-discipline rule reduces to one question -- *does this statement
+mutate state reachable from ``self``?* -- and the answer lives here.  A
+mutation is:
 
 * an assignment (plain, augmented or annotated) whose target is an attribute
   or subscript rooted at ``self`` (``self.x = ...``, ``self.x[k] = ...``,
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterator, Optional
 
 from pitexlint.registry import MUTATING_CONTAINER_METHODS
 
@@ -86,30 +86,3 @@ def statement_mutations(node: ast.AST) -> Iterator[Mutation]:
             and _self_rooted_target(func.value)
         ):
             yield Mutation(node, f"calls {_target_text(func)}(...)")
-
-
-def function_mutations(function: ast.AST) -> List[Mutation]:
-    """All self-rooted mutations anywhere inside ``function`` (recursive)."""
-    found: List[Mutation] = []
-    for node in ast.walk(function):
-        found.extend(statement_mutations(node))
-    return found
-
-
-def is_guard_call(node: ast.AST) -> bool:
-    """``guard_check(...)`` or ``<something guard-ish>.check(...)``.
-
-    The library uses two idioms: the free function
-    ``repro.utils.freeze.guard_check(obj, action)`` on shared structures, and
-    ``self._guard.check(action)`` on the engine's own
-    :class:`~repro.utils.freeze.FrozenGuard` instance.
-    """
-    if not isinstance(node, ast.Call):
-        return False
-    func = node.func
-    if isinstance(func, ast.Name) and func.id == "guard_check":
-        return True
-    if isinstance(func, ast.Attribute) and func.attr == "check":
-        receiver = _target_text(func.value).lower()
-        return "guard" in receiver
-    return False

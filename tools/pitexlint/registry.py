@@ -1,4 +1,4 @@
-"""Rule scopes, allowlists and the guard-wired class registry.
+"""Rule scopes and allowlists.
 
 Everything path-shaped here is a *repo-relative posix path prefix* matched
 against the file being linted (or against its ``# pitexlint: path=...``
@@ -27,10 +27,6 @@ RULES = {
     "DET004": (
         "wall clock time.time() in a compute path; use a caller-supplied "
         "timestamp, or repro.obs.clock.monotonic() for durations"
-    ),
-    "FRZ001": (
-        "guard-wired class mutates shared state without a guard_check "
-        "tripwire; add guard_check(self, ...) or an allowlist entry"
     ),
     "LCK001": (
         "lock-owning serve class writes shared state outside a `with "
@@ -71,7 +67,6 @@ WALL_CLOCK_SCOPE = (
 # call wall_clock() instead.)
 WALL_CLOCK_ALLOW = ("src/repro/obs/clock.py",)
 
-FREEZE_SCOPE = ("src/repro/",)
 LOCK_SCOPE = ("src/repro/serve/",)
 
 # OBS001: serving/core/index modules must not grab time.perf_counter()
@@ -148,35 +143,6 @@ STDLIB_RANDOM_ATTRS = frozenset(
         "weibullvariate",
     }
 )
-
-# -------------------------------------------------- freeze-safety registry
-# Methods allowed to mutate on ANY guard-wired class: construction and the
-# explicit freeze lifecycle (freeze/thaw run strictly outside the read-only
-# window -- freeze() engages the guard only after warming).
-FREEZE_GLOBAL_ALLOW = frozenset({"__init__", "__post_init__", "freeze", "thaw"})
-
-# The guard-wired classes -- the offline indexes and the engine -- and their
-# per-class allowlists.  Estimators are not listed: every query builds its
-# own, so none is shared.  The graph is not listed either: engines read a
-# read-only snapshot of it (TopicSocialGraph.snapshot), whose add_edge
-# raises.  An entry is a *justified* mutation escape: each listed method
-# builds a lazy cache that PitexEngine.freeze() warms before engaging the
-# guard.
-GUARDED_CLASSES = {
-    "RRGraphIndex": frozenset(
-        {
-            # Lazy block CSR of the RR-Graphs: a pure function of the built
-            # index, built once under a lock; only the guard-checked build()
-            # resets it.
-            "block",
-            # Lazy read-only RRGraph view of the same arrays, built once
-            # under the block lock; only the guard-checked _adopt resets it.
-            "rr_graphs",
-        }
-    ),
-    "DelayedMaterializationIndex": frozenset(),
-    "PitexEngine": frozenset(),
-}
 
 # Container methods that mutate their receiver in place.
 MUTATING_CONTAINER_METHODS = frozenset(
