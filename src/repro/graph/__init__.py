@@ -10,8 +10,8 @@ carry topic-aware influence probabilities ``p(e|z)``.  This package provides:
   counterexample graphs of Fig. 3.
 * :mod:`~repro.graph.algorithms` -- BFS reachability (forward and reverse),
   vectorized live-edge possible-world kernels and degree-based user grouping.
-* :mod:`~repro.graph.csr` -- the compressed-sparse-row adjacency view cached
-  on every graph (``graph.csr``) that carries the sampling hot paths.
+* :mod:`~repro.graph.csr` -- the compressed-sparse-row adjacency view built
+  once per graph version (``graph.csr``) that carries the sampling hot paths.
 * :mod:`~repro.graph.io` -- plain-text edge-list serialization.
 """
 

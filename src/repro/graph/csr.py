@@ -28,9 +28,9 @@ slot order within one vertex matches ``TopicSocialGraph.out_edges`` /
 ``in_edges``, so per-vertex slices of ``out_edge_ids`` are drop-in
 replacements for the adjacency lists.
 
-The structure is immutable; :class:`~repro.graph.digraph.TopicSocialGraph`
-builds it once on first access to ``graph.csr`` and drops the cache whenever
-``add_edge`` mutates the graph.
+The structure is immutable; :meth:`TopicSocialGraph.snapshot
+<repro.graph.digraph.TopicSocialGraph.snapshot>` builds one per graph version,
+and ``graph.csr`` reads it from there.
 """
 
 from __future__ import annotations

@@ -9,20 +9,18 @@ and the vectorized ``p(e|W)`` computation -- and keeps the construction-time
 storage simple (Python lists for adjacency, one ``numpy`` row per edge for
 probabilities).
 
-For the sampling hot paths the graph additionally exposes a cached
+For the sampling hot paths each version has a
 :class:`~repro.graph.csr.CSRAdjacency` view (``graph.csr``): contiguous
 ``indptr`` / ``indices`` / edge-id arrays for both the forward and the reverse
-adjacency.  The CSR cache is built once on first access and dropped whenever
-``add_edge`` mutates the graph, so array kernels never observe a stale
 adjacency.  Accessors such as :meth:`TopicSocialGraph.out_edges` return
-*copies* of the internal lists -- mutating a returned list can never corrupt
-the graph or desynchronize the CSR cache.
+*copies* of the internal lists, so mutating one can never corrupt the graph.
 
 Every ``add_edge`` makes a new *version*; :meth:`TopicSocialGraph.snapshot`
-is a read-only graph of one version.  Engines, indexes and estimators read
-only the snapshot they were built on, so a write never reaches a running query.
-The edge lists only grow, so each lazy cache checks its edge count: one a
-reader built while an edge was being added comes out short and is rebuilt.
+is a read-only graph of one version.  A written graph is a write log: every
+read that spans several of its containers answers from ``self.snapshot()``,
+and the lazy caches (CSR view, probability matrix, column copy, ``p(e)``,
+fingerprint) live only on snapshots, which never change.  Engines, indexes
+and estimators read only the snapshot they were built on.
 """
 
 from __future__ import annotations
@@ -86,12 +84,13 @@ class TopicSocialGraph:
         self._edge_target: List[int] = []
         self._edge_lookup: Dict[Tuple[int, int], int] = {}
         self._edge_probs: List[np.ndarray] = []
+        # Read caches, on snapshots only: snapshot() sets the first two.
+        self._csr: Optional[CSRAdjacency] = None
         self._prob_matrix: Optional[np.ndarray] = None
         self._prob_columns: Optional[np.ndarray] = None
         self._max_probs: Optional[np.ndarray] = None
-        self._csr: Optional[CSRAdjacency] = None
+        self._fingerprint: Optional[str] = None
         self._version = 0
-        self._fingerprint: Optional[Tuple[int, str]] = None
         # add_edge and snapshot() hold the lock; _snapshot is the current version's.
         self._lock = threading.Lock()
         self._snapshot: Optional[TopicSocialGraph] = None
@@ -171,31 +170,27 @@ class TopicSocialGraph:
             self._edge_probs.append(probs)
             self._out[source].append(edge_id)
             self._in[target].append(edge_id)
-            self._prob_matrix = None
-            self._prob_columns = None
-            self._max_probs = None
-            self._csr = None
             self._version += 1
             return edge_id
 
     def snapshot(self) -> "TopicSocialGraph":
         """A read-only graph of the current version: the same object until the next ``add_edge``.
 
-        A shallow copy sharing this version's adjacency lists, CSR arrays and
-        probability matrix; the next ``add_edge`` writes to copies of the
-        lists, so the snapshot never changes.  Its ``add_edge`` raises
-        :class:`~repro.exceptions.ReadOnlyGraphError` and its snapshot is
-        itself.  ``snapshot`` and ``add_edge`` hold one lock, so a snapshot
+        A shallow copy sharing this version's adjacency lists, built with its
+        CSR arrays and probability matrix; the next ``add_edge`` writes to
+        copies of the lists, so the snapshot never changes.  Its ``add_edge``
+        raises :class:`~repro.exceptions.ReadOnlyGraphError` and its snapshot
+        is itself.  ``snapshot`` and ``add_edge`` hold one lock, so a snapshot
         taken during a write is the version before it or after it.
         """
         if self._read_only:
             return self
         with self._lock:
             if self._snapshot is None:
-                _ = self.csr  # built here, so the snapshot shares them
-                _ = self.probability_matrix
                 snapshot = copy.copy(self)
                 snapshot._read_only = True
+                snapshot._csr = CSRAdjacency.from_edges(self._num_vertices, self._edge_source, self._edge_target)
+                snapshot._prob_matrix = np.array(self._edge_probs, dtype=float).reshape(-1, self._num_topics)
                 self._snapshot = snapshot
             return self._snapshot
 
@@ -213,14 +208,16 @@ class TopicSocialGraph:
 
     def edge_endpoints(self, edge_id: int) -> Tuple[int, int]:
         """The ``(source, target)`` pair of an edge id."""
-        if not 0 <= edge_id < self.num_edges:
+        graph = self.snapshot()
+        if not 0 <= edge_id < graph.num_edges:
             raise UnknownEdgeError(f"edge id {edge_id} out of range")
-        return self._edge_source[edge_id], self._edge_target[edge_id]
+        return graph._edge_source[edge_id], graph._edge_target[edge_id]
 
     def edges(self) -> Iterator[Edge]:
-        """Iterate over all edges."""
-        for edge_id in range(self.num_edges):
-            yield Edge(edge_id, self._edge_source[edge_id], self._edge_target[edge_id])
+        """Iterate over all edges of the current version."""
+        graph = self.snapshot()
+        for edge_id in range(graph.num_edges):
+            yield Edge(edge_id, graph._edge_source[edge_id], graph._edge_target[edge_id])
 
     def out_edges(self, vertex: int) -> List[int]:
         """Edge ids leaving ``vertex`` (a defensive copy; see :meth:`csr`)."""
@@ -235,12 +232,14 @@ class TopicSocialGraph:
     def out_neighbors(self, vertex: int) -> List[int]:
         """Vertices directly influenced by ``vertex``."""
         self._check_vertex(vertex)
-        return [self._edge_target[e] for e in self._out[vertex]]
+        graph = self.snapshot()
+        return [graph._edge_target[e] for e in graph._out[vertex]]
 
     def in_neighbors(self, vertex: int) -> List[int]:
         """Vertices that directly influence ``vertex``."""
         self._check_vertex(vertex)
-        return [self._edge_source[e] for e in self._in[vertex]]
+        graph = self.snapshot()
+        return [graph._edge_source[e] for e in graph._in[vertex]]
 
     def out_degree(self, vertex: int) -> int:
         """Out-degree of ``vertex``."""
@@ -263,18 +262,13 @@ class TopicSocialGraph:
     # -------------------------------------------------------------------- csr
     @property
     def csr(self) -> CSRAdjacency:
-        """The cached CSR view of the adjacency (built on first access).
+        """The CSR view of the current version's adjacency, built once by :meth:`snapshot`.
 
-        The returned structure is immutable and shared between callers; it is
-        rebuilt lazily after any :meth:`add_edge`, so holders of a stale
-        reference keep a consistent snapshot of the pre-mutation graph while
-        new calls observe the new edge.
+        The returned structure is immutable and shared between callers; a
+        holder keeps its version while later :meth:`add_edge` calls make new
+        ones.
         """
-        if self._csr is None or self._csr.num_edges != self.num_edges:
-            self._csr = CSRAdjacency.from_edges(
-                self._num_vertices, self._edge_source, self._edge_target
-            )
-        return self._csr
+        return self.snapshot()._csr
 
     @property
     def version(self) -> int:
@@ -291,60 +285,58 @@ class TopicSocialGraph:
         Two graphs built from the same edges in the same order share a
         fingerprint even across processes, which is what lets a persisted
         index (:mod:`repro.serve.store`) be matched against a freshly
-        regenerated dataset.  The hash is cached per :attr:`version` so
-        repeated store lookups do not rehash an unchanged graph.
+        regenerated dataset.  The hash is cached on the version's
+        :meth:`snapshot`, so repeated store lookups do not rehash it.
         """
-        version = self._version  # read first: a hash overlapping a write is stamped stale
-        if self._fingerprint is None or self._fingerprint[0] != version:
+        graph = self.snapshot()
+        if graph._fingerprint is None:
             digest = hashlib.sha256()
-            digest.update(f"v{self._num_vertices}:z{self._num_topics}:".encode())
-            digest.update(np.asarray(self._edge_source, dtype=np.int64).tobytes())
-            digest.update(np.asarray(self._edge_target, dtype=np.int64).tobytes())
-            digest.update(np.ascontiguousarray(self.probability_matrix, dtype=float).tobytes())
-            self._fingerprint = (version, digest.hexdigest())
-        return self._fingerprint[1]
+            digest.update(f"v{graph._num_vertices}:z{graph._num_topics}:".encode())
+            digest.update(np.asarray(graph._edge_source, dtype=np.int64).tobytes())
+            digest.update(np.asarray(graph._edge_target, dtype=np.int64).tobytes())
+            digest.update(np.ascontiguousarray(graph._prob_matrix, dtype=float).tobytes())
+            graph._fingerprint = digest.hexdigest()
+        return graph._fingerprint
 
     # ----------------------------------------------------------- probabilities
     def topic_probabilities(self, edge_id: int) -> np.ndarray:
         """The ``p(e|z)`` vector of an edge."""
-        if not 0 <= edge_id < self.num_edges:
+        graph = self.snapshot()
+        if not 0 <= edge_id < graph.num_edges:
             raise UnknownEdgeError(f"edge id {edge_id} out of range")
-        return self._edge_probs[edge_id]
+        return graph._edge_probs[edge_id]
 
     @property
     def probability_matrix(self) -> np.ndarray:
-        """All edge probability vectors stacked into a ``(|E|, |Z|)`` matrix."""
-        if self._prob_matrix is None or self._prob_matrix.shape[0] != self.num_edges:
-            if self.num_edges == 0:
-                self._prob_matrix = np.zeros((0, self._num_topics))
-            else:
-                self._prob_matrix = np.vstack(self._edge_probs)
-        return self._prob_matrix
+        """All edge probability vectors stacked into a ``(|E|, |Z|)`` matrix (built by :meth:`snapshot`)."""
+        return self.snapshot()._prob_matrix
 
     @property
     def probability_columns(self) -> np.ndarray:
         """The probability matrix in column-major order: row ``z`` is ``p(e|z)`` of every edge.
 
-        A read-only ``(|Z|, |E|)`` copy, built on first access and dropped by
-        :meth:`add_edge` (never kept beside a newer matrix).  A column of the
+        A read-only ``(|Z|, |E|)`` copy, built on the version's first access
+        and kept on its :meth:`snapshot`.  A column of the
         C-order :attr:`probability_matrix` is a strided read; here it is
         contiguous, which is what the single-topic rows and the sparse
         ``p+`` term read.  Adding ``0.0`` turns a ``-0.0`` entry into the
         ``+0.0`` a dgemv would produce for it, so a scaled column equals the
         dgemv bit for bit; every other entry is copied unchanged.
         """
-        if self._prob_columns is None or self._prob_columns.shape[1] != self.num_edges:
-            columns = np.add(self.probability_matrix.T, 0.0, order="C")
+        graph = self.snapshot()
+        if graph._prob_columns is None:
+            columns = np.add(graph._prob_matrix.T, 0.0, order="C")
             columns.flags.writeable = False
-            self._prob_columns = columns
-        return self._prob_columns
+            graph._prob_columns = columns
+        return graph._prob_columns
 
     def max_edge_probabilities(self) -> np.ndarray:
         """``p(e) = max_z p(e|z)`` per edge (Definition 2 uses this bound)."""
-        if self._max_probs is None or self._max_probs.shape[0] != self.num_edges:
-            matrix = self.probability_matrix
-            self._max_probs = matrix.max(axis=1) if matrix.size else np.zeros(0)
-        return self._max_probs
+        graph = self.snapshot()
+        if graph._max_probs is None:
+            matrix = graph._prob_matrix
+            graph._max_probs = matrix.max(axis=1) if matrix.size else np.zeros(0)
+        return graph._max_probs
 
     def max_edge_probability(self, edge_id: int) -> float:
         """``p(e)`` for a single edge."""
@@ -377,9 +369,10 @@ class TopicSocialGraph:
           posteriors (a blocked product rounds differently), so neither is
           used.
         """
-        matrix = self.probability_matrix
-        columns = self.probability_columns
-        rows = np.empty((len(topic_posteriors), self.num_edges))
+        graph = self.snapshot()
+        matrix = graph._prob_matrix
+        columns = graph.probability_columns
+        rows = np.empty((len(topic_posteriors), graph.num_edges))
         for row, topic_posterior in zip(rows, topic_posteriors):
             posterior = np.asarray(topic_posterior, dtype=float)
             if posterior.shape != (self._num_topics,):
@@ -413,18 +406,20 @@ class TopicSocialGraph:
 
     # ---------------------------------------------------------------- utility
     def copy(self) -> "TopicSocialGraph":
-        """A deep copy of the graph."""
-        clone = TopicSocialGraph(self._num_vertices, self._num_topics, self.vertex_labels)
-        for edge in self.edges():
-            clone.add_edge(edge.source, edge.target, self._edge_probs[edge.edge_id])
+        """A writable deep copy of the current version."""
+        graph = self.snapshot()
+        clone = TopicSocialGraph(graph._num_vertices, graph._num_topics, graph.vertex_labels)
+        for edge in graph.edges():
+            clone.add_edge(edge.source, edge.target, graph._edge_probs[edge.edge_id])
         return clone
 
     def memory_bytes(self) -> int:
-        """Approximate in-memory footprint, used for index-size accounting."""
-        adjacency = sum(len(adj) for adj in self._out) + sum(len(adj) for adj in self._in)
-        edge_arrays = 2 * self.num_edges * 8
-        probability_bytes = self.num_edges * self._num_topics * 8
-        return adjacency * 8 + edge_arrays + probability_bytes
+        """Approximate in-memory footprint, used for index-size accounting.
+
+        Per edge: one out-list and one in-list slot, its two endpoints and its
+        ``p(e|z)`` vector, 8 bytes each.
+        """
+        return self.num_edges * (2 + 2 + self._num_topics) * 8
 
     def density(self) -> float:
         """Average degree ``|E| / |V|`` reported in Table 2."""
@@ -445,14 +440,14 @@ class TopicSocialGraph:
         small ``shape`` header carrying ``(|V|, |Z|, |E|, version)``.  Every
         value is a contiguous array, so the dict can be persisted with
         ``np.savez`` and later memory-mapped read-only by worker processes
-        (:meth:`repro.serve.store.IndexStore.save_graph_bundle`).  Warming the
-        CSR / probability caches here is the only side effect; the graph
-        itself is not mutated.
+        (:meth:`repro.serve.store.IndexStore.save_graph_bundle`).  Every
+        array comes from one :meth:`snapshot`, so the dict is one version.
         """
-        csr = self.csr
+        graph = self.snapshot()
+        csr = graph._csr
         return {
             "shape": np.array(
-                [self._num_vertices, self._num_topics, self.num_edges, self._version],
+                [graph._num_vertices, graph._num_topics, graph.num_edges, graph._version],
                 dtype=np.int64,
             ),
             "edge_sources": csr.edge_sources,
@@ -463,7 +458,7 @@ class TopicSocialGraph:
             "in_indptr": csr.in_indptr,
             "in_sources": csr.in_sources,
             "in_edge_ids": csr.in_edge_ids,
-            "probability_matrix": np.ascontiguousarray(self.probability_matrix, dtype=float),
+            "probability_matrix": np.ascontiguousarray(graph._prob_matrix, dtype=float),
         }
 
     @classmethod
@@ -481,8 +476,9 @@ class TopicSocialGraph:
         adjacency lists and the edge lookup dict are rebuilt.  The mutation
         ``version`` is restored from the header, so the replica produces the
         same :func:`index_cache_key` as the original graph and
-        :meth:`fingerprint` matches bitwise.  The replica stays fully mutable:
-        ``add_edge`` falls back to the ordinary copy-on-write cache rebuild.
+        :meth:`fingerprint` matches bitwise.  The replica is one version and
+        is never written to: it is read-only (its ``add_edge`` raises
+        :class:`~repro.exceptions.ReadOnlyGraphError`) and its own snapshot.
         """
         header = np.asarray(arrays["shape"], dtype=np.int64)
         num_vertices, num_topics, num_edges, version = (int(value) for value in header)
@@ -535,6 +531,7 @@ class TopicSocialGraph:
             in_edge_ids=in_edge_ids,
         )
         graph._version = version
+        graph._read_only = True
         return graph
 
     # ------------------------------------------------------------- construction

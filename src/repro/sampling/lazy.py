@@ -199,10 +199,9 @@ class LazyPropagationEstimator(InfluenceEstimator):
 
         A size is structural reachability over the row's open (``> 0``)
         edges, so it is a pure function of the user and the packed pattern,
-        and is memoized by ``(user, np.packbits(rows > 0))``.  ``add_edge``
-        appends edge ids, so after an insert an old pattern packs to the same
-        bytes only with the new edges closed, which leaves its size as it was.
-        The patterns not sized before go to one
+        and is memoized by ``(user, np.packbits(rows > 0))``; the estimator
+        pins one graph version, so the key is exact.  The patterns not sized
+        before go to one
         :func:`~repro.graph.algorithms.reachable_counts` call.
         """
         sizes = memoized_many(

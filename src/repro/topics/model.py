@@ -390,6 +390,7 @@ class TagTopicModel:
             raise ModelError(
                 f"graph has {graph.num_topics} topics but the model has {self._num_topics}"
             )
+        graph = graph.snapshot()  # the matrix and its columns of one version
         matrix = graph.probability_matrix
         rows = np.zeros((len(partials), matrix.shape[0]))
         if matrix.shape[0] == 0:

@@ -236,15 +236,72 @@ def test_snapshot_taken_during_add_edge_is_one_whole_version():
     assert before.num_edges == before.csr.num_edges == len(before.probability_matrix) == 3
 
 
-def test_snapshot_rebuilds_a_cache_a_reader_stored_after_a_write():
-    """A reader of the graph can store a cache after ``add_edge`` reset it; it is short, so it is rebuilt."""
-    graph = make_triangle()
-    csr, columns = graph.csr, graph.probability_columns
-    graph.add_edge(0, 2, [0.1, 0.1])
-    graph._csr, graph._prob_columns = csr, columns  # the late store of a reader that began before the write
-    snapshot = graph.snapshot()
+def test_reads_of_the_source_during_add_edge_see_one_whole_version():
+    """A reader of the written graph waits for a running ``add_edge`` and never sees half an edge.
+
+    The writer pauses between its list appends.  A reader that reaches the
+    graph's lock lets it go on; one that answers without waiting reads the
+    half-written lists while the writer is still paused.
+    """
+    graph = make_triangle()  # nothing read yet: add_edge appends to these very lists
+    paused, resume = threading.Event(), threading.Event()
+
+    class PausingList(list):
+        def append(self, item):
+            super().append(item)
+            paused.set()
+            resume.wait()
+
+    class ResumingLock:
+        """The graph's lock; a reader that takes it first lets the paused writer go on."""
+
+        def __init__(self, lock):
+            self._inner = lock
+
+        def __enter__(self):
+            resume.set()
+            return self._inner.__enter__()
+
+        def __exit__(self, *exc):
+            return self._inner.__exit__(*exc)
+
+    graph._edge_source = PausingList(graph._edge_source)
+    writer = threading.Thread(target=graph.add_edge, args=(0, 2, [0.1, 0.4]))
+    writer.start()
+    paused.wait()
+    graph._lock = ResumingLock(graph._lock)
+    reads = {
+        "csr": lambda: graph.csr,
+        "fingerprint": graph.fingerprint,
+        "probability_matrix": lambda: graph.probability_matrix,
+        "edges": lambda: list(graph.edges()),
+        "to_shared_arrays": graph.to_shared_arrays,
+    }
+    results, errors = {}, []
+
+    def read(name):
+        try:
+            results[name] = reads[name]()
+        except Exception as exc:  # a reader that raises fails the test below
+            errors.append(f"{name}: {type(exc).__name__}: {exc}")
+
+    readers = [threading.Thread(target=read, args=(name,)) for name in reads]
+    for reader in readers:
+        reader.start()
+    for reader in readers:
+        reader.join()
+    resume.set()
+    writer.join()
+    assert errors == []
     expected = make_triangle()
-    expected.add_edge(0, 2, [0.1, 0.1])
-    assert snapshot.csr.num_edges == snapshot.probability_columns.shape[1] == 4
-    assert snapshot.csr.in_edge_ids.tobytes() == expected.csr.in_edge_ids.tobytes()
-    assert snapshot.probability_columns.tobytes() == expected.probability_columns.tobytes()
+    expected.add_edge(0, 2, [0.1, 0.4])
+    assert results["fingerprint"] == expected.fingerprint() == graph.fingerprint()
+    assert results["probability_matrix"].tobytes() == expected.probability_matrix.tobytes()
+    assert results["edges"] == list(expected.edges())
+    assert results["csr"].num_edges == 4
+    arrays, whole = results["to_shared_arrays"], expected.to_shared_arrays()
+    assert arrays.keys() == whole.keys()
+    for name in whole:
+        assert arrays[name].tobytes() == whole[name].tobytes(), name
+        if name.startswith(("out_", "in_", "edge_")):
+            assert getattr(results["csr"], name).tobytes() == whole[name].tobytes(), name

@@ -42,7 +42,7 @@ import pytest
 
 from repro.core.engine import PitexEngine
 from repro.datasets.synthetic import load_dataset
-from repro.exceptions import GraphError, StoreError, WorkerError
+from repro.exceptions import GraphError, ReadOnlyGraphError, StoreError, WorkerError
 from repro.graph.digraph import TopicSocialGraph
 from repro.obs.telemetry import Telemetry, get_telemetry, install
 from repro.serve.replay import replay_stream
@@ -141,6 +141,9 @@ def test_graph_shared_arrays_roundtrip_is_exact(dataset):
     np.testing.assert_array_equal(rebuilt.csr.out_indptr, graph.csr.out_indptr)
     np.testing.assert_array_equal(rebuilt.csr.in_indptr, graph.csr.in_indptr)
     np.testing.assert_array_equal(rebuilt.probability_matrix, graph.probability_matrix)
+    assert rebuilt.snapshot() is rebuilt  # a replica is one read-only version
+    with pytest.raises(ReadOnlyGraphError):
+        rebuilt.add_edge(0, 1, [0.5] * rebuilt.num_topics)
 
 
 def test_graph_shared_arrays_header_mismatch_raises(dataset):

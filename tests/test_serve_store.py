@@ -14,6 +14,7 @@ import pytest
 from repro.core.engine import PitexEngine
 from repro.datasets.synthetic import load_dataset
 from repro.exceptions import InvalidParameterError
+from repro.graph.digraph import TopicSocialGraph
 from repro.index.delayed import DelayedIndexEstimator, DelayedMaterializationIndex
 from repro.index.rr_index import RRGraphIndex
 from repro.serve.store import MANIFEST_NAME, IndexStore, index_cache_key
@@ -99,6 +100,27 @@ def test_lookup_misses_when_graph_version_changes(dataset, store):
     mutated.add_edge(source, target, [0.1] * mutated.num_topics)
     assert store.load_rr_index(mutated, model, 40) is None
     assert index_cache_key("rr-graphs", mutated, model, 40) != key_before
+
+
+def test_a_write_mid_key_leaves_one_whole_version(dataset, monkeypatch):
+    """A write that lands between the fingerprint and the version read never splits the key."""
+    source = dataset.graph.copy()
+    expected = index_cache_key("rr-graphs", source.snapshot(), dataset.model, 40)
+    vertices = list(source.vertices())
+    write = next((s, t) for s in vertices for t in vertices if s != t and not source.has_edge(s, t))
+    original = TopicSocialGraph.fingerprint
+
+    def fingerprint_then_write(self):
+        result = original(self)
+        if not source.has_edge(*write):
+            source.add_edge(*write, [0.5] * source.num_topics)
+        return result
+
+    monkeypatch.setattr(TopicSocialGraph, "fingerprint", fingerprint_then_write)
+    key = index_cache_key("rr-graphs", source, dataset.model, 40)
+    monkeypatch.undo()
+    assert source.has_edge(*write)  # the write did land mid-key
+    assert key == expected
 
 
 def test_lookup_keyed_on_model_and_theta(dataset, store):

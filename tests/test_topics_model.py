@@ -495,7 +495,7 @@ def test_graphs_reject_nan_probabilities(small_graph):
 
 
 def test_probability_columns_follow_add_edge_and_freeze():
-    """freeze() warms the column copy, a query keeps it, add_edge after thaw() drops it."""
+    """freeze() warms the column copy, a query keeps it, and add_edge leaves the engine's copy alone."""
     from itertools import combinations
 
     from repro.core.engine import PitexEngine
@@ -510,12 +510,15 @@ def test_probability_columns_follow_add_edge_and_freeze():
     assert columns.shape == (graph.num_topics, graph.num_edges) and not columns.flags.writeable
     engine.query(user=dataset.workload("mid", 1)[0], k=2, method="indexest+")
     assert engine.graph.probability_columns is columns
-    engine.thaw()
     source, target = next(
         (s, t) for s in graph.vertices() for t in graph.vertices() if s != t and not graph.has_edge(s, t)
     )
     graph.add_edge(source, target, np.linspace(0.05, 0.9, graph.num_topics))
-    assert graph.probability_columns.shape == (graph.num_topics, graph.num_edges)
+    assert engine.graph.probability_columns is columns  # the engine keeps its version
+    assert graph.probability_columns.shape == (graph.num_topics, graph.num_edges) == (
+        columns.shape[0],
+        columns.shape[1] + 1,
+    )
     matrix = graph.probability_matrix
     assert graph.probability_columns.tobytes() == np.ascontiguousarray(matrix.T).tobytes()
     vectors = list(np.eye(graph.num_topics) * 0.375) + [model.topic_prior]
