@@ -103,7 +103,7 @@ def index_cache_key(
     """The store key for an index of ``kind`` over (graph, model, theta)."""
     if kind not in KINDS:
         raise InvalidParameterError(f"unknown index kind {kind!r}; choose from {KINDS}")
-    graph = graph.snapshot()  # the fingerprint and the version of one version
+    graph = graph.snapshot()  # the fingerprint and the version come from one version
     digest = sha256()
     digest.update(f"format={FORMAT_VERSION};kind={kind};".encode())
     digest.update(f"graph={graph.fingerprint()};version={graph.version};".encode())
