@@ -31,7 +31,7 @@ from repro.obs.clock import monotonic
 from repro.sampling.base import InfluenceEstimator
 from repro.topics.model import RowKey, TagTopicModel
 from repro.utils.heap import MaxHeap
-from repro.utils.memo import memoized_many
+from repro.utils.memo import distinct_rows, memoized_many
 
 BOUND_METHODS = ("reach", "sample")
 
@@ -129,7 +129,8 @@ class BestEffortExplorer:
         """One bound per partial set, all rows built and scored in one batch.
 
         The ``p+`` rows of all partial sets are built as one matrix
-        (:meth:`~repro.topics.model.TagTopicModel.upper_bound_edge_probabilities_many`);
+        (:meth:`~repro.topics.model.TagTopicModel.upper_bound_edge_probabilities_many`),
+        each distinct row key's row once (:func:`~repro.utils.memo.distinct_rows`);
         the rows with a live edge are evaluated through the estimator's
         :meth:`~repro.sampling.base.InfluenceEstimator.estimate_many_with_probabilities`,
         so a batched-kernel estimator answers the whole candidate frontier from
@@ -137,7 +138,11 @@ class BestEffortExplorer:
         order, preserving their sequential sampling paths.
         """
         graph = self.estimator.graph
-        rows = self.model.upper_bound_edge_probabilities_many(graph, partials, query.k)
+        rows = distinct_rows(
+            [self.model._row_key(partial, query.k) for partial in partials],
+            partials,
+            lambda firsts: self.model.upper_bound_edge_probabilities_many(graph, firsts, query.k),
+        )
         # A row without a positive p+ edge cannot activate anyone beyond the seed.
         live = (rows > 0.0).any(axis=1)
         bounds: List[Bound] = [(1.0, 0, 0)] * len(partials)

@@ -229,35 +229,14 @@ class TopicSocialGraph:
         self._check_vertex(vertex)
         return list(self._in[vertex])
 
-    def out_neighbors(self, vertex: int) -> List[int]:
-        """Vertices directly influenced by ``vertex``."""
-        self._check_vertex(vertex)
-        graph = self.snapshot()
-        return [graph._edge_target[e] for e in graph._out[vertex]]
-
-    def in_neighbors(self, vertex: int) -> List[int]:
-        """Vertices that directly influence ``vertex``."""
-        self._check_vertex(vertex)
-        graph = self.snapshot()
-        return [graph._edge_source[e] for e in graph._in[vertex]]
-
     def out_degree(self, vertex: int) -> int:
         """Out-degree of ``vertex``."""
         self._check_vertex(vertex)
         return len(self._out[vertex])
 
-    def in_degree(self, vertex: int) -> int:
-        """In-degree of ``vertex``."""
-        self._check_vertex(vertex)
-        return len(self._in[vertex])
-
     def out_degrees(self) -> np.ndarray:
         """Vector of out-degrees for every vertex."""
         return np.array([len(adj) for adj in self._out], dtype=np.int64)
-
-    def in_degrees(self) -> np.ndarray:
-        """Vector of in-degrees for every vertex."""
-        return np.array([len(adj) for adj in self._in], dtype=np.int64)
 
     # -------------------------------------------------------------------- csr
     @property
@@ -338,10 +317,6 @@ class TopicSocialGraph:
             graph._max_probs = matrix.max(axis=1) if matrix.size else np.zeros(0)
         return graph._max_probs
 
-    def max_edge_probability(self, edge_id: int) -> float:
-        """``p(e)`` for a single edge."""
-        return float(self.max_edge_probabilities()[edge_id])
-
     def edge_probabilities_under(self, topic_posterior: Sequence[float]) -> np.ndarray:
         """Vector of ``p(e|W) = sum_z p(e|z) p(z|W)`` for every edge.
 
@@ -397,13 +372,6 @@ class TopicSocialGraph:
         self._check_vertex(vertex)
         return self.vertex_labels[vertex]
 
-    def vertex_by_label(self, label: str) -> int:
-        """Vertex id whose label equals ``label`` (first match)."""
-        try:
-            return self.vertex_labels.index(label)
-        except ValueError as exc:
-            raise UnknownVertexError(f"no vertex with label {label!r}") from exc
-
     # ---------------------------------------------------------------- utility
     def copy(self) -> "TopicSocialGraph":
         """A writable deep copy of the current version."""
@@ -438,9 +406,9 @@ class TopicSocialGraph:
         The returned dict is exactly what :meth:`from_shared_arrays` consumes:
         the CSR adjacency arrays, the ``(|E|, |Z|)`` probability matrix and a
         small ``shape`` header carrying ``(|V|, |Z|, |E|, version)``.  Every
-        value is a contiguous array, so the dict can be persisted with
-        ``np.savez`` and later memory-mapped read-only by worker processes
-        (:meth:`repro.serve.store.IndexStore.save_graph_bundle`).  Every
+        value is a contiguous array, so the dict can be persisted as one
+        ``.npy`` file per array and later memory-mapped read-only by worker
+        processes (:meth:`repro.serve.store.IndexStore.save_graph_bundle`).  Every
         array comes from one :meth:`snapshot`, so the dict is one version.
         """
         graph = self.snapshot()
@@ -503,8 +471,9 @@ class TopicSocialGraph:
             )
         }
         # Row views into the (possibly mmap'd) matrix; topic_probabilities()
-        # hands these out read-only without ever materializing a copy.
-        graph._edge_probs = list(matrix)
+        # hands these out read-only without ever materializing a copy.  The
+        # rows are plain ndarray views: a memmap row per edge costs ~1 us more.
+        graph._edge_probs = list(np.asarray(matrix))
         graph._prob_matrix = matrix
         out_indptr = np.asarray(arrays["out_indptr"], dtype=np.int64)
         in_indptr = np.asarray(arrays["in_indptr"], dtype=np.int64)

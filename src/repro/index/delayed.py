@@ -132,8 +132,8 @@ class DelayedMaterializationIndex:
         equal containment counts produce identical estimates, whether their
         index was built or loaded.
 
-        ``arrays`` may be read-only ``numpy.memmap`` views (what
-        :meth:`IndexStore.open_mapped` hands a process replica): the counts
+        ``arrays`` may be read-only ``numpy.memmap`` views (what an
+        :class:`IndexStore` load with ``mmap=True`` hands a process replica): the counts
         are copied into a plain dict and the mapped arrays are never
         mutated, so one mapped file can back many worker processes.
         """

@@ -182,12 +182,12 @@ class RRGraphIndex:
 
     # -------------------------------------------------------------- serialize
     def to_arrays(self) -> Dict[str, np.ndarray]:
-        """The built index as named arrays for ``npz`` persistence.
+        """The built index as named arrays for persistence (one ``.npy`` file each).
 
         The RR-Graphs are concatenated into parallel arrays with per-graph
         ``indptr`` offsets (the layout of :func:`~repro.index.rr_graph.flatten_rr_graphs`),
         which is also how the index stores them, so the whole index
-        round-trips through :func:`numpy.savez_compressed` without any
+        round-trips through :class:`~repro.serve.store.IndexStore` without any
         per-graph Python objects.  Vertex ids are sorted per graph, so the
         form is canonical.  The arrays are the index's own, read-only.
         """
@@ -209,8 +209,8 @@ class RRGraphIndex:
         graphs are rebuilt from the same flat arrays.
 
         The arrays are adopted as they are (no per-graph Python objects).
-        They may be read-only ``numpy.memmap`` views (what
-        :meth:`IndexStore.open_mapped` hands a process replica): the index
+        They may be read-only ``numpy.memmap`` views (what an
+        :class:`IndexStore` load with ``mmap=True`` hands a process replica): the index
         only ever reads them, so a single mapped file can back many worker
         processes at once without copy-on-write faults.
         """

@@ -27,7 +27,7 @@ from repro.exceptions import InvalidParameterError
 from repro.graph.digraph import TopicSocialGraph
 from repro.obs.telemetry import counter
 from repro.topics.model import TagTopicModel
-from repro.utils.memo import memoized_many
+from repro.utils.memo import distinct_rows, memoized_many
 from repro.utils.stats import log_binomial, log_sum_binomials
 from repro.utils.validation import ensure_in_range, ensure_positive_int
 
@@ -349,8 +349,16 @@ class InfluenceEstimator(abc.ABC):
         return results
 
     def _estimates_under(self, user: int, posteriors: list, kernel: str) -> list:
-        """The estimates of the ``p(e|W)`` rows of ``posteriors``, in one call."""
-        rows = self.graph.edge_probabilities_under_many(posteriors)
+        """The estimates of the ``p(e|W)`` rows of ``posteriors``, in one call.
+
+        Each distinct posterior's row is built once; the estimator still gets
+        one row per posterior, in order.
+        """
+        rows = distinct_rows(
+            [posterior.tobytes() for posterior in posteriors],
+            posteriors,
+            self.graph.edge_probabilities_under_many,
+        )
         return [
             dataclasses.replace(estimate, kernel=kernel) if kernel and not estimate.kernel else estimate
             for estimate in self.estimate_many_with_probabilities(user, rows)

@@ -5,8 +5,8 @@ materialization is expensive, answering from it is cheap.  This package carries
 that asymmetry across process and query boundaries:
 
 * :mod:`repro.serve.store` -- :class:`IndexStore`: offline indexes serialized
-  to ``npz`` + JSON manifests keyed on graph fingerprint / version, model hash
-  and theta, with load-or-build semantics.
+  to one checksummed raw ``.npy`` per array + a JSON manifest, keyed on graph
+  fingerprint / version, model hash and theta, with load-or-build semantics.
 * :mod:`repro.serve.cache` -- :class:`SingleFlightLRU`: the one thread-safe
   LRU whose misses compute once per key, and :class:`EngineCache`, its policy
   for warm engines, so repeated queries skip engine construction and index

@@ -13,8 +13,9 @@ correct about:
   same answer -- no cross-process coordination, no shared RNG;
 * :class:`~repro.serve.store.IndexStore` already persists every heavy
   structure (CSR graph arrays, probability matrix, index sample arrays) as
-  flat numpy arrays, so replicas reconstruct from read-only ``mmap``'d views
-  (:meth:`IndexStore.open_mapped` / :meth:`TopicSocialGraph.from_shared_arrays`)
+  one raw ``.npy`` file per flat array, so replicas reconstruct from
+  read-only ``mmap``'d views of those files
+  (:meth:`IndexStore.load_graph_bundle` / :meth:`TopicSocialGraph.from_shared_arrays`)
   and the float payload lives in the page cache once, not N times.
 
 :class:`EngineSpec` is the picklable recipe a worker needs (store root +

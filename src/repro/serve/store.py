@@ -5,7 +5,7 @@ materialization once so every later query is cheap -- but the seed engine
 re-paid that cost in every process.  :class:`IndexStore` extends the split
 across process boundaries: a built :class:`~repro.index.rr_index.RRGraphIndex`
 or :class:`~repro.index.delayed.DelayedMaterializationIndex` is serialized to
-one compressed ``npz`` of flat arrays plus a JSON manifest, keyed on
+one raw ``.npy`` file per flat array plus a JSON manifest, keyed on
 
 * the graph *content fingerprint* (:meth:`TopicSocialGraph.fingerprint`),
 * the graph ``version`` (mutation counter at build time),
@@ -25,19 +25,22 @@ lookup without a seed accepts whatever the slot holds.
 
 Layout on disk (one directory per entry)::
 
-    <root>/<key>/manifest.json   # provenance + integrity fields
-    <root>/<key>/arrays.npz      # the entry's flat arrays
-    <root>/<key>/mapped/*.npy    # optional mmap sidecars (see open_mapped)
+    <root>/<key>/manifest.json       # provenance + each array's dtype, shape, CRC32
+    <root>/<key>/arrays/<name>.npy   # one raw array per file, read as written
 
 Writes go through a temporary directory and a final atomic rename, so a
 crashed writer can never leave a half-entry that a later load would trust.
+Loads only read: with ``mmap`` they map the ``.npy`` files read-only,
+without it they read them into fresh buffers, and both check every array's
+dtype, shape and CRC32 against the manifest.  A damaged or missing array is
+a miss for an index entry and a :class:`StoreError` for a bundle.
 
 Beyond the two index kinds, the store also persists *shared graph bundles*
 (``kind="shared-graph"``): the CSR adjacency arrays, the probability matrix
 and the tag-topic model of one dataset, keyed on graph fingerprint + model
 hash.  Bundles are what the process-sharded serving backend
 (:mod:`repro.serve.sharded`) hands to worker processes, which reconstruct
-engine replicas from the ``mapped/`` sidecars via
+engine replicas from the same ``.npy`` files via
 ``np.load(..., mmap_mode="r")`` -- the float payload is then shared
 page-cache memory across every worker instead of N copies.
 
@@ -52,6 +55,7 @@ import json
 import os
 import shutil
 import uuid
+import zlib
 from dataclasses import dataclass
 from hashlib import sha256
 from pathlib import Path
@@ -68,15 +72,14 @@ from repro.obs.telemetry import counter
 from repro.topics.model import TagTopicModel
 from repro.utils.rng import SeedLike
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 KIND_RR = "rr-graphs"
 KIND_DELAYED = "delaymat"
 KIND_SHARED_GRAPH = "shared-graph"
 KINDS = (KIND_RR, KIND_DELAYED)
 
 MANIFEST_NAME = "manifest.json"
-ARRAYS_NAME = "arrays.npz"
-MAPPED_DIR_NAME = "mapped"
+ARRAYS_DIR_NAME = "arrays"
 
 
 @dataclass(frozen=True)
@@ -167,12 +170,9 @@ class IndexStore:
         for child in sorted(self.root.iterdir()):
             if child.name.startswith("."):
                 continue  # in-flight staging dirs (.tmp-*) are not entries
-            manifest_path = child / MANIFEST_NAME
-            if not manifest_path.is_file():
-                continue
             try:
-                manifest = json.loads(manifest_path.read_text())
-            except (OSError, json.JSONDecodeError):
+                manifest = self._read_manifest(child.name)
+            except StoreError:
                 continue
             found.append(
                 StoreEntry(key=child.name, kind=manifest.get("kind", "?"), path=child, manifest=manifest)
@@ -197,14 +197,25 @@ class IndexStore:
 
     # ------------------------------------------------------------------- save
     def _write_entry(self, key: str, manifest: Dict, arrays: Dict[str, np.ndarray]) -> StoreEntry:
-        """Write one entry (manifest + npz) through a staging dir + atomic rename."""
+        """Write one entry (manifest + one ``.npy`` per array) through a staging dir + atomic rename.
+
+        The manifest gains an ``arrays`` record of each array's dtype, shape
+        and CRC32, which every load checks.
+        """
         self.root.mkdir(parents=True, exist_ok=True)
         staging = self.root / f".tmp-{key}-{uuid.uuid4().hex[:8]}"
-        staging.mkdir(parents=True)
+        (staging / ARRAYS_DIR_NAME).mkdir(parents=True)
         final = self.entry_path(key)
+        manifest = dict(manifest, arrays={})
         try:
-            with open(staging / ARRAYS_NAME, "wb") as handle:
-                np.savez_compressed(handle, **arrays)
+            for name, array in arrays.items():
+                array = np.ascontiguousarray(array)
+                np.save(staging / ARRAYS_DIR_NAME / f"{name}.npy", array, allow_pickle=False)
+                manifest["arrays"][name] = {
+                    "dtype": array.dtype.str,
+                    "shape": list(array.shape),
+                    "crc32": zlib.crc32(array),
+                }
             (staging / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True))
             if final.exists():
                 shutil.rmtree(final)
@@ -246,7 +257,6 @@ class IndexStore:
             "index_seed": seed_tag(index_seed),
             "build_seconds": float(build_seconds),
             "created_unix": wall_clock(),
-            "arrays_file": ARRAYS_NAME,
         }
         return self._write_entry(key, manifest, arrays)
 
@@ -281,43 +291,44 @@ class IndexStore:
             index_seed,
         )
 
-    # ------------------------------------------------------------------ mapped
-    def open_mapped(self, key: str) -> Dict[str, np.ndarray]:
-        """Read-only memory-mapped views of one entry's arrays.
+    # ------------------------------------------------------------------- read
+    def _read_manifest(self, key: str) -> Dict:
+        """The decoded manifest of entry ``key``; :class:`StoreError` if absent or unreadable."""
+        try:
+            return json.loads((self.entry_path(key) / MANIFEST_NAME).read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise StoreError(f"store entry {key!r} has no readable manifest: {exc}") from exc
 
-        ``np.load(..., mmap_mode="r")`` cannot map members of an ``npz``
-        archive (compressed or not), so on first call the members are
-        extracted once into ``<entry>/mapped/<name>.npy`` sidecars -- written
-        to a staging directory and landed with an atomic rename, so
-        concurrent extractors (N forking workers) race benignly.  Every later
-        call maps the sidecars directly: the arrays live in the page cache
-        exactly once no matter how many processes open them.
+    def _read_arrays(self, key: str, manifest: Dict, mmap: bool) -> Dict[str, np.ndarray]:
+        """The arrays the manifest of entry ``key`` lists, each checked against its record.
+
+        With ``mmap`` every array is a read-only ``np.memmap`` of its
+        ``.npy`` file, shared page-cache memory across every process that
+        maps it; without it, a fresh buffer.  Nothing is written.  An array
+        whose dtype, shape or CRC32 differs from the manifest -- a flipped
+        dtype character leaves the raw bytes and so the CRC unchanged -- or
+        that any reader fails on raises :class:`StoreError`.
         """
-        entry = self.entry_path(key)
-        arrays_path = entry / ARRAYS_NAME
-        mapped_dir = entry / MAPPED_DIR_NAME
-        if not mapped_dir.is_dir():
-            if not arrays_path.is_file():
-                raise StoreError(f"store entry {key!r} has no {ARRAYS_NAME} to map")
-            staging = entry / f".tmp-{MAPPED_DIR_NAME}-{uuid.uuid4().hex[:8]}"
-            staging.mkdir(parents=True)
+        arrays_dir = self.entry_path(key) / ARRAYS_DIR_NAME
+        arrays: Dict[str, np.ndarray] = {}
+        for name, record in manifest.get("arrays", {}).items():
             try:
-                with np.load(arrays_path) as payload:
-                    for name in payload.files:
-                        np.save(staging / f"{name}.npy", payload[name], allow_pickle=False)
-                try:
-                    os.replace(staging, mapped_dir)
-                except OSError:
-                    # Another process landed the extraction first; same
-                    # source npz => same sidecars, use theirs.
-                    if not mapped_dir.is_dir():
-                        raise
-            finally:
-                shutil.rmtree(staging, ignore_errors=True)
-        mapped: Dict[str, np.ndarray] = {}
-        for path in sorted(mapped_dir.glob("*.npy")):
-            mapped[path.stem] = np.load(path, mmap_mode="r", allow_pickle=False)
-        return mapped
+                array = np.load(
+                    arrays_dir / f"{name}.npy", mmap_mode="r" if mmap else None, allow_pickle=False
+                )
+                intact = (
+                    array.dtype.str == record["dtype"]
+                    and list(array.shape) == record["shape"]
+                    and zlib.crc32(array) == record["crc32"]
+                )
+            except Exception as exc:
+                # OSError, EOFError, ValueError or a tokenizer error (an .npy
+                # header), a BufferError, a malformed record: all one fault.
+                raise StoreError(f"store entry {key!r}: array {name!r} is unreadable: {exc}") from exc
+            if not intact:
+                raise StoreError(f"store entry {key!r}: array {name!r} does not match its manifest")
+            arrays[name] = array
+        return arrays
 
     # ------------------------------------------------------------------- load
     def _load_arrays(
@@ -330,13 +341,9 @@ class IndexStore:
         index_seed: Optional[int] = None,
     ) -> Optional[Tuple[Dict[str, np.ndarray], Dict]]:
         key = index_cache_key(kind, graph, model, num_samples)
-        entry = self.entry_path(key)
-        manifest_path = entry / MANIFEST_NAME
-        if not manifest_path.is_file():
-            return None
         try:
-            manifest = json.loads(manifest_path.read_text())
-        except (OSError, json.JSONDecodeError):
+            manifest = self._read_manifest(key)
+        except StoreError:
             return None
         # The key already encodes all of these; re-check so a hand-edited or
         # corrupted entry degrades to a miss instead of a wrong answer.
@@ -351,20 +358,10 @@ class IndexStore:
             return None
         if index_seed is not None and manifest.get("index_seed") != int(index_seed):
             return None  # drawn from another seed, or unseeded
-        arrays_path = entry / manifest.get("arrays_file", ARRAYS_NAME)
         try:
-            if mmap:
-                arrays = self.open_mapped(key)
-            else:
-                with np.load(arrays_path) as payload:
-                    arrays = {name: payload[name] for name in payload.files}
-        except Exception:
-            # A damaged payload fails in whichever reader meets the damage
-            # first: OSError, EOFError, zipfile.BadZipFile, zlib.error,
-            # NotImplementedError (a flipped zip flag), ValueError or a
-            # tokenizer error (an .npy header).  Every one of them is a miss.
-            return None
-        return arrays, manifest
+            return self._read_arrays(key, manifest, mmap), manifest
+        except StoreError:
+            return None  # a damaged or missing array is a miss
 
     def load_rr_index(
         self,
@@ -377,10 +374,10 @@ class IndexStore:
         """The stored RR-Graph index for (graph, model, theta), or ``None``.
 
         With ``index_seed`` set, only an index drawn from exactly that seed
-        loads.  With ``mmap=True`` the flat sample arrays are memory-mapped read-only
-        through :meth:`open_mapped` instead of decompressed into fresh
-        buffers; the reconstructed index answers bitwise-identically either
-        way (covered by ``tests/test_serve_process.py``).
+        loads.  With ``mmap=True`` the flat sample arrays are memory-mapped
+        read-only instead of read into fresh buffers; the reconstructed index
+        answers bitwise-identically either way (covered by
+        ``tests/test_serve_process.py``).
         """
         graph = graph.snapshot()  # the version the manifest is checked against
         loaded = self._load_arrays(
@@ -496,7 +493,6 @@ class IndexStore:
             "num_topics": graph.num_topics,
             "model_hash": model.content_hash(),
             "created_unix": wall_clock(),
-            "arrays_file": ARRAYS_NAME,
         }
         return self._write_entry(key, manifest, arrays)
 
@@ -509,24 +505,18 @@ class IndexStore:
         the CSR arrays and both float matrices are read-only memory maps
         shared across every process that opens the same bundle.  The
         reconstructed graph fingerprint and model content hash are verified
-        against the manifest; a mismatch raises :class:`StoreError` rather
-        than letting a corrupt bundle serve subtly wrong answers.
+        against the manifest, as is every array's dtype, shape and CRC32; a
+        missing entry, a damaged array or a mismatch raises
+        :class:`StoreError` rather than letting a corrupt bundle serve subtly
+        wrong answers.
         """
-        entry = self.entry_path(key)
-        manifest_path = entry / MANIFEST_NAME
-        if not manifest_path.is_file():
-            raise StoreError(f"no shared graph bundle with key {key!r} in {self.root}")
-        manifest = json.loads(manifest_path.read_text())
+        manifest = self._read_manifest(key)
         if manifest.get("kind") != KIND_SHARED_GRAPH or manifest.get("format") != FORMAT_VERSION:
             raise StoreError(
                 f"store entry {key!r} is kind={manifest.get('kind')!r} "
                 f"format={manifest.get('format')!r}, not a shared graph bundle"
             )
-        if mmap:
-            arrays = self.open_mapped(key)
-        else:
-            with np.load(entry / manifest.get("arrays_file", ARRAYS_NAME)) as payload:
-                arrays = {name: payload[name] for name in payload.files}
+        arrays = self._read_arrays(key, manifest, mmap)
         graph = TopicSocialGraph.from_shared_arrays(arrays)
         model = TagTopicModel.from_shared_arrays(
             arrays["model_matrix"],

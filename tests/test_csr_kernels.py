@@ -63,10 +63,10 @@ def test_csr_arrays_match_adjacency_lists():
         for vertex in graph.vertices():
             edge_ids, targets = csr.out_slice(vertex)
             assert edge_ids.tolist() == graph.out_edges(vertex)
-            assert targets.tolist() == graph.out_neighbors(vertex)
+            assert targets.tolist() == [graph.edge_endpoints(e)[1] for e in graph.out_edges(vertex)]
             in_ids, sources = csr.in_slice(vertex)
             assert in_ids.tolist() == graph.in_edges(vertex)
-            assert sources.tolist() == graph.in_neighbors(vertex)
+            assert sources.tolist() == [graph.edge_endpoints(e)[0] for e in graph.in_edges(vertex)]
         for edge in graph.edges():
             assert int(csr.edge_sources[edge.edge_id]) == edge.source
             assert int(csr.edge_targets[edge.edge_id]) == edge.target
@@ -93,7 +93,6 @@ def test_adjacency_accessors_return_defensive_copies():
     out_before = graph.out_edges(0)
     graph.out_edges(0).append(10_000)
     graph.in_edges(0).clear()
-    graph.out_neighbors(0).append(-1)
     assert graph.out_edges(0) == out_before
     # The CSR cache stays consistent with the (unchanged) graph.
     edge_ids, _ = graph.csr.out_slice(0)

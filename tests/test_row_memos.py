@@ -199,6 +199,63 @@ def test_each_bound_row_key_is_built_once_per_query(monkeypatch, name, bound_met
         assert built and len(built) == len(set(built)), user
 
 
+def test_lazy_batched_builds_each_row_once_per_call(monkeypatch):
+    """A sampling estimator memoizes nothing across calls, but one call builds
+    each ``p+`` row key and each posterior's ``p(e|W)`` row once; the estimator
+    still gets one row per partial or tag set, in order, bitwise as unshared."""
+    graph, model, _, _ = _instance()
+    snapshot = graph.snapshot()
+    build_bounds = model.upper_bound_edge_probabilities_many
+    build_rows = snapshot.edge_probabilities_under_many
+    row_bounds = BestEffortExplorer._row_bounds
+    estimates_under = LazyPropagationEstimator._estimates_under
+    built, unshared, received = [], [], []
+    requested = 0
+
+    def bounds_spy(graph, partials, k):
+        built.append([model._row_key(partial, k) for partial in partials])
+        return build_bounds(graph, partials, k)
+
+    def rows_spy(posteriors):
+        built.append([posterior.tobytes() for posterior in posteriors])
+        return build_rows(posteriors)
+
+    def row_bounds_spy(self, query, partials, num_samples):
+        nonlocal requested
+        requested += len(partials)
+        rows = build_bounds(snapshot, partials, query.k)
+        if (rows > 0.0).any():
+            unshared.append(rows[(rows > 0.0).any(axis=1)])
+        return row_bounds(self, query, partials, num_samples)
+
+    def estimates_under_spy(self, user, posteriors, kernel):
+        nonlocal requested
+        requested += len(posteriors)
+        unshared.append(build_rows(posteriors))
+        return estimates_under(self, user, posteriors, kernel)
+
+    monkeypatch.setattr(model, "upper_bound_edge_probabilities_many", bounds_spy)
+    monkeypatch.setattr(snapshot, "edge_probabilities_under_many", rows_spy)
+    monkeypatch.setattr(BestEffortExplorer, "_row_bounds", row_bounds_spy)
+    monkeypatch.setattr(LazyPropagationEstimator, "_estimates_under", estimates_under_spy)
+    for user in _users(graph, 6):
+        estimator = _lazy_batched(graph, model)
+        assert estimator.graph is snapshot
+        inner = estimator.estimate_many_with_probabilities
+
+        def estimate_many_with_probabilities(user, rows, num_samples=None, inner=inner):
+            received.append(np.array(rows).tobytes())
+            return inner(user, rows, num_samples)
+
+        estimator.estimate_many_with_probabilities = estimate_many_with_probabilities
+        BestEffortExplorer(model, estimator, bound_method="sample").explore(
+            PitexQuery(user=user, k=3, epsilon=0.7)
+        )
+    assert received == [rows.tobytes() for rows in unshared]
+    assert all(len(keys) == len(set(keys)) for keys in built)
+    assert sum(map(len, built)) < requested
+
+
 def _dense_instance():
     """A model without zeros: every partial set has the full topic support."""
     from repro.graph.generators import random_topic_graph

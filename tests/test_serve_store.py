@@ -13,11 +13,11 @@ import pytest
 
 from repro.core.engine import PitexEngine
 from repro.datasets.synthetic import load_dataset
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import InvalidParameterError, StoreError
 from repro.graph.digraph import TopicSocialGraph
 from repro.index.delayed import DelayedIndexEstimator, DelayedMaterializationIndex
 from repro.index.rr_index import RRGraphIndex
-from repro.serve.store import MANIFEST_NAME, IndexStore, index_cache_key
+from repro.serve.store import FORMAT_VERSION, MANIFEST_NAME, IndexStore, index_cache_key
 
 
 @pytest.fixture(scope="module")
@@ -263,10 +263,20 @@ def _truncate(path):
     path.write_bytes(data[: len(data) // 2])
 
 
+def _flip_dtype(path):
+    """Change the dtype character in an ``.npy`` header; the raw bytes stay as they are."""
+    data = path.read_bytes()
+    at = data.index(b"'descr': '") + len(b"'descr': '") + 1
+    swapped = {ord("f"): b"i", ord("i"): b"u", ord("u"): b"i", ord("U"): b"S", ord("b"): b"u"}
+    path.write_bytes(data[:at] + swapped[data[at]] + data[at + 1 :])
+
+
 CORRUPTIONS = {
     "truncated": _truncate,
     "empty": lambda path: path.write_bytes(b""),
-    "garbage": lambda path: path.write_bytes(b"not an npz archive" * 8),
+    "garbage": lambda path: path.write_bytes(b"not an npy file" * 8),
+    "missing": lambda path: path.unlink(),
+    "dtype": _flip_dtype,
 }
 INDEX_KINDS = {
     "rr": (RRGraphIndex, "save_rr_index", "load_rr_index", "load_or_build_rr"),
@@ -279,17 +289,36 @@ INDEX_KINDS = {
 }
 
 
+def _array_files(entry):
+    files = sorted((entry.path / "arrays").glob("*.npy"))
+    assert sorted(path.stem for path in files) == sorted(entry.manifest["arrays"])
+    return files
+
+
+def _tree(root):
+    """Every path under ``root`` with its mtime and size."""
+    return {
+        str(path.relative_to(root)): (path.stat().st_mtime_ns, path.stat().st_size)
+        for path in sorted(root.rglob("*"))
+    }
+
+
 @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
 @pytest.mark.parametrize("kind", sorted(INDEX_KINDS))
 def test_damaged_arrays_load_as_a_miss_and_rebuild(dataset, store, kind, corruption):
-    """A truncated, empty or garbage ``arrays.npz`` is a miss, never a raise."""
+    """A truncated, empty, garbage, missing or retyped ``arrays/*.npy`` is a miss, never a raise."""
     graph, model = dataset.graph, dataset.model
     index_class, save, load, load_or_build = INDEX_KINDS[kind]
     entry = getattr(store, save)(index_class(graph, 30, seed=3).build(), model, index_seed=3)
-    CORRUPTIONS[corruption](entry.path / "arrays.npz")
-    assert getattr(store, load)(graph, model, 30) is None
-    assert getattr(store, load)(graph, model, 30, mmap=True) is None
+    for path in _array_files(entry):
+        pristine = path.read_bytes()
+        CORRUPTIONS[corruption](path)
+        assert getattr(store, load)(graph, model, 30) is None, path.name
+        assert getattr(store, load)(graph, model, 30, mmap=True) is None, path.name
+        path.write_bytes(pristine)
+    assert getattr(store, load)(graph, model, 30) is not None
 
+    CORRUPTIONS[corruption](_array_files(entry)[0])
     rebuilt, loaded, _ = getattr(store, load_or_build)(graph, model, 30, seed=3)
     assert not loaded and rebuilt.is_built
     assert getattr(store, load)(graph, model, 30) is not None
@@ -300,40 +329,86 @@ def test_damaged_arrays_load_as_a_miss_and_rebuild(dataset, store, kind, corrupt
 
 @pytest.mark.parametrize("kind", sorted(INDEX_KINDS))
 def test_bit_flipped_arrays_never_raise(dataset, store, kind):
-    """Flipped bytes anywhere in ``arrays.npz`` load as a miss or as the index.
+    """Flipped bytes anywhere in any ``arrays/*.npy``, headers included, load as a miss.
 
-    Depending on where they land they break the deflate stream, a CRC, a
-    zip header or an ``.npy`` header, each with its own exception type;
-    flips in fields nothing verifies leave the payload readable.
+    A flip in an ``.npy`` header breaks its parse or changes the dtype or
+    shape the manifest records; a flip in the data changes the CRC32.
     """
-    import shutil
-
     graph, model = dataset.graph, dataset.model
     index_class, save, load, _ = INDEX_KINDS[kind]
     entry = getattr(store, save)(index_class(graph, 30, seed=3).build(), model)
-    arrays_path = entry.path / "arrays.npz"
-    pristine = arrays_path.read_bytes()
-    for offset in range(0, len(pristine), max(1, len(pristine) // 64)):
-        damaged = bytearray(pristine)
-        for position in range(offset, min(offset + 8, len(damaged))):
-            damaged[position] ^= 0xFF
-        arrays_path.write_bytes(bytes(damaged))
-        shutil.rmtree(entry.path / "mapped", ignore_errors=True)
-        for mmap in (False, True):
-            loaded = getattr(store, load)(graph, model, 30, mmap=mmap)
-            assert loaded is None or loaded.is_built
+    for path in _array_files(entry):
+        pristine = path.read_bytes()
+        for offset in range(0, len(pristine), max(1, len(pristine) // 64)):
+            damaged = bytearray(pristine)
+            for position in range(offset, min(offset + 8, len(damaged))):
+                damaged[position] ^= 0xFF
+            path.write_bytes(bytes(damaged))
+            for mmap in (False, True):
+                assert getattr(store, load)(graph, model, 30, mmap=mmap) is None, (path.name, offset)
+        path.write_bytes(pristine)
+    assert getattr(store, load)(graph, model, 30) is not None
 
 
 @pytest.mark.parametrize("kind", sorted(INDEX_KINDS))
 def test_truncated_mapped_sidecar_loads_as_a_miss(dataset, store, kind):
+    """The mapped and the in-memory load read the same files, so both miss."""
     graph, model = dataset.graph, dataset.model
     index_class, save, load, _ = INDEX_KINDS[kind]
     entry = getattr(store, save)(index_class(graph, 30, seed=3).build(), model)
     assert getattr(store, load)(graph, model, 30, mmap=True) is not None
-    sidecars = sorted((entry.path / "mapped").glob("*.npy"))
-    assert sidecars
-    for sidecar in sidecars:
-        _truncate(sidecar)
+    for path in _array_files(entry):
+        _truncate(path)
     assert getattr(store, load)(graph, model, 30, mmap=True) is None
-    # The compressed arrays are intact, so the in-memory path still loads.
-    assert getattr(store, load)(graph, model, 30) is not None
+    assert getattr(store, load)(graph, model, 30) is None
+
+
+def test_loads_write_nothing_into_the_store(dataset, store):
+    graph, model = dataset.graph, dataset.model
+    store.save_rr_index(RRGraphIndex(graph, 30, seed=3).build(), model)
+    store.save_delayed_index(DelayedMaterializationIndex(graph, 30, seed=3).build(), model)
+    bundle = store.save_graph_bundle(graph, model)
+    before = _tree(store.root)
+    for mmap in (False, True):
+        assert store.load_rr_index(graph, model, 30, mmap=mmap) is not None
+        assert store.load_delayed_index(graph, model, 30, mmap=mmap) is not None
+        store.load_graph_bundle(bundle.key, mmap=mmap)
+    assert _tree(store.root) == before
+
+
+def test_a_format_1_npz_entry_is_a_miss_and_rebuilds(dataset, store):
+    """An entry in the old layout (one compressed ``arrays.npz``) is never read."""
+    import shutil
+
+    graph, model = dataset.graph, dataset.model
+    index = RRGraphIndex(graph, 30, seed=3).build()
+    entry = store.save_rr_index(index, model, index_seed=3)
+    shutil.rmtree(entry.path / "arrays")
+    with open(entry.path / "arrays.npz", "wb") as handle:
+        np.savez_compressed(handle, **index.to_arrays())  # what format 1 wrote
+    manifest = {name: value for name, value in entry.manifest.items() if name != "arrays"}
+    manifest.update(format=1, arrays_file="arrays.npz")
+    (entry.path / MANIFEST_NAME).write_text(json.dumps(manifest))
+    assert store.load_rr_index(graph, model, 30) is None
+    assert store.load_rr_index(graph, model, 30, mmap=True) is None
+
+    rebuilt, loaded, _ = store.load_or_build_rr(graph, model, 30, seed=3)
+    assert not loaded and rebuilt.is_built
+    assert json.loads((entry.path / MANIFEST_NAME).read_text())["format"] == FORMAT_VERSION
+    assert not (entry.path / "arrays.npz").exists()
+    assert store.load_or_build_rr(graph, model, 30, seed=3)[1]
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_damaged_bundle_arrays_raise_store_error(dataset, store, corruption):
+    """A bundle with a damaged array, a retyped one included, raises on both paths."""
+    graph, model = dataset.graph, dataset.model
+    entry = store.save_graph_bundle(graph, model)
+    for path in _array_files(entry):
+        pristine = path.read_bytes()
+        CORRUPTIONS[corruption](path)
+        for mmap in (False, True):
+            with pytest.raises(StoreError):
+                store.load_graph_bundle(entry.key, mmap=mmap)
+        path.write_bytes(pristine)
+    store.load_graph_bundle(entry.key)
