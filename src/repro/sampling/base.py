@@ -349,11 +349,7 @@ class InfluenceEstimator(abc.ABC):
         return results
 
     def _estimates_under(self, user: int, posteriors: list, kernel: str) -> list:
-        """The estimates of the ``p(e|W)`` rows of ``posteriors``, in one call.
-
-        Each distinct posterior's row is built once; the estimator still gets
-        one row per posterior, in order.
-        """
+        """The estimates of the ``p(e|W)`` rows of ``posteriors``, in one call; equal posteriors share one build."""
         rows = distinct_rows(
             [posterior.tobytes() for posterior in posteriors],
             posteriors,

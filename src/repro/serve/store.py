@@ -197,11 +197,7 @@ class IndexStore:
 
     # ------------------------------------------------------------------- save
     def _write_entry(self, key: str, manifest: Dict, arrays: Dict[str, np.ndarray]) -> StoreEntry:
-        """Write one entry (manifest + one ``.npy`` per array) through a staging dir + atomic rename.
-
-        The manifest gains an ``arrays`` record of each array's dtype, shape
-        and CRC32, which every load checks.
-        """
+        """Write one entry (manifest + one checked ``.npy`` per array) through a staging dir + atomic rename."""
         self.root.mkdir(parents=True, exist_ok=True)
         staging = self.root / f".tmp-{key}-{uuid.uuid4().hex[:8]}"
         (staging / ARRAYS_DIR_NAME).mkdir(parents=True)

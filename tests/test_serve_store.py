@@ -267,7 +267,7 @@ def _flip_dtype(path):
     """Change the dtype character in an ``.npy`` header; the raw bytes stay as they are."""
     data = path.read_bytes()
     at = data.index(b"'descr': '") + len(b"'descr': '") + 1
-    swapped = {ord("f"): b"i", ord("i"): b"u", ord("u"): b"i", ord("U"): b"S", ord("b"): b"u"}
+    swapped = {ord("f"): b"i", ord("i"): b"u", ord("U"): b"S"}
     path.write_bytes(data[:at] + swapped[data[at]] + data[at + 1 :])
 
 
