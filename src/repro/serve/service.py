@@ -18,7 +18,7 @@ import threading
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Hashable, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Hashable, List, Optional
 
 from repro.core.engine import PitexEngine
 from repro.core.query import PitexResult
@@ -219,17 +219,33 @@ class ServiceMetrics:
             }
 
 
+@dataclass(frozen=True, slots=True)
+class Outcome:
+    """How one execution ended (its result or ``"TypeName: message"`` error), timed.
+
+    :func:`execute_request` builds it on either backend; a process worker
+    sends it back in its reply as is.
+    """
+
+    result: Optional[PitexResult] = None
+    error: Optional[str] = None
+    execute_seconds: float = 0.0
+    cache_hit: bool = False
+
+
 def execute_request(
     engine: PitexEngine,
     request: QueryRequest,
     answer_cache: Optional[AnswerCache] = None,
     **span_fields,
-) -> Tuple[PitexResult, bool]:
-    """``(result, cache_hit)``: answer ``request`` on ``engine``, both backends' one path.
+) -> Outcome:
+    """Answer ``request`` on ``engine``: both backends' one execution path.
 
-    The answer cache fronts *frozen* engines only: their indexes cannot be
-    rebuilt under the query (and no engine's pinned graph version changes), so the answer is a pure function of
-    :func:`~repro.serve.answers.answer_key`, and a hit returns it without
+    Times the call and never raises: an exception becomes the outcome's
+    ``"TypeName: message"`` error.  The answer cache fronts *frozen*
+    engines only: their indexes cannot be rebuilt under the query (and no
+    engine's pinned graph version changes), so the answer is a pure function
+    of :func:`~repro.serve.answers.answer_key`, and a hit returns it without
     touching the engine -- no ``query.*`` telemetry, no execute span.  The
     engine runs inside the ``execute`` trace span, which carries
     ``span_fields`` (``batch_size`` on the thread backend, ``worker`` on the
@@ -254,16 +270,52 @@ def execute_request(
                 delta=request.delta,
             )
 
-    if answer_cache is None or not getattr(engine, "is_frozen", False):
-        return run(), False
-    return answer_cache.get_or_compute(answer_key(engine, request), run)
+    started = monotonic()
+    try:
+        if answer_cache is None or not getattr(engine, "is_frozen", False):
+            result, cache_hit = run(), False
+        else:
+            result, cache_hit = answer_cache.get_or_compute(answer_key(engine, request), run)
+    except Exception as exc:
+        return Outcome(error=f"{type(exc).__name__}: {exc}", execute_seconds=monotonic() - started)
+    return Outcome(result=result, execute_seconds=monotonic() - started, cache_hit=cache_hit)
 
 
-@dataclass
-class _Pending:
+@dataclass(slots=True)
+class Pending:
+    """One open request on either backend; ``worker`` is its process worker, if routed."""
+
     request: QueryRequest
     future: "Future[QueryResponse]"
     enqueued_monotonic: float = field(default_factory=monotonic)
+    worker: Optional[int] = None
+
+
+def end_request(
+    metrics: ServiceMetrics, pending: Pending, outcome: Outcome, batch_size: int = 1, worker: Optional[int] = None
+) -> None:
+    """End one request: build its response, record it, resolve its future.
+
+    Every ending on both backends comes here, so one rule sets queue wait:
+    submit to now, minus execute seconds.  ``worker`` is the process worker
+    that sent the outcome (a cache hit names none).  A future cancelled
+    before it ended is left alone and recorded nowhere.
+    """
+    future = pending.future
+    if not (future.running() or future.set_running_or_notify_cancel()):
+        return
+    response = QueryResponse(
+        request=pending.request,
+        result=outcome.result,
+        error=outcome.error,
+        queue_seconds=max(0.0, monotonic() - pending.enqueued_monotonic - outcome.execute_seconds),
+        execute_seconds=outcome.execute_seconds,
+        batch_size=batch_size,
+        cache_hit=outcome.cache_hit,
+        worker=None if outcome.cache_hit else worker,
+    )
+    metrics.record(response)
+    future.set_result(response)
 
 
 class PitexService:
@@ -307,7 +359,7 @@ class PitexService:
         self.answer_cache = answer_cache
         self.max_batch = int(max_batch)
         self.metrics = ServiceMetrics()
-        self._queue: Deque[_Pending] = deque()
+        self._queue: Deque[Pending] = deque()
         self._condition = threading.Condition()
         self._closed = False
         self._workers = [
@@ -345,27 +397,12 @@ class PitexService:
         with self._condition:
             if self._closed:
                 raise RuntimeError("PitexService is closed")
-            self._queue.append(_Pending(request=request, future=future))
+            self._queue.append(Pending(request=request, future=future))
             self._condition.notify()
         return future
 
-    def query(
-        self,
-        user: int,
-        k: Optional[int] = None,
-        method: str = "indexest+",
-        engine_key: Hashable = DEFAULT_ENGINE_KEY,
-        **kwargs,
-    ) -> PitexResult:
-        """Synchronous convenience wrapper: submit, wait, unwrap or raise."""
-        request = QueryRequest(user=user, k=k, method=method, engine_key=engine_key, **kwargs)
-        response = self.submit(request).result()
-        if not response.ok:
-            raise RuntimeError(f"query failed: {response.error}")
-        return response.result
-
     # ---------------------------------------------------------------- workers
-    def _claim_batch(self) -> Optional[List[_Pending]]:
+    def _claim_batch(self) -> Optional[List[Pending]]:
         """Block until work exists; claim a fair share of the oldest key's backlog.
 
         The batch takes the key of the oldest queued request and claims
@@ -382,8 +419,8 @@ class PitexService:
             key = self._queue[0].request.engine_key
             queued = sum(1 for pending in self._queue if pending.request.engine_key == key)
             share = -(-min(self.max_batch, queued) // len(self._workers))
-            batch: List[_Pending] = []
-            rest: Deque[_Pending] = deque()
+            batch: List[Pending] = []
+            rest: Deque[Pending] = deque()
             for pending in self._queue:
                 if len(batch) < share and pending.request.engine_key == key:
                     batch.append(pending)
@@ -404,65 +441,27 @@ class PitexService:
             try:
                 engine = self._provider(key)
             except Exception as exc:  # engine build failed: fail the batch
-                self._fail_batch(batch, f"engine {key!r} unavailable: {exc}")
+                failed = Outcome(error=f"engine {key!r} unavailable: {exc}")
+                for pending in batch:
+                    end_request(self.metrics, pending, failed, batch_size=len(batch))
                 continue
             for pending in batch:
-                self._execute(engine, pending, len(batch))
-
-    def _execute(self, engine: PitexEngine, pending: _Pending, batch_size: int) -> None:
-        request = pending.request
-        if not pending.future.set_running_or_notify_cancel():
-            return  # client cancelled while queued; nothing to run or record
-        started = monotonic()
-        queue_seconds = started - pending.enqueued_monotonic
-        try:
-            result, cache_hit = execute_request(
-                engine, request, self.answer_cache, batch_size=batch_size
-            )
-            response = QueryResponse(
-                request=request,
-                result=result,
-                queue_seconds=queue_seconds,
-                execute_seconds=monotonic() - started,
-                batch_size=batch_size,
-                cache_hit=cache_hit,
-            )
-        except Exception as exc:
-            response = QueryResponse(
-                request=request,
-                error=f"{type(exc).__name__}: {exc}",
-                queue_seconds=queue_seconds,
-                execute_seconds=monotonic() - started,
-                batch_size=batch_size,
-            )
-        self.metrics.record(response)
-        pending.future.set_result(response)
-
-    def _fail_batch(self, batch: List[_Pending], message: str) -> None:
-        now = monotonic()
-        for pending in batch:
-            if not pending.future.set_running_or_notify_cancel():
-                continue  # cancelled while queued
-            response = QueryResponse(
-                request=pending.request,
-                error=message,
-                queue_seconds=now - pending.enqueued_monotonic,
-                batch_size=len(batch),
-            )
-            self.metrics.record(response)
-            pending.future.set_result(response)
+                if pending.future.set_running_or_notify_cancel():  # else cancelled while queued
+                    outcome = execute_request(
+                        engine, pending.request, self.answer_cache, batch_size=len(batch)
+                    )
+                    end_request(self.metrics, pending, outcome, batch_size=len(batch))
 
     # ------------------------------------------------------------------ close
-    def close(self, wait: bool = True) -> None:
+    def close(self) -> None:
         """Stop accepting requests; drain the queue, then stop the workers."""
         with self._condition:
             if self._closed:
                 return
             self._closed = True
             self._condition.notify_all()
-        if wait:
-            for worker in self._workers:
-                worker.join()
+        for worker in self._workers:
+            worker.join()
 
     def __enter__(self) -> "PitexService":
         return self

@@ -23,17 +23,19 @@ bundle key + engine/freeze parameters); :func:`build_engine_from_spec` turns
 it into a frozen replica; :class:`ProcessShardedService` forks N workers,
 sends each request to the live worker with the fewest requests in flight
 (ties go to the user's ``crc32(engine_key | user)`` affinity shard -- stable
-across processes, never builtin ``hash()``), speaks a tuple protocol over
-per-worker pipes, and records every reply in the parent's
+across processes, never builtin ``hash()``), speaks typed messages
+(:class:`Query`, :class:`Reply`, ...) over per-worker pipes, and ends every
+request through :func:`~repro.serve.service.end_request` into the parent's
 :class:`~repro.serve.service.ServiceMetrics` (per-worker execute series are
-keyed by the reply's worker id); each worker ships only its telemetry and
-trace spans at shutdown.  Because every
-replica answers bitwise alike, the route can follow load without changing
-an answer; only per-worker answer caches pin requests to their affinity
-shard.
+keyed by the worker whose pipe carried the reply); each worker ships only
+its telemetry and trace spans at shutdown.  Because every replica answers
+bitwise alike, the route can follow load without changing an answer; only
+per-worker answer caches pin requests to their affinity shard.
 
 Concurrency contract: the parent object is thread-safe (``submit`` from any
-thread; internal state is guarded by one condition variable).  Worker death
+thread).  Routing, in-flight counts, the pending table and orphaning live
+in one :class:`Dispatcher` under one condition variable; it does no I/O,
+so tests drive it without processes.  Worker death
 -- crash, unpicklable reply, failed replica build -- is detected via pipe
 EOF and surfaces as a clean :class:`~repro.exceptions.WorkerError`-tagged
 error response on every affected future instead of a hang.  The thread
@@ -45,20 +47,26 @@ from __future__ import annotations
 
 import multiprocessing
 import threading
-import time
 import zlib
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from multiprocessing import connection
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.engine import PitexEngine
 from repro.exceptions import InvalidParameterError, StoreError, WorkerError
-from repro.obs.clock import monotonic
 from repro.obs.telemetry import Telemetry, counter, get_telemetry, install
 from repro.obs.trace import TraceRecorder, get_recorder, install_recorder, tracing_enabled
 from repro.serve.answers import DEFAULT_ANSWER_CAPACITY, AnswerCache
-from repro.serve.service import QueryRequest, QueryResponse, ServiceMetrics, execute_request
+from repro.serve.service import (
+    Outcome,
+    Pending,
+    QueryRequest,
+    QueryResponse,
+    ServiceMetrics,
+    end_request,
+    execute_request,
+)
 from repro.serve.store import IndexStore, seed_tag
 
 RR_METHODS = ("indexest", "indexest+")
@@ -198,6 +206,54 @@ def build_engine_from_spec(spec: EngineSpec) -> PitexEngine:
     return engine
 
 
+# ------------------------------------------------------------- pipe messages
+# One frozen, slotted dataclass per message kind, at module level so every
+# start method can pickle it.  Parent and workers always run the same tree,
+# so no message carries a version, and no reply names its worker: the parent
+# knows the sender from the pipe it read.  ``Stop`` cannot be replaced by
+# closing the pipe: under ``fork`` every later worker inherits the earlier
+# workers' request ends, so the parent's close alone never gives EOF.
+@dataclass(frozen=True, slots=True)
+class Query:
+    """Parent to worker: run ``request`` and reply under ``request_id``."""
+
+    request_id: int
+    request: QueryRequest
+
+
+@dataclass(frozen=True, slots=True)
+class Stop:
+    """Parent to worker: no more requests."""
+
+
+@dataclass(frozen=True, slots=True)
+class Ready:
+    """Worker to parent: the replica is built and frozen."""
+
+
+@dataclass(frozen=True, slots=True)
+class Fatal:
+    """Worker to parent: the replica could not be built; the worker exits."""
+
+    error: str
+
+
+@dataclass(frozen=True, slots=True)
+class Reply:
+    """Worker to parent: how the request ``request_id`` ended."""
+
+    request_id: int
+    outcome: Outcome
+
+
+@dataclass(frozen=True, slots=True)
+class Shard:
+    """Worker to parent, last at a clean shutdown: its telemetry and trace spans."""
+
+    telemetry: dict
+    spans: list
+
+
 # --------------------------------------------------------------- worker side
 def _serve_requests(
     engine: PitexEngine,
@@ -206,57 +262,34 @@ def _serve_requests(
     replies,
     answer_cache: Optional[AnswerCache] = None,
 ):
-    """Drain the request pipe until EOF/stop, replying to each request.
+    """Drain the request pipe until EOF or :class:`Stop`, replying to each :class:`Query`.
 
     Factored out of :func:`_worker_main` so the loop is unit-testable
     in-process (the fork-safety tests drive it with plain ``Pipe`` ends).
     An unpicklable result degrades to an error reply; a broken reply pipe
     ends the loop -- the parent sees EOF either way.
 
-    ``answer_cache`` (when given) memoizes frozen answers per worker; with
-    caches on, the parent routes every request to its affinity shard, so
-    each fingerprint reaches exactly one worker and the per-worker caches
-    behave like one shared cache.  Hits skip the engine and the execute
-    span, and are flagged in the reply tuple so the parent keeps them out
-    of the engine-execute percentiles.
+    ``answer_cache`` (when given) memoizes frozen answers per worker; the
+    parent then routes every request to its affinity shard, so the
+    per-worker caches behave like one shared cache.  The outcome flags
+    hits, which the parent keeps out of the engine-execute percentiles.
     """
     while True:
         try:
             message = requests.recv()
         except (EOFError, OSError):
             break
-        if message[0] == "stop":
+        if isinstance(message, Stop):
             break
-        _, request_id, request = message
-        started = monotonic()
-        error: Optional[str] = None
-        result = None
-        cache_hit = False
+        outcome = execute_request(engine, message.request, answer_cache, worker=worker_id)
         try:
-            result, cache_hit = execute_request(engine, request, answer_cache, worker=worker_id)
-        except Exception as exc:
-            error = f"{type(exc).__name__}: {exc}"
-        execute_seconds = monotonic() - started
-        try:
-            replies.send(
-                ("result", worker_id, request_id, error, result, execute_seconds, cache_hit)
-            )
+            replies.send(Reply(message.request_id, outcome))
         except OSError:
             break  # parent is gone; nothing left to answer to
         except Exception as exc:  # unpicklable result: degrade, don't die
+            error = f"WorkerError: worker {worker_id} could not serialize the result ({type(exc).__name__}: {exc})"
             try:
-                replies.send(
-                    (
-                        "result",
-                        worker_id,
-                        request_id,
-                        f"WorkerError: worker {worker_id} could not serialize the "
-                        f"result ({type(exc).__name__}: {exc})",
-                        None,
-                        execute_seconds,
-                        cache_hit,
-                    )
-                )
+                replies.send(Reply(message.request_id, replace(outcome, result=None, error=error)))
             except (OSError, ValueError):
                 break
 
@@ -267,7 +300,7 @@ def _worker_main(
     requests,
     replies,
     trace: bool = False,
-    answer_cache_capacity: int = 0,
+    answer_cache: bool = False,
 ) -> None:
     """Entry point of one worker process: build the replica, then serve.
 
@@ -278,37 +311,29 @@ def _worker_main(
     so the in-process fork-safety tests (which run this function in a thread)
     leave global state untouched.
 
-    ``answer_cache_capacity`` > 0 equips the worker with a per-process
-    :class:`~repro.serve.answers.AnswerCache` replica of that capacity;
-    0 (the default) serves uncached.
+    ``answer_cache=True`` equips the worker with a per-process
+    :class:`~repro.serve.answers.AnswerCache` replica of the default
+    capacity; the default serves uncached.
     """
     previous_telemetry = install(Telemetry())
     previous_recorder = install_recorder(TraceRecorder() if trace else None)
     try:
         try:
-            engine = build_engine_from_spec(spec)
+            engine, status = build_engine_from_spec(spec), Ready()
         except BaseException as exc:
+            engine, status = None, Fatal(f"{type(exc).__name__}: {exc}")
+        try:
+            replies.send(status)
+        except (OSError, ValueError):
+            engine = None  # the parent is gone
+        if engine is not None:
+            cache = AnswerCache(capacity=DEFAULT_ANSWER_CAPACITY) if answer_cache else None
+            _serve_requests(engine, worker_id, requests, replies, answer_cache=cache)
+            recorder = get_recorder()
             try:
-                replies.send(("fatal", worker_id, f"{type(exc).__name__}: {exc}"))
+                replies.send(Shard(get_telemetry().snapshot(), recorder.spans() if recorder is not None else []))
             except (OSError, ValueError):
                 pass
-            replies.close()
-            return
-        try:
-            replies.send(("ready", worker_id))
-        except (OSError, ValueError):
-            replies.close()
-            return
-        answer_cache = (
-            AnswerCache(capacity=answer_cache_capacity) if answer_cache_capacity > 0 else None
-        )
-        _serve_requests(engine, worker_id, requests, replies, answer_cache=answer_cache)
-        recorder = get_recorder()
-        spans = recorder.spans() if recorder is not None else []
-        try:
-            replies.send(("shard", worker_id, get_telemetry().snapshot(), spans))
-        except (OSError, ValueError):
-            pass
         replies.close()
     finally:
         install(previous_telemetry)
@@ -316,14 +341,137 @@ def _worker_main(
 
 
 # --------------------------------------------------------------- parent side
-@dataclass
-class _ProcPending:
-    """One in-flight request on the parent side."""
+STARTING, READY, DEAD = "starting", "ready", "dead"
+# Seconds to wait for every worker to report its replica ready.
+STARTUP_TIMEOUT = 300.0
 
-    request: QueryRequest
-    future: "Future[QueryResponse]"
-    worker_id: int
-    enqueued_monotonic: float = field(default_factory=monotonic)
+
+@dataclass(eq=False)
+class WorkerSlot:
+    """One worker as the parent sees it: the service's handles, the :class:`Dispatcher`'s state.
+
+    Only the dispatcher writes ``state`` (starting, ready, dead),
+    ``in_flight``, ``fatal`` and ``shard_received``, under its condition.
+    """
+
+    process: Any = None
+    request_conn: Any = None
+    reply_conn: Any = None
+    send_lock: Any = field(default_factory=threading.Lock)
+    state: str = STARTING
+    in_flight: int = 0
+    fatal: Optional[str] = None
+    shard_received: bool = False
+
+
+class Dispatcher:
+    """The process backend's routing and request accounting, without I/O.
+
+    Holds the worker slots, the pending table and the request ids, and under
+    its one condition variable decides where each request runs and which
+    requests a dead worker orphans.  It sends nothing, starts no thread and
+    reads no clock: the service's ``submit``, its drainer and its start-up
+    wait move the messages and report each event here, so every transition
+    can be driven without processes (``tests/test_serve_dispatch_model.py``).
+    """
+
+    def __init__(self, workers: List[WorkerSlot], answer_cache: bool = False) -> None:
+        self.workers = workers
+        self.answer_cache = answer_cache
+        self._condition = threading.Condition()
+        self._pending: Dict[int, Pending] = {}
+        self._next_request_id = 0
+        self._closed = False
+
+    def submit(self, pending: Pending, affinity: int) -> Tuple[int, Optional[str]]:
+        """Route and register one request: ``(request_id, None)``, or ``(-1, error)``.
+
+        ``pending.worker`` names the worker; the error is a dead affinity shard's.
+        """
+        with self._condition:
+            if self._closed:
+                raise RuntimeError("ProcessShardedService is closed")
+            shard = self.workers[affinity]
+            if shard.state == DEAD:
+                return -1, f"WorkerError: worker {affinity} unavailable: {shard.fatal or 'worker died'}"
+            pending.worker = self._route(affinity)
+            request_id = self._next_request_id
+            self._next_request_id += 1
+            self._pending[request_id] = pending
+            self.workers[pending.worker].in_flight += 1
+            return request_id, None
+
+    def _route(self, affinity: int) -> int:
+        """The worker a request whose affinity shard is live runs on.
+
+        Caller holds ``_condition`` (re-entrant, so :meth:`live` may take it
+        again).  With per-worker answer caches the
+        affinity shard always wins: each fingerprint must keep reaching one
+        cache replica.  Otherwise the live worker with the fewest requests in
+        flight wins, ties going to the affinity shard, then the lowest id.
+        """
+        if self.answer_cache:
+            return affinity
+        return min(self.live(), key=lambda w: (self.workers[w].in_flight, w != affinity, w))
+
+    def release(self, request_id: int) -> Optional[Pending]:
+        """Close one open request, whichever way it ended; ``None`` if it already ended."""
+        with self._condition:
+            pending = self._pending.pop(request_id, None)
+            if pending is not None:
+                self.workers[pending.worker].in_flight -= 1
+            return pending
+
+    def ready(self, worker: int) -> None:
+        """The worker built its replica."""
+        with self._condition:
+            self.workers[worker].state = READY
+            self._condition.notify_all()
+
+    def failed(self, worker: int, error: str) -> None:
+        """The worker could not build its replica."""
+        with self._condition:
+            self.workers[worker].fatal = error
+            self._condition.notify_all()
+
+    def shard_received(self, worker: int) -> None:
+        """The worker shipped its shutdown shard."""
+        with self._condition:
+            self.workers[worker].shard_received = True
+
+    def died(self, worker: int, exit_code: Optional[int]) -> List[Pending]:
+        """The worker is gone: mark it dead and release its open requests, for the caller to end."""
+        with self._condition:
+            if self.workers[worker].state == STARTING and self.workers[worker].fatal is None:
+                self.workers[worker].fatal = f"died during startup (exit code {exit_code})"
+            self.workers[worker].state = DEAD
+            orphans = [rid for rid, pending in self._pending.items() if pending.worker == worker]
+            self.workers[worker].in_flight -= len(orphans)
+            self._condition.notify_all()
+            return [self._pending.pop(rid) for rid in orphans]
+
+    def live(self) -> List[int]:
+        """The workers not known to be dead."""
+        with self._condition:
+            return [w for w, slot in enumerate(self.workers) if slot.state != DEAD]
+
+    def wait_started(self, timeout: float) -> List[str]:
+        """Block until no worker is starting or one failed; the failures (empty: started)."""
+
+        def failures() -> List[str]:
+            return [f"worker {w}: {slot.fatal}" for w, slot in enumerate(self.workers) if slot.fatal]
+
+        with self._condition:
+            if self._condition.wait_for(lambda: failures() or all(w.state != STARTING for w in self.workers), timeout):
+                return failures()
+        return [f"startup timed out after {timeout:.0f}s"]
+
+    def close(self) -> bool:
+        """Refuse further submits; whether this was the first close."""
+        with self._condition:
+            first = not self._closed
+            self._closed = True
+            return first
 
 
 class ProcessShardedService:
@@ -351,10 +499,9 @@ class ProcessShardedService:
         ``multiprocessing`` start method; defaults to ``"fork"`` where
         available (cheap start, inherits nothing mutable that matters --
         replicas rebuild from the store) and the platform default elsewhere.
-        ``"spawn"`` works too: the spec is picklable by design.
-    startup_timeout:
-        Seconds to wait for every worker to report its replica ready;
-        a worker that dies or reports a build failure raises
+        ``"spawn"`` works too: the spec is picklable by design.  A worker
+        that dies or reports a build failure before every worker is ready
+        (or a start-up past :data:`STARTUP_TIMEOUT`) raises
         :class:`~repro.exceptions.WorkerError` from the constructor.
     answer_cache:
         Equip every worker with a per-process
@@ -363,8 +510,6 @@ class ProcessShardedService:
         exactly one cache replica and the hit/miss totals across the
         replicas equal a single shared cache's (what the cross-backend
         telemetry gate compares).
-    answer_cache_capacity:
-        Per-worker cache capacity when ``answer_cache`` is enabled.
     """
 
     backend = "process"
@@ -374,32 +519,15 @@ class ProcessShardedService:
         spec: EngineSpec,
         num_workers: int = 2,
         start_method: Optional[str] = None,
-        startup_timeout: float = 300.0,
         answer_cache: bool = False,
-        answer_cache_capacity: int = DEFAULT_ANSWER_CAPACITY,
     ) -> None:
         if num_workers <= 0:
             raise InvalidParameterError(f"num_workers must be positive, got {num_workers}")
-        if start_method is None:
-            available = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in available else multiprocessing.get_start_method()
+        if start_method is None and "fork" in multiprocessing.get_all_start_methods():
+            start_method = "fork"
         context = multiprocessing.get_context(start_method)
-        self.spec = spec
-        self.start_method = start_method
         self.metrics = ServiceMetrics()
-        self._condition = threading.Condition()
-        self._send_locks = [threading.Lock() for _ in range(int(num_workers))]
-        self._pending: Dict[int, _ProcPending] = {}
-        self._in_flight = [0] * int(num_workers)
-        self._answer_cache = bool(answer_cache)
-        self._next_request_id = 0
-        self._closed = False
-        self._ready = [False] * int(num_workers)
-        self._shard_received = [False] * int(num_workers)
-        self._fatal: List[Optional[str]] = [None] * int(num_workers)
-        self._request_conns = []
-        self._reply_conns = []
-        self._processes = []
+        self._workers: List[WorkerSlot] = []
         for worker_id in range(int(num_workers)):
             request_recv, request_send = context.Pipe(duplex=False)
             reply_recv, reply_send = context.Pipe(duplex=False)
@@ -408,14 +536,7 @@ class ProcessShardedService:
             # the shutdown shard (works under fork *and* spawn).
             process = context.Process(
                 target=_worker_main,
-                args=(
-                    worker_id,
-                    spec,
-                    request_recv,
-                    reply_send,
-                    tracing_enabled(),
-                    int(answer_cache_capacity) if answer_cache else 0,
-                ),
+                args=(worker_id, spec, request_recv, reply_send, tracing_enabled(), bool(answer_cache)),
                 name=f"pitex-shard-{worker_id}",
                 daemon=True,
             )
@@ -424,43 +545,19 @@ class ProcessShardedService:
             # parent sees EOF when (and only when) the child is gone.
             request_recv.close()
             reply_send.close()
-            self._request_conns.append(request_send)
-            self._reply_conns.append(reply_recv)
-            self._processes.append(process)
-        self._drainer = threading.Thread(
-            target=self._drain_loop, name="pitex-shard-drain", daemon=True
-        )
+            self._workers.append(WorkerSlot(process, request_send, reply_recv))
+        self._dispatch = Dispatcher(self._workers, answer_cache=bool(answer_cache))
+        self._drainer = threading.Thread(target=self._drain_loop, name="pitex-shard-drain", daemon=True)
         self._drainer.start()
-        self._wait_until_ready(startup_timeout)
-
-    # ------------------------------------------------------------- lifecycle
-    def _wait_until_ready(self, timeout: float) -> None:
-        # pitexlint: ignore[OBS001] -- a startup deadline, not a duration: a scripted test clock must never stall it
-        deadline = time.monotonic() + timeout
-        with self._condition:
-            while True:
-                failures = [
-                    f"worker {worker_id}: {message}"
-                    for worker_id, message in enumerate(self._fatal)
-                    if message is not None
-                ]
-                if failures:
-                    break
-                if all(self._ready):
-                    return
-                # pitexlint: ignore[OBS001] -- the startup deadline's own clock (see above)
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    failures = [f"startup timed out after {timeout:.0f}s"]
-                    break
-                self._condition.wait(remaining)
-        self.close(wait=True)
-        raise WorkerError("process backend failed to start: " + "; ".join(failures))
+        failures = self._dispatch.wait_started(STARTUP_TIMEOUT)
+        if failures:
+            self.close()
+            raise WorkerError("process backend failed to start: " + "; ".join(failures))
 
     @property
     def num_workers(self) -> int:
         """Number of worker processes (live or dead)."""
-        return len(self._processes)
+        return len(self._workers)
 
     def shard_of(self, request: QueryRequest) -> int:
         """The request's affinity shard: the worker its user is planned on.
@@ -476,27 +573,6 @@ class ProcessShardedService:
         return zlib.crc32(token) % self.num_workers
 
     # ----------------------------------------------------------------- submit
-    def _route(self, affinity: int) -> int:
-        """The worker a request whose affinity shard is live runs on.
-
-        Caller holds ``_condition``.  With per-worker answer caches the
-        affinity shard always wins: each fingerprint must keep reaching one
-        cache replica.  Otherwise the live worker with the fewest requests in
-        flight wins, ties going to the affinity shard, then the lowest id.
-        """
-        if self._answer_cache:
-            return affinity
-        live = [w for w, conn in enumerate(self._reply_conns) if conn is not None]
-        return min(live, key=lambda w: (self._in_flight[w], w != affinity, w))
-
-    def _release(self, request_id: int) -> Optional[_ProcPending]:
-        """Forget one in-flight request, whichever way it ended."""
-        with self._condition:
-            pending = self._pending.pop(request_id, None)
-            if pending is not None:
-                self._in_flight[pending.worker_id] -= 1
-        return pending
-
     def submit(self, request: QueryRequest) -> "Future[QueryResponse]":
         """Queue one request on a worker; resolves to a :class:`QueryResponse`.
 
@@ -508,65 +584,25 @@ class ProcessShardedService:
         the worker drains it.
         """
         future: "Future[QueryResponse]" = Future()
-        affinity = self.shard_of(request)
-        dead_message: Optional[str] = None
-        request_id = -1
-        with self._condition:
-            if self._closed:
-                raise RuntimeError("ProcessShardedService is closed")
-            if self._reply_conns[affinity] is None:
-                dead_message = self._fatal[affinity] or "worker died"
-            else:
-                worker_id = self._route(affinity)
-                request_id = self._next_request_id
-                self._next_request_id += 1
-                self._pending[request_id] = _ProcPending(
-                    request=request, future=future, worker_id=worker_id
-                )
-                self._in_flight[worker_id] += 1
-        if dead_message is not None:
-            self._resolve_error(
-                future, request, f"WorkerError: worker {affinity} unavailable: {dead_message}"
-            )
-            return future
-        try:
-            with self._send_locks[worker_id]:
-                self._request_conns[worker_id].send(("query", request_id, request))
-        except (OSError, ValueError) as exc:
-            pending = self._release(request_id)
-            if pending is not None:
-                self._resolve_error(
-                    future,
-                    request,
-                    f"WorkerError: worker {worker_id} pipe broken: {type(exc).__name__}: {exc}",
-                )
+        pending = Pending(request=request, future=future)
+        request_id, error = self._dispatch.submit(pending, self.shard_of(request))
+        if error is None:
+            slot = self._workers[pending.worker]
+            try:
+                with slot.send_lock:
+                    slot.request_conn.send(Query(request_id, request))
+            except (OSError, ValueError) as exc:
+                if self._dispatch.release(request_id) is not None:
+                    error = f"WorkerError: worker {pending.worker} pipe broken: {type(exc).__name__}: {exc}"
+        if error is not None:
+            end_request(self.metrics, pending, Outcome(error=error))
         return future
-
-    def query(self, user: int, k: Optional[int] = None, method: str = "indexest+", **kwargs):
-        """Synchronous convenience wrapper: submit, wait, unwrap or raise."""
-        request = QueryRequest(user=user, k=k, method=method, **kwargs)
-        response = self.submit(request).result()
-        if not response.ok:
-            raise WorkerError(f"query failed: {response.error}")
-        return response.result
-
-    def _resolve_error(self, future: "Future[QueryResponse]", request: QueryRequest, error: str) -> None:
-        if not future.set_running_or_notify_cancel():
-            return
-        response = QueryResponse(request=request, error=error)
-        self.metrics.record(response)
-        future.set_result(response)
 
     # ---------------------------------------------------------------- drainer
     def _drain_loop(self) -> None:
         """Single reader of every reply pipe; EOF means the worker is gone."""
         while True:
-            with self._condition:
-                live = {
-                    conn: worker_id
-                    for worker_id, conn in enumerate(self._reply_conns)
-                    if conn is not None
-                }
+            live = {self._workers[w].reply_conn: w for w in self._dispatch.live()}
             if not live:
                 return
             for conn in connection.wait(list(live), timeout=0.5):
@@ -578,115 +614,66 @@ class ProcessShardedService:
                     continue
                 self._on_message(worker_id, message)
 
-    def _on_message(self, worker_id: int, message: tuple) -> None:
-        """Apply one worker reply.
+    def _on_message(self, worker_id: int, message) -> None:
+        """Apply one :class:`Reply`, :class:`Ready`, :class:`Fatal` or :class:`Shard` from ``worker_id``.
 
-        Parent and workers always run the same code, so each reply kind has
-        one fixed shape: ``("ready", worker)``, ``("fatal", worker, error)``,
-        ``("result", worker, request_id, error, result, execute_seconds,
-        cache_hit)`` and ``("shard", worker, telemetry_snapshot, spans)``.
+        The drainer knows the sender from the pipe it read.  A reply to a
+        request that already ended is dropped.
         """
-        kind = message[0]
-        if kind == "ready":
-            with self._condition:
-                self._ready[worker_id] = True
-                self._condition.notify_all()
-        elif kind == "fatal":
-            with self._condition:
-                self._fatal[worker_id] = message[2]
-                self._condition.notify_all()
-        elif kind == "shard":
-            _, _, telemetry_snapshot, spans = message
-            with self._condition:
-                self._shard_received[worker_id] = True
-            self.metrics.record_worker_telemetry(f"worker-{worker_id}", telemetry_snapshot)
-            if spans:
-                recorder = get_recorder()
-                if recorder is not None:
-                    recorder.extend(spans)
-        elif kind == "result":
-            _, _, request_id, error, result, execute_seconds, cache_hit = message
-            pending = self._release(request_id)
-            if pending is None:
-                return  # cancelled or already failed over
-            if not pending.future.set_running_or_notify_cancel():
-                return
-            queue_seconds = max(
-                0.0,
-                (monotonic() - pending.enqueued_monotonic) - execute_seconds,
-            )
-            response = QueryResponse(
-                request=pending.request,
-                result=result,
-                error=error,
-                queue_seconds=queue_seconds,
-                execute_seconds=execute_seconds,
-                cache_hit=cache_hit,
-                worker=None if cache_hit else worker_id,
-            )
-            self.metrics.record(response)
-            pending.future.set_result(response)
+        if isinstance(message, Reply):
+            pending = self._dispatch.release(message.request_id)
+            if pending is not None:
+                end_request(self.metrics, pending, message.outcome, worker=worker_id)
+        elif isinstance(message, Ready):
+            self._dispatch.ready(worker_id)
+        elif isinstance(message, Fatal):
+            self._dispatch.failed(worker_id, message.error)
+        elif isinstance(message, Shard):
+            self._dispatch.shard_received(worker_id)
+            self.metrics.record_worker_telemetry(f"worker-{worker_id}", message.telemetry)
+            recorder = get_recorder()
+            if message.spans and recorder is not None:
+                recorder.extend(message.spans)
 
     def _on_worker_eof(self, worker_id: int) -> None:
-        process = self._processes[worker_id]
-        process.join(timeout=5.0)
-        exit_code = process.exitcode
-        with self._condition:
-            conn = self._reply_conns[worker_id]
-            if conn is not None:
-                conn.close()
-            self._reply_conns[worker_id] = None
-            if self._fatal[worker_id] is None and not self._ready[worker_id]:
-                self._fatal[worker_id] = f"died during startup (exit code {exit_code})"
-            if not self._shard_received[worker_id]:
-                # The worker is gone without delivering its shutdown shard; a
-                # clean close always ships the shard before EOF (single FIFO
-                # pipe, single drain thread), so this is a real death.  The
-                # lost telemetry cannot be recovered -- count the loss
-                # explicitly instead of silently under-reporting.
-                counter("worker.deaths")
-                if self._ready[worker_id]:
-                    counter("worker.shards_lost")
-            orphans = [
-                self._release(request_id)
-                for request_id, pending in list(self._pending.items())
-                if pending.worker_id == worker_id
-            ]
-            self._condition.notify_all()
+        slot = self._workers[worker_id]
+        slot.process.join(timeout=5.0)
+        exit_code = slot.process.exitcode
+        # Only this thread reports a worker's state and shard, so both read
+        # exactly here.  A clean close ships the shard before EOF (one FIFO
+        # pipe, one drain thread), so a missing shard is a real death whose
+        # telemetry is lost: count it rather than under-report silently.
+        if not slot.shard_received:
+            counter("worker.deaths")
+            if slot.state == READY:
+                counter("worker.shards_lost")
+        orphans = self._dispatch.died(worker_id, exit_code)
+        slot.reply_conn.close()
+        error = f"WorkerError: worker {worker_id} died (exit code {exit_code}) with this request in flight"
         for pending in orphans:
-            self._resolve_error(
-                pending.future,
-                pending.request,
-                f"WorkerError: worker {worker_id} died (exit code {exit_code}) "
-                "with this request in flight",
-            )
+            end_request(self.metrics, pending, Outcome(error=error))
 
     # ------------------------------------------------------------------ close
-    def close(self, wait: bool = True) -> None:
+    def close(self) -> None:
         """Stop accepting requests, drain in-flight work, reap the workers.
 
         Pipes are FIFO, so every request submitted before ``close`` is
-        answered before the worker honors the ``stop`` -- same drain
+        answered before the worker honors the :class:`Stop` -- same drain
         semantics as the thread backend.
         """
-        with self._condition:
-            first = not self._closed
-            self._closed = True
-        if first:
-            for worker_id in range(self.num_workers):
+        if self._dispatch.close():
+            for slot in self._workers:
                 try:
-                    with self._send_locks[worker_id]:
-                        self._request_conns[worker_id].send(("stop",))
-                        self._request_conns[worker_id].close()
+                    with slot.send_lock:
+                        slot.request_conn.send(Stop())
+                        slot.request_conn.close()
                 except (OSError, ValueError):
                     pass
-        if not wait:
-            return
-        for process in self._processes:
-            process.join(timeout=60.0)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=5.0)
+        for slot in self._workers:
+            slot.process.join(timeout=60.0)
+            if slot.process.is_alive():
+                slot.process.terminate()
+                slot.process.join(timeout=5.0)
         self._drainer.join(timeout=60.0)
 
     def __enter__(self) -> "ProcessShardedService":

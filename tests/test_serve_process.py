@@ -48,7 +48,14 @@ from repro.obs.telemetry import Telemetry, get_telemetry, install
 from repro.serve.replay import replay_stream
 from repro.serve.service import PitexService, QueryRequest
 from repro.serve.sharded import (
+    DEAD,
+    Fatal,
     ProcessShardedService,
+    Query,
+    Ready,
+    Reply,
+    Shard,
+    Stop,
     _serve_requests,
     _worker_main,
     build_engine_from_spec,
@@ -370,12 +377,12 @@ def test_killed_worker_surfaces_clean_errors_and_peers_survive(spec):
             # In-flight: the request may complete or fail depending on timing,
             # but it must resolve -- never hang.
             in_flight = service.submit(QueryRequest(user=victim_user, k=2, method="indexest+"))
-            service._processes[0].kill()
+            service._workers[0].process.kill()
             in_flight.result(timeout=60.0)
 
             # After EOF detection the shard is marked dead: immediate clean error.
             deadline = 60.0
-            while service._reply_conns[0] is not None and deadline > 0:
+            while service._workers[0].state != DEAD and deadline > 0:
                 threading.Event().wait(0.05)
                 deadline -= 0.05
             late = service.submit(QueryRequest(user=victim_user, k=2, method="indexest+")).result(
@@ -421,8 +428,8 @@ def users_sharing_a_shard(service, dataset):
 
 
 def in_flight(service):
-    with service._condition:
-        return list(service._in_flight)
+    with service._dispatch._condition:
+        return [slot.in_flight for slot in service._workers]
 
 
 def submit_while_stopped(service, worker_id, requests):
@@ -439,7 +446,7 @@ def submit_while_stopped(service, worker_id, requests):
         futures[slot] = service.submit(requests[slot])
 
     threads = [threading.Thread(target=client, args=(slot,)) for slot in range(len(requests))]
-    pid = service._processes[worker_id].pid
+    pid = service._workers[worker_id].process.pid
     os.kill(pid, signal.SIGSTOP)
     try:
         for thread in threads:
@@ -531,10 +538,10 @@ def test_in_flight_counts_return_to_zero_however_a_request_ends(spec, monkeypatc
             assert in_flight(service) == [0, 0]
 
             victim = user_sharded_to(service, 0)
-            os.kill(service._processes[0].pid, signal.SIGSTOP)
+            os.kill(service._workers[0].process.pid, signal.SIGSTOP)
             orphan = service.submit(QueryRequest(user=victim, k=2, method="indexest+"))
             assert in_flight(service) == [1, 0]
-            service._processes[0].kill()
+            service._workers[0].process.kill()
             lost = orphan.result(timeout=60.0)
             assert "WorkerError" in lost.error and "died" in lost.error
             assert in_flight(service) == [0, 0]
@@ -565,14 +572,14 @@ def test_submit_after_close_is_rejected(spec):
         service.submit(QueryRequest(user=0, k=2, method="indexest+"))
 
 
-def test_query_convenience_wrapper_unwraps_or_raises(spec, reference_engine, dataset):
+def test_submit_result_matches_the_oracle_or_carries_the_error(spec, reference_engine, dataset):
     user = dataset.workload("mid", 1)[0]
     with ProcessShardedService(spec, num_workers=1) as service:
-        result = service.query(user=user, k=2, method="indexest+")
+        response = service.submit(QueryRequest(user=user, k=2, method="indexest+")).result()
         oracle = reference_engine.query(user=user, k=2, method="indexest+")
-        assert facet(result) == facet(oracle)
-        with pytest.raises(WorkerError):
-            service.query(user=user, k=2, method="mc")  # not a frozen method
+        assert response.ok and facet(response.result) == facet(oracle)
+        failed = service.submit(QueryRequest(user=user, k=2, method="mc")).result()  # not frozen
+        assert not failed.ok and failed.error.startswith("EngineFrozenError")
 
 
 # --------------------------------------------- worker loop driven in-process
@@ -617,23 +624,24 @@ def test_serve_requests_happy_error_and_unpicklable_paths():
 
     replies = drive_serve_requests(
         _StubEngine(lambda kwargs: ("answer", kwargs["user"])),
-        [("query", 0, request), ("stop",)],
+        [Query(0, request), Stop()],
     )
-    assert replies[0][:4] == ("result", 9, 0, None)
-    assert replies[0][4] == ("answer", 3)
+    assert isinstance(replies[0], Reply) and replies[0].request_id == 0
+    assert replies[0].outcome.error is None
+    assert replies[0].outcome.result == ("answer", 3)
 
     def boom(kwargs):
         raise ValueError("bad query")
 
-    replies = drive_serve_requests(_StubEngine(boom), [("query", 1, request)])
-    assert replies[0][3] == "ValueError: bad query"
+    replies = drive_serve_requests(_StubEngine(boom), [Query(1, request)])
+    assert replies[0].outcome.error == "ValueError: bad query"
 
     replies = drive_serve_requests(
         _StubEngine(lambda kwargs: lambda: None),  # a lambda cannot pickle
-        [("query", 2, request), ("stop",)],
+        [Query(2, request), Stop()],
     )
-    assert replies[0][0] == "result"
-    assert "could not serialize" in replies[0][3]
+    assert isinstance(replies[0], Reply)
+    assert "could not serialize" in replies[0].outcome.error
 
 
 def test_worker_main_in_process_reports_ready_results_and_shard(spec, dataset):
@@ -643,8 +651,8 @@ def test_worker_main_in_process_reports_ready_results_and_shard(spec, dataset):
     thread = threading.Thread(target=_worker_main, args=(4, spec, request_recv, reply_send))
     thread.start()
     user = dataset.workload("mid", 1)[0]
-    request_send.send(("query", 0, QueryRequest(user=user, k=2, method="indexest")))
-    request_send.send(("stop",))
+    request_send.send(Query(0, QueryRequest(user=user, k=2, method="indexest")))
+    request_send.send(Stop())
     request_send.close()
     messages = []
     while True:
@@ -654,10 +662,10 @@ def test_worker_main_in_process_reports_ready_results_and_shard(spec, dataset):
             break
     thread.join(timeout=60.0)
     assert not thread.is_alive()
-    kinds = [message[0] for message in messages]
-    assert kinds == ["ready", "result", "shard"]
-    assert messages[1][3] is None and messages[1][4] is not None
-    assert messages[2][2]["counters"]["query.count"] == 1  # the shipped telemetry
+    kinds = [type(message) for message in messages]
+    assert kinds == [Ready, Reply, Shard]
+    assert messages[1].outcome.error is None and messages[1].outcome.result is not None
+    assert messages[2].telemetry["counters"]["query.count"] == 1  # the shipped telemetry
 
 
 def test_worker_main_reports_fatal_on_broken_spec(spec):
@@ -669,8 +677,8 @@ def test_worker_main_reports_fatal_on_broken_spec(spec):
     thread.start()
     message = reply_recv.recv()
     thread.join(timeout=30.0)
-    assert message[0] == "fatal" and message[1] == 5
-    assert "StoreError" in message[2]
+    assert isinstance(message, Fatal)
+    assert "StoreError" in message.error
     request_send.close()
 
 

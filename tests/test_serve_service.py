@@ -410,7 +410,7 @@ def test_service_snapshot_carries_telemetry_deltas(dataset):
         get_telemetry().counter("query.count", 100)  # pre-service noise
         with PitexService.for_engine(engine, num_workers=2) as service:
             for user in users:
-                service.query(user=user, k=2, method="lazy")
+                assert service.submit(QueryRequest(user=user, k=2, method="lazy")).result().ok
         telemetry = service.metrics.snapshot()["telemetry"]
         assert telemetry["counters"]["query.count"] == 3  # the 100 is baseline
         assert telemetry["counters"]["query.lazy.count"] == 3
@@ -428,13 +428,13 @@ def test_service_snapshot_carries_telemetry_deltas(dataset):
 def test_service_sync_query_and_failure_paths(dataset):
     engine = make_engine(dataset)
     with PitexService.for_engine(engine) as service:
-        result = service.query(user=dataset.workload("mid", 1)[0], k=2, method="lazy")
-        assert result.tag_ids
+        answered = service.submit(QueryRequest(user=dataset.workload("mid", 1)[0], k=2, method="lazy"))
+        assert answered.result().ok and answered.result().result.tag_ids
         response = service.submit(QueryRequest(user=10**9, k=2, method="lazy")).result()
         assert not response.ok
         assert "UnknownVertexError" in response.error
-        with pytest.raises(RuntimeError):
-            service.query(user=10**9, k=2, method="lazy")
+        again = service.submit(QueryRequest(user=10**9, k=2, method="lazy")).result()
+        assert not again.ok and again.error.startswith("UnknownVertexError")
     assert service.metrics.snapshot()["failed"] == 2
 
 
