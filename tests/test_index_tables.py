@@ -36,6 +36,8 @@ EMPTY_INDEX_TABLES = "64d23b75c419ce3349718ec8c1ef5fc6f3998babc317c524d096127989
 EDGELESS_TABLES = "0b0e59d9ebe7128440bb73e60659243c71005f2db3f9b2e0331616e3509c8ad9"
 UNKNOWN_USER_STRUCTURES = "a286f79e7ebe08d60ff1b6dfac3cba71e26b2f7e623021725471683612b35c03"
 DELAYED_FILTERS = "52e04340adb4f2e074ba7ea2a7b31153f30f4758d3f19cb9104361fbca57db6f"
+# sha256 over every user's recovered DelayMat block (see ``block_digest``).
+DELAYED_BLOCKS = "4dbb524d69fa3a4f1aef217f65a37438a7707e4855fa59ce5db5cea2ad7f5c23"
 
 # (memory_bytes, average_rr_graph_size.hex()) of the benchmark-size index
 # under seed 7.
@@ -54,6 +56,19 @@ def hash_structures(hasher, user, structures):
         hasher.update(f"{array.dtype.str}{array.shape};".encode())
         hasher.update(np.ascontiguousarray(array).tobytes())
     hasher.update(f"always {sorted(structures.always_candidates)};".encode())
+
+
+def hash_block(hasher, user, block):
+    """Feed one block's sizes, every public array attribute, its weights and root reach."""
+    hasher.update(f"user {user}; {block.num_graphs} {block.num_nodes} {block.stride};".encode())
+    arrays = {name: value for name, value in vars(block).items() if isinstance(value, np.ndarray)}
+    arrays = {name: value for name, value in arrays.items() if not name.startswith("_")}
+    arrays["weights"] = np.asarray(block.weights, dtype=np.float64)
+    arrays["root_reach"] = block.root_reach()
+    for name in sorted(arrays):
+        array = arrays[name]
+        hasher.update(f"{name}|{array.dtype.str}{array.shape};".encode())
+        hasher.update(np.ascontiguousarray(array).tobytes())
 
 
 def tables_digest(tables):
@@ -186,3 +201,18 @@ def test_delayed_filters_match_single_user_path():
         single = build_filter_structures(block, user, range(block.num_graphs), maxima)
         assert_same_structures(filters[user], single)
     assert tables_digest(filters) == DELAYED_FILTERS
+
+
+def test_delayed_recovery_is_pinned():
+    """The recovered DelayMat blocks themselves, not only the answers matched on them."""
+    graph = load_dataset("lastfm", scale=0.07, seed=2017).graph
+    index = DelayedMaterializationIndex(graph, 60, seed=3).build()
+    blocks, _ = build_delayed_tables(
+        index, graph.max_edge_probabilities(), lambda user: RandomSource(10_000 + user)
+    )
+    assert sorted(blocks) == sorted(index.containment_counts)
+    hasher = hashlib.sha256()
+    for user in sorted(blocks):
+        assert blocks[user].num_graphs == index.containment_count(user)
+        hash_block(hasher, user, blocks[user])
+    assert hasher.hexdigest() == DELAYED_BLOCKS
