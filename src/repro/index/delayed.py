@@ -22,16 +22,16 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import IndexError_, IndexNotBuiltError
 from repro.graph.algorithms import live_edge_world
-from repro.graph.csr import csr_order, slice_positions
+from repro.graph.csr import csr_order, indptr_from_counts, slice_positions
 from repro.graph.digraph import TopicSocialGraph
 from repro.index.pruning import _UserFilterStructures, build_filter_structures
-from repro.index.rr_graph import RRBlock, RRGraph, sample_rr_arrays
+from repro.index.rr_graph import RRBlock, sample_rr_arrays
 from repro.obs.clock import monotonic
 from repro.sampling.base import (
     InfluenceEstimate,
@@ -147,17 +147,57 @@ class DelayedMaterializationIndex:
         return index
 
     # ----------------------------------------------------------------- recover
-    def recover_rr_graph(self, user: int, rng: RandomSource) -> RRGraph:
-        """Algorithm 4: recover one RR-Graph containing ``user``, drawing from ``rng``.
+    def recover_for_user(
+        self, user: int, rng: RandomSource
+    ) -> Tuple[Dict[str, np.ndarray], List[float]]:
+        """Recover ``theta(u)`` RR-Graphs for ``user`` (query phase of DelayMat).
 
-        All four steps run on the CSR arrays: the forward possible world is
-        realized with one batched coin flip per frontier, the live edges are
-        regrouped by target with one ``bincount`` / ``argsort`` pass for the
-        reverse membership BFS, and the surviving ``c(e)`` values are re-drawn
-        in a single batched uniform call.
+        Returns the graphs in the flat layout of
+        :data:`~repro.index.rr_graph.RR_ARRAY_LAYOUT` and, per graph, its
+        recovery weight.  Graph after graph, the draws from ``rng`` run in
+        Algorithm 4's order: the forward world, the root, then the ``c(e)``
+        of the kept edges.  Members are sorted within each graph and kept
+        edges follow the forward world's live-edge order.
         """
         csr = self.graph.csr
         max_probabilities = self.graph.max_edge_probabilities()
+        count = self.containment_count(user)
+        roots = np.empty(count, dtype=np.int64)
+        members, edges, thresholds, weights = [], [], [], []
+        for position in range(count):
+            root, graph_members, kept_edges, kept_thresholds, weight = self._recover_graph(
+                user, rng, max_probabilities
+            )
+            roots[position] = root
+            members.append(graph_members)
+            edges.append(kept_edges)
+            thresholds.append(kept_thresholds)
+            weights.append(weight)
+        edge_ids = np.concatenate([np.empty(0, dtype=np.int64), *edges])
+        arrays = {
+            "roots": roots,
+            "vertex_indptr": indptr_from_counts([part.size for part in members]),
+            "vertex_ids": np.concatenate([np.empty(0, dtype=np.int64), *members]),
+            "edge_indptr": indptr_from_counts([part.size for part in edges]),
+            "edge_ids": edge_ids,
+            "edge_sources": csr.edge_sources[edge_ids],
+            "edge_targets": csr.edge_targets[edge_ids],
+            "edge_thresholds": np.concatenate([np.empty(0, dtype=np.float64), *thresholds]),
+        }
+        return arrays, weights
+
+    def _recover_graph(
+        self, user: int, rng: RandomSource, max_probabilities: np.ndarray
+    ) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray, float]:
+        """Algorithm 4 for one RR-Graph containing ``user``, on the CSR arrays.
+
+        Returns ``(root, members, kept edge ids, their c(e), weight)``.  The
+        forward possible world is realized with one batched coin flip per
+        frontier, the live edges are regrouped by target with one
+        ``bincount`` / ``argsort`` pass for the reverse membership BFS, and
+        the kept ``c(e)`` values are re-drawn in a single batched uniform call.
+        """
+        csr = self.graph.csr
         # 1) forward live-edge sample from the user under p(e).
         activated_mask, live_edges, _ = live_edge_world(
             self.graph, user, max_probabilities, rng, collect_edges=True
@@ -183,27 +223,18 @@ class DelayedMaterializationIndex:
                 break
             member_mask[fresh] = True
             frontier = np.unique(fresh)
-        members = set(np.flatnonzero(member_mask).tolist())
         # 4) re-draw c(e) uniformly in [0, p(e)) for kept edges between members.
         #    The recovered graph carries |V'| as an importance weight: the true
         #    conditional distribution of "an offline RR-Graph containing u"
         #    weights forward worlds proportionally to their activated size,
         #    while the Algorithm 4 proposal draws every world with its plain
         #    probability, so the self-normalized weight |V'| corrects the gap.
-        rr_graph = RRGraph(root=root, vertices=members, recovery_weight=float(len(activated)))
-        keep = member_mask[live_sources] & member_mask[live_targets]
-        kept_edges = live_edges[keep]
+        kept_edges = live_edges[member_mask[live_sources] & member_mask[live_targets]]
+        thresholds = np.empty(0, dtype=np.float64)
         if kept_edges.size:
             thresholds = rng.uniforms_upto(max_probabilities[kept_edges])
-            rr_graph.extend_edges(
-                kept_edges, live_sources[keep], live_targets[keep], thresholds
-            )
-        return rr_graph
-
-    def recover_for_user(self, user: int, rng: RandomSource) -> List[RRGraph]:
-        """Recover ``theta(u)`` RR-Graphs for ``user`` (query phase of DelayMat)."""
-        count = self.containment_count(user)
-        return [self.recover_rr_graph(user, rng) for _ in range(count)]
+        members = np.flatnonzero(member_mask)
+        return root, members, kept_edges, thresholds, float(len(activated))
 
 
 class DelayedIndexEstimator(InfluenceEstimator):
@@ -257,7 +288,7 @@ class DelayedIndexEstimator(InfluenceEstimator):
                 return shared
         block = self._recovered.get(user)
         if block is None:
-            block = RRBlock.from_graphs(self.index.recover_for_user(user, self._rng))
+            block = RRBlock(*self.index.recover_for_user(user, self._rng))
             self._recovered[user] = block
         return block
 
@@ -352,13 +383,3 @@ class DelayedIndexEstimator(InfluenceEstimator):
                 )
             )
         return estimates
-
-    def clear_cache(self) -> None:
-        """Drop recovered graphs (e.g. between unrelated query batches).
-
-        The memoized estimates go too: they were matched against the dropped
-        graphs, and the next recovery draws new ones.
-        """
-        self._recovered.clear()
-        self._filters.clear()
-        self._estimates.clear()

@@ -38,8 +38,7 @@ sets during one PITEX exploration.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -47,7 +46,7 @@ import numpy as np
 from repro.exceptions import IndexNotBuiltError
 from repro.graph.csr import indptr_from_counts
 from repro.graph.digraph import TopicSocialGraph
-from repro.index.rr_graph import RRBlock, RRGraph
+from repro.index.rr_graph import RRBlock
 from repro.index.rr_index import RRGraphIndex
 from repro.sampling.base import (
     InfluenceEstimate,
@@ -69,34 +68,6 @@ def _dead_factors(
     maxima = max_probabilities[edge_ids]
     ratios = np.divide(thresholds, maxima, out=np.ones(len(maxima)), where=maxima > 0.0)
     return np.minimum(1.0, ratios)
-
-
-@dataclass
-class EdgeCut:
-    """An edge cut for one (user, RR-Graph) pair.
-
-    ``entries`` are ``(edge_id, threshold)`` pairs: the user can only reach the
-    root if at least one listed edge has ``p(e|W) >= threshold``.  ``always_live``
-    marks degenerate cases (the user *is* the root) where no cut can prune.
-    """
-
-    rr_index: int
-    entries: List[Tuple[int, float]] = field(default_factory=list)
-    always_live: bool = False
-
-    def pruning_probability(self, max_probabilities: np.ndarray) -> float:
-        """Heuristic probability that every cut edge stays dead.
-
-        Assuming ``p(e|W)`` uniform in ``[0, p(e)]`` (Example 7), an edge stays
-        dead with probability ``c(e) / p(e)`` (capped at 1); the cut prunes when
-        all of its edges stay dead.
-        """
-        if self.always_live:
-            return 0.0
-        edge_ids = np.array([edge_id for edge_id, _ in self.entries], dtype=np.int64)
-        thresholds = np.array([threshold for _, threshold in self.entries], dtype=float)
-        # math.prod multiplies left to right: the cut's entry order fixes the bits.
-        return math.prod(_dead_factors(edge_ids, thresholds, max_probabilities).tolist(), start=1.0)
 
 
 def cut_sides(block: RRBlock, users: np.ndarray, graphs: np.ndarray):
@@ -158,8 +129,9 @@ def choose_cuts(
     Returns ``(always, indptr, edge_ids, thresholds)``: ``always[i]`` marks
     pairs whose user is the root (no cut can prune), and run ``i`` of the
     entries is the cut with the higher pruning probability of pair ``i`` --
-    the source cut on a tie.  Probabilities multiply the entry factors in
-    entry order, exactly as :meth:`EdgeCut.pruning_probability`.
+    the source cut on a tie.  A cut's pruning probability is the product of
+    its entries' factors ``min(1, c(e) / p(e))`` (Example 7: ``p(e|W)``
+    taken uniform in ``[0, p(e)]``), multiplied in entry order.
     """
     always, source, target = cut_sides(block, users, graphs)
     source_dead, target_dead = (
@@ -185,39 +157,6 @@ def choose_cuts(
         edge_ids[moved[keep]] = side_edges[keep]
         thresholds[moved[keep]] = side_thresholds[keep]
     return always, indptr, edge_ids, thresholds
-
-
-def build_edge_cut(rr_graph: RRGraph, user: int, rr_index: int, side: str) -> EdgeCut:
-    """Build one of the two candidate cuts for ``user`` in ``rr_graph``.
-
-    ``side="source"`` takes the user's out-edges stored in the RR-Graph
-    (every stored vertex reaches the root, so any path leaves through one of
-    them).  ``side="target"`` takes the root's in-edges whose sources are
-    structurally reachable from the user.
-    """
-    if user == rr_graph.root:
-        return EdgeCut(rr_index=rr_index, always_live=True)
-    if side not in ("source", "target"):
-        raise ValueError(f"side must be 'source' or 'target', got {side!r}")
-    block = RRBlock.from_graphs([rr_graph])
-    _, source, target = cut_sides(block, np.array([user]), np.zeros(1, np.int64))
-    _, edge_ids, thresholds = source if side == "source" else target
-    return EdgeCut(rr_index=rr_index, entries=list(zip(edge_ids.tolist(), thresholds.tolist())))
-
-
-def choose_edge_cut(
-    rr_graph: RRGraph,
-    user: int,
-    rr_index: int,
-    max_probabilities: np.ndarray,
-) -> EdgeCut:
-    """Pick the candidate cut with the higher estimated pruning probability."""
-    always, _, edge_ids, thresholds = choose_cuts(
-        RRBlock.from_graphs([rr_graph]), np.array([user]), np.zeros(1, np.int64), max_probabilities
-    )
-    if always[0]:
-        return EdgeCut(rr_index=rr_index, always_live=True)
-    return EdgeCut(rr_index=rr_index, entries=list(zip(edge_ids.tolist(), thresholds.tolist())))
 
 
 @dataclass
@@ -460,11 +399,3 @@ class PrunedIndexEstimator(InfluenceEstimator):
             )
             for hit_count, candidate_count, edges in zip(hit_counts, candidate_counts, edges_visited)
         ]
-
-    def pruning_ratio(self, user: int, edge_probabilities: Sequence[float]) -> float:
-        """Fraction of containing RR-Graphs eliminated by the filter step."""
-        universe = self.index.graphs_containing(user)
-        if not universe:
-            return 0.0
-        candidates, _ = self.filter_candidates(user, edge_probabilities)
-        return 1.0 - len(candidates) / float(len(universe))

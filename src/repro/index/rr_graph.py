@@ -9,34 +9,32 @@ any ``W``; at query time the same ``c(e)`` values are compared against
 ``p(e|W)`` to decide which stored edges are live (Definition 3), so a single
 offline sample serves every future query.
 
-Generation runs frontier-at-a-time on the graph's reverse CSR arrays: all
-in-edges of a frontier are gathered with two NumPy indexing operations and
-their ``c(e)`` values drawn in one batch.  :func:`sample_rr_arrays` writes
-many samples straight into the flat per-graph ``indptr`` layout the index
-stores; :func:`generate_rr_graph` is its one-sample view.
+RR-Graphs exist in one form only: the flat arrays of :data:`RR_ARRAY_LAYOUT`
+(a root per graph, its members and its kept edges with their ``c(e)``,
+concatenated with per-graph ``indptr`` offsets).  :func:`sample_rr_arrays`
+draws samples straight into that layout, frontier-at-a-time on the graph's
+reverse CSR arrays: all in-edges of a frontier are gathered with two NumPy
+indexing operations and their ``c(e)`` values drawn in one batch.  The index
+stores the arrays as they are, and DelayMat recovery (Algorithm 4) writes the
+same layout.
 
-Query-time matching runs on an :class:`RRBlock`: every RR-Graph of a
-collection concatenated into one CSR whose nodes are (graph, member vertex)
-pairs.  :meth:`RRBlock.reach_pairs` verifies every (probability row,
-candidate RR-Graph) pair of a batch of estimates in a single level-synchronous
-BFS, so a whole best-effort expansion costs a handful of NumPy calls per BFS
-level instead of one BFS per row, let alone per RR-Graph.  The per-pair reach
-bits and the per-row level-synchronous ``edges_checked`` sums are exactly
-those of one BFS per graph; :meth:`RRBlock.reach_many` is the one-row
-case.  :meth:`RRBlock.root_reach` is the
-reverse closure the edge-cut tables of :mod:`repro.index.pruning` read: per
-node, the root in-slots of its graph it reaches.  :func:`tag_aware_reachable` is the
-single-graph view of the same kernel; the original per-edge walkers remain
-available under ``kernel="dict"`` as the reference implementation.
+Query-time matching runs on an :class:`RRBlock`: the graphs of one flat layout
+concatenated into one CSR whose nodes are (graph, member vertex) pairs.
+:meth:`RRBlock.reach_pairs` verifies every (probability row, candidate
+RR-Graph) pair of a batch of estimates in a single level-synchronous BFS, so a
+whole best-effort expansion costs a handful of NumPy calls per BFS level
+instead of one BFS per row, let alone per RR-Graph.  The per-pair reach bits
+and the per-row level-synchronous ``edges_checked`` sums are exactly those of
+one BFS per graph; :meth:`RRBlock.reach_many` is the one-row case.
+:meth:`RRBlock.root_reach` is the reverse closure the edge-cut tables of
+:mod:`repro.index.pruning` read: per node, the root in-slots of its graph it
+reaches.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,127 +42,6 @@ from repro.graph.csr import csr_order, indptr_from_counts, slice_positions
 from repro.graph.digraph import TopicSocialGraph
 from repro.utils.heap import concat_ranges
 from repro.utils.rng import RandomSource
-
-
-@dataclass
-class RRGraph:
-    """One reverse-reachable sample graph rooted at ``root``.
-
-    Attributes
-    ----------
-    root:
-        The uniformly sampled target vertex ``v``.
-    vertices:
-        Vertices that reach ``root`` through surviving edges.
-    edge_ids / edge_sources / edge_targets / edge_thresholds:
-        Parallel arrays describing the surviving edges and their ``c(e)``
-        values.  ``edge_thresholds[i]`` is the value ``p(e|W)`` must reach for
-        edge ``i`` to be live at query time.
-    recovery_weight:
-        Importance weight attached by the delayed-materialization recovery
-        (Algorithm 4): recovered graphs are drawn with the query user's forward
-        sample as the proposal, so each carries the size of that forward sample
-        as a self-normalized importance weight (1.0 for offline-materialized
-        graphs, which are drawn from the target distribution directly).
-    """
-
-    root: int
-    vertices: Set[int]
-    edge_ids: List[int] = field(default_factory=list)
-    edge_sources: List[int] = field(default_factory=list)
-    edge_targets: List[int] = field(default_factory=list)
-    edge_thresholds: List[float] = field(default_factory=list)
-    recovery_weight: float = 1.0
-    _adjacency: Optional[Dict[int, List[int]]] = field(default=None, repr=False)
-
-    @property
-    def num_vertices(self) -> int:
-        """Number of vertices stored in this RR-Graph."""
-        return len(self.vertices)
-
-    @property
-    def num_edges(self) -> int:
-        """Number of surviving edges stored in this RR-Graph."""
-        return len(self.edge_ids)
-
-    def contains(self, vertex: int) -> bool:
-        """Whether ``vertex`` can possibly influence the root under some tag set."""
-        return vertex in self.vertices
-
-    def add_edge(self, edge_id: int, source: int, target: int, threshold: float) -> None:
-        """Record one surviving edge with its ``c(e)`` value."""
-        self.edge_ids.append(edge_id)
-        self.edge_sources.append(source)
-        self.edge_targets.append(target)
-        self.edge_thresholds.append(float(threshold))
-        self._adjacency = None
-
-    def extend_edges(
-        self,
-        edge_ids: Sequence[int],
-        sources: Sequence[int],
-        targets: Sequence[int],
-        thresholds: Sequence[float],
-    ) -> None:
-        """Bulk-record surviving edges (one call per BFS frontier)."""
-        self.edge_ids.extend(int(e) for e in edge_ids)
-        self.edge_sources.extend(int(s) for s in sources)
-        self.edge_targets.extend(int(t) for t in targets)
-        self.edge_thresholds.extend(float(c) for c in thresholds)
-        self._adjacency = None
-
-    def adjacency(self) -> Dict[int, List[int]]:
-        """Out-adjacency restricted to the stored edges: source -> local edge indices."""
-        if self._adjacency is None:
-            adjacency: Dict[int, List[int]] = {}
-            for local_index, source in enumerate(self.edge_sources):
-                adjacency.setdefault(source, []).append(local_index)
-            self._adjacency = adjacency
-        return self._adjacency
-
-    def out_edges_of(self, vertex: int) -> List[int]:
-        """Local edge indices leaving ``vertex`` inside this RR-Graph."""
-        return self.adjacency().get(vertex, [])
-
-    def in_edges_of(self, vertex: int) -> List[int]:
-        """Local edge indices entering ``vertex`` inside this RR-Graph."""
-        return [i for i, target in enumerate(self.edge_targets) if target == vertex]
-
-    def memory_bytes(self) -> int:
-        """Approximate footprint: vertex ids + 4 numbers per stored edge."""
-        return 8 * self.num_vertices + (8 * 3 + 8) * self.num_edges
-
-
-def flatten_rr_graphs(rr_graphs: Sequence[RRGraph]) -> Dict[str, np.ndarray]:
-    """Concatenate RR-Graphs into parallel arrays with per-graph ``indptr`` offsets.
-
-    Vertex ids are sorted within each graph (one ``lexsort`` over the whole
-    array) so the layout is canonical; edges keep their stored order.  This is
-    the persisted form of :meth:`RRGraphIndex.to_arrays` and the input of
-    :class:`RRBlock`.
-    """
-    chain = itertools.chain.from_iterable
-    vertex_counts = np.fromiter((rr.num_vertices for rr in rr_graphs), np.int64, len(rr_graphs))
-    edge_counts = np.fromiter((rr.num_edges for rr in rr_graphs), np.int64, len(rr_graphs))
-    num_vertices, num_edges = int(vertex_counts.sum()), int(edge_counts.sum())
-    vertex_ids = np.fromiter(chain(rr.vertices for rr in rr_graphs), np.int64, num_vertices)
-    vertex_graph = np.repeat(np.arange(len(rr_graphs), dtype=np.int64), vertex_counts)
-    return {
-        "roots": np.fromiter((rr.root for rr in rr_graphs), np.int64, len(rr_graphs)),
-        "vertex_indptr": indptr_from_counts(vertex_counts),
-        "vertex_ids": vertex_ids[np.lexsort((vertex_ids, vertex_graph))],
-        "edge_indptr": indptr_from_counts(edge_counts),
-        "edge_ids": np.fromiter(chain(rr.edge_ids for rr in rr_graphs), np.int64, num_edges),
-        "edge_sources": np.fromiter(
-            chain(rr.edge_sources for rr in rr_graphs), np.int64, num_edges
-        ),
-        "edge_targets": np.fromiter(
-            chain(rr.edge_targets for rr in rr_graphs), np.int64, num_edges
-        ),
-        "edge_thresholds": np.fromiter(
-            chain(rr.edge_thresholds for rr in rr_graphs), float, num_edges
-        ),
-    }
 
 
 def _distinct(nodes: np.ndarray, owner: np.ndarray) -> np.ndarray:
@@ -179,7 +56,7 @@ def _distinct(nodes: np.ndarray, owner: np.ndarray) -> np.ndarray:
 
 
 class RRBlock:
-    """A collection of RR-Graphs concatenated into one CSR (the *block*).
+    """The RR-Graphs of one flat layout concatenated into one CSR (the *block*).
 
     A node is one (graph, member vertex) pair.  Nodes are numbered in the
     order of their key ``graph * stride + vertex``, so the nodes of one graph
@@ -194,11 +71,11 @@ class RRBlock:
     graph is ``node_keys // stride``); ``weights`` carries the graphs'
     recovery weights.
 
-    Members are the union of each graph's vertex set, edge endpoints and
-    root, so graphs assembled through :meth:`RRGraph.add_edge` map cleanly
-    even when their ``vertices`` set was not kept in sync.  The block is
-    immutable and every method only reads it, so concurrent queries may share
-    one block.
+    ``arrays`` is the layout of :data:`RR_ARRAY_LAYOUT`; a graph's members
+    may come in any order.  Members are the union of each graph's vertex
+    run, edge endpoints and root, so a graph whose vertex run misses an edge
+    endpoint still maps cleanly.  The block is immutable and every method
+    only reads it, so concurrent queries may share one block.
     """
 
     def __init__(self, arrays: Dict[str, np.ndarray], weights: Optional[List[float]] = None):
@@ -255,13 +132,6 @@ class RRBlock:
         self._root_reach: Optional[np.ndarray] = None
         self._root_reach_lock = threading.Lock()
 
-    @classmethod
-    def from_graphs(cls, rr_graphs: Sequence[RRGraph]) -> "RRBlock":
-        """The block of ``rr_graphs`` (graph ``i`` of the block is ``rr_graphs[i]``)."""
-        return cls(
-            flatten_rr_graphs(rr_graphs), weights=[rr.recovery_weight for rr in rr_graphs]
-        )
-
     def start_nodes(self, users, graphs: np.ndarray) -> np.ndarray:
         """The node of ``users[i]`` in ``graphs[i]``, ``-1`` where it is no member.
 
@@ -274,10 +144,6 @@ class RRBlock:
         # A user outside [0, stride) could alias another graph's key.
         found &= (users >= 0) & (users < self.stride)
         return np.where(found, nodes, -1)
-
-    def out_slots(self, nodes: np.ndarray) -> np.ndarray:
-        """The out-slots of every one of ``nodes``, concatenated in node order."""
-        return concat_ranges(self.indptr[nodes], self.out_degree[nodes])
 
     def reach_pairs(
         self,
@@ -417,20 +283,6 @@ class RRBlock:
             frontier = _distinct(sources, owner)
         return reach
 
-    def structural_reach(self, user: int, graphs: np.ndarray) -> np.ndarray:
-        """Node mask of everything ``user`` reaches in ``graphs`` with every edge live."""
-        frontier = self.start_nodes(user, graphs)
-        frontier = frontier[frontier >= 0]
-        visited = np.zeros(self.num_nodes, dtype=bool)
-        visited[frontier] = True
-        owner = np.empty(self.num_nodes, dtype=np.int64)
-        while frontier.size:
-            reached = self.slot_targets[self.out_slots(frontier)]
-            reached = reached[~visited[reached]]
-            visited[reached] = True
-            frontier = _distinct(reached, owner)
-        return visited
-
 
 RR_ARRAY_LAYOUT = {
     "roots": np.int64,
@@ -442,7 +294,12 @@ RR_ARRAY_LAYOUT = {
     "edge_targets": np.int64,
     "edge_thresholds": np.float64,
 }
-"""The flat RR-Graph arrays (:func:`flatten_rr_graphs`) and their dtypes."""
+"""The flat RR-Graph layout: names and dtypes.
+
+Graph ``i`` has root ``roots[i]``, members ``vertex_ids[vertex_indptr[i]:
+vertex_indptr[i + 1]]`` and kept edges ``edge_indptr[i]:edge_indptr[i + 1]``
+of the four parallel edge arrays (global edge id, source, target, ``c(e)``).
+"""
 
 
 def sample_rr_arrays(
@@ -455,14 +312,14 @@ def sample_rr_arrays(
     """Draw ``num_samples`` RR-Graphs straight into the flat layout (Definition 2).
 
     Each sample draws its root with ``rng.integer(0, |V|)`` -- or uses
-    ``root`` when given -- and then runs the reverse BFS of
-    :func:`generate_rr_graph`, one batched uniform draw per level (the bits
-    of ``rng.uniforms``), so the RNG is consumed exactly as by a loop of root
-    draws and :func:`generate_rr_graph` calls.  A level keeps the in-slot
-    positions of its surviving edges; their edge ids and sources are
-    gathered once at the end.  The result equals
-    :func:`flatten_rr_graphs` of those graphs array for array, without a
-    per-graph Python object in between.  The arrays are read-only.
+    ``root`` when given -- and then runs the reverse BFS: every in-edge of
+    every reached vertex gets a uniform ``c(e)`` and is kept iff ``c(e) <=
+    p(e)``, so an edge with ``p(e) <= 0`` is never kept.  Each BFS level
+    draws the ``c(e)`` of all its in-slots in one batched call (the bits of
+    ``rng.uniforms``).  A level keeps the in-slot positions of its surviving
+    edges; their edge ids and sources are gathered once at the end.  Members
+    are sorted within each graph and edges keep their draw order.  The
+    arrays are read-only.
     """
     if max_probabilities is None:
         max_probabilities = graph.max_edge_probabilities()
@@ -554,141 +411,3 @@ def _sorted_distinct(values: np.ndarray) -> np.ndarray:
 
 def _concatenate(parts: List[np.ndarray], dtype) -> np.ndarray:
     return np.concatenate(parts).astype(dtype, copy=False) if parts else np.empty(0, dtype)
-
-
-def rr_graphs_from_arrays(arrays: Dict[str, np.ndarray]) -> List[RRGraph]:
-    """The :class:`RRGraph` objects of flat RR-Graph arrays.
-
-    The inverse of :func:`flatten_rr_graphs`.
-    """
-    vertex_bounds = np.asarray(arrays["vertex_indptr"]).tolist()
-    edge_bounds = np.asarray(arrays["edge_indptr"]).tolist()
-    vertex_ids = np.asarray(arrays["vertex_ids"]).tolist()
-    columns = [
-        np.asarray(arrays[name]).tolist()
-        for name in ("edge_ids", "edge_sources", "edge_targets", "edge_thresholds")
-    ]
-    graphs = []
-    for position, root in enumerate(np.asarray(arrays["roots"]).tolist()):
-        lo, hi = edge_bounds[position], edge_bounds[position + 1]
-        ids, sources, targets, thresholds = (column[lo:hi] for column in columns)
-        members = vertex_ids[vertex_bounds[position] : vertex_bounds[position + 1]]
-        graphs.append(RRGraph(root, set(members), ids, sources, targets, thresholds))
-    return graphs
-
-
-def generate_rr_graph(
-    graph: TopicSocialGraph,
-    root: int,
-    rng: RandomSource,
-    max_probabilities: Optional[np.ndarray] = None,
-    kernel: str = "csr",
-) -> RRGraph:
-    """Draw one RR-Graph rooted at ``root`` (Definition 2).
-
-    The reverse BFS examines every in-edge of every reached vertex, draws its
-    ``c(e)`` lazily, and keeps the edge iff ``c(e) <= p(e)``.  Edges whose
-    ``c(e)`` exceeds ``p(e)`` can never be live under any tag set and are
-    dropped entirely.  The default CSR kernel is the one-sample view of
-    :func:`sample_rr_arrays` (whole frontiers per gather and batched uniform
-    draw); ``kernel="dict"`` is the per-edge reference walker.
-    """
-    if max_probabilities is None:
-        max_probabilities = graph.max_edge_probabilities()
-    if kernel == "dict":
-        return _generate_rr_graph_dict(graph, root, rng, max_probabilities)
-    arrays = sample_rr_arrays(graph, 1, rng, max_probabilities, root=root)
-    return rr_graphs_from_arrays(arrays)[0]
-
-
-def _generate_rr_graph_dict(
-    graph: TopicSocialGraph,
-    root: int,
-    rng: RandomSource,
-    max_probabilities: np.ndarray,
-) -> RRGraph:
-    """Reference per-edge implementation of :func:`generate_rr_graph`."""
-    rr_graph = RRGraph(root=root, vertices={root})
-    queue = deque([root])
-    while queue:
-        vertex = queue.popleft()
-        # borrowed read-only: the public in_edges() copies per call, which
-        # would tax this reference walker (see graph.algorithms counterparts)
-        in_edges = graph._in[vertex]
-        if not in_edges:
-            continue
-        thresholds = rng.uniforms(len(in_edges))
-        for edge_id, threshold in zip(in_edges, thresholds):
-            max_probability = max_probabilities[edge_id]
-            if max_probability <= 0.0 or threshold > max_probability:
-                continue
-            source, target = graph.edge_endpoints(edge_id)
-            rr_graph.add_edge(edge_id, source, target, float(threshold))
-            if source not in rr_graph.vertices:
-                rr_graph.vertices.add(source)
-                queue.append(source)
-    return rr_graph
-
-
-def tag_aware_reachable(
-    rr_graph: RRGraph,
-    user: int,
-    edge_probabilities: Sequence[float],
-    kernel: str = "csr",
-) -> Tuple[bool, int]:
-    """Definition 3: does ``user`` reach the root through live edges?
-
-    An edge is live when ``p(e|W) >= c(e)``.  Returns ``(reachable,
-    edges_checked)`` so callers can account verification cost.  The default
-    kernel is the one-graph case of :meth:`RRBlock.reach_pairs` (callers that
-    match many graphs should batch them through a block instead).  The exact
-    ``edges_checked`` value depends on traversal order (both kernels stop as
-    soon as the root is reached), so the two kernels agree on the reachability
-    bit but may differ slightly in the accounting.
-    """
-    if user == rr_graph.root:
-        return True, 0
-    if kernel == "dict":
-        return _tag_aware_reachable_dict(rr_graph, user, edge_probabilities)
-    if user not in rr_graph.vertices:
-        return False, 0
-    hits, checked = RRBlock.from_graphs([rr_graph]).reach_many(user, [0], edge_probabilities)
-    return bool(hits[0]), checked
-
-
-def _tag_aware_reachable_dict(
-    rr_graph: RRGraph,
-    user: int,
-    edge_probabilities: Sequence[float],
-) -> Tuple[bool, int]:
-    """Reference per-edge implementation of :func:`tag_aware_reachable`."""
-    if user not in rr_graph.vertices:
-        return False, 0
-    probabilities = np.asarray(edge_probabilities, dtype=float)
-    visited = {user}
-    queue = deque([user])
-    checked = 0
-    while queue:
-        vertex = queue.popleft()
-        for local_index in rr_graph.out_edges_of(vertex):
-            checked += 1
-            probability = probabilities[rr_graph.edge_ids[local_index]]
-            if probability <= 0.0 or probability < rr_graph.edge_thresholds[local_index]:
-                continue
-            target = rr_graph.edge_targets[local_index]
-            if target == rr_graph.root:
-                return True, checked
-            if target not in visited:
-                visited.add(target)
-                queue.append(target)
-    return False, checked
-
-
-def structurally_reachable(rr_graph: RRGraph, user: int) -> Set[int]:
-    """Vertices reachable from ``user`` inside the RR-Graph ignoring tag probabilities."""
-    if user not in rr_graph.vertices:
-        return set()
-    block = RRBlock.from_graphs([rr_graph])
-    reached = block.structural_reach(user, np.zeros(1, dtype=np.int64))
-    # A one-graph block keys its nodes by vertex id.
-    return set(block.node_keys[: block.num_nodes][reached].tolist())

@@ -17,11 +17,9 @@ cannot change the index.
 The index keeps its RR-Graphs only as the flat arrays of :meth:`to_arrays`:
 :func:`~repro.index.rr_graph.sample_rr_arrays` draws them straight into that
 layout, :meth:`from_arrays` adopts stored (possibly memory-mapped) arrays as
-they are, the block and the containment lists are built from them, and
-:attr:`RRGraphIndex.rr_graphs` is a lazy read-only view of
-:class:`~repro.index.rr_graph.RRGraph` objects.  An index is filled once, by
-``build()`` or ``from_arrays()``, and only read afterwards, so the lazy views
-never go stale.
+they are, and the block and the containment lists are built from them.  An
+index is filled once, by ``build()`` or ``from_arrays()``, and only read
+afterwards, so the lazy block never goes stale.
 """
 
 from __future__ import annotations
@@ -33,13 +31,7 @@ import numpy as np
 
 from repro.exceptions import IndexError_, IndexNotBuiltError
 from repro.graph.digraph import TopicSocialGraph
-from repro.index.rr_graph import (
-    RR_ARRAY_LAYOUT,
-    RRBlock,
-    RRGraph,
-    rr_graphs_from_arrays,
-    sample_rr_arrays,
-)
+from repro.index.rr_graph import RR_ARRAY_LAYOUT, RRBlock, sample_rr_arrays
 from repro.obs.clock import monotonic
 from repro.sampling.base import (
     InfluenceEstimate,
@@ -74,7 +66,6 @@ class RRGraphIndex:
         self.num_samples = int(num_samples)
         self._rng = spawn_rng(seed)
         self._arrays: Dict[str, np.ndarray] = {}
-        self._rr_graphs: Optional[Tuple[RRGraph, ...]] = None
         self.containment: Dict[int, Tuple[int, ...]] = {}
         self.build_seconds: float = 0.0
         self._built = False
@@ -100,22 +91,6 @@ class RRGraphIndex:
         self._built = True
         self.build_seconds = monotonic() - started
         return self
-
-    @property
-    def rr_graphs(self) -> Tuple[RRGraph, ...]:
-        """The RR-Graphs as :class:`RRGraph` objects: a read-only view built on first use.
-
-        The index itself keeps only the flat arrays; this view exists for
-        tests and callers that walk single graphs.
-        """
-        self._require_built()
-        graphs = self._rr_graphs
-        if graphs is None:
-            with self._block_lock:
-                if self._rr_graphs is None:
-                    self._rr_graphs = tuple(rr_graphs_from_arrays(self._arrays))
-                graphs = self._rr_graphs
-        return graphs
 
     @property
     def is_built(self) -> bool:
@@ -185,7 +160,7 @@ class RRGraphIndex:
         """The built index as named arrays for persistence (one ``.npy`` file each).
 
         The RR-Graphs are concatenated into parallel arrays with per-graph
-        ``indptr`` offsets (the layout of :func:`~repro.index.rr_graph.flatten_rr_graphs`),
+        ``indptr`` offsets (:data:`~repro.index.rr_graph.RR_ARRAY_LAYOUT`),
         which is also how the index stores them, so the whole index
         round-trips through :class:`~repro.serve.store.IndexStore` without any
         per-graph Python objects.  Vertex ids are sorted per graph, so the

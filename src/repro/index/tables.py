@@ -65,13 +65,6 @@ class FrozenUserTables:
     delayed_graphs: Optional[Dict[int, RRBlock]] = None
     delayed_filters: Optional[Dict[int, _UserFilterStructures]] = None
 
-    def num_users(self) -> Dict[str, int]:
-        """Per-section table sizes (JSON friendly; used by freeze telemetry)."""
-        return {
-            "indexest+": len(self.pruning) if self.pruning is not None else 0,
-            "delaymat": len(self.delayed_graphs) if self.delayed_graphs is not None else 0,
-        }
-
 
 def build_pruning_tables(
     index: RRGraphIndex, max_probabilities: np.ndarray
@@ -113,7 +106,7 @@ def build_delayed_tables(
     graphs_by_user: Dict[int, RRBlock] = {}
     filters_by_user: Dict[int, _UserFilterStructures] = {}
     for user in sorted(index.containment_counts):
-        block = RRBlock.from_graphs(index.recover_for_user(user, stream_for_user(user)))
+        block = RRBlock(*index.recover_for_user(user, stream_for_user(user)))
         graphs_by_user[user] = block
         filters_by_user[user] = build_filter_structures(
             block, user, range(block.num_graphs), max_probabilities

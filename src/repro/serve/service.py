@@ -102,6 +102,8 @@ class ServiceMetrics:
         # Answer-cache hits land here instead of `execution`: a microsecond
         # hit averaged into the engine-execute percentiles would make p50
         # meaningless, so the split keeps `execution` engine-work-only.
+        # Failed requests land in neither (many never reached an engine and
+        # would add 0 s samples); `latency` and `queue_wait` keep them.
         self.answer_hits = LatencyAccumulator(label="answer-hit")
         self.by_group: Dict[str, LatencyAccumulator] = {}
         # Per-worker-process execute series (process backend only), keyed
@@ -131,9 +133,9 @@ class ServiceMetrics:
             self.queue_wait.add(response.queue_seconds)
             if response.cache_hit:
                 self.answer_hits.add(response.execute_seconds)
-            else:
+            elif response.ok:
                 self.execution.add(response.execute_seconds)
-            if response.worker is not None:
+            if response.worker is not None and response.ok:
                 label = f"worker-{response.worker}"
                 shard = self.worker_shards.get(label)
                 if shard is None:

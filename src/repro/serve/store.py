@@ -157,11 +157,6 @@ class IndexStore:
         """Directory of the entry with cache key ``key``."""
         return self.root / key
 
-    def has(self, kind: str, graph: TopicSocialGraph, model: TagTopicModel, num_samples: int) -> bool:
-        """Whether a matching entry exists on disk."""
-        key = index_cache_key(kind, graph, model, num_samples)
-        return (self.entry_path(key) / MANIFEST_NAME).is_file()
-
     def entries(self) -> List[StoreEntry]:
         """All readable entries currently in the store."""
         found: List[StoreEntry] = []

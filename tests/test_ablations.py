@@ -19,7 +19,7 @@ import pytest
 from repro.core.best_effort import BestEffortExplorer
 from repro.core.query import PitexQuery
 from repro.graph.generators import power_law_topic_graph, star_fan_out_graph
-from repro.index.pruning import PrunedIndexEstimator, build_edge_cut, choose_edge_cut
+from repro.index.pruning import PrunedIndexEstimator, choose_cuts, cut_sides
 from repro.index.rr_index import RRGraphIndex
 from repro.sampling.base import SampleBudget
 from repro.sampling.lazy import LazyPropagationEstimator
@@ -48,17 +48,24 @@ def ablation_instance():
 def test_choose_edge_cut_is_at_least_as_good_as_either_side(ablation_instance):
     graph, _, index = ablation_instance
     maxima = graph.max_edge_probabilities()
+    block = index.block()
+
+    def pruning_probabilities(indptr, edge_ids, thresholds):
+        """Per run, the probability that every cut entry stays dead (Example 7)."""
+        factors = np.minimum(1.0, thresholds / maxima[edge_ids])
+        return [float(np.prod(factors[lo:hi])) for lo, hi in zip(indptr[:-1], indptr[1:])]
+
     users = [v for v in graph.vertices() if graph.out_degree(v) > 0][:5]
     for user in users:
-        for rr_position in index.graphs_containing(user)[:20]:
-            rr_graph = index.rr_graphs[rr_position]
-            source_cut = build_edge_cut(rr_graph, user, rr_position, "source")
-            target_cut = build_edge_cut(rr_graph, user, rr_position, "target")
-            chosen = choose_edge_cut(rr_graph, user, rr_position, maxima)
-            best = max(
-                source_cut.pruning_probability(maxima), target_cut.pruning_probability(maxima)
-            )
-            assert chosen.pruning_probability(maxima) == pytest.approx(best)
+        graphs = np.array(index.graphs_containing(user)[:20], dtype=np.int64)
+        pair_users = np.full(len(graphs), user)
+        always, source, target = cut_sides(block, pair_users, graphs)
+        chosen_always, *chosen = choose_cuts(block, pair_users, graphs, maxima)
+        assert chosen_always.tolist() == always.tolist()
+        best = np.maximum(pruning_probabilities(*source), pruning_probabilities(*target))
+        chosen = pruning_probabilities(*chosen)
+        for position in np.flatnonzero(~always):
+            assert chosen[position] == pytest.approx(best[position])
 
 
 def test_pruned_index_estimates_equal_unpruned_for_many_tag_sets(ablation_instance):

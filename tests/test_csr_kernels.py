@@ -27,13 +27,15 @@ from repro.graph.algorithms import (
 from repro.graph.digraph import TopicSocialGraph
 from repro.graph.generators import random_topic_graph
 from repro.index.delayed import DelayedMaterializationIndex
-from repro.index.rr_graph import generate_rr_graph, tag_aware_reachable
+from repro.index.rr_graph import sample_rr_arrays
 from repro.propagation.exact import exact_influence_spread
 from repro.sampling.base import SampleBudget
 from repro.sampling.lazy import LazyPropagationEstimator
 from repro.sampling.monte_carlo import MonteCarloEstimator
 from repro.sampling.reverse_reachable import ReverseReachableEstimator
 from repro.utils.rng import RandomSource
+
+from rr_views import RRGraphView, block_of, graph_views, reference_rr_graph
 
 
 def random_graphs(count=6, max_vertices=30, seed0=100):
@@ -227,8 +229,8 @@ def test_lazy_estimator_matches_mc_with_csr_kernels(small_graph, small_model, ti
 def test_generate_rr_graph_kernels_structurally_agree():
     graph = random_topic_graph(25, 3, edge_probability=0.2, base_probability=0.6, seed=31)
     maxima = graph.max_edge_probabilities()
-    for kernel in ("csr", "dict"):
-        rr = generate_rr_graph(graph, 5, RandomSource(17), kernel=kernel)
+    batched = graph_views(sample_rr_arrays(graph, 1, RandomSource(17), root=5))[0]
+    for rr in (batched, reference_rr_graph(graph, 5, RandomSource(17))):
         assert rr.root == 5
         assert 5 in rr.vertices
         for local, edge_id in enumerate(rr.edge_ids):
@@ -238,51 +240,32 @@ def test_generate_rr_graph_kernels_structurally_agree():
             assert target == rr.edge_targets[local]
             assert target in rr.vertices
         # every non-root stored vertex reaches the root through stored edges
-        from repro.index.rr_graph import structurally_reachable
-
+        # (all c(e) <= p(e) <= 1, so every stored edge is live under all ones)
+        block = block_of([rr])
         for vertex in rr.vertices:
-            assert rr.root in structurally_reachable(rr, vertex)
+            assert block.reach_many(vertex, [0], np.ones(graph.num_edges))[0].tolist() == [True]
 
 
 def test_generate_rr_graph_mean_size_matches_between_kernels():
     graph = random_topic_graph(30, 3, edge_probability=0.2, base_probability=0.5, seed=57)
     draws = 300
-    sizes = {}
-    for kernel, seed in (("csr", 2), ("dict", 3)):
-        rng = RandomSource(seed)
-        sizes[kernel] = np.mean(
-            [generate_rr_graph(graph, root % 30, rng, kernel=kernel).num_vertices for root in range(draws)]
-        )
-    assert sizes["csr"] == pytest.approx(sizes["dict"], rel=0.12, abs=0.6)
+    rng = RandomSource(2)
+    batched = [
+        len(graph_views(sample_rr_arrays(graph, 1, rng, root=root % 30))[0].vertices)
+        for root in range(draws)
+    ]
+    rng = RandomSource(3)
+    reference = [len(reference_rr_graph(graph, root % 30, rng).vertices) for root in range(draws)]
+    assert np.mean(batched) == pytest.approx(np.mean(reference), rel=0.12, abs=0.6)
 
 
 def test_tag_aware_reachable_handles_out_of_sync_vertices():
-    # Regression: a hand-assembled RRGraph whose `vertices` set was not kept
-    # in sync with its edges used to crash the csr kernel (endpoint ids were
-    # mapped past the member array); both kernels must agree instead.
-    from repro.index.rr_graph import RRGraph
-
-    rr = RRGraph(root=0, vertices={0, 5})
-    rr.add_edge(0, 5, 0, 0.1)
-    rr.add_edge(1, 9, 5, 0.1)
+    # Regression: a hand-assembled graph whose vertex list was not kept in
+    # sync with its edges used to crash the csr kernel (endpoint ids were
+    # mapped past the member array); the block takes the union instead.
+    rr = RRGraphView(0, {0, 5}, edge_ids=[0, 1], edge_sources=[5, 9], edge_targets=[0, 5], edge_thresholds=[0.1, 0.1])
     probabilities = np.full(2, 0.9)
-    assert tag_aware_reachable(rr, 5, probabilities, kernel="csr")[0] is True
-    assert tag_aware_reachable(rr, 5, probabilities, kernel="dict")[0] is True
-
-
-def test_tag_aware_reachable_kernels_agree():
-    graph = random_topic_graph(25, 3, edge_probability=0.25, base_probability=0.7, seed=43)
-    rng = RandomSource(23)
-    query_rng = np.random.default_rng(4)
-    for root in range(0, 25, 4):
-        rr = generate_rr_graph(graph, root, rng)
-        probabilities = graph.max_edge_probabilities() * query_rng.uniform(
-            0.0, 1.0, size=graph.num_edges
-        )
-        for user in range(0, 25, 3):
-            via_csr, _ = tag_aware_reachable(rr, user, probabilities, kernel="csr")
-            via_dict, _ = tag_aware_reachable(rr, user, probabilities, kernel="dict")
-            assert via_csr == via_dict, (root, user)
+    assert block_of([rr]).reach_many(5, [0], probabilities)[0].tolist() == [True]
 
 
 def test_indexes_go_stale_when_graph_mutates(small_graph):
@@ -311,13 +294,15 @@ def test_delayed_recovery_invariants(small_graph):
     index = DelayedMaterializationIndex(small_graph, num_samples=40, seed=12).build()
     maxima = small_graph.max_edge_probabilities()
     users = [v for v in small_graph.vertices() if small_graph.out_degree(v) > 0]
-    rr = index.recover_rr_graph(users[0], RandomSource(3))
-    assert rr.root in rr.vertices
-    assert rr.recovery_weight >= 1.0
-    for local, edge_id in enumerate(rr.edge_ids):
-        assert 0.0 <= rr.edge_thresholds[local] <= maxima[edge_id]
-        assert rr.edge_sources[local] in rr.vertices
-        assert rr.edge_targets[local] in rr.vertices
+    recovered = graph_views(*index.recover_for_user(users[0], RandomSource(3)))
+    assert len(recovered) == index.containment_count(users[0]) > 0
+    for rr in recovered:
+        assert rr.root in rr.vertices
+        assert rr.weight >= 1.0
+        for local, edge_id in enumerate(rr.edge_ids):
+            assert 0.0 <= rr.edge_thresholds[local] <= maxima[edge_id]
+            assert rr.edge_sources[local] in rr.vertices
+            assert rr.edge_targets[local] in rr.vertices
 
 
 # --------------------------------------------------------------- RNG sugar

@@ -7,14 +7,16 @@ from repro.core.engine import PitexEngine
 from repro.exceptions import IndexError_, IndexNotBuiltError
 from repro.graph.generators import line_graph, random_topic_graph
 from repro.index.delayed import DelayedIndexEstimator, DelayedMaterializationIndex
-from repro.index.pruning import PrunedIndexEstimator, build_edge_cut, choose_edge_cut
-from repro.index.rr_graph import generate_rr_graph
+from repro.index.pruning import PrunedIndexEstimator, choose_cuts, cut_sides
+from repro.index.rr_graph import RRBlock, sample_rr_arrays
 from repro.index.rr_index import IndexEstimator, RRGraphIndex
 from repro.index.sizing import measure_data_size, measure_delayed_index, measure_rr_index
 from repro.sampling.base import SampleBudget
 from repro.sampling.monte_carlo import MonteCarloEstimator
 from repro.topics.model import TagTopicModel
 from repro.utils.rng import RandomSource
+
+from rr_views import graph_views
 
 
 @pytest.fixture(scope="module")
@@ -53,10 +55,11 @@ def test_index_requires_build():
 
 def test_index_containment_lists_consistent(indexed_instance):
     graph, _, index = indexed_instance
-    assert len(index.rr_graphs) == index.num_samples
+    views = graph_views(index.to_arrays())
+    assert len(views) == index.num_samples
     for vertex, positions in index.containment.items():
         for position in positions:
-            assert vertex in index.rr_graphs[position].vertices
+            assert vertex in views[position].vertices
     assert index.average_rr_graph_size() >= 1.0
     assert index.build_seconds > 0.0
 
@@ -109,34 +112,36 @@ def test_pruned_estimator_filters_candidates(indexed_instance):
     candidates, _ = pruned.filter_candidates(user, probabilities)
     universe = index.graphs_containing(user)
     assert len(candidates) <= len(universe)
-    ratio = pruned.pruning_ratio(user, probabilities)
-    assert 0.0 <= ratio <= 1.0
+
+
+def one_pair(user):
+    """``(users, graphs)`` arrays of the one pair (``user``, graph 0)."""
+    return np.array([user]), np.zeros(1, dtype=np.int64)
 
 
 def test_edge_cut_construction_properties():
     graph = line_graph(4, probability=1.0)
-    rr = generate_rr_graph(graph, 3, RandomSource(1))
-    source_cut = build_edge_cut(rr, 0, 0, "source")
-    target_cut = build_edge_cut(rr, 0, 0, "target")
-    assert len(source_cut.entries) == 1  # 0 has one out-edge in the chain
-    assert len(target_cut.entries) == 1  # 3 has one in-edge reachable from 0
-    root_cut = build_edge_cut(rr, 3, 0, "source")
-    assert root_cut.always_live
-    with pytest.raises(ValueError):
-        build_edge_cut(rr, 0, 0, "sideways")
-    chosen = choose_edge_cut(rr, 0, 0, graph.max_edge_probabilities())
-    assert chosen.entries or chosen.always_live
+    block = RRBlock(sample_rr_arrays(graph, 1, RandomSource(1), root=3))
+    always, source, target = cut_sides(block, *one_pair(0))
+    assert not always[0]
+    assert np.diff(source[0]).tolist() == [1]  # 0 has one out-edge in the chain
+    assert np.diff(target[0]).tolist() == [1]  # 3 has one in-edge reachable from 0
+    assert cut_sides(block, *one_pair(3))[0].tolist() == [True]
+    always, indptr, _, _ = choose_cuts(block, *one_pair(0), graph.max_edge_probabilities())
+    assert indptr[-1] > 0 or always[0]
 
 
 def test_edge_cut_pruning_probability_monotone():
     graph = line_graph(3, probability=1.0)
-    rr = generate_rr_graph(graph, 2, RandomSource(1))
-    cut = build_edge_cut(rr, 0, 0, "source")
+    block = RRBlock(sample_rr_arrays(graph, 1, RandomSource(1), root=2))
     maxima = graph.max_edge_probabilities()
-    probability = cut.pruning_probability(maxima)
+    always, _, edge_ids, thresholds = choose_cuts(block, *one_pair(0), maxima)
+    assert not always[0] and edge_ids.size
+    probability = float(np.prod(np.minimum(1.0, thresholds / maxima[edge_ids])))
     assert 0.0 <= probability <= 1.0
-    always = build_edge_cut(rr, 2, 0, "source")
-    assert always.pruning_probability(maxima) == 0.0
+    # The root itself can never be cut off: no entries, always a candidate.
+    always, indptr, _, _ = choose_cuts(block, *one_pair(2), maxima)
+    assert always.tolist() == [True] and indptr.tolist() == [0, 0]
 
 
 def test_delayed_index_counts_match_full_index(indexed_instance):
@@ -184,11 +189,11 @@ def test_delayed_recovered_graphs_contain_user(indexed_instance):
     graph, _, _ = indexed_instance
     delayed = DelayedMaterializationIndex(graph, num_samples=500, seed=5).build()
     user = 0
-    recovered = delayed.recover_for_user(user, RandomSource(9))
+    recovered = graph_views(*delayed.recover_for_user(user, RandomSource(9)))
     assert len(recovered) == delayed.containment_count(user)
     for rr in recovered:
         assert user in rr.vertices
-        assert rr.recovery_weight >= 1.0
+        assert rr.weight >= 1.0
         maxima = graph.max_edge_probabilities()
         for edge_id, threshold in zip(rr.edge_ids, rr.edge_thresholds):
             assert threshold <= maxima[edge_id]
@@ -219,8 +224,6 @@ def test_delayed_estimator_pruning_consistency(indexed_instance):
     # The recovered graphs differ between the two estimators (independent RNG
     # draws) so only approximate agreement is expected.
     assert a.value == pytest.approx(b.value, rel=0.4, abs=0.5)
-    with_pruning.clear_cache()
-    assert with_pruning._recovered == {}
 
 
 def test_frozen_index_hands_out_immutable_containment():

@@ -17,7 +17,6 @@ from repro.core.engine import PitexEngine
 from repro.datasets.synthetic import load_dataset
 from repro.index.delayed import DelayedIndexEstimator, DelayedMaterializationIndex
 from repro.index.pruning import PrunedIndexEstimator
-from repro.index.rr_graph import flatten_rr_graphs
 from repro.index.rr_index import IndexEstimator, RRGraphIndex
 from repro.obs.telemetry import Telemetry, deterministic_counters, get_telemetry, install
 from repro.serve.answers import answer_digest
@@ -189,9 +188,6 @@ def test_index_arrays_are_pinned_and_round_trip(dataset):
     index = engine.rr_index
     arrays = index.to_arrays()
     assert arrays_digest(arrays) == INDEX_ARRAYS_GOLDEN
-    view = flatten_rr_graphs(index.rr_graphs)
-    view["num_samples"] = arrays["num_samples"]
-    assert arrays_digest(view) == INDEX_ARRAYS_GOLDEN
     loaded = RRGraphIndex.from_arrays(graph, arrays)
     assert arrays_digest(loaded.to_arrays()) == INDEX_ARRAYS_GOLDEN
     assert loaded.containment == index.containment

@@ -24,6 +24,8 @@ from repro.index.tables import build_delayed_tables, build_pruning_tables
 from repro.topics.model import TagTopicModel
 from repro.utils.rng import RandomSource
 
+from rr_views import graph_views
+
 # sha256 over every user's structures (see ``tables_digest``).
 BENCHMARK_TABLES = {
     1: "1b017eb5772d0d0544b9a1ed8e643aa8fa78399d52bf7f592fc1e779618a35f2",
@@ -114,10 +116,12 @@ def test_benchmark_tables_are_pinned(benchmark_graph, seed):
 
 def test_index_stats_are_pinned(benchmark_graph):
     index = RRGraphIndex(benchmark_graph, 200, seed=7).build()
-    per_graph = sum(rr.memory_bytes() for rr in index.rr_graphs)
+    views = graph_views(index.to_arrays())
+    # Per graph: 8 bytes per vertex id, 4 numbers of 8 bytes per stored edge.
+    per_graph = sum(8 * len(rr.vertices) + 32 * len(rr.edge_ids) for rr in views)
     containment = 8 * sum(len(graphs) for graphs in index.containment.values())
     assert index.memory_bytes() == per_graph + containment
-    mean_size = float(np.mean([rr.num_vertices for rr in index.rr_graphs]))
+    mean_size = float(np.mean([len(rr.vertices) for rr in views]))
     assert index.average_rr_graph_size() == mean_size
     assert (index.memory_bytes(), index.average_rr_graph_size().hex()) == BENCHMARK_INDEX_STATS
 

@@ -159,21 +159,6 @@ def test_estimate_memo_follows_graph_mutation():
     assert new.compute_estimates(2, [(0,)])[0].value > first[0].value
 
 
-def test_delaymat_clear_cache_drops_memoized_estimates():
-    graph, model, _, _ = _instance()
-    estimator = _index_estimator("delaymat")
-    spy = _RowSpy(estimator)
-    user = _users(graph, 1)[0]
-    tag_sets = [(tag,) for tag in range(model.num_tags)]
-    estimator.compute_estimates(user, tag_sets)
-    matched = len(spy.rows)
-    estimator.compute_estimates(user, tag_sets)
-    assert len(spy.rows) == matched > 0
-    estimator.clear_cache()
-    estimator.compute_estimates(user, tag_sets)
-    assert len(spy.rows) == 2 * matched
-
-
 # ------------------------------------------------------------------ p+ bounds
 
 

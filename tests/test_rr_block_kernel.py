@@ -9,6 +9,8 @@ the same ``postings_scanned``.  The references below are written per graph in
 plain Python so they stay obviously correct.
 """
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -16,10 +18,11 @@ from hypothesis import strategies as st
 from repro.graph.generators import random_topic_graph
 from repro.index.delayed import DelayedIndexEstimator, DelayedMaterializationIndex
 from repro.index.pruning import PrunedIndexEstimator
-from repro.index.rr_graph import RRBlock, RRGraph
 from repro.index.rr_index import RRGraphIndex
 from repro.topics.model import TagTopicModel
 from repro.utils.rng import spawn_rng
+
+from rr_views import RRGraphView, block_of, graph_views
 
 
 # ------------------------------------------------------------------ references
@@ -118,7 +121,7 @@ def draw_probabilities(data, graph, index):
     rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
     probabilities = graph.max_edge_probabilities() * rng.uniform(0.0, 1.0, graph.num_edges)
     probabilities[rng.uniform(size=graph.num_edges) < 0.2] = 0.0
-    for rr_graph in index.rr_graphs:
+    for rr_graph in graph_views(index.to_arrays()):
         for edge_id, threshold in zip(rr_graph.edge_ids, rr_graph.edge_thresholds):
             if rng.uniform() < 0.15:
                 probabilities[edge_id] = threshold
@@ -132,10 +135,11 @@ def test_reach_many_matches_per_graph_reference(instance, data):
     graph, index = instance
     probabilities = draw_probabilities(data, graph, index)
     block = index.block()
+    rr_graphs = graph_views(index.to_arrays())
     for user in range(graph.num_vertices + 1):  # includes one absent vertex
         graph_ids = data.draw(st.lists(st.sampled_from(range(index.num_samples)), unique=True))
         hits, checked = block.reach_many(user, graph_ids, probabilities)
-        expected = [reference_reach(index.rr_graphs[g], user, probabilities) for g in graph_ids]
+        expected = [reference_reach(rr_graphs[g], user, probabilities) for g in graph_ids]
         assert hits.tolist() == [reachable for reachable, _ in expected]
         assert checked == sum(count for _, count in expected)
 
@@ -148,10 +152,11 @@ def test_flat_filter_matches_break_counting_scan(instance, data):
     estimator = PrunedIndexEstimator(graph, model, index)
     probabilities = draw_probabilities(data, graph, index)
     maxima = graph.max_edge_probabilities()
+    rr_graphs = graph_views(index.to_arrays())
     for user in sorted(index.containment):
         candidates, scanned = estimator.filter_candidates(user, probabilities)
         expected, expected_scanned = reference_filter(
-            index.rr_graphs, index.graphs_containing(user), user, probabilities, maxima
+            rr_graphs, index.graphs_containing(user), user, probabilities, maxima
         )
         assert list(candidates) == list(expected)  # same members, same iteration order
         assert scanned == expected_scanned
@@ -160,14 +165,12 @@ def test_flat_filter_matches_break_counting_scan(instance, data):
 # ----------------------------------------------------------------- edge cases
 def line_rr_graph():
     """0 -> 1 -> 2 with root 2; edge ids 0 and 1."""
-    rr_graph = RRGraph(root=2, vertices={0, 1, 2})
-    rr_graph.extend_edges([0, 1], [0, 1], [1, 2], [0.5, 0.5])
-    return rr_graph
+    return RRGraphView(2, {0, 1, 2}, [0, 1], [0, 1], [1, 2], [0.5, 0.5])
 
 
 def test_reach_many_edge_cases():
-    edgeless = RRGraph(root=4, vertices={3, 4})
-    block = RRBlock.from_graphs([line_rr_graph(), edgeless])
+    edgeless = RRGraphView(root=4, vertices={3, 4})
+    block = block_of([line_rr_graph(), edgeless])
     live = np.array([1.0, 1.0])
     # user == root: a hit with nothing checked.
     hits, checked = block.reach_many(2, [0], live)
@@ -187,7 +190,7 @@ def test_reach_many_edge_cases():
     hits, checked = block.reach_many(0, [0], np.array([1.0, 0.4]))
     assert hits.tolist() == [False] and checked == 2
     # an empty block.
-    empty = RRBlock.from_graphs([])
+    empty = block_of([])
     assert empty.reach_many(0, [], live)[1] == 0
 
 
@@ -198,7 +201,7 @@ def test_delaymat_weighted_hit_sum_matches_reference():
     probabilities = graph.max_edge_probabilities() * 0.6
     users = [u for u in sorted(index.containment_counts) if index.containment_count(u)][:5]
     for user in users:
-        recovered = index.recover_for_user(user, spawn_rng(5))
+        recovered = graph_views(*index.recover_for_user(user, spawn_rng(5)))
         unpruned = DelayedIndexEstimator(graph, model, index, use_pruning=False, seed=5)
         pruned = DelayedIndexEstimator(graph, model, index, use_pruning=True, seed=5)
         estimate = unpruned.estimate_with_probabilities(user, probabilities)
@@ -207,8 +210,8 @@ def test_delaymat_weighted_hit_sum_matches_reference():
             reachable, count = reference_reach(rr_graph, user, probabilities)
             checked += count
             if reachable:
-                hit_weight += rr_graph.recovery_weight
-        total = float(sum(rr.recovery_weight for rr in recovered))
+                hit_weight += rr_graph.weight
+        total = float(sum(rr.weight for rr in recovered))
         expected = len(recovered) / index.num_samples * (hit_weight / total) * graph.num_vertices
         assert estimate.value == expected
         assert estimate.edges_visited == checked
@@ -222,9 +225,7 @@ def with_zero_thresholds(rr_graphs, rng):
     copies = []
     for rr_graph in rr_graphs:
         thresholds = [0.0 if rng.uniform() < 0.25 else c for c in rr_graph.edge_thresholds]
-        copy = RRGraph(rr_graph.root, set(rr_graph.vertices))
-        copy.extend_edges(rr_graph.edge_ids, rr_graph.edge_sources, rr_graph.edge_targets, thresholds)
-        copies.append(copy)
+        copies.append(replace(rr_graph, edge_thresholds=thresholds))
     return copies
 
 
@@ -233,8 +234,8 @@ def with_zero_thresholds(rr_graphs, rng):
 def test_reach_pairs_matches_per_graph_reference(instance, data):
     graph, index = instance
     rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
-    rr_graphs = with_zero_thresholds(index.rr_graphs, rng)
-    block = RRBlock.from_graphs(rr_graphs)
+    rr_graphs = with_zero_thresholds(graph_views(index.to_arrays()), rng)
+    block = block_of(rr_graphs)
     # Few rows, or more rows than one 64-bit word holds.
     num_rows = data.draw(st.one_of(st.integers(1, 4), st.integers(65, 70)))
     rows = np.stack([draw_probabilities(data, graph, index) for _ in range(num_rows)])
@@ -265,9 +266,8 @@ def test_reach_pairs_matches_per_graph_reference(instance, data):
 
 def test_reach_pairs_edge_cases():
     # 0 -> 1 -> 2 with root 2; edge 0 has c(e) = 0, edge 1 has c(e) = 0.5.
-    line = RRGraph(root=2, vertices={0, 1, 2})
-    line.extend_edges([0, 1], [0, 1], [1, 2], [0.0, 0.5])
-    block = RRBlock.from_graphs([line, RRGraph(root=4, vertices={3, 4})])
+    line = RRGraphView(2, {0, 1, 2}, [0, 1], [0, 1], [1, 2], [0.0, 0.5])
+    block = block_of([line, RRGraphView(root=4, vertices={3, 4})])
     rows = np.array([[1.0, 1.0], [0.0, 1.0], [0.3, 0.6], [0.3, 0.4]])
     pairs = np.array([0, 1, 2, 3]), np.zeros(4, dtype=np.int64)
     hits, checked = block.reach_pairs(0, rows, *pairs)

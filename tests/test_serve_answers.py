@@ -359,8 +359,6 @@ def test_freeze_builds_per_user_tables_and_thaw_drops_them(dataset):
     tables = engine.frozen_user_tables
     assert tables is not None
     assert tables.pruning and tables.delayed_graphs and tables.delayed_filters
-    sizes = tables.num_users()
-    assert sizes["indexest+"] > 0 and sizes["delaymat"] > 0
     engine.thaw()
     assert engine.frozen_user_tables is None
 

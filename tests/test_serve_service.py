@@ -361,6 +361,21 @@ def test_service_throughput_counts_completed_requests_only():
     assert snapshot["throughput_qps"] == 0.0
 
 
+def test_failed_requests_stay_out_of_the_execute_series():
+    """Requests that never reached an engine add no execute sample; latency keeps them."""
+
+    def provider(key):
+        raise RuntimeError("no engine")
+
+    with PitexService(provider, num_workers=2) as service:
+        responses = [service.submit(QueryRequest(user=user, k=2)).result() for user in range(5)]
+    assert not any(response.ok for response in responses)
+    snapshot = service.metrics.snapshot()
+    assert (snapshot["completed"], snapshot["failed"]) == (0, 5)
+    assert snapshot["execute"]["count"] == 0
+    assert snapshot["latency"]["count"] == 5 and snapshot["queue"]["count"] == 5
+
+
 def test_service_durations_read_the_obs_clock(dataset, monkeypatch):
     """A scripted obs clock reaches the execute, queue and uptime figures exactly."""
     import repro.obs.clock as clock_module

@@ -19,6 +19,8 @@ from repro.index.delayed import DelayedIndexEstimator, DelayedMaterializationInd
 from repro.index.rr_index import RRGraphIndex
 from repro.serve.store import FORMAT_VERSION, MANIFEST_NAME, IndexStore, index_cache_key
 
+from rr_views import graph_views
+
 
 @pytest.fixture(scope="module")
 def dataset():
@@ -42,8 +44,9 @@ def test_rr_index_roundtrip_is_bitwise_equal(dataset, store):
     assert loaded is not None and loaded.is_built
     assert loaded.num_samples == built.num_samples
     assert loaded.containment == built.containment
-    assert [rr.root for rr in loaded.rr_graphs] == [rr.root for rr in built.rr_graphs]
-    assert [rr.vertices for rr in loaded.rr_graphs] == [rr.vertices for rr in built.rr_graphs]
+    loaded_graphs, built_graphs = graph_views(loaded.to_arrays()), graph_views(built.to_arrays())
+    assert [rr.root for rr in loaded_graphs] == [rr.root for rr in built_graphs]
+    assert [rr.vertices for rr in loaded_graphs] == [rr.vertices for rr in built_graphs]
     probabilities = _sample_probabilities(dataset)
     for user in range(0, graph.num_vertices, 7):
         original = built.estimate(user, probabilities)
