@@ -151,7 +151,7 @@ def test_cold_replay_with_persisted_index(
     )
 
     def run_replay():
-        with PitexService.for_engine(engine, num_workers=2, max_batch=8) as service:
+        with PitexService.for_engine(engine, num_workers=2) as service:
             return replay_stream(service, stream, method="indexest+", k=2)
 
     report = benchmark.pedantic(run_replay, rounds=1, iterations=1)
@@ -196,7 +196,7 @@ def test_frozen_worker_sweep_is_bitwise_equal_and_scales(
 
     reports = {}
     for pool_size in (1, workers):
-        with PitexService.for_engine(engine, num_workers=pool_size, max_batch=4) as service:
+        with PitexService.for_engine(engine, num_workers=pool_size) as service:
             reports[pool_size] = replay_stream(service, stream, method="indexest+", k=2)
 
     for report in reports.values():
@@ -272,7 +272,7 @@ def test_process_backend_matches_thread_oracle_and_scales(
         seed=harness.config.seed,
         rr_index=loaded,
     ).freeze(methods=["indexest+"], ks=[2])
-    with PitexService.for_engine(oracle_engine, num_workers=1, max_batch=4) as service:
+    with PitexService.for_engine(oracle_engine, num_workers=1) as service:
         oracle = replay_stream(service, stream, method="indexest+", k=2)
     oracle_deterministic = service.metrics.telemetry()["deterministic"]
     assert oracle.failures == 0
@@ -382,14 +382,14 @@ def test_answer_cache_warm_leg_is_bitwise_equal_and_faster(
     )
 
     # Uncached oracle: the frozen engine re-executes every repeat.
-    with PitexService.for_engine(engine, num_workers=2, max_batch=4) as service:
+    with PitexService.for_engine(engine, num_workers=2) as service:
         oracle = replay_stream(service, stream, method="indexest+", k=2)
     assert oracle.failures == 0
     assert oracle.cache_hits == 0
 
     # Cached service: pass 1 fills the cache, pass 2 replays warm.
     with PitexService.for_engine(
-        engine, num_workers=2, max_batch=4, answer_cache=AnswerCache()
+        engine, num_workers=2, answer_cache=AnswerCache()
     ) as service:
         cold_pass = replay_stream(service, stream, method="indexest+", k=2)
         warm_pass = replay_stream(service, stream, method="indexest+", k=2)
@@ -468,7 +468,7 @@ def test_trace_overhead_is_small_and_recorded(
     )
 
     def run_replay():
-        with PitexService.for_engine(engine, num_workers=2, max_batch=4) as service:
+        with PitexService.for_engine(engine, num_workers=2) as service:
             return replay_stream(service, stream, method="indexest+", k=2)
 
     untraced = run_replay()

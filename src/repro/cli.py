@@ -105,7 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--store", default=None,
                         help="index store directory for the warm start (omit to build in-process)")
     replay.add_argument("--workers", type=int, default=2)
-    replay.add_argument("--max-batch", type=int, default=8)
     replay.add_argument(
         "--backend",
         choices=("thread", "process"),
@@ -380,10 +379,7 @@ def _run_serve_replay(args: argparse.Namespace) -> int:
                 engine.freeze(methods=[args.method], ks=[args.k])
             answer_cache = AnswerCache() if args.answer_cache else None
             with PitexService.for_engine(
-                engine,
-                num_workers=args.workers,
-                max_batch=args.max_batch,
-                answer_cache=answer_cache,
+                engine, num_workers=args.workers, answer_cache=answer_cache
             ) as service:
                 reports = [
                     replay_stream(service, stream, method=args.method, k=args.k)

@@ -336,17 +336,6 @@ class PrunedIndexEstimator(InfluenceEstimator):
         self._user_structures[user] = structures
         return structures
 
-    def filter_candidates(
-        self, user: int, edge_probabilities: Sequence[float]
-    ) -> Tuple[Set[int], int]:
-        """The filter step under one probability row: RR-Graph indices that survive the cut test.
-
-        Returns ``(candidates, postings_scanned)``.
-        """
-        structures = self._structures_for(user)
-        _, graphs, scanned = structures.scan(np.asarray(edge_probabilities, dtype=float)[None])
-        return structures.candidate_set(graphs), int(scanned[0])
-
     # --------------------------------------------------------------- estimate
     def estimate_with_probabilities(
         self,

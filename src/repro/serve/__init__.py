@@ -13,9 +13,10 @@ that asymmetry across process and query boundaries:
   builds.
 * :mod:`repro.serve.answers` -- :class:`AnswerCache`: the LRU's epoch policy
   for frozen-engine answers, keyed by query fingerprint.
-* :mod:`repro.serve.service` -- :class:`PitexService`: a thread-pooled query
-  front-end that batches concurrent requests per engine and records
-  p50/p95/p99 latency and throughput.
+* :mod:`repro.serve.service` -- the request lifecycle both backends share
+  (the :class:`Dispatcher` that routes requests to worker slots, one
+  execution and one ending path) and :class:`PitexService`, the thread
+  backend, which records p50/p95/p99 latency and throughput.
 * :mod:`repro.serve.replay` -- workload replay: fire a seeded
   :meth:`QueryWorkload.query_stream` at a service and report a latency table
   (the ``pitex serve-replay`` command and ``bench_serving`` driver).

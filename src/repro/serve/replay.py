@@ -164,7 +164,7 @@ def replay_stream(
         if response.cache_hit:
             report.cache_hits += 1
             report.warm.add(response.execute_seconds)
-        else:
+        elif response.ok:  # a failed request is neither a cold nor a warm answer
             report.cold.add(response.execute_seconds)
         group = response.request.group or "all"
         accumulator = report.by_group.get(group)

@@ -1,24 +1,26 @@
-"""``PitexService``: a concurrent, batching PITEX query front-end.
+"""The request lifecycle both serving backends share, and ``PitexService``, the thread backend.
 
-The service accepts :class:`QueryRequest` submissions from any thread, queues
-them, and has a small worker pool drain the queue in *batches grouped by
-engine key*.  Every engine answers a query on a query-local estimator and
-builds its shared indexes once under its own lock
-(:meth:`PitexEngine.query`), so batches run with *no service lock at all*:
-several workers answer requests for the same engine concurrently.  A worker
-claims a fair share of the oldest key's backlog and leaves the rest queued
-for the other workers.  Per-request queue wait and execution latency feed
-the :class:`ServiceMetrics` accumulators (p50/p95/p99, throughput), which is
+Every request, on either backend, is one :class:`Pending` record that a
+:class:`Dispatcher` routes to a :class:`WorkerSlot` (the live worker with
+the fewest requests in flight), that :func:`execute_request` answers, and
+that :func:`end_request` ends.  :class:`PitexService` runs its workers as
+threads: each thread is a slot that is ready at start, never dies and
+blocks on its own inbox, answering one request at a time.  Every engine
+answers a query on a query-local estimator and builds its shared indexes
+once under its own lock (:meth:`PitexEngine.query`), so the workers need no
+service lock: several of them answer the same engine concurrently.
+Per-request queue wait and execution latency feed the
+:class:`ServiceMetrics` accumulators (p50/p95/p99, throughput), which is
 what ``pitex serve-replay`` and ``bench_serving`` report.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Hashable, List, Optional
+from queue import SimpleQueue
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.core.engine import PitexEngine
 from repro.core.query import PitexResult
@@ -69,7 +71,6 @@ class QueryResponse:
     error: Optional[str] = None
     queue_seconds: float = 0.0
     execute_seconds: float = 0.0
-    batch_size: int = 1
     cache_hit: bool = False
     worker: Optional[int] = None
 
@@ -114,7 +115,6 @@ class ServiceMetrics:
         self.worker_telemetry: Dict[str, dict] = {}
         self.completed = 0
         self.failed = 0
-        self.batches = 0
         self._started_monotonic = monotonic()
         # Counter deltas, not absolutes: the process-wide registry outlives
         # any one service (engine builds, earlier services, test pollution),
@@ -147,11 +147,6 @@ class ServiceMetrics:
                 accumulator = LatencyAccumulator(label=group)
                 self.by_group[group] = accumulator
             accumulator.add(response.latency_seconds)
-
-    def record_batch(self) -> None:
-        """Count one drained batch."""
-        with self._lock:
-            self.batches += 1
 
     def record_worker_telemetry(self, label: str, snapshot: dict) -> None:
         """Store one worker process's telemetry shard.
@@ -206,7 +201,6 @@ class ServiceMetrics:
             return {
                 "completed": self.completed,
                 "failed": self.failed,
-                "batches": self.batches,
                 "elapsed_seconds": elapsed,
                 "throughput_qps": (self.completed / elapsed) if elapsed > 0 else 0.0,
                 "latency": self.latency.summary(),
@@ -250,8 +244,8 @@ def execute_request(
     of :func:`~repro.serve.answers.answer_key`, and a hit returns it without
     touching the engine -- no ``query.*`` telemetry, no execute span.  The
     engine runs inside the ``execute`` trace span, which carries
-    ``span_fields`` (``batch_size`` on the thread backend, ``worker`` on the
-    process backend) after the request's own fields.
+    ``span_fields`` (``worker`` on the process backend) after the request's
+    own fields.
     """
 
     def run() -> PitexResult:
@@ -285,7 +279,7 @@ def execute_request(
 
 @dataclass(slots=True)
 class Pending:
-    """One open request on either backend; ``worker`` is its process worker, if routed."""
+    """One open request on either backend; ``worker`` is the slot the :class:`Dispatcher` routed it to."""
 
     request: QueryRequest
     future: "Future[QueryResponse]"
@@ -293,9 +287,7 @@ class Pending:
     worker: Optional[int] = None
 
 
-def end_request(
-    metrics: ServiceMetrics, pending: Pending, outcome: Outcome, batch_size: int = 1, worker: Optional[int] = None
-) -> None:
+def end_request(metrics: ServiceMetrics, pending: Pending, outcome: Outcome, worker: Optional[int] = None) -> None:
     """End one request: build its response, record it, resolve its future.
 
     Every ending on both backends comes here, so one rule sets queue wait:
@@ -312,7 +304,6 @@ def end_request(
         error=outcome.error,
         queue_seconds=max(0.0, monotonic() - pending.enqueued_monotonic - outcome.execute_seconds),
         execute_seconds=outcome.execute_seconds,
-        batch_size=batch_size,
         cache_hit=outcome.cache_hit,
         worker=None if outcome.cache_hit else worker,
     )
@@ -320,8 +311,151 @@ def end_request(
     future.set_result(response)
 
 
+STARTING, READY, DEAD = "starting", "ready", "dead"
+
+
+@dataclass(eq=False)
+class WorkerSlot:
+    """One worker as its service sees it: the service's handles, the :class:`Dispatcher`'s state.
+
+    ``runner`` is the worker's thread or process and ``inbox`` where its
+    requests go: a thread's ``SimpleQueue``, or a process's request pipe.
+    ``reply_conn`` and ``send_lock`` (the reply pipe, and the lock that
+    orders writes to the request pipe) serve the process backend only.
+    Only the dispatcher writes ``state`` (starting, ready, dead),
+    ``in_flight``, ``fatal`` and ``shard_received``, under its condition.
+    """
+
+    runner: Any = None
+    inbox: Any = None
+    reply_conn: Any = None
+    send_lock: Any = field(default_factory=threading.Lock)
+    state: str = STARTING
+    in_flight: int = 0
+    fatal: Optional[str] = None
+    shard_received: bool = False
+
+
+class Dispatcher:
+    """Both backends' routing and request accounting, without I/O.
+
+    Holds the worker slots, the pending table and the request ids, and under
+    its one condition variable decides where each request runs and which
+    requests a dead worker orphans.  It sends nothing, starts no thread and
+    reads no clock: the services' ``submit``, their workers or drainer and
+    the process start-up wait move the requests and report each event here,
+    so every transition can be driven without threads or processes
+    (``tests/test_serve_dispatch_model.py``).  Thread slots are ready at
+    start and never die; starting, failing and dying happen to process
+    slots only.
+    """
+
+    def __init__(self, workers: List[WorkerSlot], answer_cache: bool = False) -> None:
+        self.workers = workers
+        self.answer_cache = answer_cache
+        self._condition = threading.Condition()
+        self._pending: Dict[int, Pending] = {}
+        self._next_request_id = 0
+        self._closed = False
+
+    def submit(self, pending: Pending, affinity: int) -> Tuple[int, Optional[str]]:
+        """Route and register one request: ``(request_id, None)``, or ``(-1, error)``.
+
+        ``pending.worker`` names the worker; the error is a dead affinity shard's.
+        """
+        with self._condition:
+            if self._closed:
+                raise RuntimeError("the service is closed")
+            shard = self.workers[affinity]
+            if shard.state == DEAD:
+                return -1, f"WorkerError: worker {affinity} unavailable: {shard.fatal or 'worker died'}"
+            pending.worker = self._route(affinity)
+            request_id = self._next_request_id
+            self._next_request_id += 1
+            self._pending[request_id] = pending
+            self.workers[pending.worker].in_flight += 1
+            return request_id, None
+
+    def _route(self, affinity: int) -> int:
+        """The worker a request whose affinity shard is live runs on.
+
+        Caller holds ``_condition`` (re-entrant, so :meth:`live` may take it
+        again).  With per-worker answer caches the
+        affinity shard always wins: each fingerprint must keep reaching one
+        cache replica.  Otherwise the live worker with the fewest requests in
+        flight wins, ties going to the affinity shard, then the lowest id.
+        """
+        if self.answer_cache:
+            return affinity
+        return min(self.live(), key=lambda w: (self.workers[w].in_flight, w != affinity, w))
+
+    def release(self, request_id: int) -> Optional[Pending]:
+        """Close one open request, whichever way it ended; ``None`` if it already ended."""
+        with self._condition:
+            pending = self._pending.pop(request_id, None)
+            if pending is not None:
+                self.workers[pending.worker].in_flight -= 1
+            return pending
+
+    def ready(self, worker: int) -> None:
+        """The worker built its replica."""
+        with self._condition:
+            self.workers[worker].state = READY
+            self._condition.notify_all()
+
+    def failed(self, worker: int, error: str) -> None:
+        """The worker could not build its replica."""
+        with self._condition:
+            self.workers[worker].fatal = error
+            self._condition.notify_all()
+
+    def shard_received(self, worker: int) -> None:
+        """The worker shipped its shutdown shard."""
+        with self._condition:
+            self.workers[worker].shard_received = True
+
+    def died(self, worker: int, exit_code: Optional[int]) -> List[Pending]:
+        """The worker is gone: mark it dead and release its open requests, for the caller to end."""
+        with self._condition:
+            if self.workers[worker].state == STARTING and self.workers[worker].fatal is None:
+                self.workers[worker].fatal = f"died during startup (exit code {exit_code})"
+            self.workers[worker].state = DEAD
+            orphans = [rid for rid, pending in self._pending.items() if pending.worker == worker]
+            self.workers[worker].in_flight -= len(orphans)
+            self._condition.notify_all()
+            return [self._pending.pop(rid) for rid in orphans]
+
+    def live(self) -> List[int]:
+        """The workers not known to be dead."""
+        with self._condition:
+            return [w for w, slot in enumerate(self.workers) if slot.state != DEAD]
+
+    def wait_started(self, timeout: float) -> List[str]:
+        """Block until no worker is starting or one failed; the failures (empty: started)."""
+
+        def failures() -> List[str]:
+            return [f"worker {w}: {slot.fatal}" for w, slot in enumerate(self.workers) if slot.fatal]
+
+        with self._condition:
+            if self._condition.wait_for(lambda: failures() or all(w.state != STARTING for w in self.workers), timeout):
+                return failures()
+        return [f"startup timed out after {timeout:.0f}s"]
+
+    def close(self) -> bool:
+        """Refuse further submits; whether this was the first close."""
+        with self._condition:
+            first = not self._closed
+            self._closed = True
+            return first
+
+
 class PitexService:
-    """Thread-pooled, batch-scheduled PITEX query answering.
+    """Thread-pooled PITEX query answering: each worker thread is one :class:`Dispatcher` slot.
+
+    A request goes to the worker with the fewest requests in flight (ties to
+    the lowest id) and waits in that worker's inbox; each worker answers its
+    inbox in FIFO order, one request at a time, calling the provider once
+    per request.  A future cancelled while queued is released unexecuted.
 
     Parameters
     ----------
@@ -330,18 +464,17 @@ class PitexService:
         ``EngineCache.get_or_create`` partially applied, or a plain dict
         lookup.  Called from worker threads; must be thread-safe.
     num_workers:
-        Worker threads draining the queue; every worker can answer the same
-        engine concurrently.
+        Worker threads; every worker can answer the same engine concurrently.
     max_batch:
-        Upper bound on the backlog one claim divides among the workers: a
-        worker claims ``ceil(min(max_batch, queued) / num_workers)``
-        requests of the oldest key.
+        Accepted for existing callers; ``1`` (each request runs alone) is
+        its only value.
     answer_cache:
         Optional :class:`~repro.serve.answers.AnswerCache` consulted before
         executing requests against *frozen* engines, whose indexes cannot
         be rebuilt under a running query; unfrozen engines always execute.
         Hits skip the engine, the execute trace span and the ``query.*``
-        telemetry, and are recorded as ``cache_hit`` responses.
+        telemetry, and are recorded as ``cache_hit`` responses.  The one
+        cache is shared by every worker, so routing ignores it.
     """
 
     backend = "thread"
@@ -350,33 +483,33 @@ class PitexService:
         self,
         engine_provider: Callable[[Hashable], PitexEngine],
         num_workers: int = 2,
-        max_batch: int = 8,
+        max_batch: int = 1,
         answer_cache: Optional[AnswerCache] = None,
     ) -> None:
         if num_workers <= 0:
             raise InvalidParameterError(f"num_workers must be positive, got {num_workers}")
-        if max_batch <= 0:
-            raise InvalidParameterError(f"max_batch must be positive, got {max_batch}")
+        if max_batch != 1:
+            raise InvalidParameterError(f"max_batch must be 1 (each request runs alone), got {max_batch}")
         self._provider = engine_provider
         self.answer_cache = answer_cache
-        self.max_batch = int(max_batch)
         self.metrics = ServiceMetrics()
-        self._queue: Deque[Pending] = deque()
-        self._condition = threading.Condition()
-        self._closed = False
-        self._workers = [
-            threading.Thread(target=self._worker_loop, name=f"pitex-serve-{i}", daemon=True)
-            for i in range(int(num_workers))
-        ]
-        for worker in self._workers:
-            worker.start()
+        self._workers = [WorkerSlot(inbox=SimpleQueue(), state=READY) for _ in range(int(num_workers))]
+        self._dispatch = Dispatcher(self._workers)
+        # Orders each submit's hand-off against close's stop markers, so no
+        # accepted request lands in an inbox behind its worker's stop.
+        self._handoff_lock = threading.Lock()
+        for worker_id, slot in enumerate(self._workers):
+            slot.runner = threading.Thread(
+                target=self._worker_loop, args=(slot,), name=f"pitex-serve-{worker_id}", daemon=True
+            )
+            slot.runner.start()
 
     @classmethod
     def for_engine(
         cls,
         engine: PitexEngine,
         num_workers: int = 1,
-        max_batch: int = 8,
+        max_batch: int = 1,
         answer_cache: Optional[AnswerCache] = None,
     ) -> "PitexService":
         """A service that answers everything with one fixed engine."""
@@ -392,78 +525,42 @@ class PitexService:
         """Size of the worker pool."""
         return len(self._workers)
 
-    # ----------------------------------------------------------------- submit
     def submit(self, request: QueryRequest) -> "Future[QueryResponse]":
-        """Queue one request; the future resolves to a :class:`QueryResponse`."""
-        future: "Future[QueryResponse]" = Future()
-        with self._condition:
-            if self._closed:
-                raise RuntimeError("PitexService is closed")
-            self._queue.append(Pending(request=request, future=future))
-            self._condition.notify()
-        return future
+        """Queue one request on the least-loaded worker; the future resolves to a :class:`QueryResponse`."""
+        pending = Pending(request=request, future=Future())
+        with self._handoff_lock:
+            request_id, _ = self._dispatch.submit(pending, affinity=0)
+            self._workers[pending.worker].inbox.put((request_id, pending))
+        return pending.future
 
-    # ---------------------------------------------------------------- workers
-    def _claim_batch(self) -> Optional[List[Pending]]:
-        """Block until work exists; claim a fair share of the oldest key's backlog.
-
-        The batch takes the key of the oldest queued request and claims
-        ``ceil(min(max_batch, queued) / num_workers)`` of that key's queued
-        requests in arrival order.  Everything else stays queued, in order,
-        so idle workers fan out over the rest instead of waiting behind one
-        greedy claim.
-        """
-        with self._condition:
-            while not self._queue and not self._closed:
-                self._condition.wait()
-            if not self._queue:
-                return None
-            key = self._queue[0].request.engine_key
-            queued = sum(1 for pending in self._queue if pending.request.engine_key == key)
-            share = -(-min(self.max_batch, queued) // len(self._workers))
-            batch: List[Pending] = []
-            rest: Deque[Pending] = deque()
-            for pending in self._queue:
-                if len(batch) < share and pending.request.engine_key == key:
-                    batch.append(pending)
-                else:
-                    rest.append(pending)
-            self._queue = rest
-            if rest:
-                self._condition.notify()
-            return batch
-
-    def _worker_loop(self) -> None:
+    def _worker_loop(self, slot: WorkerSlot) -> None:
+        """Answer the slot's inbox in FIFO order until its stop marker (``None``)."""
         while True:
-            batch = self._claim_batch()
-            if batch is None:
+            item = slot.inbox.get()
+            if item is None:
                 return
-            key = batch[0].request.engine_key
-            self.metrics.record_batch()
-            try:
-                engine = self._provider(key)
-            except Exception as exc:  # engine build failed: fail the batch
-                failed = Outcome(error=f"engine {key!r} unavailable: {exc}")
-                for pending in batch:
-                    end_request(self.metrics, pending, failed, batch_size=len(batch))
-                continue
-            for pending in batch:
-                if pending.future.set_running_or_notify_cancel():  # else cancelled while queued
-                    outcome = execute_request(
-                        engine, pending.request, self.answer_cache, batch_size=len(batch)
-                    )
-                    end_request(self.metrics, pending, outcome, batch_size=len(batch))
+            request_id, pending = item
+            outcome = self._execute(pending.request) if pending.future.set_running_or_notify_cancel() else None
+            self._dispatch.release(request_id)
+            if outcome is not None:  # else cancelled while queued: never executed
+                end_request(self.metrics, pending, outcome)
 
-    # ------------------------------------------------------------------ close
+    def _execute(self, request: QueryRequest) -> Outcome:
+        key = request.engine_key
+        try:
+            engine = self._provider(key)
+        except Exception as exc:
+            return Outcome(error=f"engine {key!r} unavailable: {exc}")
+        return execute_request(engine, request, self.answer_cache)
+
     def close(self) -> None:
-        """Stop accepting requests; drain the queue, then stop the workers."""
-        with self._condition:
-            if self._closed:
-                return
-            self._closed = True
-            self._condition.notify_all()
-        for worker in self._workers:
-            worker.join()
+        """Stop accepting requests; answer everything queued, then stop the workers."""
+        with self._handoff_lock:
+            if self._dispatch.close():
+                for slot in self._workers:
+                    slot.inbox.put(None)
+        for slot in self._workers:
+            slot.runner.join()
 
     def __enter__(self) -> "PitexService":
         return self

@@ -34,8 +34,9 @@ per-worker answer caches pin requests to their affinity shard.
 
 Concurrency contract: the parent object is thread-safe (``submit`` from any
 thread).  Routing, in-flight counts, the pending table and orphaning live
-in one :class:`Dispatcher` under one condition variable; it does no I/O,
-so tests drive it without processes.  Worker death
+in the :class:`~repro.serve.service.Dispatcher` the thread backend uses
+too; here its slots are processes, which start, can fail to start and can
+die.  It does no I/O, so tests drive it without processes.  Worker death
 -- crash, unpicklable reply, failed replica build -- is detected via pipe
 EOF and surfaces as a clean :class:`~repro.exceptions.WorkerError`-tagged
 error response on every affected future instead of a hang.  The thread
@@ -49,9 +50,9 @@ import multiprocessing
 import threading
 import zlib
 from concurrent.futures import Future
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from multiprocessing import connection
-from typing import Any, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.engine import PitexEngine
 from repro.exceptions import InvalidParameterError, StoreError, WorkerError
@@ -59,11 +60,14 @@ from repro.obs.telemetry import Telemetry, counter, get_telemetry, install
 from repro.obs.trace import TraceRecorder, get_recorder, install_recorder, tracing_enabled
 from repro.serve.answers import DEFAULT_ANSWER_CAPACITY, AnswerCache
 from repro.serve.service import (
+    READY,
+    Dispatcher,
     Outcome,
     Pending,
     QueryRequest,
     QueryResponse,
     ServiceMetrics,
+    WorkerSlot,
     end_request,
     execute_request,
 )
@@ -341,137 +345,8 @@ def _worker_main(
 
 
 # --------------------------------------------------------------- parent side
-STARTING, READY, DEAD = "starting", "ready", "dead"
 # Seconds to wait for every worker to report its replica ready.
 STARTUP_TIMEOUT = 300.0
-
-
-@dataclass(eq=False)
-class WorkerSlot:
-    """One worker as the parent sees it: the service's handles, the :class:`Dispatcher`'s state.
-
-    Only the dispatcher writes ``state`` (starting, ready, dead),
-    ``in_flight``, ``fatal`` and ``shard_received``, under its condition.
-    """
-
-    process: Any = None
-    request_conn: Any = None
-    reply_conn: Any = None
-    send_lock: Any = field(default_factory=threading.Lock)
-    state: str = STARTING
-    in_flight: int = 0
-    fatal: Optional[str] = None
-    shard_received: bool = False
-
-
-class Dispatcher:
-    """The process backend's routing and request accounting, without I/O.
-
-    Holds the worker slots, the pending table and the request ids, and under
-    its one condition variable decides where each request runs and which
-    requests a dead worker orphans.  It sends nothing, starts no thread and
-    reads no clock: the service's ``submit``, its drainer and its start-up
-    wait move the messages and report each event here, so every transition
-    can be driven without processes (``tests/test_serve_dispatch_model.py``).
-    """
-
-    def __init__(self, workers: List[WorkerSlot], answer_cache: bool = False) -> None:
-        self.workers = workers
-        self.answer_cache = answer_cache
-        self._condition = threading.Condition()
-        self._pending: Dict[int, Pending] = {}
-        self._next_request_id = 0
-        self._closed = False
-
-    def submit(self, pending: Pending, affinity: int) -> Tuple[int, Optional[str]]:
-        """Route and register one request: ``(request_id, None)``, or ``(-1, error)``.
-
-        ``pending.worker`` names the worker; the error is a dead affinity shard's.
-        """
-        with self._condition:
-            if self._closed:
-                raise RuntimeError("ProcessShardedService is closed")
-            shard = self.workers[affinity]
-            if shard.state == DEAD:
-                return -1, f"WorkerError: worker {affinity} unavailable: {shard.fatal or 'worker died'}"
-            pending.worker = self._route(affinity)
-            request_id = self._next_request_id
-            self._next_request_id += 1
-            self._pending[request_id] = pending
-            self.workers[pending.worker].in_flight += 1
-            return request_id, None
-
-    def _route(self, affinity: int) -> int:
-        """The worker a request whose affinity shard is live runs on.
-
-        Caller holds ``_condition`` (re-entrant, so :meth:`live` may take it
-        again).  With per-worker answer caches the
-        affinity shard always wins: each fingerprint must keep reaching one
-        cache replica.  Otherwise the live worker with the fewest requests in
-        flight wins, ties going to the affinity shard, then the lowest id.
-        """
-        if self.answer_cache:
-            return affinity
-        return min(self.live(), key=lambda w: (self.workers[w].in_flight, w != affinity, w))
-
-    def release(self, request_id: int) -> Optional[Pending]:
-        """Close one open request, whichever way it ended; ``None`` if it already ended."""
-        with self._condition:
-            pending = self._pending.pop(request_id, None)
-            if pending is not None:
-                self.workers[pending.worker].in_flight -= 1
-            return pending
-
-    def ready(self, worker: int) -> None:
-        """The worker built its replica."""
-        with self._condition:
-            self.workers[worker].state = READY
-            self._condition.notify_all()
-
-    def failed(self, worker: int, error: str) -> None:
-        """The worker could not build its replica."""
-        with self._condition:
-            self.workers[worker].fatal = error
-            self._condition.notify_all()
-
-    def shard_received(self, worker: int) -> None:
-        """The worker shipped its shutdown shard."""
-        with self._condition:
-            self.workers[worker].shard_received = True
-
-    def died(self, worker: int, exit_code: Optional[int]) -> List[Pending]:
-        """The worker is gone: mark it dead and release its open requests, for the caller to end."""
-        with self._condition:
-            if self.workers[worker].state == STARTING and self.workers[worker].fatal is None:
-                self.workers[worker].fatal = f"died during startup (exit code {exit_code})"
-            self.workers[worker].state = DEAD
-            orphans = [rid for rid, pending in self._pending.items() if pending.worker == worker]
-            self.workers[worker].in_flight -= len(orphans)
-            self._condition.notify_all()
-            return [self._pending.pop(rid) for rid in orphans]
-
-    def live(self) -> List[int]:
-        """The workers not known to be dead."""
-        with self._condition:
-            return [w for w, slot in enumerate(self.workers) if slot.state != DEAD]
-
-    def wait_started(self, timeout: float) -> List[str]:
-        """Block until no worker is starting or one failed; the failures (empty: started)."""
-
-        def failures() -> List[str]:
-            return [f"worker {w}: {slot.fatal}" for w, slot in enumerate(self.workers) if slot.fatal]
-
-        with self._condition:
-            if self._condition.wait_for(lambda: failures() or all(w.state != STARTING for w in self.workers), timeout):
-                return failures()
-        return [f"startup timed out after {timeout:.0f}s"]
-
-    def close(self) -> bool:
-        """Refuse further submits; whether this was the first close."""
-        with self._condition:
-            first = not self._closed
-            self._closed = True
-            return first
 
 
 class ProcessShardedService:
@@ -545,7 +420,7 @@ class ProcessShardedService:
             # parent sees EOF when (and only when) the child is gone.
             request_recv.close()
             reply_send.close()
-            self._workers.append(WorkerSlot(process, request_send, reply_recv))
+            self._workers.append(WorkerSlot(runner=process, inbox=request_send, reply_conn=reply_recv))
         self._dispatch = Dispatcher(self._workers, answer_cache=bool(answer_cache))
         self._drainer = threading.Thread(target=self._drain_loop, name="pitex-shard-drain", daemon=True)
         self._drainer.start()
@@ -590,7 +465,7 @@ class ProcessShardedService:
             slot = self._workers[pending.worker]
             try:
                 with slot.send_lock:
-                    slot.request_conn.send(Query(request_id, request))
+                    slot.inbox.send(Query(request_id, request))
             except (OSError, ValueError) as exc:
                 if self._dispatch.release(request_id) is not None:
                     error = f"WorkerError: worker {pending.worker} pipe broken: {type(exc).__name__}: {exc}"
@@ -637,8 +512,8 @@ class ProcessShardedService:
 
     def _on_worker_eof(self, worker_id: int) -> None:
         slot = self._workers[worker_id]
-        slot.process.join(timeout=5.0)
-        exit_code = slot.process.exitcode
+        slot.runner.join(timeout=5.0)
+        exit_code = slot.runner.exitcode
         # Only this thread reports a worker's state and shard, so both read
         # exactly here.  A clean close ships the shard before EOF (one FIFO
         # pipe, one drain thread), so a missing shard is a real death whose
@@ -665,15 +540,15 @@ class ProcessShardedService:
             for slot in self._workers:
                 try:
                     with slot.send_lock:
-                        slot.request_conn.send(Stop())
-                        slot.request_conn.close()
+                        slot.inbox.send(Stop())
+                        slot.inbox.close()
                 except (OSError, ValueError):
                     pass
         for slot in self._workers:
-            slot.process.join(timeout=60.0)
-            if slot.process.is_alive():
-                slot.process.terminate()
-                slot.process.join(timeout=5.0)
+            slot.runner.join(timeout=60.0)
+            if slot.runner.is_alive():
+                slot.runner.terminate()
+                slot.runner.join(timeout=5.0)
         self._drainer.join(timeout=60.0)
 
     def __enter__(self) -> "ProcessShardedService":

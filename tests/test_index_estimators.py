@@ -109,7 +109,8 @@ def test_pruned_estimator_filters_candidates(indexed_instance):
     user = 0
     weak_tag_set = (2,)  # mostly topic-1 edges
     probabilities = model.edge_probabilities(graph, weak_tag_set)
-    candidates, _ = pruned.filter_candidates(user, probabilities)
+    structures = pruned._structures_for(user)
+    candidates = structures.candidate_set(structures.scan(np.asarray(probabilities, dtype=float)[None])[1])
     universe = index.graphs_containing(user)
     assert len(candidates) <= len(universe)
 

@@ -154,7 +154,9 @@ def test_flat_filter_matches_break_counting_scan(instance, data):
     maxima = graph.max_edge_probabilities()
     rr_graphs = graph_views(index.to_arrays())
     for user in sorted(index.containment):
-        candidates, scanned = estimator.filter_candidates(user, probabilities)
+        structures = estimator._structures_for(user)
+        _, graphs, scanned = structures.scan(probabilities[None])
+        candidates, scanned = structures.candidate_set(graphs), int(scanned[0])
         expected, expected_scanned = reference_filter(
             rr_graphs, index.graphs_containing(user), user, probabilities, maxima
         )

@@ -271,7 +271,7 @@ def test_cached_replay_is_bitwise_equal_to_uncached_oracle(dataset):
     unique = len({user for _, user in stream})
     assert unique < len(stream)  # the zipf skew must actually create repeats
 
-    with PitexService.for_engine(engine, num_workers=2, max_batch=4) as service:
+    with PitexService.for_engine(engine, num_workers=2) as service:
         oracle = replay_stream(service, stream, method="indexest", k=2)
     assert oracle.failures == 0
     assert oracle.cache_hits == 0
@@ -279,7 +279,7 @@ def test_cached_replay_is_bitwise_equal_to_uncached_oracle(dataset):
 
     cache = AnswerCache()
     with PitexService.for_engine(
-        engine, num_workers=2, max_batch=4, answer_cache=cache
+        engine, num_workers=2, answer_cache=cache
     ) as service:
         cached = replay_stream(service, stream, method="indexest", k=2)
     assert cached.failures == 0

@@ -117,7 +117,7 @@ def test_service_parallel_replay_matches_oracle_with_sane_tails(
         for user in {user for _, user in stream}
     }
 
-    with PitexService.for_engine(frozen_engine, num_workers=4, max_batch=4) as service:
+    with PitexService.for_engine(frozen_engine, num_workers=4) as service:
         report = replay_stream(service, stream, method="indexest+", k=2)
 
     assert report.failures == 0
@@ -142,7 +142,7 @@ def test_service_keeps_serial_path_for_unfrozen_engines(dataset):
         dataset.graph, dataset.model, max_samples=40, index_samples=50, default_k=2, seed=7
     )
     stream = dataset.query_workload.query_stream(6, seed=5)
-    with PitexService.for_engine(engine, num_workers=2, max_batch=4) as service:
+    with PitexService.for_engine(engine, num_workers=2) as service:
         report = replay_stream(service, stream, method="indexest", k=2)
     assert report.failures == 0
     assert report.num_workers == 2
@@ -164,7 +164,7 @@ def test_mixed_frozen_and_unfrozen_engines_coexist(dataset):
     )
     engines = {"frozen": frozen, "unfrozen": unfrozen}
     user = dataset.workload("mid", 1)[0]
-    with PitexService(engines.__getitem__, num_workers=3, max_batch=2) as service:
+    with PitexService(engines.__getitem__, num_workers=3) as service:
         futures = [
             service.submit(QueryRequest(user=user, k=2, method="indexest", engine_key=key))
             for key in ("frozen", "unfrozen", "frozen", "unfrozen", "frozen")
@@ -194,7 +194,7 @@ def test_frozen_and_unfrozen_engines_give_equal_answers(dataset):
     }
     users = dataset.workload("mid", 2)
     plan = [(user, method) for method in METHODS for user in users]
-    with PitexService(engines.__getitem__, num_workers=3, max_batch=2) as service:
+    with PitexService(engines.__getitem__, num_workers=3) as service:
         futures = {
             key: [
                 service.submit(QueryRequest(user=user, k=2, method=method, engine_key=key))
@@ -271,21 +271,6 @@ def test_concurrent_first_queries_build_each_index_once(dataset, monkeypatch):
         assert not isinstance(outcome, Exception), f"thread {slot} raised: {outcome!r}"
         assert outcome == oracle, f"thread {slot} diverged from the frozen oracle"
     assert sorted(builds) == ["DelayedMaterializationIndex", "RRGraphIndex"]
-
-
-def test_frozen_fanout_is_not_capped_by_max_batch(dataset, frozen_engine):
-    """An engine's backlog fans across workers even with a large max_batch.
-
-    A worker claims only a fair share, ceil(min(max_batch, queued) / workers),
-    and leaves the rest queued, so one greedy claim can never serialize the
-    backlog.  With 4 workers and max_batch=8 every executed batch must be
-    <= ceil(8/4) = 2.
-    """
-    stream = dataset.query_workload.query_stream(10, seed=21)
-    with PitexService.for_engine(frozen_engine, num_workers=4, max_batch=8) as service:
-        report = replay_stream(service, stream, method="indexest", k=2)
-    assert report.failures == 0
-    assert max(response.batch_size for response in report.responses) <= 2
 
 
 def test_frozen_engine_rejects_unwarmed_methods_without_guard_trips(dataset):

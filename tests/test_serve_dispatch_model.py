@@ -1,14 +1,17 @@
-"""Model-based tests of the process backend's dispatch core against a plain model.
+"""Model-based tests of both backends' dispatch core against a plain model.
 
-Hypothesis drives :class:`~repro.serve.sharded.Dispatcher` -- routing,
+Hypothesis drives :class:`~repro.serve.service.Dispatcher` -- routing,
 in-flight counts, the pending table and orphaning, with no process, pipe or
-thread -- through random submits, replies (late and repeated ones included),
-worker start-ups, failed start-ups and deaths, with the answer cache on or
-off.  After every step it must agree with :class:`DispatchModel`, the
+thread -- over the slots of either backend through random submits, endings
+(replies, late and repeated ones included, and cancellations while
+queued), and, on process slots, start-ups, failed start-ups and deaths,
+with the answer cache on or off.  Thread slots start ready, never die and
+never use the answer-cache affinity (their one cache is shared).  After
+every step the dispatcher must agree with :class:`DispatchModel`, the
 contract written the obvious way:
 
 * a worker's in-flight count equals its open requests;
-* every request id ends exactly once, by its reply or by orphaning;
+* every request id ends exactly once, by its ending or by orphaning;
 * a request runs on the least-loaded live worker, ties going to its
   affinity shard, then the lowest id;
 * with the answer cache on, a request runs on its affinity shard;
@@ -20,8 +23,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
-from repro.serve.service import Pending, QueryRequest
-from repro.serve.sharded import DEAD, READY, STARTING, Dispatcher, WorkerSlot
+from repro.serve.service import DEAD, READY, STARTING, Dispatcher, Pending, QueryRequest, WorkerSlot
 
 MACHINE_SETTINGS = settings(
     max_examples=150,
@@ -36,9 +38,9 @@ WORKER = st.integers(min_value=0, max_value=3)  # taken modulo the worker count
 class DispatchModel:
     """The dispatch contract over plain containers."""
 
-    def __init__(self, num_workers, answer_cache):
+    def __init__(self, num_workers, answer_cache, initial_state):
         self.answer_cache = answer_cache
-        self.states = [STARTING] * num_workers
+        self.states = [initial_state] * num_workers
         self.fatal = {}  # worker -> start-up failure
         self.open = {}  # request id -> worker it runs on
         self.ended = {}  # request id -> times it ended
@@ -61,10 +63,22 @@ class DispatchModel:
 
 
 class DispatchMachine(RuleBasedStateMachine):
-    @initialize(num_workers=st.integers(min_value=2, max_value=4), answer_cache=st.booleans())
-    def start(self, num_workers, answer_cache):
-        self.dispatcher = Dispatcher([WorkerSlot() for _ in range(num_workers)], answer_cache=answer_cache)
-        self.model = DispatchModel(num_workers, answer_cache)
+    @initialize(
+        backend=st.sampled_from(["thread", "process"]),
+        num_workers=st.integers(min_value=1, max_value=4),
+        answer_cache=st.booleans(),
+    )
+    def start(self, backend, num_workers, answer_cache):
+        self.processes = backend == "process"
+        # How each service builds its slots: PitexService's threads are ready
+        # at start and share one answer cache, so they route without affinity.
+        if self.processes:
+            slots = [WorkerSlot() for _ in range(num_workers)]
+        else:
+            slots = [WorkerSlot(state=READY) for _ in range(num_workers)]
+            answer_cache = False
+        self.dispatcher = Dispatcher(slots, answer_cache=answer_cache)
+        self.model = DispatchModel(num_workers, answer_cache, STARTING if self.processes else READY)
         self.pendings = {}  # request id -> the Pending submitted under it
 
     def _worker(self, worker):
@@ -94,7 +108,10 @@ class DispatchMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.pendings)
     @rule(data=st.data())
     def complete(self, data):
-        """A reply arrives; replies to requests that already ended are drawn too."""
+        """A request ends: a reply or a thread's result, or a cancellation seen at dequeue.
+
+        Requests that already ended are drawn too (a late or repeated reply).
+        """
         request_id = data.draw(st.sampled_from(sorted(self.pendings)))
         released = self.dispatcher.release(request_id)
         if request_id in self.model.open:
@@ -103,6 +120,7 @@ class DispatchMachine(RuleBasedStateMachine):
         else:
             assert released is None, f"request {request_id} ended twice"
 
+    @precondition(lambda self: self.processes)
     @rule(worker=WORKER)
     def worker_ready(self, worker):
         worker = self._worker(worker)
@@ -110,6 +128,7 @@ class DispatchMachine(RuleBasedStateMachine):
             self.dispatcher.ready(worker)
             self.model.states[worker] = READY
 
+    @precondition(lambda self: self.processes)
     @rule(worker=WORKER)
     def worker_fails_to_start(self, worker):
         worker = self._worker(worker)
@@ -117,6 +136,7 @@ class DispatchMachine(RuleBasedStateMachine):
             self.dispatcher.failed(worker, "StoreError: no bundle")
             self.model.fatal[worker] = "StoreError: no bundle"
 
+    @precondition(lambda self: self.processes)
     @rule(worker=WORKER, exit_code=st.sampled_from([-9, 0, 1]))
     def worker_dies(self, worker, exit_code):
         worker = self._worker(worker)

@@ -46,9 +46,8 @@ from repro.exceptions import GraphError, ReadOnlyGraphError, StoreError, WorkerE
 from repro.graph.digraph import TopicSocialGraph
 from repro.obs.telemetry import Telemetry, get_telemetry, install
 from repro.serve.replay import replay_stream
-from repro.serve.service import PitexService, QueryRequest
+from repro.serve.service import DEAD, PitexService, QueryRequest
 from repro.serve.sharded import (
-    DEAD,
     Fatal,
     ProcessShardedService,
     Query,
@@ -246,7 +245,7 @@ def test_process_replay_bitwise_equals_thread_oracle(
     dataset, reference_engine, spec, start_method
 ):
     stream = dataset.query_workload.query_stream(24, seed=13)
-    with PitexService.for_engine(reference_engine, num_workers=1, max_batch=4) as service:
+    with PitexService.for_engine(reference_engine, num_workers=1) as service:
         oracle = replay_stream(service, stream, method="indexest+", k=2)
     oracle_telemetry = service.metrics.telemetry()
     assert oracle.failures == 0
@@ -336,7 +335,7 @@ def test_process_answer_cache_bitwise_equals_thread_cached_oracle(
     assert unique < len(stream)
 
     with PitexService.for_engine(
-        reference_engine, num_workers=1, max_batch=4, answer_cache=AnswerCache()
+        reference_engine, num_workers=1, answer_cache=AnswerCache()
     ) as service:
         oracle = replay_stream(service, stream, method="indexest+", k=2)
     oracle_deterministic = service.metrics.telemetry()["deterministic"]
@@ -377,7 +376,7 @@ def test_killed_worker_surfaces_clean_errors_and_peers_survive(spec):
             # In-flight: the request may complete or fail depending on timing,
             # but it must resolve -- never hang.
             in_flight = service.submit(QueryRequest(user=victim_user, k=2, method="indexest+"))
-            service._workers[0].process.kill()
+            service._workers[0].runner.kill()
             in_flight.result(timeout=60.0)
 
             # After EOF detection the shard is marked dead: immediate clean error.
@@ -446,7 +445,7 @@ def submit_while_stopped(service, worker_id, requests):
         futures[slot] = service.submit(requests[slot])
 
     threads = [threading.Thread(target=client, args=(slot,)) for slot in range(len(requests))]
-    pid = service._workers[worker_id].process.pid
+    pid = service._workers[worker_id].runner.pid
     os.kill(pid, signal.SIGSTOP)
     try:
         for thread in threads:
@@ -538,10 +537,10 @@ def test_in_flight_counts_return_to_zero_however_a_request_ends(spec, monkeypatc
             assert in_flight(service) == [0, 0]
 
             victim = user_sharded_to(service, 0)
-            os.kill(service._workers[0].process.pid, signal.SIGSTOP)
+            os.kill(service._workers[0].runner.pid, signal.SIGSTOP)
             orphan = service.submit(QueryRequest(user=victim, k=2, method="indexest+"))
             assert in_flight(service) == [1, 0]
-            service._workers[0].process.kill()
+            service._workers[0].runner.kill()
             lost = orphan.result(timeout=60.0)
             assert "WorkerError" in lost.error and "died" in lost.error
             assert in_flight(service) == [0, 0]

@@ -88,7 +88,7 @@ def test_replay_reports_latencies_and_groups(dataset):
         dataset.graph, dataset.model, max_samples=40, index_samples=40, default_k=2, seed=3
     )
     stream = dataset.query_workload.query_stream(8, seed=5)
-    with PitexService.for_engine(engine, num_workers=2, max_batch=4) as service:
+    with PitexService.for_engine(engine, num_workers=2) as service:
         report = replay_stream(service, stream, method="lazy", k=2)
     assert report.num_queries == 8
     assert report.failures == 0
@@ -124,7 +124,7 @@ def test_replay_deterministic_results_for_seeded_stream_and_index(dataset):
             seed=3,
             rr_index=index,
         )
-        with PitexService.for_engine(engine, num_workers=2, max_batch=3) as service:
+        with PitexService.for_engine(engine, num_workers=2) as service:
             report = replay_stream(service, stream, method="indexest", k=2)
         return [(r.request.user, r.result.tag_ids, r.result.spread) for r in report.responses]
 
@@ -143,3 +143,19 @@ def test_replay_with_max_in_flight_and_empty_stream(dataset):
             replay_stream(service, [], method="lazy")
         with pytest.raises(InvalidParameterError):
             replay_stream(service, stream, max_in_flight=0)
+
+
+def test_failed_replays_stay_out_of_the_cold_and_warm_split(dataset):
+    """A request that failed is neither a cold nor a warm answer: it adds no 0 s sample."""
+
+    def provider(key):
+        raise RuntimeError("no engine")
+
+    stream = dataset.query_workload.query_stream(5, seed=3)
+    with PitexService(provider, num_workers=2) as service:
+        report = replay_stream(service, stream, method="indexest", k=2)
+    assert report.failures == 5
+    answer_cache = report.to_json()["answer_cache"]
+    assert answer_cache["cold"]["count"] == 0
+    assert answer_cache["warm"]["count"] == 0
+    assert report.overall.count == 5

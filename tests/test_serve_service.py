@@ -9,6 +9,7 @@ from repro.core.engine import PitexEngine
 from repro.datasets.synthetic import load_dataset
 from repro.exceptions import InvalidParameterError
 from repro.obs.telemetry import Telemetry, deterministic_counters, get_telemetry, install
+from repro.serve.answers import answer_digest
 from repro.serve.cache import EngineCache
 from repro.serve.service import DEFAULT_ENGINE_KEY, PitexService, QueryRequest
 
@@ -329,7 +330,7 @@ def test_cache_rejects_unknown_freeze_methods():
 def test_service_answers_queries_and_records_metrics(dataset):
     engine = make_engine(dataset)
     users = dataset.workload("mid", 3)
-    with PitexService.for_engine(engine, num_workers=2, max_batch=2) as service:
+    with PitexService.for_engine(engine, num_workers=2) as service:
         futures = [
             service.submit(QueryRequest(user=user, k=2, method="lazy", group="mid"))
             for user in users
@@ -340,7 +341,6 @@ def test_service_answers_queries_and_records_metrics(dataset):
     snapshot = service.metrics.snapshot()
     assert snapshot["completed"] == 3
     assert snapshot["failed"] == 0
-    assert snapshot["batches"] >= 2  # max_batch=2 forces at least two batches
     assert snapshot["latency"]["count"] == 3
     assert snapshot["latency"]["p99"] >= snapshot["latency"]["p50"] > 0.0
     assert snapshot["groups"]["mid"]["count"] == 3
@@ -453,17 +453,88 @@ def test_service_sync_query_and_failure_paths(dataset):
     assert service.metrics.snapshot()["failed"] == 2
 
 
-def test_service_batches_group_same_engine_key(dataset):
+def in_flight(service):
+    with service._dispatch._condition:
+        return [slot.in_flight for slot in service._workers]
+
+
+def hold_queries(engine, ran=None):
+    """Make ``engine.query`` wait for the returned event; ``entered`` counts the waits.
+
+    Appends each query's user to ``ran`` in the order the queries start.
+    """
+    entered, release, query = threading.Semaphore(0), threading.Event(), engine.query
+
+    def held_query(**kwargs):
+        if ran is not None:
+            ran.append(kwargs["user"])
+        entered.release()
+        assert release.wait(timeout=60)
+        return query(**kwargs)
+
+    engine.query = held_query
+    return entered, release
+
+
+def test_requests_go_to_the_least_loaded_thread_worker(dataset):
+    """N workers held inside the engine, M requests queued: in-flight counts differ by at most one.
+
+    Every thread worker is a Dispatcher slot fed through its own inbox, so a
+    request joins the worker with the fewest in flight when it is
+    submitted.  Released, the workers answer as the single-worker oracle.
+    """
+    users = dataset.workload("mid", 4) + dataset.workload("low", 3)
+    requests = [QueryRequest(user=user, k=2, method="lazy") for user in users]
+    num_workers = 3
     engine = make_engine(dataset)
-    user = dataset.workload("mid", 1)[0]
-    with PitexService.for_engine(engine, num_workers=1, max_batch=8) as service:
-        futures = [
-            service.submit(QueryRequest(user=user, k=2, method="lazy")) for _ in range(6)
-        ]
-        responses = [future.result() for future in futures]
-    # With one worker, the first request may run alone but the backlog should
-    # drain in grouped batches rather than six singletons.
-    assert max(response.batch_size for response in responses) >= 2
+    entered, release = hold_queries(engine)
+    with PitexService.for_engine(engine, num_workers=num_workers) as service:
+        futures = [service.submit(request) for request in requests]
+        for _ in range(num_workers):
+            assert entered.acquire(timeout=60)
+        counts = in_flight(service)
+        release.set()
+        responses = [future.result(timeout=60) for future in futures]
+    assert sum(counts) == len(requests)
+    assert max(counts) - min(counts) <= 1
+    assert all(response.ok and response.worker is None for response in responses)
+    with PitexService.for_engine(make_engine(dataset), num_workers=1) as oracle:
+        expected = [oracle.submit(request).result() for request in requests]
+    assert answer_digest(r.result for r in responses) == answer_digest(r.result for r in expected)
+
+
+def test_a_future_cancelled_while_queued_is_released_unexecuted(dataset):
+    engine = make_engine(dataset)
+    users = dataset.workload("mid", 3)
+    ran = []
+    entered, release = hold_queries(engine, ran)
+    with PitexService.for_engine(engine, num_workers=1) as service:
+        first = service.submit(QueryRequest(user=users[0], k=2, method="lazy"))
+        assert entered.acquire(timeout=60)
+        second = service.submit(QueryRequest(user=users[1], k=2, method="lazy"))
+        third = service.submit(QueryRequest(user=users[2], k=2, method="lazy"))
+        assert second.cancel()  # queued behind the held first request
+        release.set()
+        assert first.result(timeout=60).ok and third.result(timeout=60).ok
+        assert in_flight(service) == [0]
+    assert ran == [users[0], users[2]]
+    assert service.metrics.snapshot()["completed"] == 2
+
+
+def test_close_answers_every_queued_request_in_fifo_order(dataset):
+    engine = make_engine(dataset)
+    users = dataset.workload("mid", 3) + dataset.workload("low", 2)
+    ran = []
+    entered, release = hold_queries(engine, ran)
+    service = PitexService.for_engine(engine, num_workers=1)
+    futures = [service.submit(QueryRequest(user=user, k=2, method="lazy")) for user in users]
+    assert entered.acquire(timeout=60)
+    timer = threading.Timer(0.2, release.set)  # close() starts while the worker is held
+    timer.start()
+    service.close()
+    timer.join()
+    assert all(future.done() and future.result().ok for future in futures)
+    assert ran == users
 
 
 def test_service_routes_engine_keys_and_fails_unknown(dataset):
@@ -485,7 +556,7 @@ def test_service_routes_engine_keys_and_fails_unknown(dataset):
 def test_service_survives_cancelled_queued_future(dataset):
     engine = make_engine(dataset)
     user = dataset.workload("mid", 1)[0]
-    with PitexService.for_engine(engine, num_workers=1, max_batch=4) as service:
+    with PitexService.for_engine(engine, num_workers=1) as service:
         first = service.submit(QueryRequest(user=user, k=2, method="lazy"))
         second = service.submit(QueryRequest(user=user, k=2, method="lazy"))
         third = service.submit(QueryRequest(user=user, k=2, method="lazy"))
@@ -508,3 +579,5 @@ def test_service_rejects_bad_parameters(dataset):
         PitexService.for_engine(engine, num_workers=0)
     with pytest.raises(InvalidParameterError):
         PitexService.for_engine(engine, max_batch=0)
+    with pytest.raises(InvalidParameterError):
+        PitexService.for_engine(engine, max_batch=2)
