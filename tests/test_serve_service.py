@@ -469,7 +469,7 @@ def hold_queries(engine, ran=None):
         if ran is not None:
             ran.append(kwargs["user"])
         entered.release()
-        assert release.wait(timeout=60)
+        assert release.wait(timeout=30)
         return query(**kwargs)
 
     engine.query = held_query
@@ -489,11 +489,13 @@ def test_requests_go_to_the_least_loaded_thread_worker(dataset):
     engine = make_engine(dataset)
     entered, release = hold_queries(engine)
     with PitexService.for_engine(engine, num_workers=num_workers) as service:
-        futures = [service.submit(request) for request in requests]
-        for _ in range(num_workers):
-            assert entered.acquire(timeout=60)
-        counts = in_flight(service)
-        release.set()
+        try:
+            futures = [service.submit(request) for request in requests]
+            for _ in range(num_workers):
+                assert entered.acquire(timeout=30)
+            counts = in_flight(service)
+        finally:
+            release.set()
         responses = [future.result(timeout=60) for future in futures]
     assert sum(counts) == len(requests)
     assert max(counts) - min(counts) <= 1
@@ -509,12 +511,14 @@ def test_a_future_cancelled_while_queued_is_released_unexecuted(dataset):
     ran = []
     entered, release = hold_queries(engine, ran)
     with PitexService.for_engine(engine, num_workers=1) as service:
-        first = service.submit(QueryRequest(user=users[0], k=2, method="lazy"))
-        assert entered.acquire(timeout=60)
-        second = service.submit(QueryRequest(user=users[1], k=2, method="lazy"))
-        third = service.submit(QueryRequest(user=users[2], k=2, method="lazy"))
-        assert second.cancel()  # queued behind the held first request
-        release.set()
+        try:
+            first = service.submit(QueryRequest(user=users[0], k=2, method="lazy"))
+            assert entered.acquire(timeout=30)
+            second = service.submit(QueryRequest(user=users[1], k=2, method="lazy"))
+            third = service.submit(QueryRequest(user=users[2], k=2, method="lazy"))
+            assert second.cancel()  # queued behind the held first request
+        finally:
+            release.set()
         assert first.result(timeout=60).ok and third.result(timeout=60).ok
         assert in_flight(service) == [0]
     assert ran == [users[0], users[2]]
@@ -528,7 +532,7 @@ def test_close_answers_every_queued_request_in_fifo_order(dataset):
     entered, release = hold_queries(engine, ran)
     service = PitexService.for_engine(engine, num_workers=1)
     futures = [service.submit(QueryRequest(user=user, k=2, method="lazy")) for user in users]
-    assert entered.acquire(timeout=60)
+    assert entered.acquire(timeout=30)
     timer = threading.Timer(0.2, release.set)  # close() starts while the worker is held
     timer.start()
     service.close()
