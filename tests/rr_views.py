@@ -6,17 +6,20 @@ The library keeps RR-Graphs in one form only: the flat arrays of
 return).  Tests that reason about one graph at a time read those arrays
 through :func:`graph_views`, build a block from hand-written graphs with
 :func:`block_of`, and draw graphs with the per-edge reference walker
-:func:`reference_rr_graph`.
+:func:`reference_rr_graph`.  :func:`sorted_frontier_rr_arrays` is the
+bit-for-bit reference of ``sample_rr_arrays``.
 """
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 
-from repro.graph.csr import indptr_from_counts
+from repro.graph.csr import indptr_from_counts, slice_positions
+from repro.graph.digraph import TopicSocialGraph
 from repro.index.rr_graph import RRBlock
+from repro.utils.rng import RandomSource
 
 
 @dataclass
@@ -109,3 +112,111 @@ def reference_rr_graph(graph, root, rng, max_probabilities=None) -> RRGraphView:
                 rr_graph.vertices.add(source)
                 queue.append(source)
     return rr_graph
+
+
+def sorted_frontier_rr_arrays(
+    graph: TopicSocialGraph,
+    num_samples: int,
+    rng: RandomSource,
+    max_probabilities: Optional[np.ndarray] = None,
+    root: Optional[int] = None,
+) -> Dict[str, np.ndarray]:
+    """``sample_rr_arrays`` as it was when every BFS level sorted its frontier.
+
+    Kept verbatim as the bit-for-bit reference of the library generator:
+    the same roots, the same ``c(e)`` draws in the same order, the same
+    arrays and dtypes, and the same generator state after the call.  Each
+    level dedupes the fresh sources by sort + adjacent-difference mask and
+    reads the in-slots of that ascending frontier with ``slice_positions``;
+    members are sorted at the end by one sort over (graph, vertex) keys.
+    """
+    if max_probabilities is None:
+        max_probabilities = graph.max_edge_probabilities()
+    csr = graph.csr
+    num_vertices = csr.num_vertices
+    in_indptr, in_sources = csr.in_indptr, csr.in_sources
+    # Per in-slot liveness floor, gathered once: an examined edge survives
+    # iff c(e) <= floor, and -1 (below every draw) stands for p(e) <= 0.
+    slot_floor = np.where(max_probabilities > 0.0, max_probabilities, -1.0)[csr.in_edge_ids]
+    # generator.random(n) draws the bits of rng.uniforms(n), with less overhead.
+    draw = rng.generator.random
+    visited = np.zeros(num_vertices, dtype=bool)
+    roots = np.empty(num_samples, dtype=np.int64)
+    vertex_counts = np.empty(num_samples, dtype=np.int64)
+    edge_counts = np.zeros(num_samples, dtype=np.int64)
+    members, kept_slots, thresholds = [], [], []
+    for sample in range(num_samples):
+        start = rng.integer(0, num_vertices) if root is None else root
+        roots[sample] = start
+        frontier = np.array([start], dtype=np.int64)
+        visited[start] = True
+        graph_members = [frontier]
+        while True:
+            if frontier.size == 1:
+                # A single vertex's in-slots are one CSR slice.
+                low, high = in_indptr[frontier[0] : frontier[0] + 2].tolist()
+                if low == high:
+                    break
+                level_thresholds = draw(high - low)
+                kept = (level_thresholds <= slot_floor[low:high]).nonzero()[0]
+                level_thresholds = level_thresholds[kept]
+                kept += low
+            else:
+                positions = slice_positions(in_indptr, frontier)
+                if not positions.size:
+                    break
+                level_thresholds = draw(positions.size)
+                keep = level_thresholds <= slot_floor[positions]
+                kept = positions[keep]
+                level_thresholds = level_thresholds[keep]
+            if not kept.size:
+                break
+            kept_slots.append(kept)
+            thresholds.append(level_thresholds)
+            edge_counts[sample] += kept.size
+            kept_sources = in_sources[kept]
+            fresh = kept_sources[~visited[kept_sources]]
+            if not fresh.size:
+                break
+            frontier = _sorted_distinct(fresh)
+            visited[frontier] = True
+            graph_members.append(frontier)
+        graph_members = np.concatenate(graph_members)
+        visited[graph_members] = False
+        vertex_counts[sample] = graph_members.size
+        members.append(graph_members)
+    # Sort the members of every graph by one sort over (graph, vertex) keys.
+    offsets = np.repeat(np.arange(num_samples, dtype=np.int64) * num_vertices, vertex_counts)
+    vertex_keys = _concatenate(members, np.int64) + offsets
+    vertex_keys.sort()
+    slots = _concatenate(kept_slots, np.int64)
+    edge_ids = csr.in_edge_ids[slots].astype(np.int64, copy=False)
+    arrays = {
+        "roots": roots,
+        "vertex_indptr": indptr_from_counts(vertex_counts),
+        "vertex_ids": vertex_keys - offsets,
+        "edge_indptr": indptr_from_counts(edge_counts),
+        "edge_ids": edge_ids,
+        "edge_sources": in_sources[slots].astype(np.int64, copy=False),
+        "edge_targets": csr.edge_targets[edge_ids].astype(np.int64, copy=False),
+        "edge_thresholds": _concatenate(thresholds, np.float64),
+    }
+    for array in arrays.values():
+        array.setflags(write=False)
+    return arrays
+
+
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct ``values`` in ascending order (``np.unique`` by sort + mask).
+
+    ``values`` (a fresh array of the caller's) is sorted in place.
+    """
+    values.sort()
+    keep = np.empty(values.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+def _concatenate(parts: List[np.ndarray], dtype) -> np.ndarray:
+    return np.concatenate(parts).astype(dtype, copy=False) if parts else np.empty(0, dtype)

@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.graph.digraph import TopicSocialGraph
 from repro.graph.generators import line_graph, random_topic_graph
+from repro.index.delayed import SAMPLES_PER_CHUNK, DelayedMaterializationIndex
 from repro.index.rr_graph import RRBlock, sample_rr_arrays
-from repro.utils.rng import RandomSource
+from repro.utils.rng import RandomSource, spawn_rng
 
-from rr_views import RRGraphView, block_of, graph_views
+from rr_views import RRGraphView, block_of, graph_views, sorted_frontier_rr_arrays
 
 
 def rr_graph_at(graph, root, rng):
@@ -81,3 +85,68 @@ def test_structurally_reachable_ignores_thresholds():
     members = block.start_nodes(np.arange(4), np.zeros(4, dtype=np.int64))
     assert (block.root_reach()[members[:3], 0] == 1).all()
     assert block.start_nodes(np.array([99]), np.zeros(1, dtype=np.int64)).tolist() == [-1]
+
+
+def assert_same_arrays(arrays, expected):
+    """Same names, dtypes, shapes, write flags and value bits."""
+    assert arrays.keys() == expected.keys()
+    for name, array in arrays.items():
+        assert array.dtype == expected[name].dtype, name
+        assert array.shape == expected[name].shape, name
+        assert array.flags.writeable == expected[name].flags.writeable, name
+        assert array.tobytes() == expected[name].tobytes(), name
+
+
+# Zero and one on every edge kind: p(e) = 0 is never kept, p(e) = 1 always.
+EDGE_PROBABILITIES = st.sampled_from([0.0, 0.0, 1.0, 0.05, 0.3, 0.5, 0.8, 0.97])
+
+
+@st.composite
+def small_graphs(draw):
+    """A random digraph on 1-9 vertices with two topics per edge.
+
+    Some edges carry zero probability on both topics, and vertices without
+    in-edges are common, so roots with in-degree 0 and dead edges occur.
+    """
+    num_vertices = draw(st.integers(1, 9))
+    graph = TopicSocialGraph(num_vertices, 2)
+    pairs = [(u, v) for u in range(num_vertices) for v in range(num_vertices) if u != v]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=30)) if pairs else []
+    for source, target in chosen:
+        graph.add_edge(source, target, [draw(EDGE_PROBABILITIES), draw(EDGE_PROBABILITIES)])
+    return graph.snapshot()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    graph=small_graphs(),
+    num_samples=st.integers(0, 8),
+    root=st.one_of(st.none(), st.integers(0, 8)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sampler_matches_the_sorted_frontier_reference_bit_for_bit(graph, num_samples, root, seed):
+    """Same arrays, dtypes and write flags, and the same generator state after the call."""
+    if root is not None:
+        root %= graph.num_vertices
+    rng, reference_rng = RandomSource(seed), RandomSource(seed)
+    arrays = sample_rr_arrays(graph, num_samples, rng, root=root)
+    expected = sorted_frontier_rr_arrays(graph, num_samples, reference_rng, root=root)
+    assert_same_arrays(arrays, expected)
+    assert rng.generator.bit_generator.state == reference_rng.generator.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_delayed_build_across_chunks_matches_the_reference(seed):
+    """A DelayMat build longer than one chunk counts what the reference draws."""
+    graph = random_topic_graph(40, 2, edge_probability=0.15, base_probability=0.5, seed=seed)
+    num_samples = SAMPLES_PER_CHUNK + 37
+    index = DelayedMaterializationIndex(graph, num_samples, seed=seed).build()
+    reference_rng = spawn_rng(seed)
+    counts = np.zeros(graph.num_vertices, dtype=np.int64)
+    for start in range(0, num_samples, SAMPLES_PER_CHUNK):
+        size = min(SAMPLES_PER_CHUNK, num_samples - start)
+        arrays = sorted_frontier_rr_arrays(index.graph, size, reference_rng)
+        counts += np.bincount(arrays["vertex_ids"], minlength=len(counts))
+    users = np.flatnonzero(counts)
+    assert index.containment_counts == dict(zip(users.tolist(), counts[users].tolist()))
+    assert index._rng.generator.bit_generator.state == reference_rng.generator.bit_generator.state
