@@ -30,6 +30,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.exceptions import InvalidParameterError, UnknownVertexError
+from repro.graph.csr import sorted_distinct
 from repro.graph.digraph import TopicSocialGraph
 from repro.utils.heap import concat_ranges
 from repro.utils.rng import RandomSource
@@ -133,7 +134,7 @@ def reachable_mask(
         if not fresh.size:
             break
         visited[fresh] = True
-        frontier = np.unique(fresh)
+        frontier = sorted_distinct(fresh)
     return visited
 
 
@@ -357,7 +358,7 @@ def live_edge_world(
         fresh = targets[~activated[targets]]
         if fresh.size:
             activated[fresh] = True
-            frontier = np.unique(fresh)
+            frontier = sorted_distinct(fresh)
         else:
             frontier = np.empty(0, dtype=np.int64)
     live_edges = None
@@ -399,7 +400,7 @@ def reverse_live_edge_world(
         fresh = sources[~reached[sources]]
         if fresh.size:
             reached[fresh] = True
-            frontier = np.unique(fresh)
+            frontier = sorted_distinct(fresh)
         else:
             frontier = np.empty(0, dtype=np.int64)
     return reached, probes

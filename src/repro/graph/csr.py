@@ -57,6 +57,22 @@ def slice_positions(indptr: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     return concat_ranges(starts, indptr[vertices + 1] - starts)
 
 
+def sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct ``values`` in ascending order (``np.unique`` by sort + mask).
+
+    ``values`` (a fresh array of the caller's) is sorted in place.  The
+    result equals ``np.unique(values)``, dtype included, without the hash
+    table that ``np.unique`` builds for integer input in recent NumPy
+    releases: a BFS frontier is small, and a block's node keys sort faster
+    than they hash.
+    """
+    values.sort()
+    keep = np.empty(values.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 @dataclass(frozen=True)
 class CSRAdjacency:
     """Immutable forward + reverse CSR view of a directed multigraph-free graph."""

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.exceptions import IndexError_, IndexNotBuiltError
 from repro.graph.algorithms import live_edge_world
-from repro.graph.csr import csr_order, indptr_from_counts, slice_positions
+from repro.graph.csr import csr_order, indptr_from_counts, slice_positions, sorted_distinct
 from repro.graph.digraph import TopicSocialGraph
 from repro.index.pruning import _UserFilterStructures, build_filter_structures
 from repro.index.rr_graph import RRBlock, sample_rr_arrays
@@ -222,7 +222,7 @@ class DelayedMaterializationIndex:
             if not fresh.size:
                 break
             member_mask[fresh] = True
-            frontier = np.unique(fresh)
+            frontier = sorted_distinct(fresh)
         # 4) re-draw c(e) uniformly in [0, p(e)) for kept edges between members.
         #    The recovered graph carries |V'| as an importance weight: the true
         #    conditional distribution of "an offline RR-Graph containing u"

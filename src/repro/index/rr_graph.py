@@ -13,10 +13,11 @@ RR-Graphs exist in one form only: the flat arrays of :data:`RR_ARRAY_LAYOUT`
 (a root per graph, its members and its kept edges with their ``c(e)``,
 concatenated with per-graph ``indptr`` offsets).  :func:`sample_rr_arrays`
 draws samples straight into that layout, frontier-at-a-time on the graph's
-reverse CSR arrays: all in-edges of a frontier are gathered with two NumPy
-indexing operations and their ``c(e)`` values drawn in one batch.  The index
-stores the arrays as they are, and DelayMat recovery (Algorithm 4) writes the
-same layout.
+reverse CSR arrays: a level flags its fresh vertices in a per-vertex mask,
+reads all their in-slots, in ascending target order, off that mask repeated
+by in-degree, and draws their ``c(e)`` values in one batch, so no level
+sorts its frontier.  The index stores the arrays as they are, and DelayMat
+recovery (Algorithm 4) writes the same layout.
 
 Query-time matching runs on an :class:`RRBlock`: the graphs of one flat layout
 concatenated into one CSR whose nodes are (graph, member vertex) pairs.
@@ -38,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.graph.csr import csr_order, indptr_from_counts, slice_positions
+from repro.graph.csr import csr_order, indptr_from_counts, sorted_distinct
 from repro.graph.digraph import TopicSocialGraph
 from repro.utils.heap import concat_ranges
 from repro.utils.rng import RandomSource
@@ -74,8 +75,10 @@ class RRBlock:
     ``arrays`` is the layout of :data:`RR_ARRAY_LAYOUT`; a graph's members
     may come in any order.  Members are the union of each graph's vertex
     run, edge endpoints and root, so a graph whose vertex run misses an edge
-    endpoint still maps cleanly.  The block is immutable and every method
-    only reads it, so concurrent queries may share one block.
+    endpoint still maps cleanly; the node keys are deduplicated by
+    :func:`~repro.graph.csr.sorted_distinct`, which sorts instead of
+    hashing.  The block is immutable and every method only reads it, so
+    concurrent queries may share one block.
     """
 
     def __init__(self, arrays: Dict[str, np.ndarray], weights: Optional[List[float]] = None):
@@ -91,7 +94,7 @@ class RRBlock:
         edge_graph = np.repeat(graph_ids, np.diff(arrays["edge_indptr"]))
         members = (roots, vertex_ids, sources, targets)
         stride = int(max((int(a.max()) for a in members if a.size), default=0)) + 1
-        node_keys = np.unique(
+        node_keys = sorted_distinct(
             np.concatenate(
                 (
                     vertex_graph * stride + vertex_ids,
@@ -218,7 +221,7 @@ class RRBlock:
             if not keys.size:
                 break
             visited[keys] = True
-            keys = _sorted_distinct(keys)
+            keys = sorted_distinct(keys)
             owners = ends.searchsorted(keys, side="right")
             nodes = keys - shift[owners]
         checked = pair_rows[np.concatenate(expanded)] if expanded else pair_rows[:0]
@@ -316,76 +319,71 @@ def sample_rr_arrays(
     every reached vertex gets a uniform ``c(e)`` and is kept iff ``c(e) <=
     p(e)``, so an edge with ``p(e) <= 0`` is never kept.  Each BFS level
     draws the ``c(e)`` of all its in-slots in one batched call (the bits of
-    ``rng.uniforms``).  A level keeps the in-slot positions of its surviving
-    edges; their edge ids and sources are gathered once at the end.  Members
-    are sorted within each graph and edges keep their draw order.  The
-    arrays are read-only.
+    ``rng.uniforms``), in ascending target order and CSR order within a
+    target.  A level finds those in-slots without sorting its frontier: the
+    fresh vertices are flagged in a per-vertex mask, and repeating the mask
+    by in-degree flags their in-slots, which CSR groups by ascending target.
+    A level keeps the in-slot positions of its surviving edges; their edge
+    ids and sources are gathered once at the end.  A graph's members are
+    read off its reached mask, so they come out sorted; edges keep their
+    draw order.  The arrays are read-only.
     """
     if max_probabilities is None:
         max_probabilities = graph.max_edge_probabilities()
     csr = graph.csr
     num_vertices = csr.num_vertices
     in_indptr, in_sources = csr.in_indptr, csr.in_sources
+    in_degree = np.diff(in_indptr)
     # Per in-slot liveness floor, gathered once: an examined edge survives
     # iff c(e) <= floor, and -1 (below every draw) stands for p(e) <= 0.
     slot_floor = np.where(max_probabilities > 0.0, max_probabilities, -1.0)[csr.in_edge_ids]
     # generator.random(n) draws the bits of rng.uniforms(n), with less overhead.
     draw = rng.generator.random
-    visited = np.zeros(num_vertices, dtype=bool)
+    # Both masks are all-True / all-False again between samples.
+    unreached = np.ones(num_vertices, dtype=bool)
+    frontier = np.zeros(num_vertices, dtype=bool)
     roots = np.empty(num_samples, dtype=np.int64)
     vertex_counts = np.empty(num_samples, dtype=np.int64)
-    edge_counts = np.zeros(num_samples, dtype=np.int64)
+    edge_counts = np.empty(num_samples, dtype=np.int64)
     members, kept_slots, thresholds = [], [], []
     for sample in range(num_samples):
         start = rng.integer(0, num_vertices) if root is None else root
         roots[sample] = start
-        frontier = np.array([start], dtype=np.int64)
-        visited[start] = True
-        graph_members = [frontier]
-        while True:
-            if frontier.size == 1:
-                # A single vertex's in-slots are one CSR slice.
-                low, high = in_indptr[frontier[0] : frontier[0] + 2].tolist()
-                if low == high:
-                    break
-                level_thresholds = draw(high - low)
-                kept = (level_thresholds <= slot_floor[low:high]).nonzero()[0]
-                level_thresholds = level_thresholds[kept]
-                kept += low
-            else:
-                positions = slice_positions(in_indptr, frontier)
-                if not positions.size:
-                    break
-                level_thresholds = draw(positions.size)
-                keep = level_thresholds <= slot_floor[positions]
-                kept = positions[keep]
-                level_thresholds = level_thresholds[keep]
-            if not kept.size:
-                break
+        unreached[start] = False
+        # The root's in-slots are one CSR slice.
+        low, high = in_indptr[start : start + 2].tolist()
+        level_thresholds = draw(high - low)
+        kept = (level_thresholds <= slot_floor[low:high]).nonzero()[0]
+        level_thresholds = level_thresholds[kept]
+        kept += low
+        num_edges = 0
+        while kept.size:
             kept_slots.append(kept)
             thresholds.append(level_thresholds)
-            edge_counts[sample] += kept.size
+            num_edges += kept.size
             kept_sources = in_sources[kept]
-            fresh = kept_sources[~visited[kept_sources]]
+            fresh = kept_sources[unreached[kept_sources]]
             if not fresh.size:
                 break
-            frontier = _sorted_distinct(fresh)
-            visited[frontier] = True
-            graph_members.append(frontier)
-        graph_members = np.concatenate(graph_members)
-        visited[graph_members] = False
+            unreached[fresh] = False
+            frontier[fresh] = True
+            positions = frontier.repeat(in_degree).nonzero()[0]
+            frontier[fresh] = False
+            level_thresholds = draw(positions.size)
+            keep = (level_thresholds <= slot_floor[positions]).nonzero()[0]
+            kept = positions[keep]
+            level_thresholds = level_thresholds[keep]
+        graph_members = (~unreached).nonzero()[0]
+        unreached[graph_members] = True
         vertex_counts[sample] = graph_members.size
+        edge_counts[sample] = num_edges
         members.append(graph_members)
-    # Sort the members of every graph by one sort over (graph, vertex) keys.
-    offsets = np.repeat(np.arange(num_samples, dtype=np.int64) * num_vertices, vertex_counts)
-    vertex_keys = _concatenate(members, np.int64) + offsets
-    vertex_keys.sort()
     slots = _concatenate(kept_slots, np.int64)
     edge_ids = csr.in_edge_ids[slots].astype(np.int64, copy=False)
     arrays = {
         "roots": roots,
         "vertex_indptr": indptr_from_counts(vertex_counts),
-        "vertex_ids": vertex_keys - offsets,
+        "vertex_ids": _concatenate(members, np.int64),
         "edge_indptr": indptr_from_counts(edge_counts),
         "edge_ids": edge_ids,
         "edge_sources": in_sources[slots].astype(np.int64, copy=False),
@@ -395,18 +393,6 @@ def sample_rr_arrays(
     for array in arrays.values():
         array.setflags(write=False)
     return arrays
-
-
-def _sorted_distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct ``values`` in ascending order (``np.unique`` by sort + mask).
-
-    ``values`` (a fresh array of the caller's) is sorted in place.
-    """
-    values.sort()
-    keep = np.empty(values.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(values[1:], values[:-1], out=keep[1:])
-    return values[keep]
 
 
 def _concatenate(parts: List[np.ndarray], dtype) -> np.ndarray:

@@ -220,14 +220,19 @@ def _containment(vertex_ids: np.ndarray, vertex_indptr: np.ndarray) -> Dict[int,
     Each list is a tuple, so a caller handed one cannot edit the index.
 
     One stable sort groups the flat vertex array by vertex while keeping
-    graph positions ascending (``np.repeat`` emits them in increasing order).
+    graph positions ascending (``np.repeat`` emits them in increasing order);
+    each vertex's tuple is then one slice of a single ``tolist()``.  The sort
+    runs on the narrowest unsigned type that holds every vertex id, so on
+    graphs below 65,536 vertices NumPy's stable sort is a radix sort.
     """
     graph_of = np.repeat(np.arange(len(vertex_indptr) - 1, dtype=np.int64), np.diff(vertex_indptr))
-    order = np.argsort(vertex_ids, kind="stable")
+    narrow = np.min_scalar_type(int(vertex_ids.max(initial=0)))
+    order = np.argsort(vertex_ids.astype(narrow), kind="stable")
     sorted_vertices = vertex_ids[order]
-    boundaries = np.flatnonzero(np.diff(sorted_vertices)) + 1
-    starts = np.concatenate(([0], boundaries)) if sorted_vertices.size else boundaries
-    postings = (tuple(graphs.tolist()) for graphs in np.split(graph_of[order], boundaries))
+    bounds = (np.flatnonzero(np.diff(sorted_vertices)) + 1).tolist()
+    starts = [0, *bounds] if sorted_vertices.size else []
+    graphs = graph_of[order].tolist()
+    postings = (tuple(graphs[low:high]) for low, high in zip(starts, [*bounds, len(graphs)]))
     return dict(zip(sorted_vertices[starts].tolist(), postings))
 
 

@@ -40,8 +40,9 @@ Before the batched kernel draws a sample it sizes every world's budget by
 ``uint64`` world mask per edge and per vertex (64 worlds per pass, memory
 ``O(|V| + |E|)``); an estimator sizes each open-edge pattern once.  Within a
 chunk, the ``(instance, vertex)`` keys that fire in one round are deduplicated
-by an in-place sort plus an adjacent-difference mask, which yields the same
-sorted keys as ``np.unique``.  Neither step draws a random number.
+by :func:`~repro.graph.csr.sorted_distinct` (an in-place sort plus an
+adjacent-difference mask), which yields the same sorted keys as
+``np.unique``.  Neither step draws a random number.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from repro.graph.algorithms import (
     reachable_with_probabilities,
 )
 from repro.exceptions import InvalidParameterError
+from repro.graph.csr import sorted_distinct
 from repro.graph.digraph import TopicSocialGraph
 from repro.sampling.base import (
     InfluenceEstimate,
@@ -258,17 +260,11 @@ class LazyPropagationEstimator(InfluenceEstimator):
             keys *= num_vertices
             keys += fired_targets
             # Distinct edges can fire into the same (instance, target) pair in
-            # one round; dedupe on the flattened pair key.  Sorting in place
-            # and keeping the first of each run yields the sorted distinct
-            # keys, so the next round's frontier order is deterministic.
+            # one round; dedupe on the flattened pair key.  The sorted
+            # distinct keys make the next round's frontier order deterministic.
             fresh = visited[keys]
             np.logical_not(fresh, out=fresh)
-            keys = keys[fresh]
-            keys.sort()
-            distinct = np.empty(keys.size, dtype=bool)
-            distinct[:1] = True
-            np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
-            keys = keys[distinct]
+            keys = sorted_distinct(keys[fresh])
             visited[keys] = True
             rows, vertices = np.divmod(keys, num_vertices)
         return activations

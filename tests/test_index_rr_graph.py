@@ -122,15 +122,32 @@ def small_graphs(draw):
     graph=small_graphs(),
     num_samples=st.integers(0, 8),
     root=st.one_of(st.none(), st.integers(0, 8)),
+    tie_stride=st.sampled_from([None, 1, 2]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_sampler_matches_the_sorted_frontier_reference_bit_for_bit(graph, num_samples, root, seed):
-    """Same arrays, dtypes and write flags, and the same generator state after the call."""
+def test_sampler_matches_the_sorted_frontier_reference_bit_for_bit(
+    graph, num_samples, root, tie_stride, seed
+):
+    """Same arrays, dtypes and write flags, and the same generator state after the call.
+
+    With a fixed root and a ``tie_stride``, the first sample sits on the keep
+    boundary ``c(e) <= p(e)``: every ``tie_stride``-th edge it examines (in
+    draw order) gets ``p(e)`` equal to the ``c(e)`` it is about to draw, and
+    the other edges it examines get ``p(e) = 1``.
+    """
+    max_probabilities = None
     if root is not None:
         root %= graph.num_vertices
+        if tie_stride is not None:
+            ones = np.ones(graph.num_edges)
+            walk = sorted_frontier_rr_arrays(graph, 1, RandomSource(seed), ones, root)
+            max_probabilities = graph.max_edge_probabilities().copy()
+            max_probabilities[walk["edge_ids"]] = 1.0
+            tied = walk["edge_ids"][::tie_stride]
+            max_probabilities[tied] = walk["edge_thresholds"][::tie_stride]
     rng, reference_rng = RandomSource(seed), RandomSource(seed)
-    arrays = sample_rr_arrays(graph, num_samples, rng, root=root)
-    expected = sorted_frontier_rr_arrays(graph, num_samples, reference_rng, root=root)
+    arrays = sample_rr_arrays(graph, num_samples, rng, max_probabilities, root)
+    expected = sorted_frontier_rr_arrays(graph, num_samples, reference_rng, max_probabilities, root)
     assert_same_arrays(arrays, expected)
     assert rng.generator.bit_generator.state == reference_rng.generator.bit_generator.state
 
