@@ -7,16 +7,18 @@ return).  Tests that reason about one graph at a time read those arrays
 through :func:`graph_views`, build a block from hand-written graphs with
 :func:`block_of`, and draw graphs with the per-edge reference walker
 :func:`reference_rr_graph`.  :func:`sorted_frontier_rr_arrays` is the
-bit-for-bit reference of ``sample_rr_arrays``.
+bit-for-bit reference of ``sample_rr_arrays``, and :class:`SortedKeyBlock`
+the bit-for-bit reference of ``RRBlock``'s constructor.
 """
 
+import threading
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 import numpy as np
 
-from repro.graph.csr import indptr_from_counts, slice_positions
+from repro.graph.csr import csr_order, indptr_from_counts, slice_positions, sorted_distinct
 from repro.graph.digraph import TopicSocialGraph
 from repro.index.rr_graph import RRBlock
 from repro.utils.rng import RandomSource
@@ -76,6 +78,72 @@ def block_of(graphs: List[RRGraphView]) -> RRBlock:
         "edge_thresholds": column("edge_thresholds", np.float64),
     }
     return RRBlock(arrays, weights=[graph.weight for graph in graphs])
+
+
+class SortedKeyBlock(RRBlock):
+    """``RRBlock`` as it was when one sort and four searches numbered its nodes.
+
+    The constructor is kept verbatim as the bit-for-bit reference of
+    ``RRBlock.__init__``: the node keys ``graph * stride + vertex`` of every
+    vertex run entry, edge endpoint and root are concatenated and deduped
+    by one sort, and edge sources, targets, roots and the graph bounds are
+    found in them by ``searchsorted``.  Every other method is the
+    library's.
+    """
+
+    def __init__(self, arrays: Dict[str, np.ndarray], weights: Optional[List[float]] = None):
+        roots = np.asarray(arrays["roots"], dtype=np.int64)
+        vertex_ids = np.asarray(arrays["vertex_ids"], dtype=np.int64)
+        sources = np.asarray(arrays["edge_sources"], dtype=np.int64)
+        targets = np.asarray(arrays["edge_targets"], dtype=np.int64)
+        edge_ids = np.asarray(arrays["edge_ids"], dtype=np.int64)
+        thresholds = np.asarray(arrays["edge_thresholds"], dtype=float)
+        num_graphs = len(roots)
+        graph_ids = np.arange(num_graphs, dtype=np.int64)
+        vertex_graph = np.repeat(graph_ids, np.diff(arrays["vertex_indptr"]))
+        edge_graph = np.repeat(graph_ids, np.diff(arrays["edge_indptr"]))
+        members = (roots, vertex_ids, sources, targets)
+        stride = int(max((int(a.max()) for a in members if a.size), default=0)) + 1
+        node_keys = sorted_distinct(
+            np.concatenate(
+                (
+                    vertex_graph * stride + vertex_ids,
+                    edge_graph * stride + sources,
+                    edge_graph * stride + targets,
+                    graph_ids * stride + roots,
+                )
+            )
+        )
+        source_nodes = np.searchsorted(node_keys, edge_graph * stride + sources)
+        target_nodes = np.searchsorted(node_keys, edge_graph * stride + targets)
+        self.num_graphs = num_graphs
+        self.num_nodes = len(node_keys)
+        self.stride = stride
+        self.graph_indptr = np.searchsorted(node_keys, np.arange(num_graphs + 1) * stride)
+        self.graph_sizes = np.diff(self.graph_indptr)
+        self.node_keys = np.append(node_keys, np.iinfo(np.int64).max)
+        self.indptr, order = csr_order(source_nodes, self.num_nodes)
+        self.out_degree = np.diff(self.indptr)
+        self.slot_targets = target_nodes[order]
+        self.slot_edge_ids = edge_ids[order]
+        self.slot_thresholds = thresholds[order]
+        # An edge is live iff p > 0 and p >= c(e).  Raising c(e) = 0 to the
+        # smallest positive double folds both tests into one p >= floor.
+        self.slot_live_floor = np.maximum(self.slot_thresholds, np.nextafter(0.0, 1.0))
+        self.roots = roots
+        root_nodes = np.searchsorted(node_keys, graph_ids * stride + roots)
+        self.node_is_root = np.zeros(self.num_nodes, dtype=bool)
+        self.node_is_root[root_nodes] = True
+        into_root = target_nodes == root_nodes[edge_graph]
+        self.root_in_indptr = indptr_from_counts(
+            np.bincount(edge_graph[into_root], minlength=num_graphs)
+        )
+        self.root_in_sources = source_nodes[into_root]
+        self.root_in_edge_ids = edge_ids[into_root]
+        self.root_in_thresholds = thresholds[into_root]
+        self.weights = weights
+        self._root_reach: Optional[np.ndarray] = None
+        self._root_reach_lock = threading.Lock()
 
 
 def reference_rr_graph(graph, root, rng, max_probabilities=None) -> RRGraphView:

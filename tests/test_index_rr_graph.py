@@ -5,13 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graph.csr import indptr_from_counts
 from repro.graph.digraph import TopicSocialGraph
 from repro.graph.generators import line_graph, random_topic_graph
 from repro.index.delayed import SAMPLES_PER_CHUNK, DelayedMaterializationIndex
 from repro.index.rr_graph import RRBlock, sample_rr_arrays
 from repro.utils.rng import RandomSource, spawn_rng
 
-from rr_views import RRGraphView, block_of, graph_views, sorted_frontier_rr_arrays
+from rr_views import (
+    RRGraphView,
+    SortedKeyBlock,
+    block_of,
+    graph_views,
+    sorted_frontier_rr_arrays,
+)
 
 
 def rr_graph_at(graph, root, rng):
@@ -167,3 +174,62 @@ def test_delayed_build_across_chunks_matches_the_reference(seed):
     users = np.flatnonzero(counts)
     assert index.containment_counts == dict(zip(users.tolist(), counts[users].tolist()))
     assert index._rng.generator.bit_generator.state == reference_rng.generator.bit_generator.state
+
+
+@st.composite
+def flat_layouts(draw):
+    """A flat RR-Graph layout that only ``RRBlock`` reads, drawn loosely.
+
+    Zero to five graphs; a graph's vertex run comes in any order (repeats
+    allowed) and may leave out its root and its edge endpoints, and a graph
+    may have no vertices and no edges at all.  Now and then one vertex id
+    lies far above the rest.
+    """
+    far = draw(st.sampled_from([None, 5_000, 70_000]))
+    vertices = st.integers(0, 7) if far is None else st.sampled_from([*range(8), far])
+    roots, vertex_runs, edge_runs = [], [], []
+    for _ in range(draw(st.integers(0, 5))):
+        roots.append(draw(vertices))
+        vertex_runs.append(draw(st.lists(vertices, max_size=6)))
+        edge_runs.append(draw(st.lists(st.tuples(vertices, vertices), max_size=8)))
+    edges = [edge for run in edge_runs for edge in run]
+    num_edges = len(edges)
+    edge_ids = draw(st.lists(st.integers(0, 20), min_size=num_edges, max_size=num_edges))
+    thresholds = draw(st.lists(st.floats(0.0, 1.0), min_size=num_edges, max_size=num_edges))
+    return {
+        "roots": np.array(roots, dtype=np.int64),
+        "vertex_indptr": indptr_from_counts([len(run) for run in vertex_runs]),
+        "vertex_ids": np.array([v for run in vertex_runs for v in run], dtype=np.int64),
+        "edge_indptr": indptr_from_counts([len(run) for run in edge_runs]),
+        "edge_ids": np.array(edge_ids, dtype=np.int64),
+        "edge_sources": np.array([source for source, _ in edges], dtype=np.int64),
+        "edge_targets": np.array([target for _, target in edges], dtype=np.int64),
+        "edge_thresholds": np.array(thresholds, dtype=np.float64),
+    }
+
+
+def public_arrays(block):
+    """The block's ndarray attributes whose names do not start with ``_``."""
+    arrays = {name: value for name, value in vars(block).items() if isinstance(value, np.ndarray)}
+    return {name: value for name, value in arrays.items() if not name.startswith("_")}
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays=flat_layouts())
+def test_block_matches_the_sorted_key_reference_bit_for_bit(arrays):
+    """Every public array (dtype, shape, bytes), the sizes and the root reach."""
+    block, expected = RRBlock(arrays), SortedKeyBlock(arrays)
+    assert (block.num_graphs, block.num_nodes, block.stride) == (
+        expected.num_graphs,
+        expected.num_nodes,
+        expected.stride,
+    )
+    arrays, expected_arrays = public_arrays(block), public_arrays(expected)
+    assert arrays.keys() == expected_arrays.keys()
+    for name, array in arrays.items():
+        assert array.dtype == expected_arrays[name].dtype, name
+        assert array.shape == expected_arrays[name].shape, name
+        assert array.tobytes() == expected_arrays[name].tobytes(), name
+    reach, expected_reach = block.root_reach(), expected.root_reach()
+    assert reach.dtype == expected_reach.dtype and reach.shape == expected_reach.shape
+    assert reach.tobytes() == expected_reach.tobytes()

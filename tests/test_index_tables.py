@@ -38,7 +38,15 @@ EMPTY_INDEX_TABLES = "64d23b75c419ce3349718ec8c1ef5fc6f3998babc317c524d096127989
 EDGELESS_TABLES = "0b0e59d9ebe7128440bb73e60659243c71005f2db3f9b2e0331616e3509c8ad9"
 UNKNOWN_USER_STRUCTURES = "a286f79e7ebe08d60ff1b6dfac3cba71e26b2f7e623021725471683612b35c03"
 DELAYED_FILTERS = "52e04340adb4f2e074ba7ea2a7b31153f30f4758d3f19cb9104361fbca57db6f"
-# sha256 over every user's recovered DelayMat block (see ``block_digest``).
+# sha256 over the benchmark-size index's block under each index seed (see
+# ``hash_block``).
+BENCHMARK_BLOCKS = {
+    1: "682827ca5e01cda0b7f06cf54e3d92dea7b34a96642e147023021aa9d42187ff",
+    7: "dc1cd0beb222847d6afa9a23920e5acdc6fcfcf82f9a51d53758dde7b5b79791",
+    11: "fc1b7c83fa4332f53ba8c4c4d032597f95eefdf24656c0edd8c0052cc7c408a9",
+    2017: "4737f32fba6847ce6e216aed00e7951046b3703e0a9a63ab908dbfe1d1ce0437",
+}
+# sha256 over every user's recovered DelayMat block (see ``hash_block``).
 DELAYED_BLOCKS = "4dbb524d69fa3a4f1aef217f65a37438a7707e4855fa59ce5db5cea2ad7f5c23"
 
 # (memory_bytes, average_rr_graph_size.hex()) of the benchmark-size index
@@ -112,6 +120,39 @@ def test_benchmark_tables_are_pinned(benchmark_graph, seed):
     tables = build_pruning_tables(index, maxima)
     assert_tables_match_single_user_path(index, tables, maxima)
     assert tables_digest(tables) == BENCHMARK_TABLES[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(BENCHMARK_TABLES))
+def test_benchmark_blocks_are_pinned(benchmark_graph, seed):
+    index = RRGraphIndex(benchmark_graph, 200, seed=seed).build()
+    hasher = hashlib.sha256()
+    hash_block(hasher, seed, index.block())
+    assert hasher.hexdigest() == BENCHMARK_BLOCKS[seed]
+
+
+def assert_postings_ordered(structures):
+    """Within each edge's run, postings ascend by ``(threshold, rr_index)``."""
+    edge_of = np.cumsum(structures.edge_last) - structures.edge_last
+    assert (np.diff(edge_of) >= 0).all()
+    assert np.unique(structures.edge_ids[structures.edge_last]).size == structures.edge_last.sum()
+    order = np.lexsort((structures.rr_indices, structures.thresholds, edge_of))
+    assert (order == np.arange(len(order))).all()
+
+
+@pytest.mark.parametrize("seed", [7, 2017])
+def test_postings_follow_edge_then_threshold_then_graph(benchmark_graph, seed):
+    """The tie order the posting sort relies on: each user's graphs ascend.
+
+    Postings of one edge with equal thresholds come from different graphs of
+    one user; they stay in graph order only because every user's graphs are
+    listed in ascending order, in the tables and on the lazy path.
+    """
+    index = RRGraphIndex(benchmark_graph, 200, seed=seed).build()
+    for graphs in index.containment.values():
+        assert (np.diff(graphs) > 0).all()
+    tables = build_pruning_tables(index, benchmark_graph.max_edge_probabilities())
+    for structures in tables.values():
+        assert_postings_ordered(structures)
 
 
 def test_index_stats_are_pinned(benchmark_graph):
