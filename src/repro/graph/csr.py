@@ -160,12 +160,16 @@ def csr_order(keys: np.ndarray, num_buckets: int) -> Tuple[np.ndarray, np.ndarra
 
     The shared building block of every CSR in the library: ``order`` lists the
     input positions sorted by bucket (ties keep input order), ``indptr`` holds
-    the per-bucket slice boundaries into ``order``.
+    the per-bucket slice boundaries into ``order``.  The sort runs on the
+    narrowest unsigned type that holds every bucket, so below 65,536 buckets
+    NumPy's stable sort is a radix sort; a stable order is unique, so the
+    type cannot change it.
     """
     if len(keys):
         counts = np.bincount(keys, minlength=num_buckets)
     else:
         counts = np.zeros(num_buckets, dtype=np.int64)
     indptr = indptr_from_counts(counts)
-    order = np.argsort(keys, kind="stable").astype(np.int64)
+    narrow = np.min_scalar_type(max(num_buckets - 1, 0))
+    order = np.argsort(keys.astype(narrow, copy=False), kind="stable").astype(np.int64)
     return indptr, order

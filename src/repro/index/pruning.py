@@ -29,9 +29,11 @@ hands over the upper-bound rows of every child of one expansion at once, so
 and one BFS verifies every surviving (row, RR-Graph) pair.
 
 :func:`build_filter_tables` builds the structures of many users in that one
-pass, with one ``lexsort`` over all their postings; a frozen engine runs it
-over every user at freeze time (:mod:`repro.index.tables`).  Otherwise the
-structures are built lazily, by the same pass with one user, on the first
+pass, with two stable sorts over all their postings; it takes each (user,
+RR-Graph) pair as the user's block node.  A frozen engine runs it over every
+user at freeze time (:mod:`repro.index.tables`), with the pairs read off the
+block's nodes.  Otherwise the structures are built lazily, by the same pass
+with one user whose nodes :meth:`RRBlock.start_nodes` finds, on the first
 query of a user and cached, since the same user typically evaluates many tag
 sets during one PITEX exploration.
 """
@@ -70,20 +72,20 @@ def _dead_factors(
     return np.minimum(1.0, ratios)
 
 
-def cut_sides(block: RRBlock, users: np.ndarray, graphs: np.ndarray):
-    """Both candidate cuts of every ``(users[i], graphs[i])`` pair, as flat arrays.
+def cut_sides(block: RRBlock, graphs: np.ndarray, starts: np.ndarray):
+    """Both candidate cuts of every pair ``i``: a user's node ``starts[i]`` in ``graphs[i]``.
 
-    Returns ``(always, source, target)``.  ``always[i]`` marks pairs whose
-    user is the graph's root.  Each side is ``(indptr, edge_ids,
-    thresholds)`` with one run per pair, entries in stored edge order: the
-    source side holds the user's out-slots, the target side the root's
-    in-slots whose source the user reaches with every edge live (the bits of
-    :meth:`RRBlock.root_reach`).  A user that is no member of its graph gets
-    two empty runs.
+    ``starts`` holds block node ids (:meth:`RRBlock.start_nodes`), ``-1``
+    for a user that is no member of its graph.  Returns ``(always, source,
+    target)``.  ``always[i]`` marks pairs whose user is the graph's root.
+    Each side is ``(indptr, edge_ids, thresholds)`` with one run per pair,
+    entries in stored edge order: the source side holds the user's
+    out-slots, the target side the root's in-slots whose source the user
+    reaches with every edge live (the bits of :meth:`RRBlock.root_reach`).
+    A pair without a member gets two empty runs.
     """
-    always = block.roots[graphs] == users
-    starts = block.start_nodes(users, graphs)
     member = starts >= 0
+    always = member & block.node_is_root[starts]
     source_counts = np.where(member, block.out_degree[starts], 0)
     source_slots = concat_ranges(block.indptr[starts], source_counts)
     in_starts = block.root_in_indptr[graphs]
@@ -122,9 +124,9 @@ def _run_products(factors: np.ndarray, indptr: np.ndarray) -> np.ndarray:
 
 
 def choose_cuts(
-    block: RRBlock, users: np.ndarray, graphs: np.ndarray, max_probabilities: np.ndarray
+    block: RRBlock, graphs: np.ndarray, starts: np.ndarray, max_probabilities: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The chosen cut of every ``(users[i], graphs[i])`` pair (Example 7), as flat arrays.
+    """The chosen cut of every pair of :func:`cut_sides` (Example 7), as flat arrays.
 
     Returns ``(always, indptr, edge_ids, thresholds)``: ``always[i]`` marks
     pairs whose user is the root (no cut can prune), and run ``i`` of the
@@ -133,7 +135,7 @@ def choose_cuts(
     its entries' factors ``min(1, c(e) / p(e))`` (Example 7: ``p(e|W)``
     taken uniform in ``[0, p(e)]``), multiplied in entry order.
     """
-    always, source, target = cut_sides(block, users, graphs)
+    always, source, target = cut_sides(block, graphs, starts)
     source_dead, target_dead = (
         _run_products(_dead_factors(edge_ids, thresholds, max_probabilities), indptr)
         for indptr, edge_ids, thresholds in (source, target)
@@ -207,38 +209,45 @@ class _UserFilterStructures:
 
 def build_filter_tables(
     block: RRBlock,
-    users: Sequence[int],
-    graphs: Sequence[Sequence[int]],
+    pair_counts: Sequence[int],
+    pair_graphs: np.ndarray,
+    starts: np.ndarray,
     max_probabilities: np.ndarray,
 ) -> List[_UserFilterStructures]:
-    """The inverted lists of every ``users[i]``'s chosen cuts in ``graphs[i]`` of ``block``.
+    """The inverted lists of the chosen cuts of consecutive runs of (user, graph) pairs.
 
-    One vectorized pass over all (user, graph) pairs: :func:`choose_cuts`
-    picks every cut, and one ``lexsort`` orders the postings of all users at
-    once; each user's structures are slices of the result.  Pure function of
-    the block and the maximum edge probabilities -- no RNG draws -- so
-    building at freeze time (:mod:`repro.index.tables`) is bitwise-equivalent
-    to building lazily on the first query.  Graphs whose chosen cut is empty
-    cannot be reached and get no posting.
+    User ``i`` owns the next ``pair_counts[i]`` pairs; pair ``j`` is the
+    user's node ``starts[j]`` (``-1`` if absent) in graph ``pair_graphs[j]``.
+    Each user's graphs must come in ascending order (the posting order
+    relies on it, see below).  One vectorized pass over all pairs:
+    :func:`choose_cuts` picks every cut, and two stable sorts order the
+    postings of all users at once; each user's structures are slices of the
+    result.  Pure function of the block and the maximum edge probabilities
+    -- no RNG draws -- so building at freeze time (:mod:`repro.index.tables`)
+    is bitwise-equivalent to building lazily on the first query.  Graphs
+    whose chosen cut is empty cannot be reached and get no posting.
     """
-    graph_lists = [np.asarray(user_graphs, dtype=np.int64) for user_graphs in graphs]
-    pair_counts = np.array([len(user_graphs) for user_graphs in graph_lists], dtype=np.int64)
-    pair_graphs = np.concatenate(graph_lists) if graph_lists else np.empty(0, np.int64)
-    pair_slots = np.repeat(np.arange(len(graph_lists), dtype=np.int64), pair_counts)
-    pair_users = np.asarray(users, dtype=np.int64)[pair_slots]
-    always, indptr, edge_ids, thresholds = choose_cuts(
-        block, pair_users, pair_graphs, max_probabilities
-    )
+    pair_counts = np.asarray(pair_counts, dtype=np.int64)
+    always, indptr, edge_ids, thresholds = choose_cuts(block, pair_graphs, starts, max_probabilities)
     entry_counts = np.diff(indptr)
     rr_indices = np.repeat(pair_graphs, entry_counts)
     # A user's edges are ordered by first appearance (as a dict keyed by edge
     # fills up), so the kept postings fill the candidate set in a per-edge
     # scan's order.  First positions are global, so they also keep the
     # users apart and in order.
+    pair_slots = np.repeat(np.arange(len(pair_counts), dtype=np.int64), pair_counts)
     first = _first_positions(
         np.repeat(pair_slots, entry_counts) * (int(edge_ids.max(initial=0)) + 1) + edge_ids
     )
-    order = np.lexsort((rr_indices, thresholds, first))
+    # Postings sort by (first appearance, threshold, graph).  Postings that
+    # tie on the first two share a user and an edge, so they come from
+    # distinct pairs of that user, which arrive in ascending graph order:
+    # the graph key is already the input order, and two stable sorts do.
+    # First positions are below len(first); on their narrowest unsigned
+    # type the second sort is a radix sort.
+    order = np.argsort(thresholds, kind="stable")
+    narrow = np.min_scalar_type(max(len(first) - 1, 0))
+    order = order[np.argsort(first[order].astype(narrow), kind="stable")]
     first = first[order]
     edge_last = np.ones(len(first), dtype=bool)
     np.not_equal(first[1:], first[:-1], out=edge_last[:-1])
@@ -247,7 +256,7 @@ def build_filter_tables(
     posting_bounds = indptr[pair_bounds].tolist()
     pair_bounds = pair_bounds.tolist()
     structures = []
-    for slot in range(len(graph_lists)):
+    for slot in range(len(pair_counts)):
         lo, hi = posting_bounds[slot], posting_bounds[slot + 1]
         first_pair, end_pair = pair_bounds[slot], pair_bounds[slot + 1]
         structures.append(
@@ -278,11 +287,14 @@ def _first_positions(keys: np.ndarray) -> np.ndarray:
 def build_filter_structures(
     block: RRBlock, user: int, graphs: Sequence[int], max_probabilities: np.ndarray
 ) -> _UserFilterStructures:
-    """The inverted lists of ``user``'s chosen cuts in ``graphs`` of ``block``.
+    """The inverted lists of ``user``'s chosen cuts in ``graphs`` (ascending) of ``block``.
 
-    The one-user case of :func:`build_filter_tables`.
+    The one-user case of :func:`build_filter_tables`; the user's nodes are
+    found with :meth:`RRBlock.start_nodes`.
     """
-    return build_filter_tables(block, [user], [graphs], max_probabilities)[0]
+    graphs = np.asarray(graphs, dtype=np.int64)
+    starts = block.start_nodes(user, graphs)
+    return build_filter_tables(block, [len(graphs)], graphs, starts, max_probabilities)[0]
 
 
 class PrunedIndexEstimator(InfluenceEstimator):

@@ -61,9 +61,9 @@ class RRBlock:
 
     A node is one (graph, member vertex) pair.  Nodes are numbered in the
     order of their key ``graph * stride + vertex``, so the nodes of one graph
-    form a contiguous run and a (graph, vertex) lookup is one
-    ``searchsorted`` (``node_keys`` ends with a sentinel key above every
-    node's).  ``indptr`` runs over nodes; each slot stores its target node,
+    form a contiguous run and a (graph, vertex) lookup
+    (:meth:`start_nodes`) is one ``searchsorted`` (``node_keys`` ends with a
+    sentinel key above every node's).  ``indptr`` runs over nodes; each slot stores its target node,
     its global edge id and its ``c(e)`` threshold, and the slots of a node
     keep the graph's stored edge order.  Per graph the block keeps the root
     vertex, its run of nodes (``graph_indptr``, ``graph_sizes``) and the
@@ -75,10 +75,14 @@ class RRBlock:
     ``arrays`` is the layout of :data:`RR_ARRAY_LAYOUT`; a graph's members
     may come in any order.  Members are the union of each graph's vertex
     run, edge endpoints and root, so a graph whose vertex run misses an edge
-    endpoint still maps cleanly; the node keys are deduplicated by
-    :func:`~repro.graph.csr.sorted_distinct`, which sorts instead of
-    hashing.  The block is immutable and every method only reads it, so
-    concurrent queries may share one block.
+    endpoint still maps cleanly.  The constructor neither sorts nor
+    searches keys: it marks every member key in a (graph, vertex) presence
+    mask, whose ``int32`` running count numbers the nodes, so the mask's
+    ``nonzero()`` is the sorted node keys and one gather through the count
+    maps edge sources, targets and roots to nodes.  Where ``num_graphs *
+    stride`` cells would outnumber the member keys, it does so over runs of
+    graphs of at most that many cells.  The block is immutable and every
+    method only reads it, so concurrent queries may share one block.
     """
 
     def __init__(self, arrays: Dict[str, np.ndarray], weights: Optional[List[float]] = None):
@@ -88,30 +92,55 @@ class RRBlock:
         targets = np.asarray(arrays["edge_targets"], dtype=np.int64)
         edge_ids = np.asarray(arrays["edge_ids"], dtype=np.int64)
         thresholds = np.asarray(arrays["edge_thresholds"], dtype=float)
+        vertex_indptr = np.asarray(arrays["vertex_indptr"], dtype=np.int64)
+        edge_indptr = np.asarray(arrays["edge_indptr"], dtype=np.int64)
         num_graphs = len(roots)
-        graph_ids = np.arange(num_graphs, dtype=np.int64)
-        vertex_graph = np.repeat(graph_ids, np.diff(arrays["vertex_indptr"]))
-        edge_graph = np.repeat(graph_ids, np.diff(arrays["edge_indptr"]))
         members = (roots, vertex_ids, sources, targets)
         stride = int(max((int(a.max()) for a in members if a.size), default=0)) + 1
-        node_keys = sorted_distinct(
-            np.concatenate(
-                (
-                    vertex_graph * stride + vertex_ids,
-                    edge_graph * stride + sources,
-                    edge_graph * stride + targets,
-                    graph_ids * stride + roots,
-                )
-            )
-        )
-        source_nodes = np.searchsorted(node_keys, edge_graph * stride + sources)
-        target_nodes = np.searchsorted(node_keys, edge_graph * stride + targets)
+        source_nodes = np.empty(len(sources), dtype=np.int64)
+        target_nodes = np.empty(len(targets), dtype=np.int64)
+        root_nodes = np.empty(num_graphs, dtype=np.int64)
+        graph_indptr = np.zeros(num_graphs + 1, dtype=np.int64)
+
+        def number_run(first: int, last: int, offset: int) -> np.ndarray:
+            """Number the nodes of graphs ``[first, last)`` from ``offset``; return their keys."""
+            base = np.arange(last - first, dtype=np.int64) * stride
+            vertices = slice(vertex_indptr[first], vertex_indptr[last])
+            edges = slice(edge_indptr[first], edge_indptr[last])
+            vertex_keys = np.repeat(base, np.diff(vertex_indptr[first : last + 1]))
+            vertex_keys += vertex_ids[vertices]
+            source_keys = np.repeat(base, np.diff(edge_indptr[first : last + 1]))
+            target_keys = source_keys + targets[edges]
+            source_keys += sources[edges]
+            root_keys = base + roots[first:last]
+            present = np.zeros((last - first) * stride, dtype=bool)
+            for keys in (vertex_keys, source_keys, target_keys, root_keys):
+                present[keys] = True
+            # The running count: count[key] - 1 is the key's node in the run,
+            # and the count at a graph's last cell is where its nodes end.
+            count = np.cumsum(present, dtype=np.int32)
+            shift = offset - 1
+            np.add(count[source_keys], shift, out=source_nodes[edges], dtype=np.int64)
+            np.add(count[target_keys], shift, out=target_nodes[edges], dtype=np.int64)
+            np.add(count[root_keys], shift, out=root_nodes[first:last], dtype=np.int64)
+            np.add(count[stride - 1 :: stride], offset, out=graph_indptr[first + 1 : last + 1], dtype=np.int64)
+            return np.add(present.nonzero()[0], first * stride)
+
+        # A run of graphs spans at most as many (graph, vertex) cells as there
+        # are member keys, so its mask and count never outgrow the keys.
+        per_run = max(1, (len(vertex_ids) + 2 * len(sources) + num_graphs) // stride)
+        key_runs = []
+        for first in range(0, num_graphs, per_run):
+            key_runs.append(number_run(first, min(first + per_run, num_graphs), int(graph_indptr[first])))
+        key_runs.append(np.array([np.iinfo(np.int64).max]))
+        # The last key is a sentinel above every node's.
+        node_keys = np.concatenate(key_runs)
         self.num_graphs = num_graphs
-        self.num_nodes = len(node_keys)
+        self.num_nodes = len(node_keys) - 1
         self.stride = stride
-        self.graph_indptr = np.searchsorted(node_keys, np.arange(num_graphs + 1) * stride)
-        self.graph_sizes = np.diff(self.graph_indptr)
-        self.node_keys = np.append(node_keys, np.iinfo(np.int64).max)
+        self.graph_indptr = graph_indptr
+        self.graph_sizes = np.diff(graph_indptr)
+        self.node_keys = node_keys
         self.indptr, order = csr_order(source_nodes, self.num_nodes)
         self.out_degree = np.diff(self.indptr)
         self.slot_targets = target_nodes[order]
@@ -121,13 +150,13 @@ class RRBlock:
         # smallest positive double folds both tests into one p >= floor.
         self.slot_live_floor = np.maximum(self.slot_thresholds, np.nextafter(0.0, 1.0))
         self.roots = roots
-        root_nodes = np.searchsorted(node_keys, graph_ids * stride + roots)
         self.node_is_root = np.zeros(self.num_nodes, dtype=bool)
         self.node_is_root[root_nodes] = True
-        into_root = target_nodes == root_nodes[edge_graph]
-        self.root_in_indptr = indptr_from_counts(
-            np.bincount(edge_graph[into_root], minlength=num_graphs)
-        )
+        # A target node lies in its edge's graph, so it is that graph's root
+        # iff it is a root at all.
+        into_root = self.node_is_root[target_nodes]
+        root_graphs = node_keys[target_nodes[into_root]] // stride
+        self.root_in_indptr = indptr_from_counts(np.bincount(root_graphs, minlength=num_graphs))
         self.root_in_sources = source_nodes[into_root]
         self.root_in_edge_ids = edge_ids[into_root]
         self.root_in_thresholds = thresholds[into_root]

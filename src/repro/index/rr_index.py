@@ -116,8 +116,10 @@ class RRGraphIndex:
 
         A pure function of the built index, so building it lazily (under a
         lock, so concurrent first queries build it once) is invisible to
-        answers.  Neither ``build()`` nor a freeze builds it, so an index
-        refresh leaves the cost to the first read.
+        answers.  ``build()`` does not build it.  A freeze that warms
+        ``indexest+`` with its per-user tables builds it through
+        :func:`~repro.index.tables.build_pruning_tables`; a freeze without
+        tables (or a refresh) leaves the cost to the first read.
         """
         self._require_built()
         block = self._block

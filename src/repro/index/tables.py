@@ -27,15 +27,16 @@ without consuming RNG.
 The ``IndexEst+`` table is one batched pass of
 :func:`~repro.index.pruning.build_filter_tables` per chunk of users, over the
 block's memoized reverse root-reach closure, so the per-user work is a few
-array lookups instead of one structural BFS per user.  Chunks of
-:data:`PAIRS_PER_CHUNK` (user, RR-Graph) pairs keep the transient arrays of
-the pass small.
+array lookups instead of one structural BFS per user.  The (user, RR-Graph)
+pairs are the block's own nodes, ordered by user with one stable sort, so no
+pair is searched for.  Chunks of :data:`PAIRS_PER_CHUNK` pairs, cut at user
+boundaries, keep the transient arrays of the pass small.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -72,23 +73,34 @@ def build_pruning_tables(
     """``IndexEst+`` cut structures for every user the index contains.
 
     RNG-free, so the table is bitwise-identical to what the lazy path would
-    build on first query.  Users run in sorted order through
-    :func:`~repro.index.pruning.build_filter_tables`, in chunks of about
-    :data:`PAIRS_PER_CHUNK` (user, RR-Graph) pairs so the transient arrays of one
-    pass stay small; chunking cannot affect the structures themselves.
+    build on first query.  An index's vertex runs list every member of their
+    graph, so the block's nodes are exactly its (user, graph) pairs: one
+    stable sort of the node vertices orders them by user, then by graph
+    (node ids ascend with the graph), and hands each pair's node to
+    :func:`~repro.index.pruning.build_filter_tables` without a search.
+    Users run in ascending order, in chunks of about
+    :data:`PAIRS_PER_CHUNK` pairs cut at user boundaries, so the transient
+    arrays of one pass stay small; chunking cannot affect the structures
+    themselves.
     """
     block = index.block()
+    vertices = block.node_keys[:-1] % block.stride
+    vertices = vertices.astype(np.min_scalar_type(block.stride - 1))
+    # A radix sort on vertices below 65,536 (as in ``_containment``).
+    starts = np.argsort(vertices, kind="stable")
+    vertices = vertices[starts]
+    bounds = [0, *(np.flatnonzero(np.diff(vertices)) + 1).tolist(), len(vertices)]
+    users = vertices[bounds[:-1]].tolist() if vertices.size else []
     tables: Dict[int, _UserFilterStructures] = {}
-    chunk: List[int] = []
-    pairs = 0
-    users = sorted(index.containment)
-    for position, user in enumerate(users):
-        chunk.append(user)
-        pairs += len(index.containment[user])
-        if pairs >= PAIRS_PER_CHUNK or position == len(users) - 1:
-            graphs = [index.containment[member] for member in chunk]
-            tables.update(zip(chunk, build_filter_tables(block, chunk, graphs, max_probabilities)))
-            chunk, pairs = [], 0
+    first = 0
+    for last in range(1, len(users) + 1):
+        if bounds[last] - bounds[first] >= PAIRS_PER_CHUNK or last == len(users):
+            chunk = starts[bounds[first] : bounds[last]]
+            graphs = block.node_keys[chunk] // block.stride
+            counts = np.diff(bounds[first : last + 1])
+            structures = build_filter_tables(block, counts, graphs, chunk, max_probabilities)
+            tables.update(zip(users[first:last], structures))
+            first = last
     return tables
 
 

@@ -58,9 +58,9 @@ def test_choose_edge_cut_is_at_least_as_good_as_either_side(ablation_instance):
     users = [v for v in graph.vertices() if graph.out_degree(v) > 0][:5]
     for user in users:
         graphs = np.array(index.graphs_containing(user)[:20], dtype=np.int64)
-        pair_users = np.full(len(graphs), user)
-        always, source, target = cut_sides(block, pair_users, graphs)
-        chosen_always, *chosen = choose_cuts(block, pair_users, graphs, maxima)
+        starts = block.start_nodes(np.full(len(graphs), user), graphs)
+        always, source, target = cut_sides(block, graphs, starts)
+        chosen_always, *chosen = choose_cuts(block, graphs, starts, maxima)
         assert chosen_always.tolist() == always.tolist()
         best = np.maximum(pruning_probabilities(*source), pruning_probabilities(*target))
         chosen = pruning_probabilities(*chosen)

@@ -115,20 +115,21 @@ def test_pruned_estimator_filters_candidates(indexed_instance):
     assert len(candidates) <= len(universe)
 
 
-def one_pair(user):
-    """``(users, graphs)`` arrays of the one pair (``user``, graph 0)."""
-    return np.array([user]), np.zeros(1, dtype=np.int64)
+def one_pair(block, user):
+    """``(graphs, starts)`` arrays of the one pair (``user``, graph 0) of ``block``."""
+    graphs = np.zeros(1, dtype=np.int64)
+    return graphs, block.start_nodes(np.array([user]), graphs)
 
 
 def test_edge_cut_construction_properties():
     graph = line_graph(4, probability=1.0)
     block = RRBlock(sample_rr_arrays(graph, 1, RandomSource(1), root=3))
-    always, source, target = cut_sides(block, *one_pair(0))
+    always, source, target = cut_sides(block, *one_pair(block, 0))
     assert not always[0]
     assert np.diff(source[0]).tolist() == [1]  # 0 has one out-edge in the chain
     assert np.diff(target[0]).tolist() == [1]  # 3 has one in-edge reachable from 0
-    assert cut_sides(block, *one_pair(3))[0].tolist() == [True]
-    always, indptr, _, _ = choose_cuts(block, *one_pair(0), graph.max_edge_probabilities())
+    assert cut_sides(block, *one_pair(block, 3))[0].tolist() == [True]
+    always, indptr, _, _ = choose_cuts(block, *one_pair(block, 0), graph.max_edge_probabilities())
     assert indptr[-1] > 0 or always[0]
 
 
@@ -136,12 +137,12 @@ def test_edge_cut_pruning_probability_monotone():
     graph = line_graph(3, probability=1.0)
     block = RRBlock(sample_rr_arrays(graph, 1, RandomSource(1), root=2))
     maxima = graph.max_edge_probabilities()
-    always, _, edge_ids, thresholds = choose_cuts(block, *one_pair(0), maxima)
+    always, _, edge_ids, thresholds = choose_cuts(block, *one_pair(block, 0), maxima)
     assert not always[0] and edge_ids.size
     probability = float(np.prod(np.minimum(1.0, thresholds / maxima[edge_ids])))
     assert 0.0 <= probability <= 1.0
     # The root itself can never be cut off: no entries, always a candidate.
-    always, indptr, _, _ = choose_cuts(block, *one_pair(2), maxima)
+    always, indptr, _, _ = choose_cuts(block, *one_pair(block, 2), maxima)
     assert always.tolist() == [True] and indptr.tolist() == [0, 0]
 
 
