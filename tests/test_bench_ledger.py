@@ -4,9 +4,10 @@ A base probe and a change probe of one workload and seed must agree on the
 answers digest and on every deterministic counter; any disagreement is
 recorded in the ledger and makes it exit non-zero.  Every run keeps
 pitexbench's raw timing line next to its scaled metrics.  ``--compare``
-diffs two sides of ledgers: medians and quartiles per metric, flags for
-moves beyond the ``BENCHMARK.json`` bounds, errors for digest and counter
-differences.
+diffs two sides of ledgers: medians and quartiles per metric with each
+side's run count, the second side's seed-matched pair wins on end-to-end
+metrics, flags for moves beyond the ``BENCHMARK.json`` bounds, errors for
+digest and counter differences.
 """
 
 import importlib.util
@@ -141,6 +142,12 @@ def test_compare_diffs_medians_and_flags_moves_beyond_the_bounds():
     assert (p50["a"]["median"], p50["b"]["median"]) == (15.5, 11.5)
     assert p50["a"]["iqr"] == 1.5 and p50["relative_change"] == (11.5 - 15.5) / 15.5
     assert rows[("traced", "topics.prob_ms")]["relative_change"] == -0.5
+    # Run counts per side; pair wins on end-to-end rows only.
+    assert (p50["a"]["n"], p50["b"]["n"], p50["wins"], p50["pairs"]) == (4, 4, 4, 4)
+    assert rows[("traced", "topics.prob_ms")]["b"]["n"] == 1
+    assert "wins" not in rows[("traced", "topics.prob_ms")]
+    # Equal peak RSS in every pair but a higher one: no wins.
+    assert (rows[("runs", "peak_rss_mb")]["wins"], rows[("runs", "peak_rss_mb")]["pairs"]) == (0, 4)
     # +6.7 % peak RSS is beyond its 5 % bound; the latency gain is not a flag.
     assert report["flags"] == ["index-cold peak_rss_mb: median 60 -> 64, worse than the 5% bound"]
     assert report["errors"] == []
@@ -171,3 +178,34 @@ def test_compare_reports_digest_and_counter_differences_as_errors(tmp_path):
     same.write_text(json.dumps(_ledger(runs, changed, probe(), probe(**{"estimator.indexest+.samples": 9}))))
     assert ledger.main(["--compare", str(path), str(same)]) == 0
     assert ledger.main(["--compare", str(path), str(same), str(other)]) == 2
+
+
+def test_pair_wins_match_seeds_and_leave_ties_to_neither_side():
+    ledger = load_ledger()
+
+    def runs(*values, seconds=15.0):
+        return [
+            {"seed": 71 + index, "seconds": seconds, "metrics": {"setup_s": value}}
+            for index, value in enumerate(values)
+        ]
+
+    base = runs(0.07, 0.07, 0.07, 0.07)
+    # Lower wins; the tie (seed 73) and the loss (seed 74) are not wins.
+    assert ledger.pair_wins(base, runs(0.06, 0.05, 0.07, 0.08), "setup_s", "lower") == (2, 4)
+    assert ledger.pair_wins(base, runs(0.06, 0.05, 0.07, 0.08), "setup_s", "higher") == (1, 4)
+    # Runs of another length or an unmatched seed are no pairs.
+    assert ledger.pair_wins(base, runs(0.06, seconds=5.0), "setup_s", "lower") == (0, 0)
+    assert ledger.pair_wins(base[:1], runs(0.06, 0.05), "setup_s", "lower") == (1, 1)
+
+
+def test_compare_prints_run_counts_and_pair_wins(tmp_path, capsys):
+    ledger = load_ledger()
+    base = [_run("d1", p50) for p50 in (14.0, 15.0, 16.0)]
+    change = [_run("d1", p50) for p50 in (13.0, 15.0, 17.0)]
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(_ledger(base, change)))
+    assert ledger.main(["--compare", str(path)]) == 0
+    lines = {line.split()[1]: line for line in capsys.readouterr().out.splitlines()}
+    assert " n=3 -> " in lines["latency_p50_ms"]
+    assert lines["latency_p50_ms"].endswith("wins 1/3")
+    assert " n=1 -> " in lines["topics.prob_ms"] and lines["topics.prob_ms"].endswith("n=1 -50.0%")

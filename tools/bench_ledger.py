@@ -38,7 +38,11 @@ the direction ``BENCHMARK.json`` declares.
 ledger's base side with its change side; with two it compares the change
 side of ``A`` with the change side of ``B``.  Workload by workload it
 prints each end-to-end metric's median and quartiles on both sides (untraced
-runs) and each per-layer metric's (traced runs), and flags an end-to-end
+runs) and each per-layer metric's (traced runs), with each side's run count
+(``n=``), so a layer figure read off one traced run shows as ``n=1``.  An
+end-to-end row also counts the seed-matched pairs (same seed and length)
+that the second side wins, strictly better in the declared direction; a
+tie is a win for neither side.  It flags an end-to-end
 median that got worse by more than its ``BENCHMARK.json`` bound.  Runs of
 the same workload, seed and length must agree on the answers digest, and
 route probes also on every deterministic counter; any difference is an
@@ -292,14 +296,32 @@ def ledger_sides(ledger: dict, side: str) -> dict:
 
 def _spread(values):
     q1, median, q3 = quartiles(values)
-    return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
+    return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "n": len(values)}
+
+
+def pair_wins(a_runs, b_runs, name, better):
+    """``(wins, pairs)``: how many runs of ``b`` beat the ``a`` run of the same seed and length.
+
+    A win is strictly better in the ``better`` direction; a tie counts for
+    neither side.  ``pairs`` counts the seed-matched runs that carry ``name``.
+    """
+    matched = {(run["seed"], run["seconds"]): run["metrics"] for run in a_runs}
+    sign = 1.0 if better == "higher" else -1.0
+    wins = pairs = 0
+    for run in b_runs:
+        other = matched.get((run["seed"], run["seconds"]), {})
+        if name in other and name in run["metrics"]:
+            pairs += 1
+            wins += sign * (run["metrics"][name] - other[name]) > 0
+    return wins, pairs
 
 
 def compare_sides(a: dict, b: dict, declared: dict) -> dict:
     """Diff two :func:`ledger_sides` results: ``{"metrics", "flags", "errors"}``.
 
-    ``metrics`` holds one row per workload and metric present on both sides;
-    ``flags`` names each end-to-end median worse than its bound allows;
+    ``metrics`` holds one row per workload and metric present on both sides
+    (each side's spread with its run count ``n``; end-to-end rows also
+    ``wins`` and ``pairs`` from :func:`pair_wins`); ``flags`` names each end-to-end median worse than its bound allows;
     ``errors`` names each answers digest or probe counter that differs
     between runs of the same workload, seed and length.
     """
@@ -317,6 +339,10 @@ def compare_sides(a: dict, b: dict, declared: dict) -> dict:
                 base_median = row["a"]["median"]
                 change = row["b"]["median"] - base_median
                 row["relative_change"] = change / base_median if base_median else 0.0
+                if kind == "runs":
+                    row["wins"], row["pairs"] = pair_wins(
+                        a[workload][kind], b[workload][kind], name, metric["better"]
+                    )
                 report["metrics"].append(row)
                 worse = change if metric["better"] == "lower" else -change
                 if kind == "runs" and worse > metric["bound"] * abs(base_median):
@@ -352,10 +378,11 @@ def compare_main(paths) -> int:
     report = compare_sides(a, b, declared)
     for row in report["metrics"]:
         before, after = row["a"], row["b"]
+        wins = f" wins {row['wins']}/{row['pairs']}" if "wins" in row else ""
         print(
             f"{row['workload']:<11} {row['metric']:<34} {before['median']:>10.4g} "
-            f"[{before['q1']:.4g}-{before['q3']:.4g}] -> {after['median']:>10.4g} "
-            f"[{after['q1']:.4g}-{after['q3']:.4g}] {row['relative_change']:+.1%}"
+            f"[{before['q1']:.4g}-{before['q3']:.4g}] n={before['n']} -> {after['median']:>10.4g} "
+            f"[{after['q1']:.4g}-{after['q3']:.4g}] n={after['n']} {row['relative_change']:+.1%}{wins}"
         )
     for flag in report["flags"]:
         print(f"FLAG {flag}")
