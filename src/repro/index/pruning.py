@@ -240,11 +240,11 @@ def build_filter_tables(
         np.repeat(pair_slots, entry_counts) * (int(edge_ids.max(initial=0)) + 1) + edge_ids
     )
     # Postings sort by (first appearance, threshold, graph).  Postings that
-    # tie on the first two share a user and an edge, so they come from
-    # distinct pairs of that user, which arrive in ascending graph order:
-    # the graph key is already the input order, and two stable sorts do.
-    # First positions are below len(first); on their narrowest unsigned
-    # type the second sort is a radix sort.
+    # tie on the first two belong to one user, whose pairs arrive in
+    # ascending graph order, so their input order is already their graph
+    # order and two stable sorts give the three-key order.  First positions
+    # are below len(first); on their narrowest unsigned type the second
+    # sort is a radix sort.
     order = np.argsort(thresholds, kind="stable")
     narrow = np.min_scalar_type(max(len(first) - 1, 0))
     order = order[np.argsort(first[order].astype(narrow), kind="stable")]

@@ -105,10 +105,9 @@ class RRBlock:
         def number_run(first: int, last: int, offset: int) -> np.ndarray:
             """Number the nodes of graphs ``[first, last)`` from ``offset``; return their keys."""
             base = np.arange(last - first, dtype=np.int64) * stride
-            vertices = slice(vertex_indptr[first], vertex_indptr[last])
             edges = slice(edge_indptr[first], edge_indptr[last])
             vertex_keys = np.repeat(base, np.diff(vertex_indptr[first : last + 1]))
-            vertex_keys += vertex_ids[vertices]
+            vertex_keys += vertex_ids[vertex_indptr[first] : vertex_indptr[last]]
             source_keys = np.repeat(base, np.diff(edge_indptr[first : last + 1]))
             target_keys = source_keys + targets[edges]
             source_keys += sources[edges]
